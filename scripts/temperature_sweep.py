@@ -20,7 +20,7 @@ from pathlib import Path
 
 from tritherm.config import load_config
 from tritherm.errorlab import repeated_measurement_stats
-from tritherm.pipeline import calibrate_transitions, estimate_from_result, run_protocol
+from tritherm.pipeline import calibrate_transitions, estimate, run_protocol
 from tritherm.thermometry import COEFFICIENTS
 
 
@@ -63,7 +63,7 @@ def main(argv=None) -> int:
             seed=base.seed + int(round(t_set)))
         t0 = time.perf_counter()
         result = run_protocol(cfg, calibrations=cals)
-        report = estimate_from_result(result)
+        report = estimate(result.responses, result.levels, cfg.protocol, cfg.seed)
         spread = repeated_measurement_stats(
             result.noiseless_responses, result.levels, n_runs=args.error_runs,
             noise_sigma=cfg.readout.noise_sigma, seed=cfg.seed)

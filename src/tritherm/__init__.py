@@ -21,7 +21,6 @@ from .hilbert import (
     TransmonSpec,
     build_composite_operators,
     diagonalize_transmon,
-    thermal_density_matrix,
     thermal_populations,
 )
 from .lindblad import (
@@ -32,14 +31,13 @@ from .lindblad import (
     steady_state,
     thermal_occupations,
 )
-from .pipeline import SimulationResult, estimate_from_result, run_protocol
+from .pipeline import SimulationResult, estimate, run_protocol
 from .pulses import (
     CalibrationReport,
     GateSequence,
     PulseEnvelope,
     apply_sequence_ideal,
     apply_sequence_simulated,
-    calibrate_pi,
     compile_sequence,
     run_rabi_calibration,
 )
@@ -48,9 +46,7 @@ from .readout import (
     PureStateResponses,
     ReadoutConfig,
     add_noise,
-    pure_state_responses,
     regress_populations,
-    simulate_readout,
     window,
 )
 from .thermometry import (

@@ -28,10 +28,10 @@ from .errorlab import (
     temperature_discrepancy,
 )
 from .hilbert import LevelEnergies, diagonalize_transmon
-from .pipeline import calibrate_transitions, estimate_from_result, run_protocol
+from .pipeline import calibrate_transitions, estimate, run_protocol
 from .pulses import SEQUENCE_LABELS
 from .readout import ReadoutConfig, read_trace_csv, window, write_trace_csv
-from .thermometry import EstimateReport, SequenceResponses, estimate_temperature
+from .thermometry import EstimateReport, SequenceResponses
 
 OUTPUT_ENV_VAR = "TRITHERM_OUTPUT_DIR"
 CONSISTENCY_ALARM = 0.05
@@ -66,11 +66,10 @@ def _load_run_config(args) -> RunConfig:
     return config
 
 
-def _levels_from_args(args) -> LevelEnergies:
-    """Levels for estimation-only commands: from a config's transmon when
+def _levels_from_args(args, config: Optional[RunConfig]) -> LevelEnergies:
+    """Levels for estimation-only commands: from the config's transmon when
     given, else from explicit --f-ge/--f-gf anchors."""
-    if getattr(args, "config", None):
-        config = load_config(args.config)
+    if config is not None:
         levels, _ = diagonalize_transmon(config.system.transmon)
         return levels
     if args.f_ge is None or args.f_gf is None:
@@ -148,15 +147,7 @@ def cmd_simulate(args) -> int:
     responses = SequenceResponses.from_dict(
         {lab: window(tr, config.readout) for lab, tr in reloaded.items()}
     )
-    report = estimate_temperature(
-        responses, result.levels,
-        delta=config.protocol.delta,
-        quadratures=config.protocol.quadratures,
-        n_bootstrap=config.protocol.n_bootstrap,
-        seed=stream_seed(config.seed, "bootstrap"),
-        aggregation=config.protocol.aggregation,
-        clamp=config.protocol.clamp_out_of_range,
-    )
+    report = estimate(responses, result.levels, config.protocol, config.seed)
     payload = report.as_dict()
     payload["consistency_alarm"] = _alarm_if_inconsistent(report)
     payload["bath_t_mk"] = config.dissipation.bath_t_mk
@@ -177,7 +168,11 @@ def _collect_traces(path: Path) -> Dict:
         raise ConfigError(f"no CSV files under {path}")
     traces: Dict = {}
     for f in files:
-        for label, trace in read_trace_csv(f).items():
+        try:
+            found = read_trace_csv(f)
+        except ValueError as exc:  # the message names the file and line
+            raise ConfigError(f"malformed trace file {exc}") from exc
+        for label, trace in found.items():
             if label in traces and label in SEQUENCE_LABELS:
                 raise ConfigError(f"duplicate trace label {label!r} (again in {f.name})")
             traces[label] = trace
@@ -188,34 +183,30 @@ def _collect_traces(path: Path) -> Dict:
 
 
 def cmd_estimate(args) -> int:
-    levels = _levels_from_args(args)
-    traces = _collect_traces(Path(args.traces))
     config = load_config(args.config) if args.config else None
-    if config is not None:
-        readout = config.readout
-        proto = config.protocol
-    else:
-        readout = ReadoutConfig(window_start_ns=args.window_start,
-                                window_end_ns=args.window_end,
-                                probe_duration_ns=max(args.window_end, 2000.0))
-        proto = ProtocolConfig()
+    levels = _levels_from_args(args, config)
+    traces = _collect_traces(Path(args.traces))
+    # flags override the config; omitted flags inherit it so a report built
+    # from reloaded traces matches the in-process one exactly
+    flags = {"delta": args.delta, "quadratures": args.quadratures,
+             "n_bootstrap": args.bootstrap, "clamp_out_of_range": args.clamp or None}
+    seed = args.seed if args.seed is not None else (config.seed if config else 0)
     try:
+        if config is not None:
+            readout, protocol = config.readout, config.protocol
+        else:
+            readout = ReadoutConfig(window_start_ns=args.window_start,
+                                    window_end_ns=args.window_end,
+                                    probe_duration_ns=max(args.window_end, 2000.0))
+            protocol = ProtocolConfig()
+        protocol = dataclasses.replace(
+            protocol, **{k: v for k, v in flags.items() if v is not None})
         responses = SequenceResponses.from_dict(
             {lab: window(traces[lab], readout) for lab in SEQUENCE_LABELS}
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # flags override the config; omitted flags inherit it so a report built
-    # from reloaded traces matches the in-process one exactly
-    seed = args.seed if args.seed is not None else (config.seed if config else 0)
-    report = estimate_temperature(
-        responses, levels,
-        delta=args.delta if args.delta is not None else proto.delta,
-        quadratures=args.quadratures or proto.quadratures,
-        n_bootstrap=args.bootstrap if args.bootstrap is not None else proto.n_bootstrap,
-        seed=stream_seed(seed, "bootstrap"),
-        clamp=args.clamp or proto.clamp_out_of_range,
-    )
+    report = estimate(responses, levels, protocol, seed)
     out = _resolve_output_dir(args, None)
     payload = report.as_dict()
     payload["consistency_alarm"] = _alarm_if_inconsistent(report)
@@ -347,7 +338,7 @@ def cmd_sweep(args) -> int:
                                       calibrations=calibrations)
             else:
                 result = run_protocol(cfg_i, noiseless=args.noiseless)
-            report = estimate_from_result(result)
+            report = estimate(result.responses, result.levels, cfg_i.protocol, cfg_i.seed)
             for est in report.estimates:
                 c = est.source_coefficient
                 row[f"T_{c}_mK"] = est.t_mk

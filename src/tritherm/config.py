@@ -75,7 +75,7 @@ class ProtocolConfig:
             raise ValueError("pulse_duration_ns must lie in [40, 200]")
         if self.gap_ns < 0:
             raise ValueError("gap_ns must be non-negative")
-        if self.delta <= 0:
+        if not self.delta > 0:  # also rejects NaN
             raise ValueError("delta must be positive")
         if self.quadratures not in ("I", "IQ"):
             raise ValueError("quadratures must be 'I' or 'IQ'")

@@ -141,9 +141,6 @@ class Populations:
     def as_array(self) -> np.ndarray:
         return np.array([self.p_g, self.p_e, self.p_f])
 
-    def normalized(self) -> "Populations":
-        s = self.p_g + self.p_e + self.p_f
-        return Populations(self.p_g / s, self.p_e / s, self.p_f / s)
 
 
 def _charge_diag(ec, ej, ng, ncut):
@@ -324,12 +321,6 @@ def thermal_populations(levels: LevelEnergies, t_mk: float) -> Populations:
     w = np.exp(-GHZ_TO_MK * np.array([0.0, levels.f_ge_ghz, levels.f_gf_ghz]) / t_mk)
     w /= w.sum()
     return Populations(*w)
-
-
-def thermal_density_matrix(levels: LevelEnergies, t_mk: float) -> np.ndarray:
-    """Diagonal three-level Gibbs state in the eigenbasis."""
-    p = thermal_populations(levels, t_mk)
-    return np.diag(p.as_array()).astype(complex)
 
 
 def validate_density_matrix(rho: np.ndarray, herm_tol=1e-12, trace_tol=1e-10,

@@ -25,14 +25,12 @@ about kappa (g/Delta)^2) sits near 1e-13 of its norm.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
 
 from .constants import bose_occupation, boltzmann_exponent, rate_from_mhz, kappa_rate_from_mhz
 from .hilbert import CompositeOperators, LevelEnergies, validate_density_matrix
@@ -207,24 +205,39 @@ def build_liouvillian(ops: CompositeOperators, dissipation: DissipationSpec) -> 
     return Liouvillian(ops, dissipation, occ, jumps)
 
 
+# RK45 tolerances of every master-equation integration
+RTOL = 1e-8
+ATOL = 1e-10
+
+
 def evolve(
     rho0: np.ndarray,
     liou: Liouvillian,
     drives: Sequence,
     t_grid: np.ndarray,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
     max_step: float = np.inf,
     validate: bool = True,
 ) -> np.ndarray:
     """Integrate the master equation on ``t_grid`` (ns), returning the
     trajectory as an array of density matrices.
 
-    All drives must share one carrier; the static part is built in that
-    rotating frame (bare frame when no drive is given).  States on the grid
-    are checked against relaxed invariants (trace 1e-8, hermiticity 1e-10,
-    positivity -1e-8).
+    This is the package's only open-system integrator; the gates of
+    ``pulses.apply_sequence_simulated`` run through it one at a time on
+    ``t_grid = [0, span]``.  Drive envelopes are evaluated at the grid's own
+    times.  All drives must share one carrier; the static part is built in
+    that rotating frame (bare frame when no drive is given).  RK45 runs at
+    ``RTOL``/``ATOL`` and keeps only the grid states, not every step.  Each
+    grid state is checked against relaxed invariants (trace 1e-8,
+    hermiticity 1e-10, positivity -1e-8) unless ``validate`` is False; a
+    violation or a failed integration raises ``IntegrationError``.  The
+    sequence gates integrate with ``validate=False``: on the default device
+    at 50 mK one 60 ns gate at these tolerances ends with a smallest
+    eigenvalue near -7e-7, although the protocol populations are accurate to
+    well below the permutation tolerance.
     """
+    # looked up at call time so the scipy attribute is what every call sees
+    from scipy.integrate import solve_ivp
+
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be ascending with at least two samples")
@@ -255,7 +268,7 @@ def evolve(
 
     sol = solve_ivp(
         rhs, (t_grid[0], t_grid[-1]), rho0.astype(complex).reshape(-1),
-        t_eval=t_grid, method="RK45", rtol=rtol, atol=atol, max_step=max_step,
+        t_eval=t_grid, method="RK45", rtol=RTOL, atol=ATOL, max_step=max_step,
     )
     if not sol.success:
         raise IntegrationError(f"solve_ivp failed: {sol.message}")
@@ -339,18 +352,3 @@ def steady_state(liou: Liouvillian, frame_ghz: float = 0.0) -> np.ndarray:
             f"(relative gap {svals[-2] / svals[0]:.2e})"
         ) from exc
     return rho
-
-
-def write_trajectory_csv(path, t_grid: np.ndarray, traj: np.ndarray,
-                         ops: CompositeOperators) -> None:
-    """Dump level populations and the field amplitude along a trajectory."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_ns", "p_g", "p_e", "p_f", "p_d", "re_a", "im_a"])
-        for t, rho in zip(t_grid, traj):
-            pops = ops.subpopulations(rho)
-            a = np.trace(ops.a @ rho)
-            writer.writerow(
-                [f"{t:.12g}"] + [f"{p:.12g}" for p in pops[:4]]
-                + [f"{a.real:.12g}", f"{a.imag:.12g}"]
-            )

@@ -1,10 +1,16 @@
-"""End-to-end protocol runs: thermal steady state, pi calibration, the six
-sequences, and batched readout synthesis.
+"""End-to-end protocol runs and the one protocol-to-estimator call.
 
-One run produces the full set of artifacts the estimator and the acceptance
-checks consume: normalized full-length traces (optionally noisy), windowed
-sequence responses, the pure-state basis, calibration reports, and the
-prepared-state populations right before readout.
+``run_protocol`` simulates the chain once: thermal steady state, pi
+calibration, the six sequences (each gate integrated by
+``lindblad.evolve``), and batched readout synthesis.  One run produces the
+artifacts the estimator and the acceptance checks consume: normalized
+full-length traces (optionally noisy), windowed sequence responses, the
+pure-state basis, calibration reports, and the prepared-state populations
+right before readout.
+
+``estimate`` is the only place where a ``ProtocolConfig`` and a master seed
+become an ``estimate_temperature`` call; the CLI commands and the scripts
+all go through it, so the same options always give the same report.
 """
 
 from __future__ import annotations
@@ -150,7 +156,6 @@ def run_protocol(
     windowed_basis = PureStateResponses(
         *(window(basis_traces[lab], config.readout) for lab in BASIS_LABELS)
     )
-    timings["total"] = time.perf_counter() - t0
 
     return SimulationResult(
         config=config,
@@ -171,17 +176,17 @@ def run_protocol(
     )
 
 
-def estimate_from_result(result: SimulationResult) -> EstimateReport:
-    """Run the estimator on a simulation's windowed responses with the run's
-    protocol options and bootstrap substream."""
-    protocol = result.config.protocol
+def estimate(responses: SequenceResponses, levels, protocol: ProtocolConfig,
+             seed: Optional[int]) -> EstimateReport:
+    """Run the estimator on windowed responses with ``protocol``'s fit options
+    and the bootstrap substream of the master ``seed``."""
     return estimate_temperature(
-        result.responses,
-        result.levels,
+        responses,
+        levels,
         delta=protocol.delta,
         quadratures=protocol.quadratures,
         n_bootstrap=protocol.n_bootstrap,
-        seed=stream_seed(result.config.seed, "bootstrap"),
+        seed=stream_seed(seed, "bootstrap"),
         aggregation=protocol.aggregation,
         clamp=protocol.clamp_out_of_range,
     )

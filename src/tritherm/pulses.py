@@ -23,7 +23,7 @@ from scipy.special import erf
 
 from .constants import TWO_PI
 from .hilbert import CompositeOperators, Populations
-from .lindblad import DissipationSpec, Liouvillian
+from .lindblad import DissipationSpec, Liouvillian, evolve
 
 EDGE = np.exp(-2.0)  # envelope value of the bare Gaussian at +-2 sigma
 
@@ -250,12 +250,6 @@ def run_rabi_calibration(ops: CompositeOperators, transition: str, duration_ns: 
     return CalibrationReport(transition, float(amp), float(duration_ns), best, float(carrier))
 
 
-def calibrate_pi(ops: CompositeOperators, transition: str, duration_ns: float,
-                 dissipation: Optional[DissipationSpec] = None) -> PulseEnvelope:
-    """Calibrated pi envelope for ``transition``; see ``run_rabi_calibration``."""
-    return run_rabi_calibration(ops, transition, duration_ns, dissipation).envelope()
-
-
 def change_frame(vec_rho: np.ndarray, ops: CompositeOperators, from_ghz: float,
                  to_ghz: float, t_abs_ns: float) -> np.ndarray:
     """Re-express a vectorized state in a different rotating frame at absolute
@@ -272,22 +266,18 @@ def apply_sequence_simulated(
     liou: Liouvillian,
     pulses: Dict[str, PulseEnvelope],
     gap_ns: float = 4.0,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
 ) -> Tuple[np.ndarray, float, float]:
     """Evolve the steady state through the sequence's calibrated gates with
     dissipation on.
 
-    Each gate is integrated in its own carrier frame; frame changes are the
-    diagonal phases of ``change_frame`` evaluated at the accumulated absolute
-    time.  A ``gap_ns`` guard of free evolution follows every pulse.  Returns
-    ``(rho, elapsed_ns, frame_ghz)`` with the final state still expressed in
-    the last gate's frame (bare frame for x0).
+    Each gate is one ``lindblad.evolve`` call over its pulse plus a
+    ``gap_ns`` guard of free evolution, in the gate's own carrier frame;
+    frame changes are the diagonal phases of ``change_frame`` evaluated at
+    the accumulated absolute time.  Returns ``(rho, elapsed_ns, frame_ghz)``
+    with the final state still expressed in the last gate's frame (bare
+    frame for x0).
     """
-    from scipy.integrate import solve_ivp
-
     ops = liou.ops
-    l_drive = liou.drive_super()
     v = rho_ss.astype(complex).reshape(-1)
     t_abs = 0.0
     frame = 0.0
@@ -295,15 +285,9 @@ def apply_sequence_simulated(
         pulse = pulses[gate]
         v = change_frame(v, ops, frame, pulse.carrier_ghz, t_abs)
         frame = pulse.carrier_ghz
-        l_static = liou.static_super(frame)
         span = pulse.duration_ns + gap_ns
-
-        def rhs(t, y, env=pulse.value, ls=l_static):
-            return ls @ y + env(t) * (l_drive @ y)
-
-        sol = solve_ivp(rhs, (0.0, span), v, method="RK45", rtol=rtol, atol=atol)
-        if not sol.success:
-            raise RuntimeError(f"gate {gate} integration failed: {sol.message}")
-        v = sol.y[:, -1]
+        rho = evolve(v.reshape(ops.dim, ops.dim), liou, [pulse], np.array([0.0, span]),
+                     validate=False)[-1]
+        v = rho.reshape(-1)
         t_abs += span
     return v.reshape(ops.dim, ops.dim), t_abs, frame

@@ -188,18 +188,6 @@ def synthesize_traces(states: Dict[str, np.ndarray], liou: Liouvillian,
     }
 
 
-def simulate_readout(rho_init: np.ndarray, liou: Liouvillian, config: ReadoutConfig,
-                     label: str = "") -> IQTrace:
-    """Heterodyne response of one prepared state under the rectangular probe."""
-    vec = rho_init.reshape(-1) if rho_init.ndim == 2 else rho_init
-    return synthesize_traces({label: vec}, liou, config)[label]
-
-
-def pure_state_responses(liou: Liouvillian, config: ReadoutConfig) -> PureStateResponses:
-    traces = synthesize_traces(pure_basis_states(liou), liou, config)
-    return PureStateResponses(traces["g"], traces["e"], traces["f"])
-
-
 def normalization_factor(basis: PureStateResponses) -> float:
     """1 / max |phi| over the three pure-state responses (full trace)."""
     peak = max(float(np.max(np.abs(t.complex_vals()))) for t in basis.as_dict().values())
@@ -313,17 +301,46 @@ def write_trace_csv(path, traces: Sequence[IQTrace]) -> None:
 
 
 def read_trace_csv(path) -> Dict[str, IQTrace]:
-    """Inverse of ``write_trace_csv``; returns traces keyed by label."""
+    """Inverse of ``write_trace_csv``; returns traces keyed by label.
+
+    Traces need not come from the simulator, so the file is checked row by
+    row: an empty file, a wrong header, a row without exactly four fields, a
+    non-numeric or non-finite sample, or a label whose sample times are not
+    uniformly spaced raises ``ValueError`` naming the file and the line.
+    """
     rows: Dict[str, list] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:4] != ["t_ns", "I", "Q", "label"]:
-            raise ValueError(f"unexpected trace header {header}")
-        for t, i, q, label in reader:
-            rows.setdefault(label, []).append((float(t), float(i), float(q)))
-    out = {}
-    for label, data in rows.items():
-        arr = np.array(data)
-        out[label] = IQTrace(arr[:, 0], arr[:, 1], arr[:, 2], label)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("empty file, expected the header t_ns,I,Q,label")
+            if header[:4] != ["t_ns", "I", "Q", "label"]:
+                raise ValueError(f"line 1: unexpected trace header {header}")
+            for row in reader:
+                if len(row) != 4:
+                    raise ValueError(f"line {reader.line_num}: expected 4 fields "
+                                     f"t_ns,I,Q,label, got {len(row)}")
+                t, i, q, label = row
+                try:
+                    sample = (float(t), float(i), float(q), reader.line_num)
+                except ValueError:
+                    raise ValueError(f"line {reader.line_num}: non-numeric value "
+                                     f"in {row[:3]}") from None
+                rows.setdefault(label, []).append(sample)
+        out = {}
+        for label, data in rows.items():
+            arr = np.array(data)
+            bad = np.flatnonzero(~np.isfinite(arr[:, :3]).all(axis=1))
+            if bad.size:
+                raise ValueError(f"line {int(arr[bad[0], 3])}: non-finite value in "
+                                 f"trace {label!r}")
+            dt = np.diff(arr[:, 0])
+            uneven = np.flatnonzero(np.abs(dt - dt[:1]) > 1e-9)
+            if uneven.size:
+                raise ValueError(f"line {int(arr[uneven[0] + 1, 3])}: sample spacing of "
+                                 f"trace {label!r} is not uniform")
+            out[label] = IQTrace(arr[:, 0], arr[:, 1], arr[:, 2], label)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return out

@@ -19,7 +19,7 @@ from tritherm.lindblad import (
     steady_state,
     thermal_occupations,
 )
-from tritherm.pipeline import estimate_from_result
+from tritherm.pipeline import estimate
 from tritherm.pulses import all_sequences, apply_sequence_simulated, compile_sequence, apply_sequence_ideal
 from tritherm.readout import IQTrace
 from tritherm.thermometry import (
@@ -46,7 +46,8 @@ def test_criterion_1_round_trip_recovery(criterion, temperature_runs):
             spread = repeated_measurement_stats(
                 result.noiseless_responses, result.levels, n_runs=50,
                 noise_sigma=result.config.readout.noise_sigma, seed=int(t_set))
-            noisy = estimate_from_result(result)
+            noisy = estimate(result.responses, result.levels, result.config.protocol,
+                             result.config.seed)
             for coef in COEFFICIENTS:
                 err = noisy.temperature(coef).t_mk - t_set
                 band = 3.0 * spread.std(coef)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 
 from conftest import make_synthetic_responses
 from tritherm.cli import main
-from tritherm.readout import write_trace_csv
+from tritherm.config import load_config
+from tritherm.hilbert import diagonalize_transmon
+from tritherm.pipeline import estimate
+from tritherm.pulses import SEQUENCE_LABELS
+from tritherm.readout import add_noise, read_trace_csv, window, write_trace_csv
+from tritherm.thermometry import SequenceResponses
 
 seed = 20260312
 
@@ -114,6 +120,72 @@ def test_estimate_error_paths(tmp_path, capsys):
                  "--out", str(tmp_path / "o4")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+def test_estimate_config_honours_protocol_options(tmp_path):
+    # noisy traces, so the mean and the inverse-variance aggregate differ
+    responses, _ = make_synthetic_responses(n_samples=600)
+    for i, (lab, tr) in enumerate(responses.as_dict().items()):
+        write_trace_csv(tmp_path / f"{lab}.csv", [add_noise(tr, 0.002, 1, i)])
+    cfg = json.loads(json.dumps(MINI_CONFIG))
+    cfg["protocol"].update(aggregation="mean", n_bootstrap=200)
+    cfg_path = tmp_path / "mean.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["estimate", "--traces", str(tmp_path), "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    got = json.loads((out / "estimate.json").read_text())
+
+    config = load_config(cfg_path)
+    levels, _ = diagonalize_transmon(config.system.transmon)
+    traces = {}
+    for lab in SEQUENCE_LABELS:
+        traces.update(read_trace_csv(tmp_path / f"{lab}.csv"))
+    windowed = SequenceResponses.from_dict(
+        {lab: window(tr, config.readout) for lab, tr in traces.items()})
+    want = json.loads(json.dumps(estimate(windowed, levels, config.protocol,
+                                          config.seed).as_dict()))
+    for key in want:
+        assert got[key] == want[key], key
+    weighted = estimate(windowed, levels, dataclasses.replace(
+        config.protocol, aggregation="inverse_variance"), config.seed)
+    assert weighted.temperature("B").t_mk != got["T_B_mK"]
+
+
+@pytest.mark.parametrize("flags", [["--bootstrap", "-3"], ["--delta", "0"],
+                                   ["--delta", "nan"]])
+def test_estimate_rejects_invalid_estimator_flags(tmp_path, capsys, flags):
+    levels = _write_synthetic(tmp_path)
+    rc = main(["estimate", "--traces", str(tmp_path),
+               "--f-ge", f"{levels.f_ge_ghz}", "--f-gf", f"{levels.f_gf_ghz}",
+               "--window-start", "0", "--window-end", "600",
+               "--out", str(tmp_path / "out")] + flags)
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("broken_row", [
+    None,  # empty file
+    "3,0.5,0.25",  # short row
+    "3,abc,0.25,y2",  # non-numeric value
+    "3,nan,0.25,y2",  # non-finite sample
+    "3.5,0.5,0.25,y2",  # non-uniform time step
+])
+def test_estimate_rejects_malformed_trace_file(tmp_path, capsys, broken_row):
+    levels = _write_synthetic(tmp_path)
+    rows = ["t_ns,I,Q,label"] + [f"{t},0.5,0.25,y2" for t in range(20)]
+    if broken_row is None:
+        rows = []
+    else:
+        rows[4] = broken_row
+    (tmp_path / "y2.csv").write_text("".join(row + "\n" for row in rows))
+    rc = main(["estimate", "--traces", str(tmp_path),
+               "--f-ge", f"{levels.f_ge_ghz}", "--f-gf", f"{levels.f_gf_ghz}",
+               "--window-start", "0", "--window-end", "20",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "y2.csv" in err
 
 
 def test_unknown_subcommand():

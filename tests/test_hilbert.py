@@ -12,7 +12,6 @@ from tritherm.hilbert import (
     TransmonSpec,
     TruncationError,
     build_composite_operators,
-    thermal_density_matrix,
     thermal_populations,
     transmon_spectrum,
     validate_density_matrix,
@@ -110,8 +109,6 @@ def test_populations_validation():
         Populations(0.5, 0.6, 0.2)
     with pytest.raises(ValueError):
         Populations(-0.1, 0.6, 0.2)
-    p = Populations(0.3, 0.2, 0.1).normalized()
-    assert abs(p.p_g + p.p_e + p.p_f - 1.0) < 1e-12
 
 
 def test_composite_operator_algebra():
@@ -174,15 +171,6 @@ def test_thermal_populations_ordering_and_ratio():
     assert abs(p.p_f / p.p_e - np.exp(-5.4 * GHZ_TO_MK / 200.0)) < 1e-12
     with pytest.raises(ValueError):
         thermal_populations(lv, 0.0)
-
-
-def test_thermal_density_matrix():
-    lv = LevelEnergies.from_frequencies(5.7, 11.1)
-    rho = thermal_density_matrix(lv, 150.0)
-    assert rho.shape == (3, 3)
-    assert abs(np.trace(rho) - 1.0) < 1e-12
-    assert np.max(np.abs(rho - np.diag(np.diag(rho)))) == 0.0
-    validate_density_matrix(rho)
 
 
 def test_density_matrix_validation():

@@ -28,7 +28,6 @@ from tritherm.lindblad import (
     steady_state,
     thermal_occupations,
     unit_superoperator,
-    write_trajectory_csv,
 )
 from tritherm.pulses import PulseEnvelope
 
@@ -264,22 +263,6 @@ def test_steady_state_dark_level_oracle(weak_ops, t_mk, p_d, tol):
     # renormalizes |d> away, so criterion 4 alone cannot see an error here
     rho = steady_state(build_liouvillian(weak_ops, DissipationSpec(0.1, 0.2, t_mk)))
     assert abs(weak_ops.subpopulations(rho)[3] - p_d) < tol
-
-
-def test_trajectory_csv(tmp_path, small_liou):
-    ops = small_liou.ops
-    rho0 = np.zeros((ops.dim, ops.dim), dtype=complex)
-    rho0[ops.rspec.n_states, ops.rspec.n_states] = 1.0  # |e, 0>
-    t = np.linspace(0.0, 50.0, 6)
-    traj = evolve(rho0, small_liou, [], t)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, t, traj, ops)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].rstrip("\r") == "t_ns,p_g,p_e,p_f,p_d,re_a,im_a"
-    assert len(lines) == 7
-    first = lines[1].rstrip("\r").split(",")
-    assert float(first[0]) == 0.0
-    assert abs(float(first[2]) - 1.0) < 1e-10
 
 
 @settings(max_examples=25, deadline=None)

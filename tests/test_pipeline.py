@@ -1,7 +1,7 @@
 import numpy as np
 
 from tritherm.hilbert import thermal_populations
-from tritherm.pipeline import estimate_from_result
+from tritherm.pipeline import estimate
 from tritherm.pulses import apply_sequence_ideal, compile_sequence
 from tritherm.thermometry import COEFFICIENTS, estimate_temperature
 
@@ -18,7 +18,8 @@ def test_noiseless_round_trip_all_temperatures(temperature_runs):
 
 def test_noisy_estimates_stay_close(temperature_runs):
     for t_set, result in temperature_runs.items():
-        report = estimate_from_result(result)
+        report = estimate(result.responses, result.levels, result.config.protocol,
+                          result.config.seed)
         for coef in COEFFICIENTS:
             assert abs(report.temperature(coef).t_mk - t_set) < 40.0
 
@@ -72,8 +73,9 @@ def test_norm_factor_and_timings(run_150):
 
 
 def test_estimator_rerun_is_deterministic(run_150):
-    a = estimate_from_result(run_150).as_dict()
-    b = estimate_from_result(run_150).as_dict()
+    args = (run_150.responses, run_150.levels, run_150.config.protocol, run_150.config.seed)
+    a = estimate(*args).as_dict()
+    b = estimate(*args).as_dict()
     assert a == b
 
 

@@ -10,11 +10,9 @@ from tritherm.readout import (
     add_noise,
     normalization_factor,
     pure_basis_states,
-    pure_state_responses,
     read_trace_csv,
     regress_populations,
     ring_up_ns,
-    simulate_readout,
     synthesize_traces,
     window,
     write_trace_csv,
@@ -97,7 +95,7 @@ def test_first_sample_is_initial_expectation(small_liou):
     rho[0, 0] = 0.5
     rho[0, 1] = rho[1, 0] = 0.5  # coherence gives <a> != 0 at t = 0
     rho[1, 1] = 0.5
-    tr = simulate_readout(rho, small_liou, cfg)
+    tr = synthesize_traces({"rho": rho.reshape(-1)}, small_liou, cfg)["rho"]
     a0 = np.trace(ops.a @ rho)
     assert abs(tr.complex_vals()[0] - a0) < 1e-12
 
@@ -105,7 +103,8 @@ def test_first_sample_is_initial_expectation(small_liou):
 def test_normalization_factor(small_liou):
     cfg = ReadoutConfig(probe_duration_ns=400.0, window_start_ns=100.0,
                         window_end_ns=390.0)
-    basis = pure_state_responses(small_liou, cfg)
+    traces = synthesize_traces(pure_basis_states(small_liou), small_liou, cfg)
+    basis = PureStateResponses(traces["g"], traces["e"], traces["f"])
     f = normalization_factor(basis)
     peak = max(np.max(np.abs(t.scaled(f).complex_vals()))
                for t in basis.as_dict().values())
