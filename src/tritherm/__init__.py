@@ -27,7 +27,6 @@ from .lindblad import (
     DissipationSpec,
     ThermalOccupations,
     build_liouvillian,
-    evolve,
     steady_state,
     thermal_occupations,
 )
@@ -37,8 +36,8 @@ from .pulses import (
     GateSequence,
     PulseEnvelope,
     apply_sequence_ideal,
-    apply_sequence_simulated,
     compile_sequence,
+    prepare_sequences,
     run_rabi_calibration,
 )
 from .readout import (

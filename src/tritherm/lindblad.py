@@ -1,9 +1,10 @@
-"""Liouvillian construction, time evolution, and steady states.
+"""Liouvillian construction, the dissipator's exponential, and steady states.
 
-The master equation is integrated in a rotating frame (see
-``CompositeOperators.h_static``) with superoperators acting on row-major
-vectorized density matrices: vec(rho)[i*dim + j] = rho[i, j], so that
-vec(A rho B) = (A kron B^T) vec(rho).
+Superoperators act on row-major vectorized density matrices in a rotating
+frame (see ``CompositeOperators.h_static``): vec(rho)[i*dim + j] =
+rho[i, j], so that vec(A rho B) = (A kron B^T) vec(rho).  Time evolution is
+the split-step in ``pulses``, which takes its dissipative factors from
+``Liouvillian.dissipator_step``.
 
 Six thermal jump operators are used: raising and lowering on the g-e and
 e-f transmon transitions and on the resonator.  A direct f-g channel is
@@ -26,7 +27,7 @@ about kappa (g/Delta)^2) sits near 1e-13 of its norm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,7 +42,7 @@ class SteadyStateError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive integration failed or violated state invariants."""
+    """A propagated state violated the density-matrix invariants."""
 
 
 @dataclass(frozen=True)
@@ -144,8 +145,8 @@ class Liouvillian:
 
     ``jump_operators`` maps channel labels to rate-scaled operators
     (sqrt(rate) absorbed, rates per ns).  ``static_super(frame_ghz)`` builds
-    the full static superoperator in the given rotating frame; drives are
-    added separately (see ``pulses``).
+    the full static superoperator in the given rotating frame; drives enter
+    only through the Hamiltonian slices of the split-step (see ``pulses``).
     """
 
     ops: CompositeOperators
@@ -163,6 +164,17 @@ class Liouvillian:
             self._cache["diss"] = out.tocsr()
         return self._cache["diss"]
 
+    def dissipator_step(self, dt_ns: float) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
+        """exp(D dt/2) and exp(D dt), the dissipative half and full slices of
+        the split-step.  Both stay sparse and, like D, do not depend on the
+        rotating frame: every jump operator changes the excitation number by
+        a fixed amount, so the frame phases cancel in each term of D[L]."""
+        key = ("diss_step", dt_ns)
+        if key not in self._cache:
+            half = spla.expm((0.5 * dt_ns * self.dissipator()).tocsc()).tocsr()
+            self._cache[key] = (half, (half @ half).tocsr())
+        return self._cache[key]
+
     def static_super(self, frame_ghz: float = 0.0) -> sp.csr_matrix:
         key = ("static", frame_ghz)
         if key not in self._cache:
@@ -170,12 +182,6 @@ class Liouvillian:
                 unit_superoperator(self.ops.h_static(frame_ghz)) + self.dissipator()
             ).tocsr()
         return self._cache[key]
-
-    def drive_super(self) -> sp.csr_matrix:
-        """Unit-amplitude drive superoperator; multiply by the envelope."""
-        if "drive" not in self._cache:
-            self._cache["drive"] = unit_superoperator(self.ops.drive_op)
-        return self._cache["drive"]
 
 
 def build_liouvillian(ops: CompositeOperators, dissipation: DissipationSpec) -> Liouvillian:
@@ -203,83 +209,6 @@ def build_liouvillian(ops: CompositeOperators, dissipation: DissipationSpec) -> 
         g_phi = rate_from_mhz(dissipation.gamma_phi_mhz)
         jumps["phi"] = np.sqrt(2.0 * g_phi) * np.diag(ops.n_level_vec).astype(complex)
     return Liouvillian(ops, dissipation, occ, jumps)
-
-
-# RK45 tolerances of every master-equation integration
-RTOL = 1e-8
-ATOL = 1e-10
-
-
-def evolve(
-    rho0: np.ndarray,
-    liou: Liouvillian,
-    drives: Sequence,
-    t_grid: np.ndarray,
-    max_step: float = np.inf,
-    validate: bool = True,
-) -> np.ndarray:
-    """Integrate the master equation on ``t_grid`` (ns), returning the
-    trajectory as an array of density matrices.
-
-    This is the package's only open-system integrator; the gates of
-    ``pulses.apply_sequence_simulated`` run through it one at a time on
-    ``t_grid = [0, span]``.  Drive envelopes are evaluated at the grid's own
-    times.  All drives must share one carrier; the static part is built in
-    that rotating frame (bare frame when no drive is given).  RK45 runs at
-    ``RTOL``/``ATOL`` and keeps only the grid states, not every step.  Each
-    grid state is checked against relaxed invariants (trace 1e-8,
-    hermiticity 1e-10, positivity -1e-8) unless ``validate`` is False; a
-    violation or a failed integration raises ``IntegrationError``.  The
-    sequence gates integrate with ``validate=False``: on the default device
-    at 50 mK one 60 ns gate at these tolerances ends with a smallest
-    eigenvalue near -7e-7, although the protocol populations are accurate to
-    well below the permutation tolerance.
-    """
-    # looked up at call time so the scipy attribute is what every call sees
-    from scipy.integrate import solve_ivp
-
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be ascending with at least two samples")
-    dim = liou.ops.dim
-    if rho0.shape != (dim, dim):
-        raise ValueError(f"rho0 must be {dim}x{dim}")
-
-    drives = list(drives)
-    if drives:
-        carriers = {d.carrier_ghz for d in drives}
-        if len(carriers) > 1:
-            raise ValueError("drives with different carriers need sequential frame changes")
-        frame = drives[0].carrier_ghz
-    else:
-        frame = 0.0
-    l_static = liou.static_super(frame)
-    l_drive = liou.drive_super() if drives else None
-
-    def rhs(t, v):
-        dv = l_static @ v
-        if l_drive is not None:
-            amp = 0.0
-            for d in drives:
-                amp += d.value(t)
-            if amp != 0.0:
-                dv = dv + amp * (l_drive @ v)
-        return dv
-
-    sol = solve_ivp(
-        rhs, (t_grid[0], t_grid[-1]), rho0.astype(complex).reshape(-1),
-        t_eval=t_grid, method="RK45", rtol=RTOL, atol=ATOL, max_step=max_step,
-    )
-    if not sol.success:
-        raise IntegrationError(f"solve_ivp failed: {sol.message}")
-    traj = sol.y.T.reshape(len(t_grid), dim, dim)
-    if validate:
-        for k in range(len(t_grid)):
-            try:
-                validate_density_matrix(traj[k], herm_tol=1e-10, trace_tol=1e-8, eig_tol=-1e-8)
-            except ValueError as exc:
-                raise IntegrationError(f"state invariant violated at t={t_grid[k]} ns: {exc}")
-    return traj
 
 
 def steady_state(liou: Liouvillian, frame_ghz: float = 0.0) -> np.ndarray:

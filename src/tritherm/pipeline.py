@@ -1,12 +1,12 @@
 """End-to-end protocol runs and the one protocol-to-estimator call.
 
 ``run_protocol`` simulates the chain once: thermal steady state, pi
-calibration, the six sequences (each gate integrated by
-``lindblad.evolve``), and batched readout synthesis.  One run produces the
-artifacts the estimator and the acceptance checks consume: normalized
-full-length traces (optionally noisy), windowed sequence responses, the
-pure-state basis, calibration reports, and the prepared-state populations
-right before readout.
+calibration, the six sequences (one walk over their gate prefixes, each
+gate a split-step propagation), and batched readout synthesis.  One run
+produces the artifacts the estimator and the acceptance checks consume:
+normalized full-length traces (optionally noisy), windowed sequence
+responses, the pure-state basis, calibration reports, and the
+prepared-state populations right before readout.
 
 ``estimate`` is the only place where a ``ProtocolConfig`` and a master seed
 become an ``estimate_temperature`` call; the CLI commands and the scripts
@@ -29,9 +29,9 @@ from .pulses import (
     SEQUENCE_LABELS,
     CalibrationReport,
     PulseEnvelope,
-    apply_sequence_simulated,
+    all_sequences,
     change_frame,
-    compile_sequence,
+    prepare_sequences,
     run_rabi_calibration,
 )
 from .readout import (
@@ -113,13 +113,11 @@ def run_protocol(
 
     t2 = time.perf_counter()
     fr = ops.rspec.fr_ghz
+    sequences = prepare_sequences(rho_ss, all_sequences(), liou, pulses,
+                                  gap_ns=config.protocol.gap_ns)
     prepared: Dict[str, np.ndarray] = {}
     prepared_pops: Dict[str, Populations] = {}
-    for label in SEQUENCE_LABELS:
-        seq = compile_sequence(label)
-        rho, elapsed_ns, frame = apply_sequence_simulated(
-            rho_ss, seq, liou, pulses, gap_ns=config.protocol.gap_ns
-        )
+    for label, (rho, elapsed_ns, frame) in sequences.items():
         prepared_pops[label] = ops.protocol_populations(rho)
         prepared[label] = change_frame(rho.reshape(-1), ops, frame, fr, elapsed_ns)
     timings["sequences"] = time.perf_counter() - t2

@@ -20,7 +20,7 @@ from tritherm.lindblad import (
     thermal_occupations,
 )
 from tritherm.pipeline import estimate
-from tritherm.pulses import all_sequences, apply_sequence_simulated, compile_sequence, apply_sequence_ideal
+from tritherm.pulses import all_sequences, compile_sequence, apply_sequence_ideal, prepare_sequences
 from tritherm.readout import IQTrace
 from tritherm.thermometry import (
     COEFFICIENTS,
@@ -153,10 +153,10 @@ def test_criterion_5_sequence_permutations(criterion, run_150, default_config,
             vec = v[:, ops.dressed_index(k)]
             rho0 += w * np.outer(vec, vec.conj())
         pulses = {t: r.envelope() for t, r in calibrations.items()}
+        prepared = prepare_sequences(rho0, all_sequences(), liou, pulses,
+                                     gap_ns=default_config.protocol.gap_ns)
         for seq in all_sequences():
-            rho, _, _ = apply_sequence_simulated(
-                rho0, seq, liou, pulses,
-                gap_ns=default_config.protocol.gap_ns)
+            rho, _, _ = prepared[seq.label]
             got = ops.dressed_populations(rho).as_array()
             want = p0[list(seq.expected_permutation)]
             dev = np.max(np.abs(got - want))

@@ -24,12 +24,10 @@ from tritherm.lindblad import (
     SteadyStateError,
     build_liouvillian,
     dissipator_superoperator,
-    evolve,
     steady_state,
     thermal_occupations,
     unit_superoperator,
 )
-from tritherm.pulses import PulseEnvelope
 
 seed = 20260312
 
@@ -103,44 +101,6 @@ def test_dissipator_superoperator_matches_lindblad_form():
     ldl = lop.conj().T @ lop
     rhs = lop @ rho @ lop.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_evolve_free_decay(small_liou):
-    ops = small_liou.ops
-    rho0 = np.zeros((ops.dim, ops.dim), dtype=complex)
-    rho0[ops.rspec.n_states, ops.rspec.n_states] = 1.0  # |e, 0>
-    t = np.linspace(0.0, 400.0, 9)
-    traj = evolve(rho0, small_liou, [], t)
-    assert traj.shape == (9, ops.dim, ops.dim)
-    for rho in traj:
-        assert abs(np.trace(rho).real - 1.0) < 1e-8
-    # population flows out of e
-    assert ops.subpopulations(traj[-1])[1] < 1.0
-
-
-def test_evolve_step_insensitive(small_liou):
-    ops = small_liou.ops
-    rho0 = np.zeros((ops.dim, ops.dim), dtype=complex)
-    rho0[0, 0] = 1.0
-    drive = PulseEnvelope("gaussian_drive", carrier_ghz=4.98, amplitude=0.005,
-                          duration_ns=56.0)
-    t = np.array([0.0, 56.0])
-    a = evolve(rho0, small_liou, [drive], t, max_step=1.0)[-1]
-    b = evolve(rho0, small_liou, [drive], t, max_step=0.5)[-1]
-    assert np.max(np.abs(a - b)) < 1e-6
-
-
-def test_evolve_input_validation(small_liou):
-    dim = small_liou.ops.dim
-    rho0 = np.eye(dim, dtype=complex) / dim
-    with pytest.raises(ValueError):
-        evolve(rho0, small_liou, [], np.array([1.0, 0.5]))
-    with pytest.raises(ValueError):
-        evolve(np.eye(3, dtype=complex) / 3, small_liou, [], np.array([0.0, 1.0]))
-    d1 = PulseEnvelope("gaussian_drive", 4.98, 0.001, 56.0)
-    d2 = PulseEnvelope("gaussian_drive", 4.50, 0.001, 56.0)
-    with pytest.raises(ValueError):
-        evolve(rho0, small_liou, [d1, d2], np.array([0.0, 56.0]))
 
 
 def test_steady_state_boltzmann_weak_coupling():

@@ -1,17 +1,31 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
-from tritherm.hilbert import Populations
-from tritherm.lindblad import DissipationSpec
+from tritherm import pulses as pulses_mod
+from tritherm.hilbert import Populations, validate_density_matrix
+from tritherm.lindblad import (
+    DissipationSpec,
+    IntegrationError,
+    build_liouvillian,
+    steady_state,
+    unit_superoperator,
+)
 from tritherm.pulses import (
+    STEP_NS,
     GateSequence,
     PulseEnvelope,
     SEQUENCE_LABELS,
+    _apply_gate,
+    _propagate_open,
     all_sequences,
     apply_sequence_ideal,
     compile_sequence,
+    prepare_sequences,
     run_rabi_calibration,
     transfer_probability,
 )
@@ -177,3 +191,114 @@ def test_ideal_application_preserves_multiset(p, label):
     out = apply_sequence_ideal(pops, compile_sequence(label))
     assert sorted(out.as_array()) == pytest.approx(sorted(pops.as_array()))
     assert abs(sum(out.as_array()) - 1.0) < 1e-12
+
+
+def test_split_step_free_decay(small_liou):
+    ops = small_liou.ops
+    rho0 = np.zeros((ops.dim, ops.dim), dtype=complex)
+    rho0[ops.rspec.n_states, ops.rspec.n_states] = 1.0  # |e, 0>
+    traj = [rho0]
+    for _ in range(8):  # 0 .. 400 ns in 50 ns spans
+        traj.append(_propagate_open(small_liou, 0.0, lambda t: 0.0, 50.0, traj[-1], STEP_NS))
+    for rho in traj:
+        assert abs(np.trace(rho).real - 1.0) < 1e-8
+    # population flows out of e
+    assert ops.subpopulations(traj[-1])[1] < 1.0
+
+
+def test_split_step_step_insensitive(small_liou):
+    # the splitting error is second order in the slice: 3.3e-6 between 0.25
+    # and 0.125 ns on this drive, 1.5e-7 between the slices used here
+    ops = small_liou.ops
+    rho0 = np.zeros((ops.dim, ops.dim), dtype=complex)
+    rho0[0, 0] = 1.0
+    drive = PulseEnvelope("gaussian_drive", carrier_ghz=4.98, amplitude=0.005,
+                          duration_ns=56.0)
+    a = _propagate_open(small_liou, 4.98, drive.value, 56.0, rho0, STEP_NS / 4)
+    b = _propagate_open(small_liou, 4.98, drive.value, 56.0, rho0, STEP_NS / 8)
+    assert np.max(np.abs(a - b)) < 1e-6
+
+
+def test_split_step_input_validation(small_liou):
+    dim = small_liou.ops.dim
+    rho0 = np.eye(dim, dtype=complex) / dim
+    off = lambda t: 0.0
+    with pytest.raises(ValueError):
+        _propagate_open(small_liou, 0.0, off, -0.5, rho0, STEP_NS)
+    with pytest.raises(ValueError):
+        _propagate_open(small_liou, 0.0, off, 1.0, np.eye(3, dtype=complex) / 3, STEP_NS)
+    with pytest.raises(ValueError):
+        _propagate_open(small_liou, 0.0, off, 1.0, rho0, 0.0)
+
+
+def test_split_step_rejects_invalid_end_state(small_liou):
+    dim = small_liou.ops.dim
+    rho0 = np.zeros((dim, dim), dtype=complex)
+    rho0[0, 0], rho0[1, 1] = 1.1, -0.1
+    with pytest.raises(IntegrationError, match="eigenvalue"):
+        _propagate_open(small_liou, 0.0, lambda t: 0.0, 1.0, rho0, STEP_NS)
+
+
+def test_split_step_matches_reference_integration(small_ops, small_liou):
+    # one calibrated pi_ge gate plus guard from the steady state, against an
+    # adaptive integration of the full generator at tight tolerances
+    pulse = run_rabi_calibration(small_ops, "ge", 56.0).envelope()
+    span = pulse.duration_ns + 4.0
+    rho0 = steady_state(small_liou).astype(complex)
+    l_static = small_liou.static_super(pulse.carrier_ghz)
+    l_drive = unit_superoperator(small_ops.drive_op)
+    sol = solve_ivp(lambda t, v: l_static @ v + pulse.value(t) * (l_drive @ v),
+                    (0.0, span), rho0.reshape(-1), rtol=1e-10, atol=1e-12)
+    assert sol.success
+    ref = sol.y[:, -1].reshape(rho0.shape)
+    rho = _propagate_open(small_liou, pulse.carrier_ghz, pulse.value, span, rho0, STEP_NS)
+    dev = np.max(np.abs(small_ops.protocol_populations(rho).as_array()
+                        - small_ops.protocol_populations(ref).as_array()))
+    assert dev < 1e-8
+    err = np.max(np.abs(rho - ref))
+    assert err < 2e-5
+    # second-order splitting: halving the slice cuts the error about 4x
+    half = _propagate_open(small_liou, pulse.carrier_ghz, pulse.value, span, rho0,
+                           STEP_NS / 2)
+    assert np.max(np.abs(half - ref)) < err / 3
+
+
+@pytest.fixture(scope="module")
+def gates_50mk(default_config, default_ops, calibrations):
+    """Default device at 50 mK: Liouvillian, steady state, calibrated pulses."""
+    spec = dataclasses.replace(default_config.dissipation, bath_t_mk=50.0)
+    liou = build_liouvillian(default_ops, spec)
+    pulses = {t: r.envelope() for t, r in calibrations.items()}
+    return liou, steady_state(liou), pulses, default_config.protocol.gap_ns
+
+
+def test_gates_prepare_density_matrices_at_50mk(gates_50mk):
+    # every split step is completely positive, so no state may dip below -1e-8
+    liou, rho_ss, pulses, gap = gates_50mk
+    prepared = prepare_sequences(rho_ss, all_sequences(), liou, pulses, gap_ns=gap)
+    assert tuple(prepared) == SEQUENCE_LABELS
+    for rho, _, _ in prepared.values():
+        validate_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-8, eig_tol=-1e-8)
+
+
+def test_prefix_walk_matches_independent_sequences(gates_50mk, monkeypatch):
+    liou, rho_ss, pulses, gap = gates_50mk
+    independent = {}
+    for seq in all_sequences():
+        state = (rho_ss.astype(complex), 0.0, 0.0)
+        for gate in seq.gates:
+            state = _apply_gate(state, pulses[gate], liou, gap)
+        independent[seq.label] = state
+
+    calls = []
+    def counted(*args):
+        calls.append(args[1])
+        return _apply_gate(*args)
+    monkeypatch.setattr(pulses_mod, "_apply_gate", counted)
+    walked = prepare_sequences(rho_ss, all_sequences(), liou, pulses, gap_ns=gap)
+    assert len(calls) == 5  # x2 extends x1, y1 and y2 extend y0
+    for label, (rho, elapsed_ns, frame_ghz) in walked.items():
+        want_rho, want_elapsed, want_frame = independent[label]
+        assert np.array_equal(rho, want_rho)
+        assert elapsed_ns == want_elapsed
+        assert frame_ghz == want_frame
