@@ -164,21 +164,19 @@ def synthesize_traces(states: Dict[str, np.ndarray], liou: Liouvillian,
                       config: ReadoutConfig) -> Dict[str, IQTrace]:
     """Probe all ``states`` (vectorized, already in the probe frame) at once.
 
-    One propagator factorization is shared across states; <a> is sampled
-    every ``sample_dt_ns`` and the IF oscillation reattached.  Traces are in
-    raw (unnormalized) response units.
+    <a> at sample k is tr(a P^k rho) = (vec(a^T) P^k) . vec(rho), P being the
+    one-sample propagator, so one row is propagated and dotted with every
+    state: the cost does not grow with the number of states.  The IF
+    oscillation is reattached; traces are in raw (unnormalized) units.
     """
-    ops = liou.ops
     labels = list(states)
     cols = np.stack([states[lab] for lab in labels], axis=1).astype(complex)
     prop = probe_propagator(liou, config)
-    a_row = ops.a.T.reshape(-1).astype(complex)  # tr(a rho) = vec(a^T) . vec(rho)
-    n = config.n_samples
-    raw = np.empty((n, cols.shape[1]), dtype=complex)
-    for k in range(n):
-        raw[k] = a_row @ cols
-        if k + 1 < n:
-            cols = prop @ cols
+    row = liou.ops.a.T.reshape(-1).astype(complex)
+    raw = np.empty((config.n_samples, len(labels)), dtype=complex)
+    for k in range(config.n_samples):
+        raw[k] = row @ cols
+        row = row @ prop
     t = config.time_grid()
     phase = np.exp(1j * TWO_PI * (config.if_mhz * 1e-3) * t)
     iq = raw * phase[:, None]

@@ -1,6 +1,6 @@
 """Shared fixtures.
 
-The full-protocol runs are expensive (tens of seconds each), so everything
+The full-protocol runs are expensive (seconds each), so everything
 downstream of run_protocol is session-scoped and shares one set of pulse
 calibrations; calibration depends only on the device and pulse duration,
 never on bath temperature or seed.

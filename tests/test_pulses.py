@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from tritherm import pulses as pulses_mod
+from tritherm.constants import TWO_PI
 from tritherm.hilbert import Populations, validate_density_matrix
 from tritherm.lindblad import (
     DissipationSpec,
@@ -21,7 +23,9 @@ from tritherm.pulses import (
     PulseEnvelope,
     SEQUENCE_LABELS,
     _apply_gate,
+    _propagate_closed,
     _propagate_open,
+    _slice_unitaries,
     all_sequences,
     apply_sequence_ideal,
     compile_sequence,
@@ -178,6 +182,70 @@ def test_transfer_probability_off_resonance(default_ops, calibrations):
                                rep.amplitude, rep.duration_ns)
     assert on >= 0.999
     assert off < 0.5
+
+
+def test_calibration_evaluation_budget(default_config, default_ops, monkeypatch):
+    # the 32-point scan plus three Brent searches stopped at the
+    # double-precision resolution of the maximum: 64 per transition here
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return transfer_probability(*args, **kwargs)
+
+    monkeypatch.setattr(pulses_mod, "transfer_probability", counted)
+    for transition in ("ge", "ef"):
+        run_rabi_calibration(default_ops, transition,
+                             default_config.protocol.pulse_duration_ns)
+    assert 0 < calls.count("ge") <= 80
+    assert 0 < calls.count("ef") <= 80
+
+
+def test_calibration_is_a_true_maximum(default_ops, calibrations):
+    for transition, rep in calibrations.items():
+        def transfer(amp, carrier):
+            return transfer_probability(default_ops, transition, carrier, amp,
+                                        rep.duration_ns)
+        for amp, carrier in ((rep.amplitude * (1 - 1e-4), rep.carrier_ghz),
+                             (rep.amplitude * (1 + 1e-4), rep.carrier_ghz),
+                             (rep.amplitude, rep.carrier_ghz - 1e-5),
+                             (rep.amplitude, rep.carrier_ghz + 1e-5)):
+            assert transfer(amp, carrier) <= rep.transfer_probability
+
+
+def test_closed_stepper_matches_slice_exponentials(default_ops, calibrations):
+    # a calibrated pi_ge pulse plus a 4 ns guard: the envelope is symmetric on
+    # the slice grid and the guard carries no drive, so amplitudes repeat
+    ops, rep = default_ops, calibrations["ge"]
+    env = rep.envelope()
+    span = rep.duration_ns + 4.0
+    n = int(np.ceil(span / STEP_NS))
+    dt = span / n
+    amps = [env.value((k + 0.5) * dt) for k in range(n)]
+    assert len(np.unique(amps)) < n
+    hs = [ops.h_static(rep.carrier_ghz) + a * ops.drive_op for a in amps]
+    _, v = ops.dressed(0.0)
+    psi0 = v[:, ops.dressed_index(0)].astype(complex)
+
+    psi = _propagate_closed(ops, rep.carrier_ghz, env.value, span, psi0, STEP_NS)
+    ref = psi0
+    for h in hs:
+        ref = expm(-1j * TWO_PI * dt * h) @ ref
+    assert np.max(np.abs(psi - ref)) < 1e-12
+
+    us, dt_u = _slice_unitaries(ops, rep.carrier_ghz, env.value, span, STEP_NS)
+    assert dt_u == dt and us.shape == (n, ops.dim, ops.dim)
+    stacked = psi0
+    for u in us:
+        stacked = u @ stacked
+    assert np.max(np.abs(psi - stacked)) < 1e-13
+
+    # eigh on the distinct amplitudes only gives the same bits as one eigh per slice
+    per_slice = []
+    for h in hs:
+        w, vk = np.linalg.eigh(h)
+        per_slice.append((vk * np.exp(-1j * TWO_PI * dt * w)[None, :]) @ vk.conj().T)
+    assert np.array_equal(us, np.array(per_slice))
 
 
 @settings(max_examples=30, deadline=None)

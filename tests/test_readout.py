@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tritherm.constants import TWO_PI
 from tritherm.hilbert import Populations
 from tritherm.readout import (
     DegenerateBasisError,
@@ -9,6 +10,7 @@ from tritherm.readout import (
     ReadoutConfig,
     add_noise,
     normalization_factor,
+    probe_propagator,
     pure_basis_states,
     read_trace_csv,
     regress_populations,
@@ -85,6 +87,25 @@ def test_synthesis_linearity(small_liou):
               + 0.1 * traces["f"].complex_vals())
     np.testing.assert_allclose(traces["mix"].complex_vals(), expect, atol=1e-12)
     assert len(traces["mix"].t_ns) == 300
+
+
+def test_row_propagation_matches_forward_states(small_liou):
+    # reference: every state column propagated forward, <a> read off each sample
+    cfg = ReadoutConfig()
+    states = pure_basis_states(small_liou)
+    states["mix"] = 0.5 * states["g"] + 0.3 * states["e"] + 0.2 * states["f"]
+    cols = np.stack(list(states.values()), axis=1)
+    prop = probe_propagator(small_liou, cfg)
+    a_row = small_liou.ops.a.T.reshape(-1)
+    ref = np.empty((cfg.n_samples, cols.shape[1]), dtype=complex)
+    for k in range(cfg.n_samples):
+        ref[k] = a_row @ cols
+        cols = prop @ cols
+    ref *= np.exp(1j * TWO_PI * cfg.if_mhz * 1e-3 * cfg.time_grid())[:, None]
+
+    traces = synthesize_traces(states, small_liou, cfg)
+    got = np.stack([traces[lab].complex_vals() for lab in states], axis=1)
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_first_sample_is_initial_expectation(small_liou):
