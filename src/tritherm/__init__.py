@@ -45,7 +45,6 @@ from .readout import (
     PureStateResponses,
     ReadoutConfig,
     add_noise,
-    regress_populations,
     window,
 )
 from .thermometry import (

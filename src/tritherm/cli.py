@@ -218,10 +218,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     config = load_config(args.config) if args.config else None
-    if config is not None:
-        levels, _ = diagonalize_transmon(config.system.transmon)
-    else:
-        levels = (args.f_ge or 6.74, args.f_gf or 13.14)
+    levels = _levels_from_args(args, config)
     seed = args.seed if args.seed is not None else (config.seed if config else 0)
     out = _resolve_output_dir(args, config)
 
@@ -438,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--lambda-points", type=int, default=25)
     p_mc.add_argument("--repeats", type=int, default=0,
                       help="end-to-end noisy re-estimates (needs --config)")
-    p_mc.add_argument("--f-ge", type=float, default=None)
-    p_mc.add_argument("--f-gf", type=float, default=None)
+    p_mc.add_argument("--f-ge", type=float, default=6.74, help="f_ge in GHz")
+    p_mc.add_argument("--f-gf", type=float, default=13.14, help="f_gf in GHz")
     p_mc.set_defaults(func=cmd_montecarlo)
 
     p_sweep = sub.add_parser("sweep", help="bath-temperature or flux sweep")

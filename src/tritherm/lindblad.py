@@ -2,9 +2,11 @@
 
 Superoperators act on row-major vectorized density matrices in a rotating
 frame (see ``CompositeOperators.h_static``): vec(rho)[i*dim + j] =
-rho[i, j], so that vec(A rho B) = (A kron B^T) vec(rho).  Time evolution is
-the split-step in ``pulses``, which takes its dissipative factors from
-``Liouvillian.dissipator_step``.
+rho[i, j], so that vec(A rho B) = (A kron B^T) vec(rho).  All time
+evolution (calibration, gates and the readout probe) is the one split-step
+in ``pulses``, which takes its dissipative factors from
+``Liouvillian.dissipator_step``; no dense dim^2 x dim^2 generator is
+formed.
 
 Six thermal jump operators are used: raising and lowering on the g-e and
 e-f transmon transitions and on the resonator.  A direct f-g channel is

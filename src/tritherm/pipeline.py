@@ -2,15 +2,16 @@
 
 ``run_protocol`` simulates the chain once: thermal steady state, pi
 calibration, the six sequences (one walk over their gate prefixes, each
-gate a split-step propagation), and batched readout synthesis.  One run
+gate a split-step propagation), and batched readout synthesis, an adjoint
+row stepped through the same split-step.  One run
 produces the artifacts the estimator and the acceptance checks consume:
 normalized full-length traces (optionally noisy), windowed sequence
 responses, the pure-state basis, calibration reports, and the
 prepared-state populations right before readout.
 
 ``estimate`` is the only place where a ``ProtocolConfig`` and a master seed
-become an ``estimate_temperature`` call; the CLI commands and the scripts
-all go through it, so the same options always give the same report.
+become an ``estimate_temperature`` call; every CLI command goes through it,
+so the same options always give the same report.
 """
 
 from __future__ import annotations

@@ -12,13 +12,15 @@ population transfer, then refine amplitude and a small carrier offset with
 Brent's bounded search (R. P. Brent, Algorithms for Minimization without
 Derivatives, 1973).
 
-Calibration and gates share one stepper.  A span is cut into slices of about
-``STEP_NS``; each slice's unitary exp(-i 2 pi H_k dt) is exact for the
-Hamiltonian at the slice midpoint and comes from one batched ``eigh`` over
-the distinct slice amplitudes.  The closed calibration applies each slice to
-a statevector in its eigenbasis; the dissipative gates form the unitaries
-and interleave them with the dissipator's exponential in a Strang splitting
-(Strang, SIAM J. Numer. Anal. 5, 1968), second order in the slice length.
+Calibration, gates and readout share one stepper.  A span is cut into
+slices of about ``STEP_NS``; each slice's unitary exp(-i 2 pi H_k dt) is
+exact for the Hamiltonian at the slice midpoint and comes from one batched
+``eigh`` over the distinct slice amplitudes.  The closed calibration applies
+each slice to a statevector in its eigenbasis; the dissipative gates form
+the unitaries and interleave them with the dissipator's exponential in a
+Strang splitting (Strang, SIAM J. Numer. Anal. 5, 1968), second order in the
+slice length, and ``readout`` runs the transpose of the same
+``strang_step`` on its adjoint row.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .hilbert import CompositeOperators, Populations, validate_density_matrix
 from .lindblad import DissipationSpec, IntegrationError, Liouvillian
 
 EDGE = np.exp(-2.0)  # envelope value of the bare Gaussian at +-2 sigma
-STEP_NS = 0.25  # slice length of every propagation, calibration and gates alike
+STEP_NS = 0.25  # slice length of every propagation: calibration, gates and readout
 
 
 class CalibrationError(RuntimeError):
@@ -183,11 +185,25 @@ def _propagate_closed(ops: CompositeOperators, frame_ghz: float, envelope_fn,
     return psi
 
 
+def strang_step(v: np.ndarray, us, half, full) -> np.ndarray:
+    """Strang split-step of a row-major vectorized state: each slice applies
+    exp(D dt/2) U_k . U_k+ exp(D dt/2), and the dissipative halves of
+    adjacent slices merge into one exp(D dt) (``half`` and ``full``).
+
+    The transpose of such a step is again one, made of U_k^T and the
+    transposed exponentials, so the same loop propagates adjoint rows."""
+    dim = us[0].shape[0]
+    v = half @ v
+    for k, u in enumerate(us):
+        if k:
+            v = full @ v
+        v = (u @ v.reshape(dim, dim) @ u.conj().T).reshape(-1)
+    return half @ v
+
+
 def _propagate_open(liou: Liouvillian, frame_ghz: float, envelope_fn, span_ns: float,
                     rho0: np.ndarray, dt_ns: float) -> np.ndarray:
-    """Master-equation propagation by Strang splitting: each slice applies
-    exp(D dt/2) U_k . U_k+ exp(D dt/2), and the dissipative halves of
-    adjacent slices merge into one exp(D dt).
+    """Master-equation propagation over a span by ``strang_step``.
 
     Every factor is completely positive and trace preserving, so the end state
     must be a density matrix (trace 1e-8, hermiticity 1e-10, eigenvalues
@@ -197,13 +213,7 @@ def _propagate_open(liou: Liouvillian, frame_ghz: float, envelope_fn, span_ns: f
     if rho0.shape != (dim, dim):
         raise ValueError(f"rho0 must be {dim}x{dim}")
     us, dt = _slice_unitaries(liou.ops, frame_ghz, envelope_fn, span_ns, dt_ns)
-    half, full = liou.dissipator_step(dt)
-    v = half @ rho0.reshape(-1)
-    for k, u in enumerate(us):
-        if k:
-            v = full @ v
-        v = (u @ v.reshape(dim, dim) @ u.conj().T).reshape(-1)
-    rho = (half @ v).reshape(dim, dim)
+    rho = strang_step(rho0.reshape(-1), us, *liou.dissipator_step(dt)).reshape(dim, dim)
     try:
         validate_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-8, eig_tol=-1e-8)
     except ValueError as exc:

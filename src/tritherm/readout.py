@@ -1,12 +1,16 @@
-"""Heterodyne readout synthesis: probe evolution, IQ traces, noise, windowing,
-and the pure-state-basis population regression.
+"""Heterodyne readout synthesis: probe evolution, IQ traces, noise, windowing
+and the trace CSV format.
 
 Dynamics run in the frame rotating at the probe carrier (the resonator
 frequency); the intermediate-frequency oscillation is reattached afterwards,
-I(t) + iQ(t) = <a>(t) exp(i 2 pi f_IF t).  Noise is modeled post-averaging as
-one effective Gaussian per sample and quadrature, matching how the estimator
-consumes the data; the shot count is recorded but individual shots are never
-drawn.
+I(t) + iQ(t) = <a>(t) exp(i 2 pi f_IF t).  The probe evolution is the
+Heisenberg-picture (adjoint) form of the gates' split-step: one row
+vec(a^T) is stepped through the transposed Strang step and dotted with
+every prepared state (adjoint master equation: Breuer & Petruccione, The
+Theory of Open Quantum Systems, 2002, sec. 3.2).  Noise is modeled
+post-averaging as one effective Gaussian per sample and quadrature,
+matching how the estimator consumes the data; the shot count is recorded
+but individual shots are never drawn.
 
 Trace units are arbitrary but fixed per run by normalizing the pure-state
 responses to unit peak magnitude, which puts the default noise level directly
@@ -21,16 +25,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import nnls
 
 from .constants import TWO_PI
-from .hilbert import Populations, ResonatorSpec
-from .lindblad import Liouvillian, unit_superoperator
-
-
-class DegenerateBasisError(RuntimeError):
-    """Pure-state responses too collinear for a stable regression."""
+from .hilbert import ResonatorSpec
+from .lindblad import Liouvillian
+from .pulses import STEP_NS, strang_step
 
 
 @dataclass(frozen=True)
@@ -122,12 +121,6 @@ class PureStateResponses:
     def as_dict(self) -> Dict[str, IQTrace]:
         return {"g": self.phi_g, "e": self.phi_e, "f": self.phi_f}
 
-    def min_pairwise_distance(self) -> float:
-        """Smallest max-norm separation |phi_i - phi_j| between basis traces."""
-        tr = [t.complex_vals() for t in (self.phi_g, self.phi_e, self.phi_f)]
-        seps = [np.max(np.abs(tr[i] - tr[j])) for i in range(3) for j in range(i + 1, 3)]
-        return float(min(seps))
-
 
 def pure_basis_states(liou: Liouvillian) -> Dict[str, np.ndarray]:
     """Vectorized bare-level (x) thermal-resonator states for g, e, f.
@@ -149,34 +142,34 @@ def pure_basis_states(liou: Liouvillian) -> Dict[str, np.ndarray]:
     return out
 
 
-def probe_propagator(liou: Liouvillian, config: ReadoutConfig) -> np.ndarray:
-    """Dense one-sample propagator exp(L dt) for the probed system in the
-    probe (= resonator) frame."""
-    fr = liou.ops.rspec.fr_ghz
-    l_probe = unit_superoperator(
-        config.probe_amplitude_ghz * (liou.ops.a + liou.ops.adag)
-    )
-    l_ro = (liou.static_super(fr) + l_probe).toarray()
-    return expm(l_ro * config.sample_dt_ns)
-
-
 def synthesize_traces(states: Dict[str, np.ndarray], liou: Liouvillian,
                       config: ReadoutConfig) -> Dict[str, IQTrace]:
     """Probe all ``states`` (vectorized, already in the probe frame) at once.
 
     <a> at sample k is tr(a P^k rho) = (vec(a^T) P^k) . vec(rho), P being the
     one-sample propagator, so one row is propagated and dotted with every
-    state: the cost does not grow with the number of states.  The IF
+    state: the cost does not grow with the number of states.  P is the
+    gates' Strang split-step over ceil(sample_dt_ns / STEP_NS) substeps of
+    the constant probe Hamiltonian H_static(f_r) + eps (a + a+), whose
+    unitary U comes from one ``eigh``.  The row takes the transposed step,
+    built from U^T and the transposed dissipator exponentials.  The IF
     oscillation is reattached; traces are in raw (unnormalized) units.
     """
+    ops = liou.ops
     labels = list(states)
     cols = np.stack([states[lab] for lab in labels], axis=1).astype(complex)
-    prop = probe_propagator(liou, config)
-    row = liou.ops.a.T.reshape(-1).astype(complex)
+    m = int(np.ceil(config.sample_dt_ns / STEP_NS))
+    dt = config.sample_dt_ns / m
+    w, v = np.linalg.eigh(ops.h_static(ops.rspec.fr_ghz)
+                          + config.probe_amplitude_ghz * (ops.a + ops.adag))
+    u = (v * np.exp(-1j * TWO_PI * dt * w)) @ v.conj().T
+    half, full = liou.dissipator_step(dt)
+    step = ((u.T,) * m, half.T.tocsr(), full.T.tocsr())
+    row = ops.a.T.reshape(-1).astype(complex)
     raw = np.empty((config.n_samples, len(labels)), dtype=complex)
     for k in range(config.n_samples):
         raw[k] = row @ cols
-        row = row @ prop
+        row = strang_step(row, *step)
     t = config.time_grid()
     phase = np.exp(1j * TWO_PI * (config.if_mhz * 1e-3) * t)
     iq = raw * phase[:, None]
@@ -230,72 +223,17 @@ def window(trace: IQTrace, config: ReadoutConfig,
     return IQTrace(trace.t_ns[mask], trace.i_vals[mask], trace.q_vals[mask], trace.label)
 
 
-def _design_matrix(basis: PureStateResponses) -> np.ndarray:
-    cols = []
-    for t in (basis.phi_g, basis.phi_e, basis.phi_f):
-        cols.append(np.concatenate([t.i_vals, t.q_vals]))
-    return np.stack(cols, axis=1)
-
-
-def regress_population_vector(measured: IQTrace, basis: PureStateResponses) -> np.ndarray:
-    """Unconstrained least-squares decomposition of a trace in the pure-state
-    basis, over all window samples and both quadratures."""
-    for ref in basis.as_dict().values():
-        if len(ref.t_ns) != len(measured.t_ns):
-            raise ValueError("measured and basis traces must share the window grid")
-    m = _design_matrix(basis)
-    cond = np.linalg.cond(m)
-    if cond > 1e6:
-        raise DegenerateBasisError(
-            f"pure-state basis condition number {cond:.3e} exceeds 1e6"
-        )
-    y = np.concatenate([measured.i_vals, measured.q_vals])
-    p, *_ = np.linalg.lstsq(m, y, rcond=None)
-    return p
-
-
-def regress_populations(measured: IQTrace, basis: PureStateResponses,
-                        simplex: bool = False) -> Populations:
-    """Populations (p_g, p_e, p_f) of a measured trace.
-
-    Default: unconstrained least squares, then snapped onto the population
-    simplex (deviations beyond 0.05 raise, since they signal a basis or
-    windowing mismatch rather than noise).  With ``simplex=True`` the
-    constraint p >= 0, sum p = 1 enters the solve itself.
-    """
-    if simplex:
-        m = _design_matrix(basis)
-        cond = np.linalg.cond(m)
-        if cond > 1e6:
-            raise DegenerateBasisError(
-                f"pure-state basis condition number {cond:.3e} exceeds 1e6"
-            )
-        y = np.concatenate([measured.i_vals, measured.q_vals])
-        scale = max(np.max(np.abs(m)), 1e-30)
-        lam = 1e6 * scale
-        m_aug = np.vstack([m, lam * np.ones((1, 3))])
-        y_aug = np.concatenate([y, [lam]])
-        p, _ = nnls(m_aug, y_aug)
-        return Populations(*(p / p.sum()))
-    p = regress_population_vector(measured, basis)
-    excess = max(np.max(-p), abs(p.sum() - 1.0))
-    if excess > 0.05:
-        raise DegenerateBasisError(
-            f"unconstrained solution {p} lies {excess:.3f} outside the population "
-            f"simplex; traces and basis are inconsistent"
-        )
-    p = np.clip(p, 0.0, None)
-    return Populations(*(p / p.sum()))
-
-
 def write_trace_csv(path, traces: Sequence[IQTrace]) -> None:
-    """Write traces as CSV rows t_ns, I, Q, label with 12 significant digits."""
+    """Write traces as CSV rows t_ns, I, Q, label: I and Q with 12 significant
+    digits, t_ns with the shortest digits that read back exactly, so that the
+    sample spacing ``read_trace_csv`` checks survives the round trip."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t_ns", "I", "Q", "label"])
         for tr in traces:
             for t, i, q in zip(tr.t_ns, tr.i_vals, tr.q_vals):
-                w.writerow([f"{t:.12g}", f"{i:.12g}", f"{q:.12g}", tr.label])
+                w.writerow([np.format_float_positional(t, trim="-"), f"{i:.12g}",
+                            f"{q:.12g}", tr.label])
 
 
 def read_trace_csv(path) -> Dict[str, IQTrace]:
@@ -303,8 +241,9 @@ def read_trace_csv(path) -> Dict[str, IQTrace]:
 
     Traces need not come from the simulator, so the file is checked row by
     row: an empty file, a wrong header, a row without exactly four fields, a
-    non-numeric or non-finite sample, or a label whose sample times are not
-    uniformly spaced raises ``ValueError`` naming the file and the line.
+    non-numeric or non-finite sample, or a label whose sample times do not
+    increase or are not uniformly spaced raises ``ValueError`` naming the
+    file and the line.
     """
     rows: Dict[str, list] = {}
     try:
@@ -334,6 +273,10 @@ def read_trace_csv(path) -> Dict[str, IQTrace]:
                 raise ValueError(f"line {int(arr[bad[0], 3])}: non-finite value in "
                                  f"trace {label!r}")
             dt = np.diff(arr[:, 0])
+            stalled = np.flatnonzero(dt <= 0)
+            if stalled.size:
+                raise ValueError(f"line {int(arr[stalled[0] + 1, 3])}: sample times of "
+                                 f"trace {label!r} do not increase")
             uneven = np.flatnonzero(np.abs(dt - dt[:1]) > 1e-9)
             if uneven.size:
                 raise ValueError(f"line {int(arr[uneven[0] + 1, 3])}: sample spacing of "

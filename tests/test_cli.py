@@ -170,12 +170,17 @@ def test_estimate_rejects_invalid_estimator_flags(tmp_path, capsys, flags):
     "3,abc,0.25,y2",  # non-numeric value
     "3,nan,0.25,y2",  # non-finite sample
     "3.5,0.5,0.25,y2",  # non-uniform time step
+    # whole files: times that do not increase
+    pytest.param(["5,0.5,0.25,y2"] * 3, id="constant_time"),
+    pytest.param([f"{t},0.5,0.25,y2" for t in (3, 2, 1)], id="descending_time"),
 ])
 def test_estimate_rejects_malformed_trace_file(tmp_path, capsys, broken_row):
     levels = _write_synthetic(tmp_path)
     rows = ["t_ns,I,Q,label"] + [f"{t},0.5,0.25,y2" for t in range(20)]
     if broken_row is None:
         rows = []
+    elif isinstance(broken_row, list):
+        rows = rows[:1] + broken_row
     else:
         rows[4] = broken_row
     (tmp_path / "y2.csv").write_text("".join(row + "\n" for row in rows))
@@ -262,6 +267,14 @@ def test_montecarlo_outputs(tmp_path):
                  "--seed", "5", "--out", str(tmp_path / "mc2")]) == 0
     assert ((tmp_path / "mc" / "bias_curve.csv").read_bytes()
             == (tmp_path / "mc2" / "bias_curve.csv").read_bytes())
+
+
+@pytest.mark.parametrize("anchor", [["--f-ge", "0"], ["--f-gf", "-13.14"]])
+def test_montecarlo_rejects_invalid_anchor(tmp_path, capsys, anchor):
+    rc = main(["montecarlo", "--experiments", "150", "--points", "120",
+               "--lambda-points", "5", "--out", str(tmp_path / "mc")] + anchor)
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_sweep_bath_points_and_failure_rows(mini_config_path, tmp_path):
