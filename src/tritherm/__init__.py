@@ -34,7 +34,6 @@ from .pipeline import SimulationResult, estimate, run_protocol
 from .pulses import (
     CalibrationReport,
     GateSequence,
-    PulseEnvelope,
     apply_sequence_ideal,
     compile_sequence,
     prepare_sequences,

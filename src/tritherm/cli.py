@@ -190,14 +190,16 @@ def cmd_estimate(args) -> int:
     # from reloaded traces matches the in-process one exactly
     flags = {"delta": args.delta, "quadratures": args.quadratures,
              "n_bootstrap": args.bootstrap, "clamp_out_of_range": args.clamp or None}
+    window_flags = {k: v for k, v in (("window_start_ns", args.window_start),
+                                      ("window_end_ns", args.window_end)) if v is not None}
     seed = args.seed if args.seed is not None else (config.seed if config else 0)
     try:
         if config is not None:
-            readout, protocol = config.readout, config.protocol
+            readout = dataclasses.replace(config.readout, **window_flags)
+            protocol = config.protocol
         else:
-            readout = ReadoutConfig(window_start_ns=args.window_start,
-                                    window_end_ns=args.window_end,
-                                    probe_duration_ns=max(args.window_end, 2000.0))
+            readout = ReadoutConfig(**window_flags,
+                                    probe_duration_ns=max(args.window_end or 0.0, 2000.0))
             protocol = ProtocolConfig()
         protocol = dataclasses.replace(
             protocol, **{k: v for k, v in flags.items() if v is not None})
@@ -410,8 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory with x0..y2 CSV traces (or one combined CSV)")
     p_est.add_argument("--f-ge", type=float, default=None, help="f_ge in GHz")
     p_est.add_argument("--f-gf", type=float, default=None, help="f_gf in GHz")
-    p_est.add_argument("--window-start", type=float, default=100.0)
-    p_est.add_argument("--window-end", type=float, default=450.0)
+    p_est.add_argument("--window-start", type=float, default=None,
+                       help="analysis window start in ns (default: config, else 100)")
+    p_est.add_argument("--window-end", type=float, default=None,
+                       help="analysis window end in ns (default: config, else 450)")
     p_est.add_argument("--delta", type=float, default=None,
                        help="Deming noise variance ratio (default: config or 1.0)")
     p_est.add_argument("--bootstrap", type=int, default=None,

@@ -22,6 +22,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .constants import TWO_PI
+from .readout import add_noise
 from .thermometry import (
     COEFFICIENTS,
     DegenerateDataError,
@@ -228,18 +229,6 @@ class RepeatedStats:
         return out
 
 
-def _perturbed(responses: SequenceResponses, sigma: float,
-               rng: np.random.Generator) -> SequenceResponses:
-    from .readout import IQTrace
-
-    noisy = {}
-    for name, tr in responses.as_dict().items():
-        noise = rng.normal(0.0, sigma, size=(2, len(tr.t_ns)))
-        noisy[name] = IQTrace(tr.t_ns, tr.i_vals + noise[0], tr.q_vals + noise[1],
-                              tr.label)
-    return SequenceResponses.from_dict(noisy)
-
-
 def repeated_measurement_stats(
     responses: SequenceResponses,
     levels,
@@ -261,7 +250,9 @@ def repeated_measurement_stats(
     rng = np.random.default_rng(seed)
     t_vals: Dict[str, list] = {c: [] for c in COEFFICIENTS}
     for _ in range(n_runs):
-        noisy = _perturbed(responses, noise_sigma, rng)
+        noisy = SequenceResponses.from_dict(
+            {name: add_noise(tr, noise_sigma, 1, rng)
+             for name, tr in responses.as_dict().items()})
         report = estimate_temperature(noisy, levels, delta=delta,
                                       quadratures=quadratures, n_bootstrap=0,
                                       clamp=clamp)

@@ -217,7 +217,6 @@ class CompositeOperators:
         self.a = np.kron(np.eye(nlev), np.diag(np.sqrt(np.arange(1.0, nres)), 1))
         self.adag = self.a.conj().T
         self.number_op = self.adag @ self.a
-        self.n_full = np.kron(self.nmat, eye_r)
         self.projectors = [
             np.kron(np.diag((np.arange(nlev) == k).astype(float)), eye_r)
             for k in range(nlev)

@@ -18,18 +18,17 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
 from .config import ProtocolConfig, RunConfig, rng_stream, stream_seed
 from .hilbert import CompositeOperators, LevelEnergies, Populations
-from .lindblad import Liouvillian, build_liouvillian, steady_state
+from .lindblad import build_liouvillian, steady_state
 from .pulses import (
     SEQUENCE_LABELS,
     CalibrationReport,
-    PulseEnvelope,
     all_sequences,
     change_frame,
     prepare_sequences,
@@ -66,8 +65,6 @@ class SimulationResult:
     noisy: bool
     norm_factor: float
     timings_s: Dict[str, float]
-    ops: CompositeOperators = field(repr=False, default=None)
-    liou: Liouvillian = field(repr=False, default=None)
 
 
 def calibrate_transitions(ops: CompositeOperators, protocol: ProtocolConfig,
@@ -109,12 +106,11 @@ def run_protocol(
     t1 = time.perf_counter()
     if calibrations is None:
         calibrations = calibrate_transitions(ops, config.protocol, config.dissipation)
-    pulses: Dict[str, PulseEnvelope] = {t: r.envelope() for t, r in calibrations.items()}
     timings["calibration"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
     fr = ops.rspec.fr_ghz
-    sequences = prepare_sequences(rho_ss, all_sequences(), liou, pulses,
+    sequences = prepare_sequences(rho_ss, all_sequences(), liou, calibrations,
                                   gap_ns=config.protocol.gap_ns)
     prepared: Dict[str, np.ndarray] = {}
     prepared_pops: Dict[str, Populations] = {}
@@ -170,8 +166,6 @@ def run_protocol(
         noisy=noisy,
         norm_factor=factor,
         timings_s=timings,
-        ops=ops,
-        liou=liou,
     )
 
 

@@ -1,10 +1,12 @@
-"""Drive envelopes, simulated-Rabi pi calibration, the six-sequence table, and
-the package's one time stepper.
+"""The calibrated pi pulses, their simulated-Rabi calibration, the
+six-sequence table, and the package's one time stepper.
 
-Gaussian drive envelopes are truncated at +-2 sigma (duration = 4 sigma) and
-lifted so the pulse starts and ends at exactly zero amplitude; the hard-edge
-discontinuity of a plainly truncated Gaussian otherwise costs several orders
-of magnitude in gate fidelity.
+The protocol drives two pulses, pi_ge and pi_ef, and ``CalibrationReport``
+is their only record: amplitude, duration and carrier.  Its envelope is the
+lifted Gaussian of ``lifted_gaussian``, truncated at +-2 sigma (duration =
+4 sigma) and lifted so the pulse starts and ends at exactly zero amplitude;
+the hard-edge discontinuity of a plainly truncated Gaussian otherwise costs
+several orders of magnitude in gate fidelity.
 
 Pulses are calibrated by emulating a Rabi experiment: sweep the amplitude at
 fixed duration on the closed (dissipation-free) system, maximize dressed-state
@@ -45,53 +47,18 @@ class CalibrationError(RuntimeError):
     """Rabi calibration failed to reach the transfer threshold."""
 
 
-@dataclass(frozen=True)
-class PulseEnvelope:
-    """Drive or probe tone: shape, carrier, amplitude and timing (ns, GHz).
+def lifted_gaussian(amplitude: float, duration_ns: float):
+    """The pi-pulse envelope t -> amp * (exp(-(t-tc)^2/2s^2) - e^-2)/(1 - e^-2)
+    on [0, duration] with tc = duration/2 and sigma = duration/4; zero outside."""
+    sigma = duration_ns / 4.0
 
-    ``value(t)`` evaluates the envelope at absolute time t.  Gaussian drives
-    use the lifted shape amp * (exp(-(t-tc)^2/2s^2) - e^-2)/(1 - e^-2) on
-    [start, start+duration] with sigma = duration/4; rectangular probes are
-    flat on the same interval.
-    """
-
-    kind: str
-    carrier_ghz: float
-    amplitude: float
-    duration_ns: float
-    sigma_ns: Optional[float] = None
-    start_ns: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian_drive", "rectangular_probe"):
-            raise ValueError(f"unknown envelope kind {self.kind!r}")
-        if self.duration_ns <= 0:
-            raise ValueError("duration_ns must be positive")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be non-negative")
-        if self.kind == "gaussian_drive":
-            sigma = self.duration_ns / 4.0 if self.sigma_ns is None else self.sigma_ns
-            if abs(sigma - self.duration_ns / 4.0) > 1e-12 * self.duration_ns:
-                raise ValueError("gaussian envelopes are truncated at +-2 sigma: "
-                                 "sigma_ns must equal duration_ns/4")
-            object.__setattr__(self, "sigma_ns", sigma)
-        elif self.sigma_ns is not None:
-            raise ValueError("sigma_ns only applies to gaussian_drive")
-
-    def value(self, t: float) -> float:
-        u = t - self.start_ns
-        if u < 0.0 or u > self.duration_ns:
+    def value(t: float) -> float:
+        if t < 0.0 or t > duration_ns:
             return 0.0
-        if self.kind == "rectangular_probe":
-            return self.amplitude
-        z = (u - 0.5 * self.duration_ns) / self.sigma_ns
-        return self.amplitude * (np.exp(-0.5 * z * z) - EDGE) / (1.0 - EDGE)
+        z = (t - 0.5 * duration_ns) / sigma
+        return amplitude * (np.exp(-0.5 * z * z) - EDGE) / (1.0 - EDGE)
 
-    def area_ns(self) -> float:
-        """Integral of the envelope over its support."""
-        if self.kind == "rectangular_probe":
-            return self.amplitude * self.duration_ns
-        return self.amplitude * _lifted_gauss_area(self.duration_ns)
+    return value
 
 
 def _lifted_gauss_area(duration_ns: float) -> float:
@@ -100,42 +67,36 @@ def _lifted_gauss_area(duration_ns: float) -> float:
     return (raw - duration_ns * EDGE) / (1.0 - EDGE)
 
 
-# label -> (gates applied left to right, population permutation new[i] = old[perm[i]])
-_TABLE: Dict[str, Tuple[Tuple[str, ...], Tuple[int, int, int]]] = {
-    "x0": ((), (0, 1, 2)),
-    "x1": (("ge",), (1, 0, 2)),
-    "x2": (("ge", "ef"), (1, 2, 0)),
-    "y0": (("ef",), (0, 2, 1)),
-    "y1": (("ef", "ge"), (2, 0, 1)),
-    "y2": (("ef", "ge", "ef"), (2, 1, 0)),
-}
-
-SEQUENCE_LABELS = tuple(_TABLE)
-
-
 @dataclass(frozen=True)
 class GateSequence:
+    """Gates applied left to right and the population permutation they
+    perform, new[i] = old[perm[i]]."""
+
     label: str
     gates: Tuple[str, ...]
     expected_permutation: Tuple[int, int, int]
 
-    def __post_init__(self):
-        if self.label not in _TABLE:
-            raise ValueError(f"unknown sequence label {self.label!r}")
-        gates, perm = _TABLE[self.label]
-        if self.gates != gates or self.expected_permutation != perm:
-            raise ValueError(f"sequence {self.label} does not match the protocol table")
+
+_SEQUENCES: Dict[str, GateSequence] = {seq.label: seq for seq in (
+    GateSequence("x0", (), (0, 1, 2)),
+    GateSequence("x1", ("ge",), (1, 0, 2)),
+    GateSequence("x2", ("ge", "ef"), (1, 2, 0)),
+    GateSequence("y0", ("ef",), (0, 2, 1)),
+    GateSequence("y1", ("ef", "ge"), (2, 0, 1)),
+    GateSequence("y2", ("ef", "ge", "ef"), (2, 1, 0)),
+)}
+
+SEQUENCE_LABELS = tuple(_SEQUENCES)
 
 
 def compile_sequence(label: str) -> GateSequence:
-    if label not in _TABLE:
+    if label not in _SEQUENCES:
         raise ValueError(f"unknown sequence label {label!r}; expected one of {SEQUENCE_LABELS}")
-    gates, perm = _TABLE[label]
-    return GateSequence(label, gates, perm)
+    return _SEQUENCES[label]
 
 
 def all_sequences() -> Tuple[GateSequence, ...]:
-    return tuple(compile_sequence(lab) for lab in SEQUENCE_LABELS)
+    return tuple(_SEQUENCES.values())
 
 
 def apply_sequence_ideal(populations: Populations, seq: GateSequence) -> Populations:
@@ -229,8 +190,8 @@ def transfer_probability(ops: CompositeOperators, transition: str, carrier_ghz: 
     _, v = ops.dressed(0.0)
     psi0 = v[:, ops.dressed_index(k0)].astype(complex)
     target = v[:, ops.dressed_index(k1)]
-    env = PulseEnvelope("gaussian_drive", carrier_ghz, amplitude, duration_ns)
-    psi = _propagate_closed(ops, carrier_ghz, env.value, duration_ns, psi0, dt_ns)
+    psi = _propagate_closed(ops, carrier_ghz, lifted_gaussian(amplitude, duration_ns),
+                            duration_ns, psi0, dt_ns)
     return float(np.abs(target.conj() @ psi) ** 2)
 
 
@@ -250,9 +211,8 @@ class CalibrationReport:
     transfer_probability: float
     carrier_ghz: float
 
-    def envelope(self, start_ns: float = 0.0) -> PulseEnvelope:
-        return PulseEnvelope("gaussian_drive", self.carrier_ghz, self.amplitude,
-                             self.duration_ns, start_ns=start_ns)
+    def envelope(self):
+        return lifted_gaussian(self.amplitude, self.duration_ns)
 
     def as_dict(self) -> dict:
         return {
@@ -322,7 +282,7 @@ def change_frame(vec_rho: np.ndarray, ops: CompositeOperators, from_ghz: float,
     return vec_rho * (ph[:, None] * ph.conj()[None, :]).reshape(-1)
 
 
-def _apply_gate(state: Tuple[np.ndarray, float, float], pulse: PulseEnvelope,
+def _apply_gate(state: Tuple[np.ndarray, float, float], pulse: CalibrationReport,
                 liou: Liouvillian, gap_ns: float) -> Tuple[np.ndarray, float, float]:
     """One gate on ``(rho, elapsed_ns, frame_ghz)``: change to the pulse's
     carrier frame at the elapsed time, then propagate over the pulse plus
@@ -331,7 +291,7 @@ def _apply_gate(state: Tuple[np.ndarray, float, float], pulse: PulseEnvelope,
     ops = liou.ops
     v = change_frame(rho.reshape(-1), ops, frame, pulse.carrier_ghz, t_abs)
     span = pulse.duration_ns + gap_ns
-    rho = _propagate_open(liou, pulse.carrier_ghz, pulse.value, span,
+    rho = _propagate_open(liou, pulse.carrier_ghz, pulse.envelope(), span,
                           v.reshape(ops.dim, ops.dim), STEP_NS)
     return rho, t_abs + span, pulse.carrier_ghz
 
@@ -340,7 +300,7 @@ def prepare_sequences(
     rho_ss: np.ndarray,
     seqs: Iterable[GateSequence],
     liou: Liouvillian,
-    pulses: Dict[str, PulseEnvelope],
+    calibrations: Dict[str, CalibrationReport],
     gap_ns: float = 4.0,
 ) -> Dict[str, Tuple[np.ndarray, float, float]]:
     """Evolve the steady state through each sequence's calibrated gates with
@@ -361,7 +321,7 @@ def prepare_sequences(
     for seq in seqs:
         for n, gate in enumerate(seq.gates, start=1):
             if seq.gates[:n] not in done:
-                done[seq.gates[:n]] = _apply_gate(done[seq.gates[:n - 1]], pulses[gate],
-                                                  liou, gap_ns)
+                done[seq.gates[:n]] = _apply_gate(done[seq.gates[:n - 1]],
+                                                  calibrations[gate], liou, gap_ns)
         out[seq.label] = done[seq.gates]
     return out

@@ -81,14 +81,10 @@ class DemingFit:
 
     slope: float
     intercept: float
-    variance_ratio_delta: float
-    n_points: int
     ci95: Tuple[float, float]
     residual_rms: float
 
     def __post_init__(self):
-        if self.variance_ratio_delta <= 0:
-            raise ValueError("variance_ratio_delta must be positive")
         if self.residual_rms < 0:
             raise ValueError("residual_rms must be non-negative")
 
@@ -219,8 +215,7 @@ def deming_fit(xs, ys, variance_ratio_delta: float = 1.0,
         lo, hi = min(lo, slope), max(hi, slope)
     else:
         lo = hi = slope
-    return DemingFit(slope, intercept, variance_ratio_delta, len(xs),
-                     (float(lo), float(hi)), rms)
+    return DemingFit(slope, intercept, (float(lo), float(hi)), rms)
 
 
 def coefficient_from_populations(p: Populations, which: str) -> float:

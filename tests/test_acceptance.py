@@ -152,8 +152,7 @@ def test_criterion_5_sequence_permutations(criterion, run_150, default_config,
         for k, w in enumerate(p0):
             vec = v[:, ops.dressed_index(k)]
             rho0 += w * np.outer(vec, vec.conj())
-        pulses = {t: r.envelope() for t, r in calibrations.items()}
-        prepared = prepare_sequences(rho0, all_sequences(), liou, pulses,
+        prepared = prepare_sequences(rho0, all_sequences(), liou, calibrations,
                                      gap_ns=default_config.protocol.gap_ns)
         for seq in all_sequences():
             rho, _, _ = prepared[seq.label]

@@ -152,6 +152,22 @@ def test_estimate_config_honours_protocol_options(tmp_path):
     assert weighted.temperature("B").t_mk != got["T_B_mK"]
 
 
+def test_estimate_window_flags_override_config(simulate_dir, mini_config_path,
+                                               tmp_path, capsys):
+    # the config's window is [150, 500) ns; the flags replace it
+    base = ["estimate", "--traces", str(simulate_dir), "--config", str(mini_config_path)]
+    out = tmp_path / "out"
+    assert main(base + ["--window-start", "200", "--window-end", "600",
+                        "--out", str(out)]) == 0
+    assert json.loads((out / "estimate.json").read_text())["window_ns"] == [200.0, 600.0]
+    assert main(base + ["--window-end", "300", "--out", str(out)]) == 0
+    assert json.loads((out / "estimate.json").read_text())["window_ns"] == [150.0, 300.0]
+    # an empty window, and one past the config's 800 ns probe
+    for bad in (["--window-start", "600", "--window-end", "200"], ["--window-end", "900"]):
+        assert main(base + bad + ["--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [["--bootstrap", "-3"], ["--delta", "0"],
                                    ["--delta", "nan"]])
 def test_estimate_rejects_invalid_estimator_flags(tmp_path, capsys, flags):
