@@ -94,7 +94,8 @@ class SlopeEstimate:
     """One fitted slope, tagged by coefficient and difference direction.
 
     ``direction`` names the pure-response difference the pair lies along
-    (ge, gf, ef); aggregated estimates carry None.
+    (ge, gf, ef) and ``intercept`` is that pair's fitted intercept;
+    aggregated estimates carry None for both.
     """
 
     coefficient: str
@@ -102,6 +103,7 @@ class SlopeEstimate:
     value: float
     ci95: Tuple[float, float]
     residual_rms: float
+    intercept: Optional[float] = None
 
     def __post_init__(self):
         if self.coefficient not in COEFFICIENTS:
@@ -164,26 +166,70 @@ def _series_to_points(series: np.ndarray, quadratures: str) -> np.ndarray:
     raise ValueError(f"quadratures must be 'I' or 'IQ', got {quadratures!r}")
 
 
+# resamples drawn and reduced per block: bounds the b x n index and count
+# arrays to a fixed size whatever the number of resamples
+_BOOTSTRAP_BLOCK = 64
+
+
+def _deming_closed_form(sxx, syy, sxy, delta):
+    """Deming slope from the second central moments (scalars or arrays)."""
+    term = syy - delta * sxx
+    return (term + np.sqrt(term * term + 4.0 * delta * sxy * sxy)) / (2.0 * sxy)
+
+
 def deming_slope(xs: np.ndarray, ys: np.ndarray, delta: float = 1.0) -> Tuple[float, float]:
     """Closed-form Deming slope and intercept for y-to-x noise variance ratio
-    ``delta``; raises on degenerate input."""
+    ``delta``.
+
+    Raises DegenerateDataError when x or y takes a single value (tested
+    exactly, not through a variance that rounding leaves near zero) or when
+    the covariance is exactly zero.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if delta <= 0.0:
         raise ValueError("variance ratio delta must be positive")
     if len(xs) != len(ys) or len(xs) < 3:
         raise ValueError("need at least 3 paired points")
+    if xs.min() == xs.max():
+        raise DegenerateDataError("x series takes a single value")
+    if ys.min() == ys.max():
+        raise DegenerateDataError("y series takes a single value; slope undefined")
     xb, yb = xs.mean(), ys.mean()
     sxx = np.mean((xs - xb) ** 2)
     syy = np.mean((ys - yb) ** 2)
     sxy = np.mean((xs - xb) * (ys - yb))
-    if sxx <= 0.0:
-        raise DegenerateDataError("x series has zero variance")
     if sxy == 0.0:
         raise DegenerateDataError("x and y series are uncorrelated; slope undefined")
-    term = syy - delta * sxx
-    slope = (term + np.sqrt(term * term + 4.0 * delta * sxy * sxy)) / (2.0 * sxy)
+    slope = _deming_closed_form(sxx, syy, sxy, delta)
     return float(slope), float(yb - slope * xb)
+
+
+def _bootstrap_slopes(xs: np.ndarray, ys: np.ndarray, delta: float,
+                      n_bootstrap: int, gen: np.random.Generator) -> np.ndarray:
+    """Deming slopes of the non-degenerate resamples, in draw order."""
+    n = len(xs)
+    xc, yc = xs - xs.mean(), ys - ys.mean()
+    basis = np.column_stack([xc, yc, xc * xc, yc * yc, xc * yc])
+    # a resample that draws one point n times is single-valued in x and y; in
+    # a series with repeated values, draws of several points can be too
+    repeating = [v for v in (xs, ys) if np.unique(v).size < n]
+    kept = []
+    for start in range(0, n_bootstrap, _BOOTSTRAP_BLOCK):
+        b = min(_BOOTSTRAP_BLOCK, n_bootstrap - start)
+        idx = gen.integers(0, n, size=(b, n))
+        counts = np.bincount((idx + n * np.arange(b)[:, None]).ravel(),
+                             minlength=b * n).reshape(b, n)
+        mx, my, mxx, myy, mxy = (counts @ basis).T / n
+        sxy = mxy - mx * my
+        single = counts.max(axis=1) == n
+        for v in repeating:
+            drawn = v[idx]
+            single |= drawn.min(axis=1) == drawn.max(axis=1)
+        ok = ~single & (sxy != 0.0)
+        kept.append(_deming_closed_form(mxx[ok] - mx[ok] ** 2, myy[ok] - my[ok] ** 2,
+                                        sxy[ok], delta))
+    return np.concatenate(kept)
 
 
 def deming_fit(xs, ys, variance_ratio_delta: float = 1.0,
@@ -192,6 +238,18 @@ def deming_fit(xs, ys, variance_ratio_delta: float = 1.0,
 
     ``rng`` seeds the bootstrap (int, Generator, or None); with
     ``n_bootstrap = 0`` the CI degenerates to the point value.
+
+    A resample is a row of counts: how often each of the n points was drawn.
+    Its Deming slope needs only the five moments of the resampled points,
+    and with the data centred on the full-sample mean those are one count
+    matrix times the n x 5 table [x, y, x^2, y^2, xy], divided by n.
+    Resamples are drawn and reduced in blocks of ``_BOOTSTRAP_BLOCK``, which
+    keeps memory flat in ``n_bootstrap``. A block's ``integers(0, n,
+    size=(b, n))`` draws the same indices as b successive size-n draws, so
+    the resamples, and hence the CI, do not depend on the block size. As in
+    ``deming_slope``, a resample in which x or y takes a single value, or
+    whose covariance is exactly zero, is skipped; fewer than
+    ``n_bootstrap // 2`` kept resamples raise DegenerateDataError.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -199,16 +257,8 @@ def deming_fit(xs, ys, variance_ratio_delta: float = 1.0,
     resid = (ys - intercept - slope * xs) / np.sqrt(1.0 + slope * slope / variance_ratio_delta)
     rms = float(np.sqrt(np.mean(resid ** 2)))
     if n_bootstrap > 0:
-        gen = np.random.default_rng(rng)
-        n = len(xs)
-        samples = []
-        for _ in range(n_bootstrap):
-            idx = gen.integers(0, n, size=n)
-            try:
-                s, _ = deming_slope(xs[idx], ys[idx], variance_ratio_delta)
-            except DegenerateDataError:
-                continue
-            samples.append(s)
+        samples = _bootstrap_slopes(xs, ys, variance_ratio_delta, n_bootstrap,
+                                    np.random.default_rng(rng))
         if len(samples) < n_bootstrap // 2:
             raise DegenerateDataError("bootstrap resamples mostly degenerate")
         lo, hi = np.percentile(samples, [2.5, 97.5])
@@ -336,7 +386,8 @@ class EstimateReport:
             out[f"lambda_{c}"] = est.slope.value
         out["pair_slopes"] = [
             {"coefficient": s.coefficient, "direction": s.direction, "value": s.value,
-             "ci95": list(s.ci95), "residual_rms": s.residual_rms}
+             "ci95": list(s.ci95), "residual_rms": s.residual_rms,
+             "intercept": s.intercept}
             for s in self.pair_slopes
         ]
         out["consistency_C_vs_AB"] = self.consistency
@@ -395,7 +446,7 @@ def estimate_temperature(
         )
         fits[coefficient].append(fit)
         pair_estimates.append(SlopeEstimate(coefficient, direction, fit.slope,
-                                            fit.ci95, fit.residual_rms))
+                                            fit.ci95, fit.residual_rms, fit.intercept))
     aggregated = {c: _aggregate(fits[c], c, aggregation) for c in COEFFICIENTS}
     consistency = abs(
         aggregated["C"].value - aggregated["A"].value * aggregated["B"].value

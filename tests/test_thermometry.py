@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +17,7 @@ from tritherm.thermometry import (
     coefficient_from_populations,
     coefficient_vs_temperature,
     deming_fit,
+    deming_slope,
     difference_pairs,
     estimate_temperature,
     invert_temperature,
@@ -139,6 +142,74 @@ def test_deming_rejects_degenerate_data():
         deming_fit(np.arange(5.0), np.arange(5.0), variance_ratio_delta=0.0)
 
 
+def test_deming_rejects_single_valued_series():
+    # a constant non-zero x leaves a rounding-level variance, not zero
+    with pytest.raises(DegenerateDataError):
+        deming_slope(np.full(50, 0.1), np.full(50, 0.05))
+    with pytest.raises(DegenerateDataError):
+        deming_slope(np.linspace(0.0, 1.0, 50), np.full(50, 0.1))
+
+
+def test_bootstrap_skips_resamples_with_single_valued_x():
+    # about a third of the resamples miss the one outlier and see x = 0.1 only
+    x = np.array([0.1, 0.7, 0.1, 0.1, 0.1, 0.1, 0.1])
+    y = np.array([0.2, 0.5, 0.2, 0.2, 0.2, 0.2, 0.2])
+    fit = deming_fit(x, y, n_bootstrap=1000, rng=4)
+    assert abs(fit.slope - 0.5) < 1e-12
+    assert abs(fit.ci95[0] - 0.5) < 1e-12
+    assert abs(fit.ci95[1] - 0.5) < 1e-12
+
+
+def _reference_bootstrap(xs, ys, n_bootstrap, seed):
+    """One deming_slope call per resample; returns the kept slopes."""
+    gen = np.random.default_rng(seed)
+    n = len(xs)
+    kept = []
+    for _ in range(n_bootstrap):
+        idx = gen.integers(0, n, size=n)
+        try:
+            kept.append(deming_slope(xs[idx], ys[idx])[0])
+        except DegenerateDataError:
+            pass
+    return kept
+
+
+@pytest.mark.parametrize("n", [350, 700, 701])
+def test_bootstrap_matches_per_resample_reference(n):
+    rng = np.random.default_rng(seed + n)
+    x = rng.uniform(-0.04, 0.04, size=n)
+    xs = x + rng.normal(scale=0.002, size=n)
+    ys = 0.13 * x + rng.normal(scale=0.002, size=n)
+    for n_bootstrap in (1, 63, 64, 65, 1000):
+        fit = deming_fit(xs, ys, n_bootstrap=n_bootstrap, rng=7)
+        lo, hi = np.percentile(_reference_bootstrap(xs, ys, n_bootstrap, 7), [2.5, 97.5])
+        want = (min(lo, fit.slope), max(hi, fit.slope))
+        for got, ref in zip(fit.ci95, want):
+            assert abs(got - ref) <= 1e-12 * abs(ref), (n_bootstrap, got, ref)
+
+
+def test_bootstrap_mostly_degenerate_raises():
+    # resamples single-valued in x or in y: 15 of every 27 on average
+    x = np.array([0.0, 0.0, 1.0])
+    y = np.array([0.0, 1.0, 1.0])
+    assert len(_reference_bootstrap(x, y, 1000, 0)) < 500
+    with pytest.raises(DegenerateDataError, match="mostly degenerate"):
+        deming_fit(x, y, n_bootstrap=1000, rng=0)
+
+
+def test_bootstrap_memory_is_flat_in_resamples():
+    rng = np.random.default_rng(seed + 4)
+    x = rng.normal(size=700)
+    y = 0.5 * x + rng.normal(scale=0.1, size=700)
+    tracemalloc.start()
+    try:
+        deming_fit(x, y, n_bootstrap=1000, rng=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
 def test_nine_difference_pairs_structure():
     responses, _ = make_synthetic_responses()
     pairs = difference_pairs(responses)
@@ -192,6 +263,8 @@ def test_estimate_report_dict_keys():
         assert f"T_{coef}_mK" in d
         assert f"lambda_{coef}" in d
     assert len(d["pair_slopes"]) == 9
+    for pair in d["pair_slopes"]:
+        assert isinstance(pair["intercept"], float)
     assert "consistency_C_vs_AB" in d
 
 
