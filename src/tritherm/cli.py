@@ -371,10 +371,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = _load_run_config(args)
-    out = _resolve_output_dir(args, config)
     protocol = config.protocol
     if args.duration is not None:
-        protocol = dataclasses.replace(protocol, pulse_duration_ns=args.duration)
+        try:
+            protocol = dataclasses.replace(protocol, pulse_duration_ns=args.duration)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    out = _resolve_output_dir(args, config)
     reports = calibrate_transitions(config.system.build_operators(), protocol,
                                     config.dissipation)
     _write_json(out / "calibration.json", {t: r.as_dict() for t, r in reports.items()})

@@ -89,7 +89,7 @@ def run_protocol(
 ) -> SimulationResult:
     """Simulate the full temperature-measurement protocol once.
 
-    ``calibrations`` short-circuits the Rabi scans (they depend only on the
+    ``calibrations`` short-circuits the Rabi calibrations (they depend only on the
     device and pulse duration, not on bath temperature or seed), which makes
     bath sweeps and repeated runs much cheaper.
     """

@@ -321,3 +321,12 @@ def test_calibrate_subcommand(mini_config_path, tmp_path):
     for rep in cal.values():
         assert rep["transfer_probability"] >= 0.999
         assert rep["duration_ns"] == 40.0
+
+
+def test_calibrate_rejects_out_of_range_duration(mini_config_path, tmp_path, capsys):
+    out = tmp_path / "cal"
+    rc = main(["calibrate", "--config", str(mini_config_path),
+               "--duration", "30", "--out", str(out)])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()

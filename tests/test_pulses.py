@@ -19,6 +19,7 @@ from tritherm.lindblad import (
 )
 from tritherm.pulses import (
     STEP_NS,
+    CalibrationError,
     SEQUENCE_LABELS,
     _apply_gate,
     _lifted_gauss_area,
@@ -164,8 +165,8 @@ def test_transfer_probability_off_resonance(default_ops, calibrations):
 
 
 def test_calibration_evaluation_budget(default_config, default_ops, monkeypatch):
-    # the 32-point scan plus three Brent searches stopped at the
-    # double-precision resolution of the maximum: 64 per transition here
+    # three Newton steps of six transfers each plus the reported transfer:
+    # 19 per transition
     calls = []
 
     def counted(*args, **kwargs):
@@ -176,8 +177,8 @@ def test_calibration_evaluation_budget(default_config, default_ops, monkeypatch)
     for transition in ("ge", "ef"):
         run_rabi_calibration(default_ops, transition,
                              default_config.protocol.pulse_duration_ns)
-    assert 0 < calls.count("ge") <= 80
-    assert 0 < calls.count("ef") <= 80
+    assert 0 < calls.count("ge") <= 20
+    assert 0 < calls.count("ef") <= 20
 
 
 def test_calibration_is_a_true_maximum(default_ops, calibrations):
@@ -190,6 +191,56 @@ def test_calibration_is_a_true_maximum(default_ops, calibrations):
                              (rep.amplitude, rep.carrier_ghz - 1e-5),
                              (rep.amplitude, rep.carrier_ghz + 1e-5)):
             assert transfer(amp, carrier) <= rep.transfer_probability
+
+
+def test_calibration_is_a_joint_maximum(default_ops, calibrations):
+    # one finite-difference Newton step on (relative amplitude, carrier in
+    # MHz) from the reported point must find nothing left to gain: searching
+    # one axis at a time stops short of the joint peak
+    h = 1e-4
+    for transition, rep in calibrations.items():
+        def transfer(x):
+            return transfer_probability(default_ops, transition,
+                                        rep.carrier_ghz + 1e-3 * x[1],
+                                        rep.amplitude * (1 + x[0]), rep.duration_ns)
+        f0 = transfer(np.zeros(2))
+        fp = np.array([transfer(h * e) for e in np.eye(2)])
+        fm = np.array([transfer(-h * e) for e in np.eye(2)])
+        hess = np.diag(fp - 2 * f0 + fm) / h**2
+        hess[0, 1] = hess[1, 0] = (transfer(np.full(2, h)) - fp[0] - fp[1] + f0) / h**2
+        step = -np.linalg.solve(hess, (fp - fm) / (2 * h))
+        assert transfer(step) - rep.transfer_probability < 1e-12
+
+
+@pytest.mark.parametrize("transition", ["ge", "ef"])
+@pytest.mark.parametrize("duration_ns", [40.0, 200.0])
+def test_calibration_converges_across_durations(small_ops, transition, duration_ns):
+    rep = run_rabi_calibration(small_ops, transition, duration_ns)
+    assert rep.transfer_probability >= 0.999
+
+
+def test_calibration_rejects_a_seed_at_a_transfer_minimum(small_ops, monkeypatch):
+    # half the pi area doubles the seed amplitude onto a 2 pi pulse, where
+    # transfer is at a minimum: Newton would climb down, so it must refuse
+    area = pulses_mod._lifted_gauss_area
+    monkeypatch.setattr(pulses_mod, "_lifted_gauss_area", lambda d: 0.5 * area(d))
+    for transition in ("ge", "ef"):
+        with pytest.raises(CalibrationError, match=f"pi_{transition}"):
+            run_rabi_calibration(small_ops, transition, 56.0)
+
+
+def test_calibration_rejects_a_peak_outside_the_domain(small_ops, monkeypatch):
+    # a quadratic transfer whose peak sits 3 MHz above the dressed
+    # transition: one Newton step lands on it, outside the +-2 MHz domain
+    carrier0 = small_ops.dressed_transition_ghz(0, 1)
+    amp0 = 0.25 / (abs(small_ops.nmat[0, 1]) * _lifted_gauss_area(56.0))
+
+    def quadratic(ops, transition, carrier, amp, duration_ns, dt_ns=STEP_NS):
+        return 1.0 - (amp / amp0 - 1.0) ** 2 - 0.01 * (1e3 * (carrier - carrier0) - 3.0) ** 2
+
+    monkeypatch.setattr(pulses_mod, "transfer_probability", quadratic)
+    with pytest.raises(CalibrationError, match="outside"):
+        run_rabi_calibration(small_ops, "ge", 56.0)
 
 
 def test_closed_stepper_matches_slice_exponentials(default_ops, calibrations):
