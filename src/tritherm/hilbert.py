@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .constants import GHZ_TO_MK
 
@@ -148,7 +147,7 @@ def _charge_diag(ec, ej, ng, ncut):
     h = np.diag(4.0 * ec * (n - ng) ** 2)
     off = -0.5 * ej * np.ones(2 * ncut)
     h += np.diag(off, 1) + np.diag(off, -1)
-    return eigh(h)
+    return np.linalg.eigh(h)
 
 
 def transmon_spectrum(spec: TransmonSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -263,7 +262,7 @@ class CompositeOperators:
 
     def dressed(self, frame_ghz: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
         if frame_ghz not in self._dressed:
-            self._dressed[frame_ghz] = eigh(self.h_static(frame_ghz))
+            self._dressed[frame_ghz] = np.linalg.eigh(self.h_static(frame_ghz))
         return self._dressed[frame_ghz]
 
     def dressed_index(self, level: int, photons: int = 0) -> int:
@@ -288,20 +287,6 @@ class CompositeOperators:
         """Renormalized three-level sub-populations (|d> traced out)."""
         p = self.subpopulations(rho)[:3]
         return Populations(*(p / p.sum()))
-
-    def dressed_populations(self, rho: np.ndarray) -> Populations:
-        """Three-level populations measured against the dressed eigenbasis.
-
-        Gates are calibrated between dressed states, so the coupling-induced
-        (g/Delta)^2 admixture that bare projectors pick up cancels here.
-        """
-        _, v = self.dressed(0.0)
-        p = np.zeros(3)
-        for k in range(3):
-            for n in range(self.rspec.n_states):
-                vec = v[:, self.dressed_index(k, n)]
-                p[k] += np.real(vec.conj() @ rho @ vec)
-        return Populations(*(np.clip(p, 0.0, 1.0) / p.sum()))
 
     def levels(self) -> LevelEnergies:
         return LevelEnergies(self.energies[0], self.energies[1], self.energies[2])

@@ -5,8 +5,7 @@ frame (see ``CompositeOperators.h_static``): vec(rho)[i*dim + j] =
 rho[i, j], so that vec(A rho B) = (A kron B^T) vec(rho).  All time
 evolution (calibration, gates and the readout probe) is the one split-step
 in ``pulses``, which takes its dissipative factors from
-``Liouvillian.dissipator_step``; no dense dim^2 x dim^2 generator is
-formed.
+``Liouvillian.dissipator_step``; no dim^2 x dim^2 superoperator is formed.
 
 Six thermal jump operators are used: raising and lowering on the g-e and
 e-f transmon transitions and on the resonator.  A direct f-g channel is
@@ -15,10 +14,17 @@ transmon level carries no explicit rate and thermalizes only through the
 coupling to the lossy resonator.  An optional pure-dephasing channel is
 exposed for robustness experiments and is off by default.
 
+Every jump operator acts on one factor of transmon (x) resonator, so the
+dissipator splits as D = D_T (x) 1 + 1 (x) D_R on the (k k', n n') view of
+rho[k n, k' n'].  The two parts commute, and exp(D t) is the pair of small
+exponentials exp(D_T t) (nlev^2 square) and exp(D_R t) ((n_fock + 1)^2
+square), computed by scaling and squaring.
+
 Every jump operator and the RWA Hamiltonian change the excitation number
 N = k + n by the same amount on both sides of rho, so the static generator
 keeps the entries with N_i == N_j in one invariant block (Albert & Jiang,
-PRA 89, 022118, 2014).  ``steady_state`` solves only that block and
+PRA 89, 022118, 2014).  ``steady_state`` builds only that block, from the
+images of its basis matrices under the matrix-form Lindblad map, and
 eliminates its coherences by a Schur complement, which leaves a small
 population generator free of the GHz coherence frequencies.  At weak
 coupling that generator is about a thousand times better conditioned than
@@ -32,8 +38,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .constants import bose_occupation, boltzmann_exponent, rate_from_mhz, kappa_rate_from_mhz
 from .hilbert import CompositeOperators, LevelEnergies, validate_density_matrix
@@ -123,32 +127,41 @@ def thermal_occupations(levels: LevelEnergies, fr_ghz: float, t_mk: float) -> Th
     return occ
 
 
-def unit_superoperator(op: np.ndarray) -> sp.csr_matrix:
-    """Commutator superoperator -i 2 pi (H kron I - I kron H^T) for a
-    Hamiltonian given in GHz, acting on row-major vec(rho), time in ns."""
-    eye = sp.identity(op.shape[0], format="csr")
-    h = sp.csr_matrix(op)
-    return (-2j * np.pi) * (sp.kron(h, eye, format="csr") - sp.kron(eye, h.T, format="csr"))
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a small dense matrix by scaling and squaring: a is halved
+    until its 1-norm is at most 1/2, where 18 Taylor terms reach double
+    precision (truncation below 0.5^19/19! ~ 1.6e-23 relative)."""
+    norm = np.abs(a).sum(axis=0).max()
+    squarings = int(np.ceil(np.log2(2.0 * norm))) if norm > 0.5 else 0
+    a = a / 2.0**squarings
+    out = term = np.eye(len(a))
+    for k in range(1, 19):
+        term = term @ a / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
-def dissipator_superoperator(lop: np.ndarray) -> sp.csr_matrix:
-    """D[L] rho = L rho L+ - (L+L rho + rho L+L)/2 on row-major vec(rho)."""
-    l = sp.csr_matrix(lop)
-    eye = sp.identity(lop.shape[0], format="csr")
-    ldl = (l.conj().T @ l).tocsr()
-    out = sp.kron(l, l.conj(), format="csr")
-    out = out - 0.5 * (sp.kron(ldl, eye, format="csr") + sp.kron(eye, ldl.T, format="csr"))
-    return out.tocsr()
+def _local_dissipator(lops, m: int) -> np.ndarray:
+    """Sum of D[L] rho = L rho L+ - (L+L rho + rho L+L)/2 over real operators
+    on one factor of dimension m, acting on its row-major vec (m^2 x m^2)."""
+    eye = np.eye(m)
+    out = np.zeros((m * m, m * m))
+    for lop in lops:
+        ldl = lop.T @ lop
+        out += np.kron(lop, lop) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+    return out
 
 
 @dataclass
 class Liouvillian:
     """Static generator plus jump operators for one system configuration.
 
-    ``jump_operators`` maps channel labels to rate-scaled operators
-    (sqrt(rate) absorbed, rates per ns).  ``static_super(frame_ghz)`` builds
-    the full static superoperator in the given rotating frame; drives enter
-    only through the Hamiltonian slices of the split-step (see ``pulses``).
+    ``jump_operators`` maps channel labels to rate-scaled operators on the
+    composite space (sqrt(rate) absorbed, rates per ns), each acting on the
+    transmon or on the resonator only.  Drives enter only through the
+    Hamiltonian slices of the split-step (see ``pulses``).
     """
 
     ops: CompositeOperators
@@ -157,32 +170,45 @@ class Liouvillian:
     jump_operators: Dict[str, np.ndarray]
     _cache: Dict = field(default_factory=dict, init=False, repr=False)
 
-    def dissipator(self) -> sp.csr_matrix:
-        if "diss" not in self._cache:
-            out = None
-            for lop in self.jump_operators.values():
-                d = dissipator_superoperator(lop)
-                out = d if out is None else out + d
-            self._cache["diss"] = out.tocsr()
-        return self._cache["diss"]
+    def dissipator_factors(self) -> Tuple[np.ndarray, np.ndarray]:
+        """D_T and D_R with D = D_T (x) 1 + 1 (x) D_R on the (k k', n n') view
+        X[k k', n n'] = rho[k n, k' n'], where D acts as D_T X + X D_R^T.
 
-    def dissipator_step(self, dt_ns: float) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
+        A channel is a transmon one when it equals A (x) 1 for the A read off
+        its photon-0 entries, a resonator one when it equals 1 (x) B.  Jump
+        operators must be real, as the thermal and dephasing channels are,
+        which keeps both factors real; anything else raises ``ValueError``."""
+        if "factors" not in self._cache:
+            nlev, nres = self.ops.tspec.n_transmon_levels, self.ops.rspec.n_states
+            t_ops, r_ops = [], []
+            for label, lop in self.jump_operators.items():
+                if np.iscomplexobj(lop) and np.any(lop.imag):
+                    raise ValueError(f"jump operator {label!r} is not real")
+                lop = lop.real
+                a, b = lop[::nres, ::nres], lop[:nres, :nres]
+                if np.array_equal(lop, np.kron(a, np.eye(nres))):
+                    t_ops.append(a)
+                elif np.array_equal(lop, np.kron(np.eye(nlev), b)):
+                    r_ops.append(b)
+                else:
+                    raise ValueError(f"jump operator {label!r} acts on both the "
+                                     f"transmon and the resonator")
+            self._cache["factors"] = (_local_dissipator(t_ops, nlev),
+                                      _local_dissipator(r_ops, nres))
+        return self._cache["factors"]
+
+    def dissipator_step(self, dt_ns: float) -> Tuple[Tuple[np.ndarray, np.ndarray],
+                                                     Tuple[np.ndarray, np.ndarray]]:
         """exp(D dt/2) and exp(D dt), the dissipative half and full slices of
-        the split-step.  Both stay sparse and, like D, do not depend on the
-        rotating frame: every jump operator changes the excitation number by
-        a fixed amount, so the frame phases cancel in each term of D[L]."""
+        the split-step, each as its (transmon, resonator) factor pair.  The
+        two parts of D commute, so exp(D t) = exp(D_T t) (x) exp(D_R t)
+        exactly.  Like D, they do not depend on the rotating frame: every
+        jump operator changes the excitation number by a fixed amount, so
+        the frame phases cancel in each term of D[L]."""
         key = ("diss_step", dt_ns)
         if key not in self._cache:
-            half = spla.expm((0.5 * dt_ns * self.dissipator()).tocsc()).tocsr()
-            self._cache[key] = (half, (half @ half).tocsr())
-        return self._cache[key]
-
-    def static_super(self, frame_ghz: float = 0.0) -> sp.csr_matrix:
-        key = ("static", frame_ghz)
-        if key not in self._cache:
-            self._cache[key] = (
-                unit_superoperator(self.ops.h_static(frame_ghz)) + self.dissipator()
-            ).tocsr()
+            half = tuple(_expm(0.5 * dt_ns * d) for d in self.dissipator_factors())
+            self._cache[key] = (half, tuple(e @ e for e in half))
         return self._cache[key]
 
 
@@ -213,17 +239,44 @@ def build_liouvillian(ops: CompositeOperators, dissipation: DissipationSpec) -> 
     return Liouvillian(ops, dissipation, occ, jumps)
 
 
+def _block_generator(liou: Liouvillian, frame_ghz: float, in_block: np.ndarray):
+    """Columns L[:, block] of the static generator on row-major vec(rho), and
+    its 1- and inf-norms, from the images L(E_ij) of the basis matrices,
+    one row i (dim images) at a time; the full generator is never formed.
+
+    With G = -i 2 pi H - K/2 and K = sum L+L, the matrix-form Lindblad map
+    L(rho) = G rho + rho G+ + sum_l L_l rho L_l+ sends E_ij to
+    G[:, i] e_j^T + e_i G[:, j]^+ + sum_l L_l[:, i] L_l[:, j]^+, so each
+    image costs O(dim^2)."""
+    dim = liou.ops.dim
+    ls = np.stack(list(liou.jump_operators.values())).astype(complex)
+    g = -2j * np.pi * liou.ops.h_static(frame_ghz) - 0.5 * np.einsum("lab,lac->bc", ls.conj(), ls)
+    diag = np.arange(dim)
+    cols = []
+    norm_1, row_sums = 0.0, np.zeros(dim * dim)
+    for i in range(dim):
+        images = np.tensordot(ls[:, :, i], ls.conj(), axes=(0, 0)).transpose(2, 0, 1).copy()
+        images[diag, :, diag] += g[:, i]
+        images[:, i, :] += g.conj().T
+        mag = np.abs(images).reshape(dim, -1)
+        norm_1 = max(norm_1, float(mag.sum(axis=1).max()))
+        row_sums += mag.sum(axis=0)
+        cols.append(images[in_block[i * dim:(i + 1) * dim]].reshape(-1, dim * dim))
+    return np.concatenate(cols).T, norm_1, float(row_sums.max())
+
+
 def steady_state(liou: Liouvillian, frame_ghz: float = 0.0) -> np.ndarray:
     """Drive-off steady state, solved on its symmetry block and reduced to
     populations.
 
     The static generator commutes with the excitation number N, so it maps
     the entries rho[i, j] with N_i == N_j onto themselves; this is checked
-    exactly before it is used.  Inside that block the coherences c are
-    eliminated through the Schur complement c = -L_cc^-1 L_cp p, and the
-    populations p are the null vector of the effective generator
-    L_pp - L_pc L_cc^-1 L_cp, whose scale is set by the rates rather than
-    the GHz coherence frequencies.  The frame term is proportional to N and
+    exactly before it is used.  The block is built from the images of its
+    basis matrices under the matrix-form Lindblad map (``_block_generator``).
+    Inside it the coherences c are eliminated through the Schur complement
+    c = -L_cc^-1 L_cp p, and the populations p are the null vector of the
+    effective generator L_pp - L_pc L_cc^-1 L_cp, whose scale is set by the
+    rates rather than the GHz coherence frequencies.  The frame term is proportional to N and
     cancels inside the block, so the result does not depend on
     ``frame_ghz``.
 
@@ -233,15 +286,15 @@ def steady_state(liou: Liouvillian, frame_ghz: float = 0.0) -> np.ndarray:
     of the full generator, or when the result is not a valid density matrix
     (eigenvalues below -1e-10 included).
     """
-    l = liou.static_super(frame_ghz)
     dim = liou.ops.dim
     n_exc = liou.ops.frame_gen_vec
     in_block = (n_exc[:, None] == n_exc[None, :]).reshape(-1)
     block = np.flatnonzero(in_block)
-    if l[np.flatnonzero(~in_block)][:, block].count_nonzero():
+    l_cols, norm_1, norm_inf = _block_generator(liou, frame_ghz, in_block)
+    if np.count_nonzero(l_cols[~in_block]):
         raise SteadyStateError("static generator maps weight out of the N_i == N_j block")
 
-    l_blk = l[block][:, block].toarray()
+    l_blk = l_cols[block]
     row, col = np.divmod(block, dim)
     pop, coh = row == col, row != col
     l_cc = l_blk[np.ix_(coh, coh)]
@@ -270,9 +323,9 @@ def steady_state(liou: Liouvillian, frame_ghz: float = 0.0) -> np.ndarray:
     rho = 0.5 * (rho + rho.conj().T)
 
     # sqrt(|L|_1 |L|_inf) bounds the spectral norm from above without a
-    # dense SVD of the full generator
-    l_norm = np.sqrt(spla.norm(l, 1) * spla.norm(l, np.inf))
-    resid = np.linalg.norm(l @ rho.reshape(-1))
+    # dense SVD of the full generator; rho vanishes off the block
+    l_norm = np.sqrt(norm_1 * norm_inf)
+    resid = np.linalg.norm(l_cols @ rho.reshape(-1)[block])
     if resid > 1e-10 * l_norm:
         raise SteadyStateError(f"steady-state residual {resid:.3e} exceeds 1e-10*|L|")
     try:

@@ -5,7 +5,7 @@ Dynamics run in the frame rotating at the probe carrier (the resonator
 frequency); the intermediate-frequency oscillation is reattached afterwards,
 I(t) + iQ(t) = <a>(t) exp(i 2 pi f_IF t).  The probe evolution is the
 Heisenberg-picture (adjoint) form of the gates' split-step: one row
-vec(a^T) is stepped through the transposed Strang step and dotted with
+vec(a^T) is stepped through the transposed Strang slices and dotted with
 every prepared state (adjoint master equation: Breuer & Petruccione, The
 Theory of Open Quantum Systems, 2002, sec. 3.2).  Noise is modeled
 post-averaging as one effective Gaussian per sample and quadrature,
@@ -29,7 +29,7 @@ import numpy as np
 from .constants import TWO_PI
 from .hilbert import ResonatorSpec
 from .lindblad import Liouvillian
-from .pulses import STEP_NS, strang_step
+from .pulses import STEP_NS, dissipate, unitary_chain
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,9 @@ def synthesize_traces(states: Dict[str, np.ndarray], liou: Liouvillian,
     gates' Strang split-step over ceil(sample_dt_ns / STEP_NS) substeps of
     the constant probe Hamiltonian H_static(f_r) + eps (a + a+), whose
     unitary U comes from one ``eigh``.  The row takes the transposed step,
-    built from U^T and the transposed dissipator exponentials.  The IF
+    built from U^T and the transposed dissipator factors; a sample's closing
+    half-step and the next sample's opening one merge into one full step,
+    so a sample costs as many dissipator applications as substeps.  The IF
     oscillation is reattached; traces are in raw (unnormalized) units.
     """
     ops = liou.ops
@@ -164,12 +166,18 @@ def synthesize_traces(states: Dict[str, np.ndarray], liou: Liouvillian,
                           + config.probe_amplitude_ghz * (ops.a + ops.adag))
     u = (v * np.exp(-1j * TWO_PI * dt * w)) @ v.conj().T
     half, full = liou.dissipator_step(dt)
-    step = ((u.T,) * m, half.T.tocsr(), full.T.tocsr())
+    us, half_t, full_t = (u.T,) * m, tuple(e.T for e in half), tuple(e.T for e in full)
     row = ops.a.T.reshape(-1).astype(complex)
     raw = np.empty((config.n_samples, len(labels)), dtype=complex)
-    for k in range(config.n_samples):
-        raw[k] = row @ cols
-        row = strang_step(row, *step)
+    raw[0] = row @ cols
+    # the row after k >= 1 samples is exp(D dt/2)^T z_k: each sample's closing
+    # half-step merges with the next one's opening half into one full step,
+    # and the last closing half moves onto the states
+    cols = np.stack([dissipate(c, half) for c in cols.T], axis=1)
+    z = unitary_chain(dissipate(row, half_t), us, full_t)
+    for k in range(1, config.n_samples):
+        raw[k] = z @ cols
+        z = unitary_chain(dissipate(z, full_t), us, full_t)
     t = config.time_grid()
     phase = np.exp(1j * TWO_PI * (config.if_mhz * 1e-3) * t)
     iq = raw * phase[:, None]
@@ -236,16 +244,36 @@ def write_trace_csv(path, traces: Sequence[IQTrace]) -> None:
                             f"{q:.12g}", tr.label])
 
 
+def _record_lines(path) -> list:
+    """Line number of each record after the header, for error messages."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return [reader.line_num for _ in reader]
+
+
+def _raise_first_bad_row(path, rows) -> None:
+    """Raise for the first row without four fields or with a non-numeric
+    sample, naming its line."""
+    for line, row in zip(_record_lines(path), rows):
+        if len(row) != 4:
+            raise ValueError(f"line {line}: expected 4 fields t_ns,I,Q,label, got {len(row)}")
+        try:
+            [float(v) for v in row[:3]]
+        except ValueError:
+            raise ValueError(f"line {line}: non-numeric value in {row[:3]}") from None
+
+
 def read_trace_csv(path) -> Dict[str, IQTrace]:
     """Inverse of ``write_trace_csv``; returns traces keyed by label.
 
-    Traces need not come from the simulator, so the file is checked row by
-    row: an empty file, a wrong header, a row without exactly four fields, a
+    Traces need not come from the simulator, so the file is checked: an
+    empty file, a wrong header, a row without exactly four fields, a
     non-numeric or non-finite sample, or a label whose sample times do not
     increase or are not uniformly spaced raises ``ValueError`` naming the
-    file and the line.
+    file and the line.  The numeric columns are converted in one numpy call;
+    only a failed check goes back to the file for the line number.
     """
-    rows: Dict[str, list] = {}
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -254,34 +282,35 @@ def read_trace_csv(path) -> Dict[str, IQTrace]:
                 raise ValueError("empty file, expected the header t_ns,I,Q,label")
             if header[:4] != ["t_ns", "I", "Q", "label"]:
                 raise ValueError(f"line 1: unexpected trace header {header}")
-            for row in reader:
-                if len(row) != 4:
-                    raise ValueError(f"line {reader.line_num}: expected 4 fields "
-                                     f"t_ns,I,Q,label, got {len(row)}")
-                t, i, q, label = row
-                try:
-                    sample = (float(t), float(i), float(q), reader.line_num)
-                except ValueError:
-                    raise ValueError(f"line {reader.line_num}: non-numeric value "
-                                     f"in {row[:3]}") from None
-                rows.setdefault(label, []).append(sample)
+            rows = list(reader)
+        if set(map(len, rows)) - {4}:
+            _raise_first_bad_row(path, rows)
+        t, i, q, labels = zip(*rows) if rows else ((),) * 4
+        try:
+            data = np.array((t, i, q), dtype=float)
+        except ValueError:
+            _raise_first_bad_row(path, rows)
+            raise
+        # one label per file is the common case and needs no mask
+        tags = np.array(labels) if len(set(labels)) > 1 else None
         out = {}
-        for label, data in rows.items():
-            arr = np.array(data)
-            bad = np.flatnonzero(~np.isfinite(arr[:, :3]).all(axis=1))
+        for label in dict.fromkeys(labels):
+            at = np.arange(len(labels)) if tags is None else np.flatnonzero(tags == label)
+            arr = data[:, at]
+            bad = np.flatnonzero(~np.isfinite(arr).all(axis=0))
             if bad.size:
-                raise ValueError(f"line {int(arr[bad[0], 3])}: non-finite value in "
-                                 f"trace {label!r}")
-            dt = np.diff(arr[:, 0])
+                raise ValueError(f"line {_record_lines(path)[at[bad[0]]]}: non-finite "
+                                 f"value in trace {label!r}")
+            dt = np.diff(arr[0])
             stalled = np.flatnonzero(dt <= 0)
             if stalled.size:
-                raise ValueError(f"line {int(arr[stalled[0] + 1, 3])}: sample times of "
-                                 f"trace {label!r} do not increase")
+                raise ValueError(f"line {_record_lines(path)[at[stalled[0] + 1]]}: sample "
+                                 f"times of trace {label!r} do not increase")
             uneven = np.flatnonzero(np.abs(dt - dt[:1]) > 1e-9)
             if uneven.size:
-                raise ValueError(f"line {int(arr[uneven[0] + 1, 3])}: sample spacing of "
-                                 f"trace {label!r} is not uniform")
-            out[label] = IQTrace(arr[:, 0], arr[:, 1], arr[:, 2], label)
+                raise ValueError(f"line {_record_lines(path)[at[uneven[0] + 1]]}: sample "
+                                 f"spacing of trace {label!r} is not uniform")
+            out[label] = IQTrace(arr[0], arr[1], arr[2], label)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return out

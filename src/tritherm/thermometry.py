@@ -13,8 +13,9 @@ For a thermal state the ratios depend only on temperature,
     B(T) = (exp(-h f_ge / k_B T) - exp(-h f_gf / k_B T)) / (1 - exp(-h f_ge / k_B T)),
 
 with A strictly decreasing and B strictly increasing in T, so each fitted
-slope inverts to a temperature by bisection.  Transition frequencies enter
-as positive numbers; the signs live in the exponents above.
+slope inverts to a temperature by a bracketed root search (Brent's method).
+Transition frequencies enter as positive numbers; the signs live in the
+exponents above.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import boltzmann_exponent
 from .hilbert import LevelEnergies, Populations
@@ -322,8 +322,49 @@ def attainable_range(levels, which: str) -> Tuple[float, float]:
     return (v2, v1) if v1 > v2 else (v1, v2)
 
 
+def _brent_root(f, a: float, b: float, fa: float, fb: float, rtol: float,
+                maxiter: int = 100) -> float:
+    """Root of f in [a, b] by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4), given nonzero f(a) and
+    f(b) of opposite signs: inverse quadratic or secant steps while they
+    shrink the bracket fast enough, bisection otherwise.  Converged when the
+    bracket half-width is below rtol |x| / 2."""
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = rtol * abs(xcur) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"root not converged in {maxiter} iterations")
+
+
 def _invert_scalar(levels, which: str, value: float, clamp: bool) -> float:
+    t_lo, t_hi = T_BRACKET_MK
     lo, hi = attainable_range(levels, which)
+    v_lo, v_hi = (hi, lo) if which == "A" else (lo, hi)  # A falls with T, B and C rise
     if not lo <= value <= hi:
         if not clamp:
             raise SlopeOutOfRangeError(
@@ -332,19 +373,37 @@ def _invert_scalar(levels, which: str, value: float, clamp: bool) -> float:
                 f"pin to the bracket edge"
             )
         value = min(max(value, lo), hi)
-        decreasing = which == "A"
-        if (value == hi and decreasing) or (value == lo and not decreasing):
-            return T_BRACKET_MK[0]
-        return T_BRACKET_MK[1]
-    t = brentq(lambda tt: coefficient_vs_temperature(levels, tt, which) - value,
-               T_BRACKET_MK[0], T_BRACKET_MK[1], xtol=1e-9)
-    return float(t)
+    if value == v_lo:
+        return t_lo
+    if value == v_hi:
+        return t_hi
+    # B and C vanish like exp(-h f_ge / k_B T) as T -> 0, and so does 1 - A = C,
+    # so log B or log C is close to linear in u = 1/T, where Brent's
+    # interpolation converges in a few steps instead of bisecting the flat
+    # cold side.  A relative tolerance of 1e-9 mK / t_hi in u keeps T within
+    # 1e-9 mK over the whole bracket.
+    if which == "A":
+        which, value = "C", 1.0 - value
+        v_lo = coefficient_vs_temperature(levels, t_lo, which)
+        v_hi = coefficient_vs_temperature(levels, t_hi, which)
+    target = np.log(value)
+
+    def log_gap(c):  # floored at the smallest double: exp(-h f / k_B T) may underflow
+        return np.log(max(c, 5e-324)) - target
+
+    g_hot, g_cold = log_gap(v_hi), log_gap(v_lo)
+    if g_hot <= 0 or g_cold >= 0:  # value in range: only rounding puts the root at an end
+        return t_hi if g_hot <= 0 else t_lo
+    u = _brent_root(lambda uu: log_gap(coefficient_vs_temperature(levels, 1.0 / uu, which)),
+                    1.0 / t_hi, 1.0 / t_lo, g_hot, g_cold, rtol=1e-9 / t_hi)
+    return float(1.0 / u)
 
 
 def invert_temperature(slope: SlopeEstimate, levels, clamp: bool = False) -> TemperatureEstimate:
     """Temperature whose thermal coefficient equals the fitted slope.
 
-    Bisection over the 1 mK - 2 K bracket, converged far below 0.01 mK; the
+    Brent's root search over the 1 mK - 2 K bracket to 1e-9 mK, on log B or
+    log C (1 - A = C) against 1/T, where they are close to linear; the
     CI comes from inverting both slope CI bounds (clamped to the bracket when
     they spill past it).  ``clamp=True`` pins an out-of-range point estimate
     to the bracket edge instead of raising.

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -330,3 +334,43 @@ def test_calibrate_rejects_out_of_range_duration(mini_config_path, tmp_path, cap
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+# every command in one process on the default device cut to n_fock 2 (the
+# 144 x 144 composite): the package must run without importing scipy, so a
+# fresh process pays no scipy import, neither at start-up nor on first use
+COLD_START_SCRIPT = """
+import json, pathlib, sys
+from tritherm.cli import main
+
+config, out = sys.argv[1], pathlib.Path(sys.argv[2])
+runs = [
+    ["simulate", "--config", config, "--seed", "1", "--out", out / "sim"],
+    ["sweep", "--config", config, "--bath-mk", "100", "--noiseless", "--out", out / "sweep"],
+    ["calibrate", "--config", config, "--out", out / "cal"],
+    ["estimate", "--config", config, "--traces", out / "sim", "--out", out / "est"],
+    ["montecarlo", "--experiments", "100", "--points", "120", "--lambda-points", "3",
+     "--out", out / "mc"],
+]
+codes = [main([str(a) for a in argv]) for argv in runs]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    data = json.loads((repo / "configs" / "default.json").read_text())
+    data["system"]["resonator"]["n_fock"] = 2
+    config = tmp_path / "reduced.json"
+    config.write_text(json.dumps(data))
+    pythonpath = os.pathsep.join(filter(None, [str(repo / "src"),
+                                               os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", COLD_START_SCRIPT, str(config),
+                          str(tmp_path / "out")],
+                         env=dict(os.environ, PYTHONPATH=pythonpath),
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0] * 5
+    assert result["scipy"] == []

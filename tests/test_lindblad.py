@@ -7,9 +7,13 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
+from superops import dissipator, dissipator_superoperator, static_super, unit_superoperator
+from tritherm.config import load_config
 from tritherm.constants import GHZ_TO_MK, bose_occupation
 from tritherm.hilbert import (
     ResonatorSpec,
@@ -22,11 +26,10 @@ from tritherm.lindblad import (
     DissipationSpec,
     Liouvillian,
     SteadyStateError,
+    _block_generator,
     build_liouvillian,
-    dissipator_superoperator,
     steady_state,
     thermal_occupations,
-    unit_superoperator,
 )
 
 seed = 20260312
@@ -103,6 +106,51 @@ def test_dissipator_superoperator_matches_lindblad_form():
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.fixture(scope="module", params=["default", "working_point"])
+def config_liou(request):
+    cfg = load_config(CONFIG_DIR / f"{request.param}.json")
+    return build_liouvillian(cfg.system.build_operators(), cfg.dissipation)
+
+
+def test_block_generator_matches_sparse_reference(config_liou):
+    # the block columns and both norms of the full generator, from basis-matrix
+    # images, against the assembled scipy.sparse generator
+    ops = config_liou.ops
+    in_block = (ops.frame_gen_vec[:, None] == ops.frame_gen_vec[None, :]).reshape(-1)
+    cols, norm_1, norm_inf = _block_generator(config_liou, 0.0, in_block)
+    ref = static_super(config_liou, 0.0)
+    ref_1, ref_inf = spla.norm(ref, 1), spla.norm(ref, np.inf)
+    assert abs(norm_1 * norm_inf / (ref_1 * ref_inf) - 1.0) <= 1e-12
+    assert abs(norm_1 / ref_1 - 1.0) <= 1e-12 and abs(norm_inf / ref_inf - 1.0) <= 1e-12
+    want = ref[:, np.flatnonzero(in_block)].toarray()
+    assert np.max(np.abs(cols - want)) <= 1e-12 * ref_1
+
+
+def test_dissipator_factors_match_dense_expm(config_liou):
+    # exp(D t) assembled from its transmon and resonator factors against a
+    # dense expm of the assembled 784 x 784 dissipator, dephasing included
+    spec = dataclasses.replace(config_liou.dissipation, gamma_phi_mhz=0.2)
+    liou = build_liouvillian(config_liou.ops, spec)
+    nlev, nres = liou.ops.tspec.n_transmon_levels, liou.ops.rspec.n_states
+    d = dissipator(liou).toarray()
+    dt = 0.25
+    for factors, t in zip(liou.dissipator_step(dt), (dt / 2, dt)):
+        e_t = factors[0].reshape(nlev, nlev, nlev, nlev)
+        e_r = factors[1].reshape(nres, nres, nres, nres)
+        full = np.einsum("kKaA,nNbB->knKNabAB", e_t, e_r).reshape(d.shape)
+        assert np.max(np.abs(full - expm(d * t))) <= 1e-13
+
+
+def test_dissipator_rejects_a_jump_on_both_factors(small_liou):
+    jumps = dict(small_liou.jump_operators, x=1e-3 * small_liou.ops.sigma(0, 1) @ small_liou.ops.a)
+    liou = Liouvillian(small_liou.ops, small_liou.dissipation, small_liou.occupations, jumps)
+    with pytest.raises(ValueError, match="both the transmon and the resonator"):
+        liou.dissipator_step(0.25)
+
+
 def test_steady_state_boltzmann_weak_coupling():
     # coupling small enough that channel competition cannot shift populations
     ops = build_composite_operators(
@@ -127,7 +175,7 @@ def test_steady_state_frame_invariant(small_liou):
 def test_steady_state_residual(small_liou):
     rho = steady_state(small_liou)
     validate_density_matrix(rho)
-    l = small_liou.static_super(0.0)
+    l = static_super(small_liou, 0.0)
     resid = np.linalg.norm(l @ rho.reshape(-1))
     norm = np.linalg.norm(l.toarray(), 2)
     assert resid < 1e-10 * norm

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from superops import static_super, unit_superoperator
 from tritherm import pulses as pulses_mod
 from tritherm.constants import TWO_PI
 from tritherm.hilbert import Populations, validate_density_matrix
@@ -15,7 +16,6 @@ from tritherm.lindblad import (
     IntegrationError,
     build_liouvillian,
     steady_state,
-    unit_superoperator,
 )
 from tritherm.pulses import (
     STEP_NS,
@@ -343,7 +343,7 @@ def test_split_step_matches_reference_integration(small_ops, small_liou):
     env = pulse.envelope()
     span = pulse.duration_ns + 4.0
     rho0 = steady_state(small_liou).astype(complex)
-    l_static = small_liou.static_super(pulse.carrier_ghz)
+    l_static = static_super(small_liou, pulse.carrier_ghz)
     l_drive = unit_superoperator(small_ops.drive_op)
     sol = solve_ivp(lambda t, v: l_static @ v + env(t) * (l_drive @ v),
                     (0.0, span), rho0.reshape(-1), rtol=1e-10, atol=1e-12)

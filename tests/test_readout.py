@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from superops import static_super, unit_superoperator
 from tritherm import readout
 from tritherm.constants import TWO_PI
-from tritherm.lindblad import unit_superoperator
 from tritherm.pulses import STEP_NS, strang_step
 from tritherm.readout import (
     IQTrace,
@@ -130,7 +130,7 @@ def test_readout_converges_to_exact_propagator(small_liou, monkeypatch):
     cfg = ReadoutConfig()
     ops = small_liou.ops
     states = pure_basis_states(small_liou)
-    l_ro = (small_liou.static_super(ops.rspec.fr_ghz)
+    l_ro = (static_super(small_liou, ops.rspec.fr_ghz)
             + unit_superoperator(cfg.probe_amplitude_ghz * (ops.a + ops.adag)))
     prop = expm(l_ro.toarray() * cfg.sample_dt_ns)
     cols = np.stack(list(states.values()), axis=1)
@@ -263,3 +263,37 @@ def test_trace_csv_roundtrip_property(tmp_path_factory, n, t0, dt, labels, data)
         np.testing.assert_allclose(got.i_vals, tr.i_vals, rtol=1e-11)
         np.testing.assert_allclose(got.q_vals, tr.q_vals, rtol=1e-11)
 
+
+def _two_label_rows():
+    # labels a and b interleaved, ten samples each, 1 ns apart
+    return [f"{t},0.5,0.25,{lab}" for t in range(10) for lab in "ab"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({4: "2,abc,0.25,a", 7: "3,0.5"}, "line 6: non-numeric value in ['2', 'abc', '0.25']"),
+    ({7: "3,0.5"}, "line 9: expected 4 fields t_ns,I,Q,label, got 2"),
+    ({9: "4,inf,0.25,b"}, "line 11: non-finite value in trace 'b'"),
+    ({11: "5.5,0.5,0.25,b"}, "line 13: sample spacing of trace 'b' is not uniform"),
+    ({11: "3,0.5,0.25,b"}, "line 13: sample times of trace 'b' do not increase"),
+    # a quoted label spanning two lines moves every later line number by one
+    ({2: '1,0.5,0.25,"c\nd"', 7: "3,0.5"}, "line 10: expected 4 fields t_ns,I,Q,label, got 2"),
+])
+def test_read_trace_csv_names_the_offending_line(tmp_path, edit, message):
+    rows = _two_label_rows()
+    for k, row in edit.items():
+        rows[k] = row
+    path = tmp_path / "traces.csv"
+    path.write_text("t_ns,I,Q,label\n" + "".join(row + "\n" for row in rows))
+    with pytest.raises(ValueError) as err:
+        read_trace_csv(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_read_trace_csv_splits_labels(tmp_path):
+    path = tmp_path / "traces.csv"
+    path.write_text("t_ns,I,Q,label\n" + "".join(row + "\n" for row in _two_label_rows()))
+    traces = read_trace_csv(path)
+    assert list(traces) == ["a", "b"]
+    for tr in traces.values():
+        np.testing.assert_array_equal(tr.t_ns, np.arange(10.0))
+        assert np.all(tr.i_vals == 0.5) and np.all(tr.q_vals == 0.25)

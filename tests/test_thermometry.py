@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from conftest import make_synthetic_responses
+from tritherm import thermometry
 from tritherm.hilbert import LevelEnergies, Populations
 from tritherm.thermometry import (
+    T_BRACKET_MK,
     COEFFICIENTS,
     DIFFERENCE_PAIRS,
     DegenerateDataError,
@@ -18,6 +21,7 @@ from tritherm.thermometry import (
     coefficient_vs_temperature,
     deming_fit,
     deming_slope,
+    _invert_scalar,
     difference_pairs,
     estimate_temperature,
     invert_temperature,
@@ -89,6 +93,42 @@ def test_inversion_out_of_range():
     assert est.t_mk == 2000.0
     lo, hi = attainable_range(ANCHOR, "A")
     assert 0.0 < lo < hi < 1.0 + 1e-12
+
+
+# temperatures across the inversion bracket, denser at the cold end
+BRACKET_GRID = np.geomspace(1.0, 2000.0, 61)
+
+
+@pytest.mark.parametrize("which", COEFFICIENTS)
+def test_inversion_matches_brentq(which):
+    for t_mk in BRACKET_GRID:
+        value = coefficient_vs_temperature(ANCHOR, t_mk, which)
+        got = _invert_scalar(ANCHOR, which, value, clamp=False)
+        assert abs(coefficient_vs_temperature(ANCHOR, got, which) - value) <= 1e-10
+        # below ~20 mK, 1 - A ~ exp(-h f_ge / k_B T) < 1e-7, so one ulp of A
+        # spans more than 1e-8 mK and any two solvers may stop apart
+        if which == "A" and t_mk < 20.0:
+            continue
+        ref = brentq(lambda t: coefficient_vs_temperature(ANCHOR, t, which) - value,
+                     *T_BRACKET_MK, xtol=1e-9)
+        assert abs(got - ref) <= 1e-8, (which, t_mk, got, ref)
+
+
+def test_inversion_evaluation_budget(monkeypatch):
+    # Brent's method on log B or log C in 1/T; brentq on the coefficient in
+    # T needs up to 39 evaluations on the cold side, bisection about 41
+    calls = []
+    def counted(*args):
+        calls.append(args)
+        return coefficient_vs_temperature(*args)
+    monkeypatch.setattr(thermometry, "coefficient_vs_temperature", counted)
+    for levels in (ANCHOR, (4.98, 9.51)):
+        for which in COEFFICIENTS:
+            for t_mk in BRACKET_GRID:
+                value = coefficient_vs_temperature(levels, t_mk, which)
+                calls.clear()
+                _invert_scalar(levels, which, value, clamp=False)
+                assert len(calls) <= 12, (levels, which, t_mk, len(calls))
 
 
 def test_deming_exact_collinear():
