@@ -222,20 +222,22 @@ def cmd_montecarlo(args) -> int:
     config = load_config(args.config) if args.config else None
     levels = _levels_from_args(args, config)
     seed = args.seed if args.seed is not None else (config.seed if config else 0)
+    try:
+        spec = MonteCarloSpec(
+            true_slope=args.true_slope,
+            n_experiments=args.experiments,
+            x_span=args.span,
+            noise_sigma=args.sigma,
+            n_points=args.points,
+            seed=stream_seed(seed, "montecarlo"),
+            abscissa=args.abscissa,
+            fit_method=args.fit_method,
+        )
+        grid = np.linspace(args.lambda_min, args.lambda_max, args.lambda_points)
+        report = slope_bias_study(spec, grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = _resolve_output_dir(args, config)
-
-    spec = MonteCarloSpec(
-        true_slope=args.true_slope,
-        n_experiments=args.experiments,
-        x_span=args.span,
-        noise_sigma=args.sigma,
-        n_points=args.points,
-        seed=stream_seed(seed, "montecarlo"),
-        abscissa=args.abscissa,
-        fit_method=args.fit_method,
-    )
-    grid = np.linspace(args.lambda_min, args.lambda_max, args.lambda_points)
-    report = slope_bias_study(spec, grid)
     with open(out / "bias_curve.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["lambda", "mean_fit", "ci_low", "ci_high"])

@@ -114,22 +114,24 @@ def _fit_slope(xs: np.ndarray, ys: np.ndarray, method: str) -> float:
     if method == "deming":
         slope, _ = deming_slope(xs, ys, delta=1.0)
         return slope
-    xb, yb = xs.mean(), ys.mean()
-    sxx = np.mean((xs - xb) ** 2)
-    if sxx <= 0.0:
-        raise DegenerateDataError("zero abscissa variance")
-    return float(np.mean((xs - xb) * (ys - yb)) / sxx)
+    if xs.min() == xs.max():
+        raise DegenerateDataError("x series takes a single value")
+    xc = xs - xs.mean()
+    return float(np.mean(xc * (ys - ys.mean())) / np.mean(xc ** 2))
 
 
 def slope_bias_study(spec: MonteCarloSpec, lambda_grid=None) -> MonteCarloReport:
     """Fit ``n_experiments`` noisy collinear clouds per true slope.
 
     Reports the mean fitted slope with the 95% CI of the mean (normal
-    approximation over experiments).  Degenerate fits are counted, not fatal.
+    approximation over experiments).  Degenerate fits are counted, not fatal;
+    an empty or non-increasing ``lambda_grid`` raises ValueError.
     """
     if lambda_grid is None:
         lambda_grid = np.array([spec.true_slope])
     lambda_grid = np.asarray(lambda_grid, dtype=float)
+    if lambda_grid.size == 0 or np.any(np.diff(lambda_grid) <= 0):
+        raise ValueError("lambda grid must be non-empty and strictly increasing")
     rng = np.random.default_rng(spec.seed)
     x0 = spec.design_points()
     means = np.empty(len(lambda_grid))

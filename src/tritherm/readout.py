@@ -20,7 +20,6 @@ on the scale of the measured responses.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -212,16 +211,8 @@ def add_noise(trace: IQTrace, noise_sigma: float, n_averages: int, seed) -> IQTr
                    trace.label)
 
 
-def window(trace: IQTrace, config: ReadoutConfig,
-           rspec: Optional[ResonatorSpec] = None) -> IQTrace:
-    """Restrict to the analysis window [window_start, window_end) ns.
-
-    When the resonator spec is supplied, a window opening before ring-up is
-    flagged with a warning (the data are kept)."""
-    if rspec is not None:
-        msg = config.check_ring_up(rspec)
-        if msg is not None:
-            warnings.warn(msg)
+def window(trace: IQTrace, config: ReadoutConfig) -> IQTrace:
+    """Restrict to the analysis window [window_start, window_end) ns."""
     mask = (trace.t_ns >= config.window_start_ns) & (trace.t_ns < config.window_end_ns)
     if not np.any(mask):
         raise ValueError(

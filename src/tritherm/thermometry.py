@@ -13,7 +13,9 @@ For a thermal state the ratios depend only on temperature,
     B(T) = (exp(-h f_ge / k_B T) - exp(-h f_gf / k_B T)) / (1 - exp(-h f_ge / k_B T)),
 
 with A strictly decreasing and B strictly increasing in T, so each fitted
-slope inverts to a temperature by a bracketed root search (Brent's method).
+slope inverts to a temperature.  The inversion solves for
+e = exp(-h f_ge / k_B T) by Newton's method, which rises monotonically to the
+root from e = 0 because each coefficient equation is convex in e.
 Transition frequencies enter as positive numbers; the signs live in the
 exponents above.
 """
@@ -25,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .constants import boltzmann_exponent
+from .constants import GHZ_TO_MK, boltzmann_exponent
 from .hilbert import LevelEnergies, Populations
 from .readout import IQTrace
 
@@ -322,45 +324,6 @@ def attainable_range(levels, which: str) -> Tuple[float, float]:
     return (v2, v1) if v1 > v2 else (v1, v2)
 
 
-def _brent_root(f, a: float, b: float, fa: float, fb: float, rtol: float,
-                maxiter: int = 100) -> float:
-    """Root of f in [a, b] by Brent's method (Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 4), given nonzero f(a) and
-    f(b) of opposite signs: inverse quadratic or secant steps while they
-    shrink the bracket fast enough, bisection otherwise.  Converged when the
-    bracket half-width is below rtol |x| / 2."""
-    xpre, xcur, fpre, fcur = a, b, fa, fb
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = rtol * abs(xcur) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"root not converged in {maxiter} iterations")
-
-
 def _invert_scalar(levels, which: str, value: float, clamp: bool) -> float:
     t_lo, t_hi = T_BRACKET_MK
     lo, hi = attainable_range(levels, which)
@@ -377,34 +340,34 @@ def _invert_scalar(levels, which: str, value: float, clamp: bool) -> float:
         return t_lo
     if value == v_hi:
         return t_hi
-    # B and C vanish like exp(-h f_ge / k_B T) as T -> 0, and so does 1 - A = C,
-    # so log B or log C is close to linear in u = 1/T, where Brent's
-    # interpolation converges in a few steps instead of bisecting the flat
-    # cold side.  A relative tolerance of 1e-9 mK / t_hi in u keeps T within
-    # 1e-9 mK over the whole bracket.
+    # With e = exp(-h f_ge / k_B T) and r = f_gf / f_ge > 1, C = (e - e^r) / (1 - e^r)
+    # and B = (e - e^r) / (1 - e) make e a root of g(e) = a e^r - b e + c:
+    # (a, b, c) = (1 - C, 1, C), or (1, 1 + B, B); A goes through 1 - A = C.
+    # On [0, 1] g is convex with g(0) = c > 0 and g(1) = 0, so Newton's method
+    # from e = 0 rises monotonically to the physical root e* < 1; it has
+    # converged when a step no longer raises e.  Rounding can put T ~1e-11 mK
+    # past the bracket, so T is clipped to it.
+    f_ge, f_gf = _frequencies(levels)
+    r = f_gf / f_ge
     if which == "A":
-        which, value = "C", 1.0 - value
-        v_lo = coefficient_vs_temperature(levels, t_lo, which)
-        v_hi = coefficient_vs_temperature(levels, t_hi, which)
-    target = np.log(value)
-
-    def log_gap(c):  # floored at the smallest double: exp(-h f / k_B T) may underflow
-        return np.log(max(c, 5e-324)) - target
-
-    g_hot, g_cold = log_gap(v_hi), log_gap(v_lo)
-    if g_hot <= 0 or g_cold >= 0:  # value in range: only rounding puts the root at an end
-        return t_hi if g_hot <= 0 else t_lo
-    u = _brent_root(lambda uu: log_gap(coefficient_vs_temperature(levels, 1.0 / uu, which)),
-                    1.0 / t_hi, 1.0 / t_lo, g_hot, g_cold, rtol=1e-9 / t_hi)
-    return float(1.0 / u)
+        value = 1.0 - value
+    a, b, c = (1.0, 1.0 + value, value) if which == "B" else (1.0 - value, 1.0, value)
+    e = 0.0
+    for _ in range(100):
+        e_r1 = e ** (r - 1.0)
+        e_next = e - (a * e_r1 * e - b * e + c) / (a * r * e_r1 - b)
+        if e_next <= e:
+            return float(min(max(GHZ_TO_MK * f_ge / -np.log(e), t_lo), t_hi))
+        e = e_next
+    raise RuntimeError("Newton iteration for exp(-h f_ge / k_B T) not converged in 100 steps")
 
 
 def invert_temperature(slope: SlopeEstimate, levels, clamp: bool = False) -> TemperatureEstimate:
     """Temperature whose thermal coefficient equals the fitted slope.
 
-    Brent's root search over the 1 mK - 2 K bracket to 1e-9 mK, on log B or
-    log C (1 - A = C) against 1/T, where they are close to linear; the
-    CI comes from inverting both slope CI bounds (clamped to the bracket when
+    Newton's method in e = exp(-h f_ge / k_B T) on the convex equation of B
+    or C (1 - A = C), started at e = 0, over the 1 mK - 2 K bracket; the CI
+    comes from inverting both slope CI bounds (clamped to the bracket when
     they spill past it).  ``clamp=True`` pins an out-of-range point estimate
     to the bracket edge instead of raising.
     """

@@ -289,12 +289,16 @@ def test_montecarlo_outputs(tmp_path):
             == (tmp_path / "mc2" / "bias_curve.csv").read_bytes())
 
 
-@pytest.mark.parametrize("anchor", [["--f-ge", "0"], ["--f-gf", "-13.14"]])
+@pytest.mark.parametrize("anchor", [
+    ["--f-ge", "0"], ["--f-gf", "-13.14"], ["--experiments", "50"],
+    ["--lambda-points", "0"], ["--lambda-min", "1", "--lambda-max", "0.01"]])
 def test_montecarlo_rejects_invalid_anchor(tmp_path, capsys, anchor):
     rc = main(["montecarlo", "--experiments", "150", "--points", "120",
-               "--lambda-points", "5", "--out", str(tmp_path / "mc")] + anchor)
+               "--lambda-points", "5", "--f-ge", "6.74", "--f-gf", "13.14",
+               "--out", str(tmp_path / "mc")] + anchor)
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "mc").exists()
 
 
 def test_sweep_bath_points_and_failure_rows(mini_config_path, tmp_path):

@@ -5,11 +5,12 @@ from tritherm.errorlab import (
     MonteCarloReport,
     MonteCarloSpec,
     RepeatedStats,
+    _fit_slope,
     repeated_measurement_stats,
     slope_bias_study,
     temperature_discrepancy,
 )
-from tritherm.thermometry import COEFFICIENTS
+from tritherm.thermometry import COEFFICIENTS, DegenerateDataError
 
 seed = 20260312
 
@@ -30,6 +31,20 @@ def test_spec_validation():
         MonteCarloSpec(true_slope=0.5, abscissa="random")
     with pytest.raises(ValueError):
         MonteCarloSpec(true_slope=0.5, fit_method="huber")
+
+
+def test_least_squares_fit_rejects_single_valued_x():
+    # the variance of np.full(50, 0.1) rounds to ~1e-33, not to zero
+    ys = np.random.default_rng(seed).normal(size=50)
+    with pytest.raises(DegenerateDataError):
+        _fit_slope(np.full(50, 0.1), ys, "least_squares")
+
+
+def test_slope_bias_study_rejects_bad_grid():
+    spec = MonteCarloSpec(true_slope=0.5, n_experiments=100, seed=seed)
+    for grid in ([], [0.5, 0.5], [1.0, 0.01]):
+        with pytest.raises(ValueError, match="lambda grid"):
+            slope_bias_study(spec, grid)
 
 
 def test_design_points():

@@ -202,15 +202,6 @@ def test_window_half_open():
     np.testing.assert_array_equal(w.t_ns, [2.0, 3.0, 4.0, 5.0, 6.0])
 
 
-def test_window_warns_before_ring_up(small_ops):
-    t = np.arange(200.0)
-    tr = IQTrace(t, np.zeros(200), np.zeros(200))
-    cfg = ReadoutConfig(probe_duration_ns=200.0, window_start_ns=20.0,
-                        window_end_ns=180.0)
-    with pytest.warns(UserWarning):
-        window(tr, cfg, small_ops.rspec)
-
-
 def test_trace_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(seed)
     t = np.arange(100.0)

@@ -115,8 +115,9 @@ def test_inversion_matches_brentq(which):
 
 
 def test_inversion_evaluation_budget(monkeypatch):
-    # Brent's method on log B or log C in 1/T; brentq on the coefficient in
-    # T needs up to 39 evaluations on the cold side, bisection about 41
+    # the Newton iteration in exp(-h f_ge / k_B T) is closed-form, so each
+    # inversion evaluates the coefficient only at the two bracket ends, for
+    # attainable_range (brentq on the coefficient in T needs up to 39 more)
     calls = []
     def counted(*args):
         calls.append(args)
@@ -128,7 +129,36 @@ def test_inversion_evaluation_budget(monkeypatch):
                 value = coefficient_vs_temperature(levels, t_mk, which)
                 calls.clear()
                 _invert_scalar(levels, which, value, clamp=False)
-                assert len(calls) <= 12, (levels, which, t_mk, len(calls))
+                assert len(calls) == 2, (levels, which, t_mk, len(calls))
+
+
+# f_ge 3.5-8 GHz and f_gf / f_ge 1.67-2.0
+DEVICES = ((3.5, 7.0), (3.5, 5.845), (5.0, 9.0), (8.0, 13.36), (8.0, 16.0))
+
+
+def test_inversion_grid_over_devices(default_ops, wp_config):
+    shipped = (default_ops.levels(), wp_config.system.build_operators().levels())
+    for levels in shipped + DEVICES:
+        for which in COEFFICIENTS:
+            for t_mk in BRACKET_GRID:
+                value = coefficient_vs_temperature(levels, t_mk, which)
+                got = _invert_scalar(levels, which, value, clamp=False)
+                assert abs(coefficient_vs_temperature(levels, got, which) - value) <= 1e-10
+                # where 1 - A < 1e-7 (below ~20 mK at f_ge 6.74 GHz, ~24 mK at
+                # 8 GHz) one ulp of A spans more than 1e-9 mK
+                if which == "A" and 1.0 - value < 1e-7:
+                    continue
+                assert abs(got - t_mk) <= 1e-9, (levels, which, t_mk, got)
+
+
+def test_inversion_guards_raise(monkeypatch):
+    # a NaN slope never stops the Newton iteration, so the step cap raises
+    with pytest.raises(RuntimeError, match="not converged"):
+        _invert_scalar(ANCHOR, "B", float("nan"), clamp=True)
+    value = coefficient_vs_temperature(ANCHOR, 150.0, "C")
+    monkeypatch.setattr(thermometry, "_invert_scalar", lambda *args: 151.0)
+    with pytest.raises(RuntimeError, match="inversion residual"):
+        invert_temperature(_slope("C", value), ANCHOR)
 
 
 def test_deming_exact_collinear():
