@@ -34,7 +34,6 @@ from .pipeline import SimulationResult, estimate, run_protocol
 from .pulses import (
     CalibrationReport,
     GateSequence,
-    apply_sequence_ideal,
     compile_sequence,
     prepare_sequences,
     run_rabi_calibration,
@@ -51,7 +50,6 @@ from .thermometry import (
     SequenceResponses,
     SlopeEstimate,
     TemperatureEstimate,
-    coefficient_from_populations,
     coefficient_vs_temperature,
     deming_fit,
     difference_pairs,

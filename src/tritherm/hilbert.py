@@ -299,7 +299,10 @@ def build_composite_operators(tspec: TransmonSpec, rspec: ResonatorSpec) -> Comp
 
 
 def thermal_populations(levels: LevelEnergies, t_mk: float) -> Populations:
-    """Boltzmann weights of the three protocol levels, normalized to one."""
+    """Boltzmann weights of the three protocol levels, normalized to one.
+    The simulator reaches them through the steady state; this closed form is
+    kept for the tests and perfbench, which use it as the thermal
+    reference."""
     if t_mk <= 0:
         raise ValueError(f"temperature must be positive, got {t_mk} mK")
     w = np.exp(-GHZ_TO_MK * np.array([0.0, levels.f_ge_ghz, levels.f_gf_ghz]) / t_mk)

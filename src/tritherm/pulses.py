@@ -18,16 +18,30 @@ evaluations, and a joint step reaches the peak that one-axis-at-a-time line
 searches stop short of.
 
 Calibration, gates and readout share one stepper.  A span is cut into
-slices of about ``STEP_NS``; each slice's unitary exp(-i 2 pi H_k dt) is
-exact for the Hamiltonian at the slice midpoint and comes from one batched
-``eigh`` over the distinct slice amplitudes.  The closed calibration applies
-each slice to a statevector in its eigenbasis; the dissipative gates form
-the unitaries and interleave them with the dissipator's exponential in a
-Strang splitting (Strang, SIAM J. Numer. Anal. 5, 1968), second order in the
-slice length, and ``readout`` runs the transpose of the same slices on its
-adjoint row.  The dissipator's exponential is applied as its transmon and
-resonator factors (``dissipate``): two small real matmuls on reshaped views
-of rho instead of one product with a dim^2 x dim^2 matrix.
+slices of about the stage's step (below); each slice's unitary
+exp(-i 2 pi H_k dt) is exact for the Hamiltonian at the slice midpoint and
+comes from one batched ``eigh`` over the distinct slice amplitudes.  The
+closed calibration applies each slice to a statevector in its eigenbasis;
+the dissipative gates form the unitaries and interleave them with the
+dissipator's exponential in a Strang splitting (Strang, SIAM J. Numer.
+Anal. 5, 1968), second order in the slice length, and ``readout`` runs the
+transpose of the same slices on its adjoint row.  The dissipator's
+exponential is applied as its transmon and resonator factors
+(``dissipate``): two small real matmuls on reshaped views of rho instead of
+one product with a dim^2 x dim^2 matrix.
+
+Each stage has its own step, set by its error budget on the shipped configs
+at 50 and 150 mK:
+
+- ``CALIBRATION_STEP_NS`` = 1.0: the closed calibration only has to locate
+  the peak.  Its 1-ns amplitude is 5.8e-5 relative off the 0.25-ns peak,
+  which costs ~(pi/2 * 5.8e-5)^2 = 1e-8 of gate transfer.
+- ``GATE_STEP_NS`` = 0.25: the gates set the temperature error.  Against a
+  reference with every stage at 0.0625 ns, T_A, T_B, T_C are off by at most
+  4.8e-3 mK; with the gates at 1.0 ns it would be 2.0e-2 mK.
+- ``READOUT_STEP_NS`` = 0.5: relative to the trace peak, the readout is
+  7.8e-7 off the exact one-sample propagator (2.3e-7 at 0.25 ns, 3.0e-6 at
+  1.0 ns), inside the 1e-6 its test allows.
 """
 
 from __future__ import annotations
@@ -40,11 +54,13 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from .constants import TWO_PI
-from .hilbert import CompositeOperators, Populations, validate_density_matrix
+from .hilbert import CompositeOperators, validate_density_matrix
 from .lindblad import DissipationSpec, IntegrationError, Liouvillian
 
 EDGE = np.exp(-2.0)  # envelope value of the bare Gaussian at +-2 sigma
-STEP_NS = 0.25  # slice length of every propagation: calibration, gates and readout
+CALIBRATION_STEP_NS = 1.0  # slice length of the closed Rabi calibration
+GATE_STEP_NS = 0.25  # slice length of the dissipative gates
+READOUT_STEP_NS = 0.5  # substep of each readout sample
 _NEWTON_STENCILS = (1e-3, 1e-4, 1e-5)  # one calibration Newton step per stencil
 
 
@@ -95,6 +111,9 @@ SEQUENCE_LABELS = tuple(_SEQUENCES)
 
 
 def compile_sequence(label: str) -> GateSequence:
+    """The sequence with this label.  The simulator walks ``all_sequences``;
+    this lookup is kept for the tests and perfbench, which build ideal
+    traces from one sequence's permutation."""
     if label not in _SEQUENCES:
         raise ValueError(f"unknown sequence label {label!r}; expected one of {SEQUENCE_LABELS}")
     return _SEQUENCES[label]
@@ -102,12 +121,6 @@ def compile_sequence(label: str) -> GateSequence:
 
 def all_sequences() -> Tuple[GateSequence, ...]:
     return tuple(_SEQUENCES.values())
-
-
-def apply_sequence_ideal(populations: Populations, seq: GateSequence) -> Populations:
-    """Exact population permutation of the sequence (the noiseless oracle)."""
-    p = populations.as_array()
-    return Populations(*(p[list(seq.expected_permutation)]))
 
 
 _TRANSITIONS = {"ge": (0, 1), "ef": (1, 2)}
@@ -208,7 +221,8 @@ def _propagate_open(liou: Liouvillian, frame_ghz: float, envelope_fn, span_ns: f
 
 
 def transfer_probability(ops: CompositeOperators, transition: str, carrier_ghz: float,
-                         amplitude: float, duration_ns: float, dt_ns: float = STEP_NS) -> float:
+                         amplitude: float, duration_ns: float,
+                         dt_ns: float = CALIBRATION_STEP_NS) -> float:
     """Closed-system population transfer k0 -> k1 for a lifted-Gaussian pulse,
     measured between zero-photon dressed states."""
     k0, k1 = _TRANSITIONS[transition]
@@ -222,7 +236,9 @@ def transfer_probability(ops: CompositeOperators, transition: str, carrier_ghz: 
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Result of one simulated Rabi calibration."""
+    """Result of one simulated Rabi calibration.  ``transfer_probability``
+    is the closed-system transfer at ``GATE_STEP_NS``, the step the gates
+    run the pulse at."""
 
     transition: str
     amplitude: float
@@ -245,7 +261,7 @@ class CalibrationReport:
 
 def run_rabi_calibration(ops: CompositeOperators, transition: str, duration_ns: float,
                          dissipation: Optional[DissipationSpec] = None,
-                         dt_ns: float = STEP_NS) -> CalibrationReport:
+                         dt_ns: float = CALIBRATION_STEP_NS) -> CalibrationReport:
     """Calibrate a pi pulse on ``transition`` by maximizing closed-system
     transfer at fixed duration, jointly over amplitude and carrier.
 
@@ -256,16 +272,18 @@ def run_rabi_calibration(ops: CompositeOperators, transition: str, duration_ns: 
     0.6 MHz in carrier, inside the quadratic basin, so Newton steps converge
     from there directly and an amplitude scan would only spend evaluations.
     Each of the ``_NEWTON_STENCILS`` steps fits a finite-difference gradient
-    and Hessian from six transfers (centre, +-h on each axis, one corner):
-    18 evaluations, plus one for the reported transfer.  The stencils shrink
-    as the iterate nears the peak; at the last, 1e-5, rounding puts only
-    ~eps/h^2 = 1e-6 relative error into the Hessian, and the step lands
-    within the ~sqrt(eps) to which double precision resolves the argument
-    of a quadratic maximum.
+    and Hessian from six transfers (centre, +-h on each axis, one corner) at
+    the slice length ``dt_ns``: 18 evaluations, plus one for the reported
+    transfer, which is taken at ``GATE_STEP_NS`` because the gates run the
+    pulse at that step.  The stencils shrink as the iterate nears the peak;
+    at the last, 1e-5, rounding puts only ~eps/h^2 = 1e-6 relative error
+    into the Hessian, and the step lands within the ~sqrt(eps) to which
+    double precision resolves the argument of a quadratic maximum.
 
     Raises ``CalibrationError`` when a Hessian is not negative definite (the
     seed is not in the basin of a maximum), when the end point leaves the
-    domain 0.3-2.0 amp0, +-2 MHz, or when the transfer is below 0.999.
+    domain 0.3-2.0 amp0, +-2 MHz, or when the reported transfer is below
+    0.999.
     """
     if transition not in _TRANSITIONS:
         raise ValueError(f"transition must be 'ge' or 'ef', got {transition!r}")
@@ -283,9 +301,9 @@ def run_rabi_calibration(ops: CompositeOperators, transition: str, duration_ns: 
     n_me = abs(ops.nmat[k0, k1])
     amp0 = 0.25 / (n_me * _lifted_gauss_area(duration_ns))
 
-    def transfer(x):
+    def transfer(x, step=dt_ns):
         return transfer_probability(ops, transition, carrier0 + 1e-3 * x[1], x[0] * amp0,
-                                    duration_ns, dt_ns)
+                                    duration_ns, step)
 
     x = np.array([1.0, 0.0])
     for h in _NEWTON_STENCILS:
@@ -308,7 +326,7 @@ def run_rabi_calibration(ops: CompositeOperators, transition: str, duration_ns: 
             f"offset {x[1]:+.6f} MHz, outside 0.3-2.0 amp0 and +-2 MHz "
             f"(duration {duration_ns} ns)"
         )
-    best = transfer(x)
+    best = transfer(x, GATE_STEP_NS)
     if best < 0.999:
         raise CalibrationError(
             f"pi_{transition} transfer {best:.6f} < 0.999 at duration {duration_ns} ns, "
@@ -338,7 +356,7 @@ def _apply_gate(state: Tuple[np.ndarray, float, float], pulse: CalibrationReport
     v = change_frame(rho.reshape(-1), ops, frame, pulse.carrier_ghz, t_abs)
     span = pulse.duration_ns + gap_ns
     rho = _propagate_open(liou, pulse.carrier_ghz, pulse.envelope(), span,
-                          v.reshape(ops.dim, ops.dim), STEP_NS)
+                          v.reshape(ops.dim, ops.dim), GATE_STEP_NS)
     return rho, t_abs + span, pulse.carrier_ghz
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from .constants import TWO_PI
 from .hilbert import ResonatorSpec
 from .lindblad import Liouvillian
-from .pulses import STEP_NS, dissipate, unitary_chain
+from .pulses import READOUT_STEP_NS, dissipate, unitary_chain
 
 
 @dataclass(frozen=True)
@@ -148,18 +149,20 @@ def synthesize_traces(states: Dict[str, np.ndarray], liou: Liouvillian,
     <a> at sample k is tr(a P^k rho) = (vec(a^T) P^k) . vec(rho), P being the
     one-sample propagator, so one row is propagated and dotted with every
     state: the cost does not grow with the number of states.  P is the
-    gates' Strang split-step over ceil(sample_dt_ns / STEP_NS) substeps of
-    the constant probe Hamiltonian H_static(f_r) + eps (a + a+), whose
-    unitary U comes from one ``eigh``.  The row takes the transposed step,
-    built from U^T and the transposed dissipator factors; a sample's closing
-    half-step and the next sample's opening one merge into one full step,
-    so a sample costs as many dissipator applications as substeps.  The IF
-    oscillation is reattached; traces are in raw (unnormalized) units.
+    gates' Strang split-step over ceil(sample_dt_ns / READOUT_STEP_NS)
+    substeps (two of 0.5 ns at the default 1-ns sampling; 7.8e-7 of the
+    trace peak off the exact propagator) of the constant probe Hamiltonian
+    H_static(f_r) + eps (a + a+), whose unitary U comes from one ``eigh``.
+    The row takes the transposed step, built from U^T and the transposed
+    dissipator factors; a sample's closing half-step and the next sample's
+    opening one merge into one full step, so a sample costs as many
+    dissipator applications as substeps.  The IF oscillation is reattached;
+    traces are in raw (unnormalized) units.
     """
     ops = liou.ops
     labels = list(states)
     cols = np.stack([states[lab] for lab in labels], axis=1).astype(complex)
-    m = int(np.ceil(config.sample_dt_ns / STEP_NS))
+    m = int(np.ceil(config.sample_dt_ns / READOUT_STEP_NS))
     dt = config.sample_dt_ns / m
     w, v = np.linalg.eigh(ops.h_static(ops.rspec.fr_ghz)
                           + config.probe_amplitude_ghz * (ops.a + ops.adag))
@@ -225,14 +228,23 @@ def window(trace: IQTrace, config: ReadoutConfig) -> IQTrace:
 def write_trace_csv(path, traces: Sequence[IQTrace]) -> None:
     """Write traces as CSV rows t_ns, I, Q, label: I and Q with 12 significant
     digits, t_ns with the shortest digits that read back exactly, so that the
-    sample spacing ``read_trace_csv`` checks survives the round trip."""
+    sample spacing ``read_trace_csv`` checks survives the round trip.
+
+    The traces of a run share one time grid, so each distinct grid is
+    formatted once; the rows are generated as they are written."""
+    grids = {}
+
+    def rows(tr):
+        key = (tr.t_ns.dtype.str, tr.t_ns.tobytes())
+        if key not in grids:
+            grids[key] = [np.format_float_positional(t, trim="-") for t in tr.t_ns]
+        return zip(grids[key], (f"{i:.12g}" for i in tr.i_vals.tolist()),
+                   (f"{q:.12g}" for q in tr.q_vals.tolist()), repeat(tr.label))
+
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t_ns", "I", "Q", "label"])
-        for tr in traces:
-            for t, i, q in zip(tr.t_ns, tr.i_vals, tr.q_vals):
-                w.writerow([np.format_float_positional(t, trim="-"), f"{i:.12g}",
-                            f"{q:.12g}", tr.label])
+        w.writerows(chain.from_iterable(map(rows, traces)))
 
 
 def _record_lines(path) -> list:

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .constants import GHZ_TO_MK, boltzmann_exponent
-from .hilbert import LevelEnergies, Populations
+from .hilbert import LevelEnergies
 from .readout import IQTrace
 
 T_BRACKET_MK = (1.0, 2000.0)
@@ -268,24 +268,6 @@ def deming_fit(xs, ys, variance_ratio_delta: float = 1.0,
     else:
         lo = hi = slope
     return DemingFit(slope, intercept, (float(lo), float(hi)), rms)
-
-
-def coefficient_from_populations(p: Populations, which: str) -> float:
-    """Exact population ratio for coefficient A, B, or C."""
-    num_den = {
-        "A": (p.p_g - p.p_e, p.p_g - p.p_f),
-        "B": (p.p_e - p.p_f, p.p_g - p.p_e),
-        "C": (p.p_e - p.p_f, p.p_g - p.p_f),
-    }
-    if which not in num_den:
-        raise ValueError(f"coefficient must be one of {COEFFICIENTS}")
-    num, den = num_den[which]
-    if abs(den) <= 1e-12:
-        raise DegenerateDataError(
-            f"coefficient {which} denominator {den:.2e} is degenerate "
-            f"(equal populations)"
-        )
-    return num / den
 
 
 def _frequencies(levels: Union[LevelEnergies, Tuple[float, float]]) -> Tuple[float, float]:

@@ -11,6 +11,7 @@ import dataclasses
 import numpy as np
 
 from conftest import make_synthetic_responses
+from oracles import apply_sequence_ideal, coefficient_from_populations
 from tritherm.errorlab import repeated_measurement_stats, temperature_discrepancy
 from tritherm.hilbert import Populations, thermal_populations
 from tritherm.lindblad import (
@@ -20,13 +21,12 @@ from tritherm.lindblad import (
     thermal_occupations,
 )
 from tritherm.pipeline import estimate
-from tritherm.pulses import all_sequences, compile_sequence, apply_sequence_ideal, prepare_sequences
+from tritherm.pulses import all_sequences, compile_sequence, prepare_sequences
 from tritherm.readout import IQTrace
 from tritherm.thermometry import (
     COEFFICIENTS,
     SequenceResponses,
     SlopeEstimate,
-    coefficient_from_populations,
     deming_slope,
     estimate_temperature,
     invert_temperature,

@@ -1,8 +1,9 @@
 import numpy as np
 
+from oracles import apply_sequence_ideal
 from tritherm.hilbert import thermal_populations
 from tritherm.pipeline import estimate
-from tritherm.pulses import apply_sequence_ideal, compile_sequence
+from tritherm.pulses import compile_sequence
 from tritherm.thermometry import COEFFICIENTS, estimate_temperature
 
 LABELS = ("x0", "x1", "x2", "y0", "y1", "y2")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from oracles import apply_sequence_ideal
 from superops import static_super, unit_superoperator
 from tritherm import pulses as pulses_mod
 from tritherm.constants import TWO_PI
@@ -18,7 +19,8 @@ from tritherm.lindblad import (
     steady_state,
 )
 from tritherm.pulses import (
-    STEP_NS,
+    CALIBRATION_STEP_NS,
+    GATE_STEP_NS,
     CalibrationError,
     SEQUENCE_LABELS,
     _apply_gate,
@@ -27,7 +29,6 @@ from tritherm.pulses import (
     _propagate_open,
     _slice_unitaries,
     all_sequences,
-    apply_sequence_ideal,
     compile_sequence,
     lifted_gaussian,
     prepare_sequences,
@@ -165,40 +166,49 @@ def test_transfer_probability_off_resonance(default_ops, calibrations):
 
 
 def test_calibration_evaluation_budget(default_config, default_ops, monkeypatch):
-    # three Newton steps of six transfers each plus the reported transfer:
-    # 19 per transition
+    # three Newton steps of six transfers each at the calibration step plus
+    # the reported transfer at the gate step: 19 per transition
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return transfer_probability(*args, **kwargs)
+    def counted(ops, transition, carrier, amp, duration_ns, dt_ns):
+        calls.append((transition, dt_ns))
+        return transfer_probability(ops, transition, carrier, amp, duration_ns, dt_ns)
 
     monkeypatch.setattr(pulses_mod, "transfer_probability", counted)
     for transition in ("ge", "ef"):
         run_rabi_calibration(default_ops, transition,
                              default_config.protocol.pulse_duration_ns)
-    assert 0 < calls.count("ge") <= 20
-    assert 0 < calls.count("ef") <= 20
+        assert calls.count((transition, CALIBRATION_STEP_NS)) == 18
+        assert calls.count((transition, GATE_STEP_NS)) == 1
+    assert len(calls) == 38
 
 
 def test_calibration_is_a_true_maximum(default_ops, calibrations):
+    # the search runs at the calibration step, so the reported point is a
+    # maximum of the transfer at that step
     for transition, rep in calibrations.items():
         def transfer(amp, carrier):
             return transfer_probability(default_ops, transition, carrier, amp,
                                         rep.duration_ns)
+        peak = transfer(rep.amplitude, rep.carrier_ghz)
         for amp, carrier in ((rep.amplitude * (1 - 1e-4), rep.carrier_ghz),
                              (rep.amplitude * (1 + 1e-4), rep.carrier_ghz),
                              (rep.amplitude, rep.carrier_ghz - 1e-5),
                              (rep.amplitude, rep.carrier_ghz + 1e-5)):
-            assert transfer(amp, carrier) <= rep.transfer_probability
+            assert transfer(amp, carrier) <= peak
 
 
 def test_calibration_is_a_joint_maximum(default_ops, calibrations):
     # one finite-difference Newton step on (relative amplitude, carrier in
     # MHz) from the reported point must find nothing left to gain: searching
-    # one axis at a time stops short of the joint peak
+    # one axis at a time stops short of the joint peak.  Probe and reported
+    # point are both at the calibration step, where the search ran; the
+    # report carries the transfer at the gate step, where the gates run
     h = 1e-4
     for transition, rep in calibrations.items():
+        assert rep.transfer_probability == transfer_probability(
+            default_ops, transition, rep.carrier_ghz, rep.amplitude, rep.duration_ns,
+            dt_ns=GATE_STEP_NS)
         def transfer(x):
             return transfer_probability(default_ops, transition,
                                         rep.carrier_ghz + 1e-3 * x[1],
@@ -209,7 +219,7 @@ def test_calibration_is_a_joint_maximum(default_ops, calibrations):
         hess = np.diag(fp - 2 * f0 + fm) / h**2
         hess[0, 1] = hess[1, 0] = (transfer(np.full(2, h)) - fp[0] - fp[1] + f0) / h**2
         step = -np.linalg.solve(hess, (fp - fm) / (2 * h))
-        assert transfer(step) - rep.transfer_probability < 1e-12
+        assert transfer(step) - f0 < 1e-12
 
 
 @pytest.mark.parametrize("transition", ["ge", "ef"])
@@ -235,7 +245,7 @@ def test_calibration_rejects_a_peak_outside_the_domain(small_ops, monkeypatch):
     carrier0 = small_ops.dressed_transition_ghz(0, 1)
     amp0 = 0.25 / (abs(small_ops.nmat[0, 1]) * _lifted_gauss_area(56.0))
 
-    def quadratic(ops, transition, carrier, amp, duration_ns, dt_ns=STEP_NS):
+    def quadratic(ops, transition, carrier, amp, duration_ns, dt_ns=CALIBRATION_STEP_NS):
         return 1.0 - (amp / amp0 - 1.0) ** 2 - 0.01 * (1e3 * (carrier - carrier0) - 3.0) ** 2
 
     monkeypatch.setattr(pulses_mod, "transfer_probability", quadratic)
@@ -249,7 +259,7 @@ def test_closed_stepper_matches_slice_exponentials(default_ops, calibrations):
     ops, rep = default_ops, calibrations["ge"]
     env = rep.envelope()
     span = rep.duration_ns + 4.0
-    n = int(np.ceil(span / STEP_NS))
+    n = int(np.ceil(span / GATE_STEP_NS))
     dt = span / n
     amps = [env((k + 0.5) * dt) for k in range(n)]
     assert len(np.unique(amps)) < n
@@ -257,13 +267,13 @@ def test_closed_stepper_matches_slice_exponentials(default_ops, calibrations):
     _, v = ops.dressed(0.0)
     psi0 = v[:, ops.dressed_index(0)].astype(complex)
 
-    psi = _propagate_closed(ops, rep.carrier_ghz, env, span, psi0, STEP_NS)
+    psi = _propagate_closed(ops, rep.carrier_ghz, env, span, psi0, GATE_STEP_NS)
     ref = psi0
     for h in hs:
         ref = expm(-1j * TWO_PI * dt * h) @ ref
     assert np.max(np.abs(psi - ref)) < 1e-12
 
-    us, dt_u = _slice_unitaries(ops, rep.carrier_ghz, env, span, STEP_NS)
+    us, dt_u = _slice_unitaries(ops, rep.carrier_ghz, env, span, GATE_STEP_NS)
     assert dt_u == dt and us.shape == (n, ops.dim, ops.dim)
     stacked = psi0
     for u in us:
@@ -297,7 +307,7 @@ def test_split_step_free_decay(small_liou):
     rho0[ops.rspec.n_states, ops.rspec.n_states] = 1.0  # |e, 0>
     traj = [rho0]
     for _ in range(8):  # 0 .. 400 ns in 50 ns spans
-        traj.append(_propagate_open(small_liou, 0.0, lambda t: 0.0, 50.0, traj[-1], STEP_NS))
+        traj.append(_propagate_open(small_liou, 0.0, lambda t: 0.0, 50.0, traj[-1], GATE_STEP_NS))
     for rho in traj:
         assert abs(np.trace(rho).real - 1.0) < 1e-8
     # population flows out of e
@@ -311,8 +321,8 @@ def test_split_step_step_insensitive(small_liou):
     rho0 = np.zeros((ops.dim, ops.dim), dtype=complex)
     rho0[0, 0] = 1.0
     drive = lifted_gaussian(0.005, 56.0)
-    a = _propagate_open(small_liou, 4.98, drive, 56.0, rho0, STEP_NS / 4)
-    b = _propagate_open(small_liou, 4.98, drive, 56.0, rho0, STEP_NS / 8)
+    a = _propagate_open(small_liou, 4.98, drive, 56.0, rho0, GATE_STEP_NS / 4)
+    b = _propagate_open(small_liou, 4.98, drive, 56.0, rho0, GATE_STEP_NS / 8)
     assert np.max(np.abs(a - b)) < 1e-6
 
 
@@ -321,9 +331,9 @@ def test_split_step_input_validation(small_liou):
     rho0 = np.eye(dim, dtype=complex) / dim
     off = lambda t: 0.0
     with pytest.raises(ValueError):
-        _propagate_open(small_liou, 0.0, off, -0.5, rho0, STEP_NS)
+        _propagate_open(small_liou, 0.0, off, -0.5, rho0, GATE_STEP_NS)
     with pytest.raises(ValueError):
-        _propagate_open(small_liou, 0.0, off, 1.0, np.eye(3, dtype=complex) / 3, STEP_NS)
+        _propagate_open(small_liou, 0.0, off, 1.0, np.eye(3, dtype=complex) / 3, GATE_STEP_NS)
     with pytest.raises(ValueError):
         _propagate_open(small_liou, 0.0, off, 1.0, rho0, 0.0)
 
@@ -333,7 +343,7 @@ def test_split_step_rejects_invalid_end_state(small_liou):
     rho0 = np.zeros((dim, dim), dtype=complex)
     rho0[0, 0], rho0[1, 1] = 1.1, -0.1
     with pytest.raises(IntegrationError, match="eigenvalue"):
-        _propagate_open(small_liou, 0.0, lambda t: 0.0, 1.0, rho0, STEP_NS)
+        _propagate_open(small_liou, 0.0, lambda t: 0.0, 1.0, rho0, GATE_STEP_NS)
 
 
 def test_split_step_matches_reference_integration(small_ops, small_liou):
@@ -349,7 +359,7 @@ def test_split_step_matches_reference_integration(small_ops, small_liou):
                     (0.0, span), rho0.reshape(-1), rtol=1e-10, atol=1e-12)
     assert sol.success
     ref = sol.y[:, -1].reshape(rho0.shape)
-    rho = _propagate_open(small_liou, pulse.carrier_ghz, env, span, rho0, STEP_NS)
+    rho = _propagate_open(small_liou, pulse.carrier_ghz, env, span, rho0, GATE_STEP_NS)
     dev = np.max(np.abs(small_ops.protocol_populations(rho).as_array()
                         - small_ops.protocol_populations(ref).as_array()))
     assert dev < 1e-8
@@ -357,7 +367,7 @@ def test_split_step_matches_reference_integration(small_ops, small_liou):
     assert err < 2e-5
     # second-order splitting: halving the slice cuts the error about 4x
     half = _propagate_open(small_liou, pulse.carrier_ghz, env, span, rho0,
-                           STEP_NS / 2)
+                           GATE_STEP_NS / 2)
     assert np.max(np.abs(half - ref)) < err / 3
 
 

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from scipy.linalg import expm
 from superops import static_super, unit_superoperator
 from tritherm import readout
 from tritherm.constants import TWO_PI
-from tritherm.pulses import STEP_NS, strang_step
+from tritherm.pulses import READOUT_STEP_NS, strang_step
 from tritherm.readout import (
     IQTrace,
     PureStateResponses,
@@ -106,7 +108,7 @@ def test_row_propagation_matches_forward_states(small_liou):
     cfg = ReadoutConfig()
     states = pure_basis_states(small_liou)
     states["mix"] = 0.5 * states["g"] + 0.3 * states["e"] + 0.2 * states["f"]
-    m = int(np.ceil(cfg.sample_dt_ns / STEP_NS))
+    m = int(np.ceil(cfg.sample_dt_ns / READOUT_STEP_NS))
     dt = cfg.sample_dt_ns / m
     ops = small_liou.ops
     w, v = np.linalg.eigh(ops.h_static(ops.rspec.fr_ghz)
@@ -147,7 +149,7 @@ def test_readout_converges_to_exact_propagator(small_liou, monkeypatch):
         return np.max(np.abs(got - exact)) / peak
 
     err = error()
-    monkeypatch.setattr(readout, "STEP_NS", STEP_NS / 2)
+    monkeypatch.setattr(readout, "READOUT_STEP_NS", READOUT_STEP_NS / 2)
     err_half = error()
     assert err <= 1e-6
     # Strang splitting is second order: halving the substep cuts ~4x
@@ -217,6 +219,31 @@ def test_trace_csv_roundtrip(tmp_path):
         got = back[tr.label]
         np.testing.assert_allclose(got.i_vals, tr.i_vals, rtol=1e-11)
         np.testing.assert_allclose(got.q_vals, tr.q_vals, rtol=1e-11)
+
+
+def _write_rows_one_by_one(path, traces):
+    """Reference writer: one ``writerow`` per sample, each time formatted on
+    its own."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t_ns", "I", "Q", "label"])
+        for tr in traces:
+            for t, i, q in zip(tr.t_ns, tr.i_vals, tr.q_vals):
+                w.writerow([np.format_float_positional(t, trim="-"), f"{i:.12g}",
+                            f"{q:.12g}", tr.label])
+
+
+def test_trace_csv_matches_row_by_row_writer(tmp_path):
+    # two labels on one non-integer grid plus one on a grid of its own
+    rng = np.random.default_rng(seed)
+    t = 12.5 + 0.1 * np.arange(300)
+    traces = [IQTrace(t, rng.normal(size=300), rng.normal(size=300), label=lab)
+              for lab in ("x0", "x1")]
+    traces.append(IQTrace(t[:50] / 3.0, rng.normal(size=50) * 1e-7,
+                          rng.normal(size=50) * 1e5, label="x2"))
+    write_trace_csv(tmp_path / "fast.csv", traces)
+    _write_rows_one_by_one(tmp_path / "ref.csv", traces)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_trace_csv_rejects_foreign_header(tmp_path):

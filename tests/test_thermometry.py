@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import make_synthetic_responses
+from oracles import coefficient_from_populations
 from tritherm import thermometry
 from tritherm.hilbert import LevelEnergies, Populations
 from tritherm.thermometry import (
@@ -17,7 +18,6 @@ from tritherm.thermometry import (
     SlopeEstimate,
     SlopeOutOfRangeError,
     attainable_range,
-    coefficient_from_populations,
     coefficient_vs_temperature,
     deming_fit,
     deming_slope,
