@@ -40,7 +40,6 @@ from .pulses import (
 )
 from .readout import (
     IQTrace,
-    PureStateResponses,
     ReadoutConfig,
     add_noise,
     window,

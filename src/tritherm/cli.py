@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -39,31 +39,38 @@ TEMPERATURE_SPREAD_ALARM = 0.25
 
 
 def _resolve_output_dir(args, config: Optional[RunConfig]) -> Path:
-    if getattr(args, "out", None):
-        path = args.out
-    elif os.environ.get(OUTPUT_ENV_VAR):
-        path = os.environ[OUTPUT_ENV_VAR]
-    elif config is not None and config.output_dir:
-        path = config.output_dir
-    else:
-        path = "runs"
-    out = Path(path)
+    out = Path(args.out or os.environ.get(OUTPUT_ENV_VAR)
+               or (config.output_dir if config else None) or "runs")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _load_run_config(args) -> RunConfig:
-    if not getattr(args, "config", None):
-        raise ConfigError("this command needs --config pointing at a run config")
+# command-line flag -> protocol field; a flag left unset (None) keeps the
+# config's value, so a report from reloaded traces matches the in-process one
+PROTOCOL_FLAGS = {"quadratures": "quadratures", "delta": "delta", "bootstrap": "n_bootstrap",
+                  "clamp": "clamp_out_of_range", "duration": "pulse_duration_ns"}
+
+
+def _override_protocol(protocol: ProtocolConfig, args) -> ProtocolConfig:
+    changes = {field: getattr(args, flag) for flag, field in PROTOCOL_FLAGS.items()
+               if getattr(args, flag, None) is not None}
+    try:
+        return dataclasses.replace(protocol, **changes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _load_run_config(args, required: bool = True) -> Optional[RunConfig]:
+    """The --config run config with --seed and the protocol flags applied;
+    None when the command can do without one and none was given."""
+    if not args.config:
+        if required:
+            raise ConfigError("this command needs --config pointing at a run config")
+        return None
     config = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    if getattr(args, "quadratures", None):
-        config = dataclasses.replace(
-            config,
-            protocol=dataclasses.replace(config.protocol, quadratures=args.quadratures),
-        )
-    return config
+    seed = config.seed if args.seed is None else args.seed
+    return dataclasses.replace(config, seed=seed,
+                               protocol=_override_protocol(config.protocol, args))
 
 
 def _levels_from_args(args, config: Optional[RunConfig]) -> LevelEnergies:
@@ -82,6 +89,14 @@ def _levels_from_args(args, config: Optional[RunConfig]) -> LevelEnergies:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_table(path: Path, columns, rows) -> None:
+    """CSV with a header; numbers at 12 significant digits, text as is."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(columns)
+        w.writerows([v if isinstance(v, str) else f"{v:.12g}" for v in row] for row in rows)
 
 
 def _print_report(report: EstimateReport) -> None:
@@ -122,6 +137,47 @@ def _alarm_if_inconsistent(report: EstimateReport) -> bool:
     return alarm
 
 
+def _collect_traces(path: Path, files: Optional[List[Path]] = None) -> Dict:
+    """Labelled traces from ``files``, by default every CSV under ``path``
+    (or ``path`` itself when it is a file); all six sequences must be there."""
+    if files is None:
+        if not path.exists():
+            raise ConfigError(f"trace path not found: {path}")
+        files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
+        if not files:
+            raise ConfigError(f"no CSV files under {path}")
+    traces: Dict = {}
+    for f in files:
+        try:
+            found = read_trace_csv(f)
+        except ValueError as exc:  # the message names the file and line
+            raise ConfigError(f"malformed trace file {exc}") from exc
+        for label, trace in found.items():
+            if label in traces and label in SEQUENCE_LABELS:
+                raise ConfigError(f"duplicate trace label {label!r} (again in {f.name})")
+            traces[label] = trace
+    missing = [lab for lab in SEQUENCE_LABELS if lab not in traces]
+    if missing:
+        raise ConfigError(f"missing sequence trace(s) {', '.join(missing)} under {path}")
+    return traces
+
+
+def _estimate_report(traces: Dict, readout: ReadoutConfig, levels: LevelEnergies,
+                     protocol: ProtocolConfig, seed: Optional[int]):
+    """Window the six sequence traces and estimate; returns the report and
+    its ``estimate.json`` payload, alarm included."""
+    try:
+        responses = SequenceResponses.from_dict(
+            {lab: window(traces[lab], readout) for lab in SEQUENCE_LABELS}
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    report = estimate(responses, levels, protocol, seed)
+    payload = report.as_dict()
+    payload["consistency_alarm"] = _alarm_if_inconsistent(report)
+    return report, payload
+
+
 def cmd_simulate(args) -> int:
     config = _load_run_config(args)
     out = _resolve_output_dir(args, config)
@@ -141,15 +197,9 @@ def cmd_simulate(args) -> int:
 
     # estimate from the serialized traces, so a later `estimate` run on these
     # files reproduces this report bit for bit
-    reloaded = {}
-    for label in SEQUENCE_LABELS:
-        reloaded.update(read_trace_csv(out / f"{label}.csv"))
-    responses = SequenceResponses.from_dict(
-        {lab: window(tr, config.readout) for lab, tr in reloaded.items()}
-    )
-    report = estimate(responses, result.levels, config.protocol, config.seed)
-    payload = report.as_dict()
-    payload["consistency_alarm"] = _alarm_if_inconsistent(report)
+    traces = _collect_traces(out, [out / f"{label}.csv" for label in SEQUENCE_LABELS])
+    report, payload = _estimate_report(traces, config.readout, result.levels,
+                                       config.protocol, config.seed)
     payload["bath_t_mk"] = config.dissipation.bath_t_mk
     payload["noiseless"] = not result.noisy
     _write_json(out / "estimate.json", payload)
@@ -160,58 +210,22 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _collect_traces(path: Path) -> Dict:
-    if not path.exists():
-        raise ConfigError(f"trace path not found: {path}")
-    files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
-    if not files:
-        raise ConfigError(f"no CSV files under {path}")
-    traces: Dict = {}
-    for f in files:
-        try:
-            found = read_trace_csv(f)
-        except ValueError as exc:  # the message names the file and line
-            raise ConfigError(f"malformed trace file {exc}") from exc
-        for label, trace in found.items():
-            if label in traces and label in SEQUENCE_LABELS:
-                raise ConfigError(f"duplicate trace label {label!r} (again in {f.name})")
-            traces[label] = trace
-    missing = [lab for lab in SEQUENCE_LABELS if lab not in traces]
-    if missing:
-        raise ConfigError(f"missing sequence trace(s) {', '.join(missing)} under {path}")
-    return traces
-
-
 def cmd_estimate(args) -> int:
-    config = load_config(args.config) if args.config else None
+    config = _load_run_config(args, required=False)
     levels = _levels_from_args(args, config)
     traces = _collect_traces(Path(args.traces))
-    # flags override the config; omitted flags inherit it so a report built
-    # from reloaded traces matches the in-process one exactly
-    flags = {"delta": args.delta, "quadratures": args.quadratures,
-             "n_bootstrap": args.bootstrap, "clamp_out_of_range": args.clamp or None}
     window_flags = {k: v for k, v in (("window_start_ns", args.window_start),
                                       ("window_end_ns", args.window_end)) if v is not None}
-    seed = args.seed if args.seed is not None else (config.seed if config else 0)
     try:
-        if config is not None:
-            readout = dataclasses.replace(config.readout, **window_flags)
-            protocol = config.protocol
-        else:
-            readout = ReadoutConfig(**window_flags,
-                                    probe_duration_ns=max(args.window_end or 0.0, 2000.0))
-            protocol = ProtocolConfig()
-        protocol = dataclasses.replace(
-            protocol, **{k: v for k, v in flags.items() if v is not None})
-        responses = SequenceResponses.from_dict(
-            {lab: window(traces[lab], readout) for lab in SEQUENCE_LABELS}
-        )
+        readout = (dataclasses.replace(config.readout, **window_flags) if config else
+                   ReadoutConfig(**window_flags,
+                                 probe_duration_ns=max(args.window_end or 0.0, 2000.0)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = estimate(responses, levels, protocol, seed)
+    protocol = config.protocol if config else _override_protocol(ProtocolConfig(), args)
+    seed = config.seed if config else args.seed or 0
+    report, payload = _estimate_report(traces, readout, levels, protocol, seed)
     out = _resolve_output_dir(args, None)
-    payload = report.as_dict()
-    payload["consistency_alarm"] = _alarm_if_inconsistent(report)
     _write_json(out / "estimate.json", payload)
     print(f"estimate: {args.traces} -> {out / 'estimate.json'}")
     _print_report(report)
@@ -219,9 +233,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    config = load_config(args.config) if args.config else None
+    if args.repeats > 0 and not args.config:
+        raise ConfigError("--repeats needs --config (full pipeline simulation)")
+    config = _load_run_config(args, required=False)
     levels = _levels_from_args(args, config)
-    seed = args.seed if args.seed is not None else (config.seed if config else 0)
+    seed = config.seed if config else args.seed or 0
     try:
         spec = MonteCarloSpec(
             true_slope=args.true_slope,
@@ -238,18 +254,11 @@ def cmd_montecarlo(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = _resolve_output_dir(args, config)
-    with open(out / "bias_curve.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lambda", "mean_fit", "ci_low", "ci_high"])
-        for row in zip(report.lambda_grid, report.mean_fit, report.ci_low, report.ci_high):
-            w.writerow([f"{v:.12g}" for v in row])
-
+    _write_table(out / "bias_curve.csv", ["lambda", "mean_fit", "ci_low", "ci_high"],
+                 zip(report.lambda_grid, report.mean_fit, report.ci_low, report.ci_high))
     curves = temperature_discrepancy(report, levels)
-    with open(out / "discrepancy.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["T_mK", "dT_A_mK", "dT_B_mK", "dT_C_mK"])
-        for row in zip(curves.t_mk, curves.dt_a_mk, curves.dt_b_mk, curves.dt_c_mk):
-            w.writerow([f"{v:.12g}" for v in row])
+    _write_table(out / "discrepancy.csv", ["T_mK", "dT_A_mK", "dT_B_mK", "dT_C_mK"],
+                 zip(curves.t_mk, curves.dt_a_mk, curves.dt_b_mk, curves.dt_c_mk))
 
     stats = {
         "spec": dataclasses.asdict(spec),
@@ -260,8 +269,6 @@ def cmd_montecarlo(args) -> int:
     }
 
     if args.repeats > 0:
-        if config is None:
-            raise ConfigError("--repeats needs --config (full pipeline simulation)")
         result = run_protocol(config, noiseless=True)
         rep = repeated_measurement_stats(
             result.noiseless_responses, result.levels,
@@ -273,13 +280,8 @@ def cmd_montecarlo(args) -> int:
             clamp=config.protocol.clamp_out_of_range,
         )
         stats["repeated"] = rep.as_dict()
-        with open(out / "repeated_cdf.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["coefficient", "T_mK", "cdf"])
-            for c in ("A", "B", "C"):
-                vals, levels_cdf = rep.cdf(c)
-                for v, p in zip(vals, levels_cdf):
-                    w.writerow([c, f"{v:.12g}", f"{p:.12g}"])
+        _write_table(out / "repeated_cdf.csv", ["coefficient", "T_mK", "cdf"],
+                     [(c, v, p) for c in ("A", "B", "C") for v, p in zip(*rep.cdf(c))])
 
     _write_json(out / "mc_stats.json", stats)
     print(f"montecarlo: {len(grid)} slope points x {spec.n_experiments} experiments -> {out}")
@@ -295,51 +297,45 @@ def _parse_list(text: str) -> list:
         raise ConfigError(f"expected a comma-separated number list, got {text!r}") from exc
 
 
+def _point_config(config: RunConfig, sweep_bath: bool, value: float, index: int) -> RunConfig:
+    """The run config of sweep point ``index``: its bath temperature or its
+    flux, and its own noise seed."""
+    if sweep_bath:
+        changes = {"dissipation": dataclasses.replace(config.dissipation, bath_t_mk=value)}
+    else:
+        transmon = dataclasses.replace(config.system.transmon, flux_quantum_fraction=value)
+        changes = {"system": dataclasses.replace(config.system, transmon=transmon)}
+    return dataclasses.replace(config, seed=stream_seed(config.seed, "noise", 100 + index),
+                               **changes)
+
+
 def cmd_sweep(args) -> int:
     config = _load_run_config(args)
-    out = _resolve_output_dir(args, config)
     if bool(args.bath_mk) == bool(args.flux):
         raise ConfigError("sweep needs exactly one of --bath-mk or --flux")
     sweep_bath = bool(args.bath_mk)
     points = _parse_list(args.bath_mk if sweep_bath else args.flux)
     if not points:
         raise ConfigError("sweep list is empty")
+    out = _resolve_output_dir(args, config)
 
-    calibrations = None
+    # calibrations depend on the device only, so bath points share one and
+    # each flux point gets its own
+    calibrations: Dict = {}
     rows = []
     for i, value in enumerate(points):
-        point_seed = stream_seed(config.seed, "noise", 100 + i)
         row = {"control": value}
         # bad points (negative bath, flux past the sweet spot) are recorded
         # and skipped, never fatal for the rest of the sweep
         try:
-            if sweep_bath:
-                cfg_i = dataclasses.replace(
-                    config,
-                    dissipation=dataclasses.replace(config.dissipation, bath_t_mk=value),
-                    seed=point_seed,
+            cfg = _point_config(config, sweep_bath, value, i)
+            if cfg.system not in calibrations:
+                calibrations[cfg.system] = calibrate_transitions(
+                    cfg.system.build_operators(), cfg.protocol, cfg.dissipation
                 )
-            else:
-                cfg_i = dataclasses.replace(
-                    config,
-                    system=dataclasses.replace(
-                        config.system,
-                        transmon=dataclasses.replace(
-                            config.system.transmon, flux_quantum_fraction=value
-                        ),
-                    ),
-                    seed=point_seed,
-                )
-            if sweep_bath:
-                if calibrations is None:
-                    calibrations = calibrate_transitions(
-                        cfg_i.system.build_operators(), cfg_i.protocol, cfg_i.dissipation
-                    )
-                result = run_protocol(cfg_i, noiseless=args.noiseless,
-                                      calibrations=calibrations)
-            else:
-                result = run_protocol(cfg_i, noiseless=args.noiseless)
-            report = estimate(result.responses, result.levels, cfg_i.protocol, cfg_i.seed)
+            result = run_protocol(cfg, noiseless=args.noiseless,
+                                  calibrations=calibrations[cfg.system])
+            report = estimate(result.responses, result.levels, cfg.protocol, cfg.seed)
             for est in report.estimates:
                 c = est.source_coefficient
                 row[f"T_{c}_mK"] = est.t_mk
@@ -358,14 +354,7 @@ def cmd_sweep(args) -> int:
     for c in ("A", "B", "C"):
         columns += [f"T_{c}_mK", f"T_{c}_ci_low_mK", f"T_{c}_ci_high_mK"]
     columns += ["consistency", "error"]
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(columns)
-        for row in rows:
-            w.writerow([
-                f"{row[k]:.12g}" if isinstance(row.get(k), float) else row.get(k, "")
-                for k in columns
-            ])
+    _write_table(out / "sweep.csv", columns, [[r.get(k, "") for k in columns] for r in rows])
     n_failed = sum(1 for r in rows if r["error"])
     print(f"sweep: {len(rows)} points ({n_failed} failed) -> {out / 'sweep.csv'}")
     return 0
@@ -373,20 +362,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = _load_run_config(args)
-    protocol = config.protocol
-    if args.duration is not None:
-        try:
-            protocol = dataclasses.replace(protocol, pulse_duration_ns=args.duration)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     out = _resolve_output_dir(args, config)
-    reports = calibrate_transitions(config.system.build_operators(), protocol,
+    reports = calibrate_transitions(config.system.build_operators(), config.protocol,
                                     config.dissipation)
     _write_json(out / "calibration.json", {t: r.as_dict() for t, r in reports.items()})
     for t, r in reports.items():
         print(f"  pi_{t}: carrier {r.carrier_ghz:.6f} GHz, amplitude {r.amplitude:.6e}, "
               f"transfer {r.transfer_probability:.6f}")
-    print(f"calibrate: duration {protocol.pulse_duration_ns} ns -> {out / 'calibration.json'}")
+    print(f"calibrate: duration {config.protocol.pulse_duration_ns} ns "
+          f"-> {out / 'calibration.json'}")
     return 0
 
 
@@ -425,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Deming noise variance ratio (default: config or 1.0)")
     p_est.add_argument("--bootstrap", type=int, default=None,
                        help="bootstrap resamples for slope CIs (default: config or 0)")
-    p_est.add_argument("--clamp", action="store_true",
+    p_est.add_argument("--clamp", action="store_true", default=None,
                        help="clamp out-of-range slopes to the inversion bracket")
     p_est.set_defaults(func=cmd_estimate)
 

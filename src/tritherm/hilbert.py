@@ -215,11 +215,6 @@ class CompositeOperators:
         eye_r = np.eye(nres)
         self.a = np.kron(np.eye(nlev), np.diag(np.sqrt(np.arange(1.0, nres)), 1))
         self.adag = self.a.conj().T
-        self.number_op = self.adag @ self.a
-        self.projectors = [
-            np.kron(np.diag((np.arange(nlev) == k).astype(float)), eye_r)
-            for k in range(nlev)
-        ]
         lower = np.zeros((nlev, nlev))
         for k in range(nlev - 1):
             lower[k, k + 1] = self.nmat[k, k + 1]

@@ -35,7 +35,7 @@ about kappa (g/Delta)^2) sits near 1e-13 of its norm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -56,40 +56,22 @@ class DissipationSpec:
     """Dissipation rates and bath temperature.
 
     ``gamma_eg_mhz`` is the zero-temperature e->g relaxation rate 1/T1 in
-    MHz (likewise ``gamma_fe_mhz`` for f->e); ``kappa_mhz`` is the resonator
-    linewidth kappa/(2 pi) in MHz, or None to derive it from the resonator's
-    loaded Q.  ``gamma_phi_mhz`` adds pure dephasing when nonzero.
+    MHz (likewise ``gamma_fe_mhz`` for f->e); the resonator linewidth
+    kappa/(2 pi) = f_r/Q comes from the resonator block.  ``gamma_phi_mhz``
+    adds pure dephasing when nonzero.
     """
 
     gamma_eg_mhz: float
     gamma_fe_mhz: float
     bath_t_mk: float
-    kappa_mhz: Optional[float] = None
     gamma_phi_mhz: float = 0.0
 
     def __post_init__(self):
         for g in (self.gamma_eg_mhz, self.gamma_fe_mhz, self.gamma_phi_mhz):
             if g < 0:
                 raise ValueError("rates must be non-negative")
-        if self.kappa_mhz is not None and self.kappa_mhz < 0:
-            raise ValueError("kappa_mhz must be non-negative")
         if self.bath_t_mk <= 0:
             raise ValueError("bath_t_mk must be positive")
-
-    def resolved_kappa_mhz(self, fr_ghz: float, q_loaded: float) -> float:
-        """Linewidth in MHz, derived from Q when not set explicitly.
-
-        When both kappa_mhz and q_loaded are given they must agree within 1%.
-        """
-        derived = 1e3 * fr_ghz / q_loaded
-        if self.kappa_mhz is None:
-            return derived
-        if abs(self.kappa_mhz - derived) > 0.01 * derived:
-            raise ValueError(
-                f"kappa_mhz={self.kappa_mhz} inconsistent with "
-                f"f_r/Q = {derived:.4f} MHz (must agree within 1%)"
-            )
-        return self.kappa_mhz
 
 
 @dataclass(frozen=True)
@@ -222,9 +204,7 @@ def build_liouvillian(ops: CompositeOperators, dissipation: DissipationSpec) -> 
     occ = thermal_occupations(levels, ops.rspec.fr_ghz, dissipation.bath_t_mk)
     g_eg = rate_from_mhz(dissipation.gamma_eg_mhz)
     g_fe = rate_from_mhz(dissipation.gamma_fe_mhz)
-    kappa = kappa_rate_from_mhz(
-        dissipation.resolved_kappa_mhz(ops.rspec.fr_ghz, ops.rspec.q_loaded)
-    )
+    kappa = kappa_rate_from_mhz(1e3 * ops.rspec.fr_ghz / ops.rspec.q_loaded)
     jumps = {
         "eg": np.sqrt(g_eg * (occ.n_eg + 1.0)) * ops.sigma(0, 1),
         "ge": np.sqrt(g_eg * occ.n_eg) * ops.sigma(1, 0),

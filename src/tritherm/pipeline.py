@@ -36,7 +36,6 @@ from .pulses import (
 )
 from .readout import (
     IQTrace,
-    PureStateResponses,
     add_noise,
     normalization_factor,
     pure_basis_states,
@@ -61,7 +60,6 @@ class SimulationResult:
     basis_traces: Dict[str, IQTrace]
     responses: SequenceResponses
     noiseless_responses: SequenceResponses
-    windowed_basis: PureStateResponses
     noisy: bool
     norm_factor: float
     timings_s: Dict[str, float]
@@ -123,8 +121,7 @@ def run_protocol(
     states = dict(prepared)
     states.update(pure_basis_states(liou))
     raw = synthesize_traces(states, liou, config.readout)
-    basis_raw = PureStateResponses(raw["g"], raw["e"], raw["f"])
-    factor = normalization_factor(basis_raw)
+    factor = normalization_factor([raw[lab] for lab in BASIS_LABELS])
     basis_traces = {lab: raw[lab].scaled(factor) for lab in BASIS_LABELS}
     clean_traces = {lab: raw[lab].scaled(factor) for lab in SEQUENCE_LABELS}
     timings["readout"] = time.perf_counter() - t3
@@ -148,9 +145,6 @@ def run_protocol(
     noiseless_responses = (
         responses if not noisy else _windowed_sequences(clean_traces, config)
     )
-    windowed_basis = PureStateResponses(
-        *(window(basis_traces[lab], config.readout) for lab in BASIS_LABELS)
-    )
 
     return SimulationResult(
         config=config,
@@ -162,7 +156,6 @@ def run_protocol(
         basis_traces=basis_traces,
         responses=responses,
         noiseless_responses=noiseless_responses,
-        windowed_basis=windowed_basis,
         noisy=noisy,
         norm_factor=factor,
         timings_s=timings,

@@ -110,18 +110,6 @@ class IQTrace:
         return IQTrace(self.t_ns, self.i_vals * factor, self.q_vals * factor, self.label)
 
 
-@dataclass(frozen=True)
-class PureStateResponses:
-    """Reference traces for pure |g>, |e>, |f> initial states."""
-
-    phi_g: IQTrace
-    phi_e: IQTrace
-    phi_f: IQTrace
-
-    def as_dict(self) -> Dict[str, IQTrace]:
-        return {"g": self.phi_g, "e": self.phi_e, "f": self.phi_f}
-
-
 def pure_basis_states(liou: Liouvillian) -> Dict[str, np.ndarray]:
     """Vectorized bare-level (x) thermal-resonator states for g, e, f.
 
@@ -189,9 +177,9 @@ def synthesize_traces(states: Dict[str, np.ndarray], liou: Liouvillian,
     }
 
 
-def normalization_factor(basis: PureStateResponses) -> float:
-    """1 / max |phi| over the three pure-state responses (full trace)."""
-    peak = max(float(np.max(np.abs(t.complex_vals()))) for t in basis.as_dict().values())
+def normalization_factor(basis: Sequence[IQTrace]) -> float:
+    """1 / max |phi| over the pure-state responses (full traces)."""
+    peak = max(float(np.max(np.abs(t.complex_vals()))) for t in basis)
     if peak == 0.0:
         raise ValueError("pure-state responses are identically zero; probe off?")
     return 1.0 / peak

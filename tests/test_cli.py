@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import make_synthetic_responses
+from tritherm import cli
 from tritherm.cli import main
 from tritherm.config import load_config
 from tritherm.hilbert import diagonalize_transmon
-from tritherm.pipeline import estimate
+from tritherm.pipeline import calibrate_transitions, estimate
 from tritherm.pulses import SEQUENCE_LABELS
 from tritherm.readout import add_noise, read_trace_csv, window, write_trace_csv
 from tritherm.thermometry import SequenceResponses
@@ -291,7 +292,8 @@ def test_montecarlo_outputs(tmp_path):
 
 @pytest.mark.parametrize("anchor", [
     ["--f-ge", "0"], ["--f-gf", "-13.14"], ["--experiments", "50"],
-    ["--lambda-points", "0"], ["--lambda-min", "1", "--lambda-max", "0.01"]])
+    ["--lambda-points", "0"], ["--lambda-min", "1", "--lambda-max", "0.01"],
+    ["--repeats", "5"]])
 def test_montecarlo_rejects_invalid_anchor(tmp_path, capsys, anchor):
     rc = main(["montecarlo", "--experiments", "150", "--points", "120",
                "--lambda-points", "5", "--f-ge", "6.74", "--f-gf", "13.14",
@@ -314,9 +316,38 @@ def test_sweep_bath_points_and_failure_rows(mini_config_path, tmp_path):
     assert good[header.index("error")] == ""
     bad = rows[2].rstrip("\r").split(",")
     assert bad[header.index("error")] != ""
-    # exactly one of bath/flux must be given
-    assert main(["sweep", "--config", str(mini_config_path),
-                 "--out", str(out)]) == 2
+    # exactly one of bath/flux, and a non-empty list, must be given; the
+    # usage error leaves no output directory behind
+    for points in ([], ["--bath-mk", "100", "--flux", "0.0"], ["--bath-mk", ","]):
+        fresh = tmp_path / "sweep-usage"
+        assert main(["sweep", "--config", str(mini_config_path),
+                     "--out", str(fresh)] + points) == 2
+        assert not fresh.exists()
+
+
+@pytest.mark.parametrize("points, n_calibrations", [
+    (["--bath-mk", "100,120"], 1), (["--flux", "0.0,0.05"], 2)])
+def test_sweep_calibrates_once_per_device(mini_config_path, tmp_path, monkeypatch,
+                                          points, n_calibrations):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return calibrate_transitions(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "calibrate_transitions", counting)
+    assert main(["sweep", "--config", str(mini_config_path), "--noiseless",
+                 "--out", str(tmp_path / "sweep")] + points) == 0
+    assert len(calls) == n_calibrations
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(row.rstrip("\r").endswith(",") for row in rows)
+
+
+def test_cli_exposes_benchmarked_names():
+    # the benchmark hooks these by their tritherm.cli attribute names
+    for name in ("load_config", "run_protocol", "calibrate_transitions", "read_trace_csv",
+                 "write_trace_csv", "slope_bias_study", "temperature_discrepancy"):
+        assert callable(getattr(cli, name)), name
 
 
 def test_calibrate_subcommand(mini_config_path, tmp_path):

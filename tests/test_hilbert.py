@@ -120,8 +120,6 @@ def test_composite_operator_algebra():
     bulk = ops.n_phot_vec < 6
     np.testing.assert_allclose(comm[np.ix_(bulk, bulk)], eye[np.ix_(bulk, bulk)],
                                atol=1e-12)
-    np.testing.assert_allclose(ops.number_op, ops.adag @ ops.a, atol=1e-12)
-    np.testing.assert_allclose(sum(ops.projectors), eye, atol=1e-12)
 
 
 def test_composite_dimension_guard():

@@ -51,19 +51,17 @@ def test_occupation_vanishes_at_depth():
     assert bose_occupation(5.0, 1.0) < 1e-100
 
 
-def test_dissipation_spec_validation():
+def test_dissipation_spec_validation(small_liou):
     with pytest.raises(ValueError):
         DissipationSpec(gamma_eg_mhz=-0.1, gamma_fe_mhz=0.1, bath_t_mk=100.0)
     with pytest.raises(ValueError):
         DissipationSpec(gamma_eg_mhz=0.1, gamma_fe_mhz=0.1, bath_t_mk=0.0)
-    spec = DissipationSpec(gamma_eg_mhz=0.1, gamma_fe_mhz=0.1, bath_t_mk=100.0)
-    # kappa derived from the loaded Q
-    assert abs(spec.resolved_kappa_mhz(7.75, 12000.0) - 1e3 * 7.75 / 12000.0) < 1e-12
-    consistent = DissipationSpec(0.1, 0.1, 100.0, kappa_mhz=1e3 * 7.75 / 12000.0)
-    assert consistent.resolved_kappa_mhz(7.75, 12000.0) == consistent.kappa_mhz
-    clash = DissipationSpec(0.1, 0.1, 100.0, kappa_mhz=0.9)
-    with pytest.raises(ValueError):
-        clash.resolved_kappa_mhz(7.75, 12000.0)
+    # the resonator linewidth kappa/2pi is f_r/Q (in MHz: 1e3 f_r[GHz]/Q)
+    ops, n_r = small_liou.ops, small_liou.occupations.n_r
+    kappa_mhz = 1e3 * ops.rspec.fr_ghz / ops.rspec.q_loaded
+    expected = np.sqrt(2 * np.pi * 1e-3 * kappa_mhz * (n_r + 1.0)) * ops.a
+    np.testing.assert_allclose(small_liou.jump_operators["r_down"], expected,
+                               rtol=1e-14, atol=0.0)
 
 
 def test_jump_operator_set(small_liou):

@@ -12,7 +12,6 @@ from tritherm.constants import TWO_PI
 from tritherm.pulses import READOUT_STEP_NS, strang_step
 from tritherm.readout import (
     IQTrace,
-    PureStateResponses,
     ReadoutConfig,
     add_noise,
     normalization_factor,
@@ -173,10 +172,9 @@ def test_normalization_factor(small_liou):
     cfg = ReadoutConfig(probe_duration_ns=400.0, window_start_ns=100.0,
                         window_end_ns=390.0)
     traces = synthesize_traces(pure_basis_states(small_liou), small_liou, cfg)
-    basis = PureStateResponses(traces["g"], traces["e"], traces["f"])
+    basis = [traces[lab] for lab in ("g", "e", "f")]
     f = normalization_factor(basis)
-    peak = max(np.max(np.abs(t.scaled(f).complex_vals()))
-               for t in basis.as_dict().values())
+    peak = max(np.max(np.abs(t.scaled(f).complex_vals())) for t in basis)
     assert abs(peak - 1.0) < 1e-12
 
 
