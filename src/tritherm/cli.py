@@ -233,6 +233,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
+    if args.repeats < 0 or args.repeats == 1:
+        raise ConfigError(f"--repeats must be 0 (off) or at least 2, got {args.repeats}")
     if args.repeats > 0 and not args.config:
         raise ConfigError("--repeats needs --config (full pipeline simulation)")
     config = _load_run_config(args, required=False)
@@ -427,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--lambda-max", type=float, default=1.0)
     p_mc.add_argument("--lambda-points", type=int, default=25)
     p_mc.add_argument("--repeats", type=int, default=0,
-                      help="end-to-end noisy re-estimates (needs --config)")
+                      help="end-to-end noisy re-estimates, 0 or at least 2 (needs --config)")
     p_mc.add_argument("--f-ge", type=float, default=6.74, help="f_ge in GHz")
     p_mc.add_argument("--f-gf", type=float, default=13.14, help="f_gf in GHz")
     p_mc.set_defaults(func=cmd_montecarlo)

@@ -12,30 +12,44 @@ Fits here default to ordinary least squares, which reproduces the documented
 attenuation exactly (factor S_xx/(S_xx + sigma^2)); a symmetric Deming fit
 with delta = 1 is available for comparison and is mean-unbiased on this
 geometry.
+
+Both Monte-Carlo studies draw their noise in blocks of ``_NOISE_BLOCK``
+experiments or draws and reduce each block with array operations.  A
+block's ``normal(size=(b, 2, n))`` (bias study) or ``normal(size=(b, 6, 2,
+m))`` (repeated draws) fills the same numbers as b successive per-experiment
+or per-draw calls, and every row is reduced in the order a single fit
+reduces it, so the results do not depend on the block size.  The block
+bounds the working set: a few (b, 9, 2m) arrays for the repeated draws,
+whatever the number of draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .constants import TWO_PI
-from .readout import add_noise
 from .thermometry import (
     COEFFICIENTS,
     DegenerateDataError,
     SequenceResponses,
     SlopeEstimate,
     SlopeOutOfRangeError,
+    _deming_closed_form,
+    _checked_inverse,
+    _draw_slopes,
+    _row_moments,
+    _single_valued,
     coefficient_vs_temperature,
-    deming_slope,
-    estimate_temperature,
     invert_temperature,
 )
 
 DEFAULT_IF_CYCLES_PER_SAMPLE = 0.05  # 50 MHz at 1 ns sampling
+
+# experiments or draws whose noise is drawn and reduced at once
+_NOISE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -110,22 +124,31 @@ class MonteCarloReport:
         return float(np.interp(true_slope, lg, self.mean_fit))
 
 
-def _fit_slope(xs: np.ndarray, ys: np.ndarray, method: str) -> float:
-    if method == "deming":
-        slope, _ = deming_slope(xs, ys, delta=1.0)
-        return slope
-    if xs.min() == xs.max():
-        raise DegenerateDataError("x series takes a single value")
-    xc = xs - xs.mean()
-    return float(np.mean(xc * (ys - ys.mean())) / np.mean(xc ** 2))
+def _fit_slope(xs: np.ndarray, ys: np.ndarray, method: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Slopes of the paired rows of ``xs`` and ``ys`` (shape (b, n)) and a
+    mask of the degenerate rows, whose slopes are meaningless.
+
+    A least-squares row is degenerate when x takes a single value or its
+    centred variance is exactly zero; a Deming row where deming_slope would
+    raise DegenerateDataError.
+    """
+    _, _, sxx, syy, sxy = _row_moments(xs, ys)
+    degenerate = _single_valued(xs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if method == "deming":
+            degenerate |= _single_valued(ys) | (sxy == 0.0)
+            return _deming_closed_form(sxx, syy, sxy, 1.0), degenerate
+        return sxy / sxx, degenerate | (sxx == 0.0)
 
 
 def slope_bias_study(spec: MonteCarloSpec, lambda_grid=None) -> MonteCarloReport:
     """Fit ``n_experiments`` noisy collinear clouds per true slope.
 
     Reports the mean fitted slope with the 95% CI of the mean (normal
-    approximation over experiments).  Degenerate fits are counted, not fatal;
-    an empty or non-increasing ``lambda_grid`` raises ValueError.
+    approximation over experiments).  Degenerate fits are counted, not fatal,
+    unless fewer than two fits survive at a slope, which raises
+    DegenerateDataError; an empty or non-increasing ``lambda_grid`` raises
+    ValueError.
     """
     if lambda_grid is None:
         lambda_grid = np.array([spec.true_slope])
@@ -140,15 +163,18 @@ def slope_bias_study(spec: MonteCarloSpec, lambda_grid=None) -> MonteCarloReport
     failures = 0
     for j, lam in enumerate(lambda_grid):
         y0 = lam * x0
-        fits = []
-        for _ in range(spec.n_experiments):
-            xs = x0 + rng.normal(0.0, spec.noise_sigma, size=len(x0))
-            ys = y0 + rng.normal(0.0, spec.noise_sigma, size=len(x0))
-            try:
-                fits.append(_fit_slope(xs, ys, spec.fit_method))
-            except DegenerateDataError:
-                failures += 1
-        fits = np.asarray(fits)
+        kept = []
+        for start in range(0, spec.n_experiments, _NOISE_BLOCK):
+            b = min(_NOISE_BLOCK, spec.n_experiments - start)
+            noise = rng.normal(0.0, spec.noise_sigma, size=(b, 2, len(x0)))
+            slopes, degenerate = _fit_slope(x0 + noise[:, 0], y0 + noise[:, 1], spec.fit_method)
+            failures += int(degenerate.sum())
+            kept.append(slopes[~degenerate])
+        fits = np.concatenate(kept)
+        if len(fits) < 2:
+            raise DegenerateDataError(
+                f"{len(fits)} of {spec.n_experiments} fits are non-degenerate at true slope "
+                f"{lam:.6g}; the mean and its CI need at least 2")
         m = fits.mean()
         sem = fits.std(ddof=1) / np.sqrt(len(fits))
         means[j] = m
@@ -241,24 +267,27 @@ def repeated_measurement_stats(
     delta: float = 1.0,
     clamp: bool = False,
 ) -> RepeatedStats:
-    """Re-estimate temperature ``n_runs`` times with fresh noise draws on one
-    noiseless set of windowed responses.
+    """Re-estimate temperature ``n_runs`` (at least 2) times with fresh noise
+    draws on one noiseless set of windowed responses.
 
     Noise is added per sample and quadrature on the analysis window (the
     estimator never sees samples outside it).  Deterministic under a fixed
-    seed; bootstrap CIs are skipped since only the point estimates feed the
-    statistics.
+    seed; each draw's temperatures are those estimate_temperature gives the
+    noisy responses with n_bootstrap 0, since only the point estimates feed
+    the statistics.  A draw that estimate_temperature would reject raises.
     """
+    if n_runs < 2:
+        raise ValueError(f"n_runs must be at least 2 for a spread, got {n_runs}")
+    if noise_sigma < 0:
+        raise ValueError("noise_sigma must be non-negative")
+    clean = np.stack([[tr.i_vals, tr.q_vals] for tr in responses.as_dict().values()])
     rng = np.random.default_rng(seed)
-    t_vals: Dict[str, list] = {c: [] for c in COEFFICIENTS}
-    for _ in range(n_runs):
-        noisy = SequenceResponses.from_dict(
-            {name: add_noise(tr, noise_sigma, 1, rng)
-             for name, tr in responses.as_dict().items()})
-        report = estimate_temperature(noisy, levels, delta=delta,
-                                      quadratures=quadratures, n_bootstrap=0,
-                                      clamp=clamp)
-        for est in report.estimates:
-            t_vals[est.source_coefficient].append(est.t_mk)
-    return RepeatedStats(np.array(t_vals["A"]), np.array(t_vals["B"]),
-                         np.array(t_vals["C"]), noise_sigma, seed)
+    slopes = []
+    for start in range(0, n_runs, _NOISE_BLOCK):
+        b = min(_NOISE_BLOCK, n_runs - start)
+        noisy = clean + rng.normal(0.0, noise_sigma, size=(b,) + clean.shape)
+        slopes.append(_draw_slopes(noisy, quadratures, delta))
+    slopes = np.concatenate(slopes)
+    t_a, t_b, t_c = (_checked_inverse(levels, c, slopes[:, k], clamp)
+                     for k, c in enumerate(COEFFICIENTS))
+    return RepeatedStats(t_a, t_b, t_c, noise_sigma, seed)

@@ -46,6 +46,10 @@ class SlopeOutOfRangeError(RuntimeError):
     """Fitted slope falls outside the coefficient's attainable range."""
 
 
+# the six sequence slots, in the order SequenceResponses.as_dict lists them
+_SLOTS = ("x0", "x1", "x2", "y0", "y1", "y2")
+
+
 @dataclass(frozen=True)
 class SequenceResponses:
     """The six windowed sequence traces, on one common time grid."""
@@ -66,13 +70,12 @@ class SequenceResponses:
                 raise ValueError(f"trace labeled {trace.label!r} in slot {name}")
 
     def as_dict(self) -> Dict[str, IQTrace]:
-        return {"x0": self.x0, "x1": self.x1, "x2": self.x2,
-                "y0": self.y0, "y1": self.y1, "y2": self.y2}
+        return {name: getattr(self, name) for name in _SLOTS}
 
     @classmethod
     def from_dict(cls, traces: Dict[str, IQTrace]) -> "SequenceResponses":
         try:
-            return cls(**{k: traces[k] for k in ("x0", "x1", "x2", "y0", "y1", "y2")})
+            return cls(**{k: traces[k] for k in _SLOTS})
         except KeyError as exc:
             raise ValueError(f"missing sequence trace {exc}") from exc
 
@@ -160,11 +163,13 @@ def difference_pairs(responses: SequenceResponses):
     return out
 
 
-def _series_to_points(series: np.ndarray, quadratures: str) -> np.ndarray:
+def _quadrature_points(iq: np.ndarray, quadratures: str) -> np.ndarray:
+    """Fit points from samples stacked as (..., 2, m), I over Q: I then Q
+    for "IQ", I alone for "I"."""
     if quadratures == "IQ":
-        return np.concatenate([series.real, series.imag])
+        return iq.reshape(iq.shape[:-2] + (-1,))
     if quadratures == "I":
-        return series.real.copy()
+        return iq[..., 0, :]
     raise ValueError(f"quadratures must be 'I' or 'IQ', got {quadratures!r}")
 
 
@@ -179,6 +184,30 @@ def _deming_closed_form(sxx, syy, sxy, delta):
     return (term + np.sqrt(term * term + 4.0 * delta * sxy * sxy)) / (2.0 * sxy)
 
 
+def _row_moments(xs: np.ndarray, ys: np.ndarray):
+    """Means and second central moments (xb, yb, sxx, syy, sxy) of paired
+    samples along the last axis; one row or a stack of rows, reduced in the
+    same order either way, so a row's moments do not depend on the stack."""
+    xb = xs.mean(axis=-1, keepdims=True)
+    yb = ys.mean(axis=-1, keepdims=True)
+    xc, yc = xs - xb, ys - yb
+    return (xb[..., 0], yb[..., 0], np.mean(xc * xc, axis=-1), np.mean(yc * yc, axis=-1),
+            np.mean(xc * yc, axis=-1))
+
+
+def _single_valued(v: np.ndarray) -> np.ndarray:
+    """Rows taking one value, tested exactly rather than through a variance
+    that rounding leaves near zero."""
+    return v.min(axis=-1) == v.max(axis=-1)
+
+
+def _check_deming_args(n_x: int, n_y: int, delta: float) -> None:
+    if delta <= 0.0:
+        raise ValueError("variance ratio delta must be positive")
+    if n_x != n_y or n_x < 3:
+        raise ValueError("need at least 3 paired points")
+
+
 def deming_slope(xs: np.ndarray, ys: np.ndarray, delta: float = 1.0) -> Tuple[float, float]:
     """Closed-form Deming slope and intercept for y-to-x noise variance ratio
     ``delta``.
@@ -189,18 +218,12 @@ def deming_slope(xs: np.ndarray, ys: np.ndarray, delta: float = 1.0) -> Tuple[fl
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if delta <= 0.0:
-        raise ValueError("variance ratio delta must be positive")
-    if len(xs) != len(ys) or len(xs) < 3:
-        raise ValueError("need at least 3 paired points")
-    if xs.min() == xs.max():
+    _check_deming_args(len(xs), len(ys), delta)
+    if _single_valued(xs):
         raise DegenerateDataError("x series takes a single value")
-    if ys.min() == ys.max():
+    if _single_valued(ys):
         raise DegenerateDataError("y series takes a single value; slope undefined")
-    xb, yb = xs.mean(), ys.mean()
-    sxx = np.mean((xs - xb) ** 2)
-    syy = np.mean((ys - yb) ** 2)
-    sxy = np.mean((xs - xb) * (ys - yb))
+    xb, yb, sxx, syy, sxy = _row_moments(xs, ys)
     if sxy == 0.0:
         raise DegenerateDataError("x and y series are uncorrelated; slope undefined")
     slope = _deming_closed_form(sxx, syy, sxy, delta)
@@ -279,13 +302,15 @@ def _frequencies(levels: Union[LevelEnergies, Tuple[float, float]]) -> Tuple[flo
     return float(f_ge), float(f_gf)
 
 
-def coefficient_vs_temperature(levels, t_mk: float, which: str) -> float:
-    """Thermal-state value of coefficient ``which`` at temperature ``t_mk``.
+def coefficient_vs_temperature(levels, t_mk, which: str):
+    """Thermal-state value of coefficient ``which`` at temperature ``t_mk``
+    (a scalar or an array of temperatures).
 
     ``levels`` is a LevelEnergies or a bare (f_ge_ghz, f_gf_ghz) pair (the
     latter admits degenerate frequencies for algebra checks).
     """
-    if not T_GUARD_MK[0] <= t_mk <= T_GUARD_MK[1]:
+    t_mk = np.asarray(t_mk, dtype=float)
+    if not np.all((T_GUARD_MK[0] <= t_mk) & (t_mk <= T_GUARD_MK[1])):
         raise ValueError(f"temperature {t_mk} mK outside guard range {T_GUARD_MK}")
     f_ge, f_gf = _frequencies(levels)
     e_ge = np.exp(-boltzmann_exponent(f_ge, t_mk))
@@ -306,42 +331,68 @@ def attainable_range(levels, which: str) -> Tuple[float, float]:
     return (v2, v1) if v1 > v2 else (v1, v2)
 
 
-def _invert_scalar(levels, which: str, value: float, clamp: bool) -> float:
+def _invert_coefficient(levels, which: str, values, clamp: bool) -> np.ndarray:
+    """Temperatures (mK) at which coefficient ``which`` takes ``values`` (a
+    scalar or an array; the result has its shape)."""
+    values = np.asarray(values, dtype=float)
     t_lo, t_hi = T_BRACKET_MK
     lo, hi = attainable_range(levels, which)
     v_lo, v_hi = (hi, lo) if which == "A" else (lo, hi)  # A falls with T, B and C rise
-    if not lo <= value <= hi:
+    outside = ~((lo <= values) & (values <= hi))  # NaN counts as outside
+    if np.any(outside):
         if not clamp:
             raise SlopeOutOfRangeError(
-                f"slope {value:.6g} outside the attainable range [{lo:.6g}, {hi:.6g}] "
-                f"of coefficient {which} over {T_BRACKET_MK} mK; enable clamping to "
-                f"pin to the bracket edge"
+                f"slope {values[outside].flat[0]:.6g} outside the attainable range "
+                f"[{lo:.6g}, {hi:.6g}] of coefficient {which} over {T_BRACKET_MK} mK; "
+                f"enable clamping to pin to the bracket edge"
             )
-        value = min(max(value, lo), hi)
-    if value == v_lo:
-        return t_lo
-    if value == v_hi:
-        return t_hi
+        values = np.minimum(np.maximum(values, lo), hi)
+    t = np.where(values == v_lo, t_lo, t_hi)
+    todo = np.flatnonzero((values != v_lo) & (values != v_hi))
     # With e = exp(-h f_ge / k_B T) and r = f_gf / f_ge > 1, C = (e - e^r) / (1 - e^r)
     # and B = (e - e^r) / (1 - e) make e a root of g(e) = a e^r - b e + c:
     # (a, b, c) = (1 - C, 1, C), or (1, 1 + B, B); A goes through 1 - A = C.
     # On [0, 1] g is convex with g(0) = c > 0 and g(1) = 0, so Newton's method
-    # from e = 0 rises monotonically to the physical root e* < 1; it has
-    # converged when a step no longer raises e.  Rounding can put T ~1e-11 mK
-    # past the bracket, so T is clipped to it.
+    # from e = 0 rises monotonically to the physical root e* < 1; a value has
+    # converged when a step no longer raises its e, and leaves the iteration.
+    # e^(r-1) is taken with the C library's scalar pow: numpy's vectorised
+    # power rounds differently on some SIMD paths, and the last ulp decides
+    # where the iteration stops.  Rounding can put T ~1e-11 mK past the
+    # bracket, so T is clipped to it.
     f_ge, f_gf = _frequencies(levels)
     r = f_gf / f_ge
+    v = values.ravel()[todo]
     if which == "A":
-        value = 1.0 - value
-    a, b, c = (1.0, 1.0 + value, value) if which == "B" else (1.0 - value, 1.0, value)
-    e = 0.0
+        v = 1.0 - v
+    ones = np.ones_like(v)
+    a, b, c = (ones, 1.0 + v, v) if which == "B" else (1.0 - v, ones, v)
+    e = np.zeros_like(v)
+    roots = np.empty_like(v)
+    left = np.arange(len(v))
     for _ in range(100):
-        e_r1 = e ** (r - 1.0)
+        if not len(left):
+            break
+        e_r1 = np.array([x ** (r - 1.0) for x in e.tolist()])
         e_next = e - (a * e_r1 * e - b * e + c) / (a * r * e_r1 - b)
-        if e_next <= e:
-            return float(min(max(GHZ_TO_MK * f_ge / -np.log(e), t_lo), t_hi))
-        e = e_next
-    raise RuntimeError("Newton iteration for exp(-h f_ge / k_B T) not converged in 100 steps")
+        done = e_next <= e
+        roots[left[done]] = e[done]
+        going = ~done
+        left, e, a, b, c = left[going], e_next[going], a[going], b[going], c[going]
+    if len(left):
+        raise RuntimeError("Newton iteration for exp(-h f_ge / k_B T) not converged in 100 steps")
+    t.flat[todo] = np.minimum(np.maximum(GHZ_TO_MK * f_ge / -np.log(roots), t_lo), t_hi)
+    return t
+
+
+def _checked_inverse(levels, which: str, values, clamp: bool) -> np.ndarray:
+    """``_invert_coefficient`` plus, without clamping, the check that every
+    temperature reproduces its value to 1e-10."""
+    t = _invert_coefficient(levels, which, values, clamp)
+    if not clamp:
+        residual = np.abs(coefficient_vs_temperature(levels, t, which) - values)
+        if np.any(residual > 1e-10):
+            raise RuntimeError(f"inversion residual {np.max(residual):.2e} above 1e-10")
+    return t
 
 
 def invert_temperature(slope: SlopeEstimate, levels, clamp: bool = False) -> TemperatureEstimate:
@@ -350,17 +401,15 @@ def invert_temperature(slope: SlopeEstimate, levels, clamp: bool = False) -> Tem
     Newton's method in e = exp(-h f_ge / k_B T) on the convex equation of B
     or C (1 - A = C), started at e = 0, over the 1 mK - 2 K bracket; the CI
     comes from inverting both slope CI bounds (clamped to the bracket when
-    they spill past it).  ``clamp=True`` pins an out-of-range point estimate
-    to the bracket edge instead of raising.
+    they spill past it; a bound equal to the point value reuses its
+    temperature).  ``clamp=True`` pins an out-of-range point estimate to the
+    bracket edge instead of raising.
     """
-    t = _invert_scalar(levels, slope.coefficient, slope.value, clamp)
-    residual = abs(coefficient_vs_temperature(levels, t, slope.coefficient) - slope.value)
-    if not clamp and residual > 1e-10:
-        raise RuntimeError(f"inversion residual {residual:.2e} above 1e-10")
-    bounds = sorted(
-        _invert_scalar(levels, slope.coefficient, v, clamp=True) for v in slope.ci95
-    )
-    return TemperatureEstimate(t, slope.coefficient, slope, (bounds[0], bounds[1]))
+    c = slope.coefficient
+    t = float(_checked_inverse(levels, c, slope.value, clamp))
+    bounds = sorted(t if v == slope.value else float(_invert_coefficient(levels, c, v, True))
+                    for v in slope.ci95)
+    return TemperatureEstimate(t, c, slope, (bounds[0], bounds[1]))
 
 
 @dataclass(frozen=True)
@@ -442,8 +491,8 @@ def estimate_temperature(
     fits: Dict[str, List[DemingFit]] = {c: [] for c in COEFFICIENTS}
     for x_series, y_series, coefficient, direction in pairs:
         fit = deming_fit(
-            _series_to_points(x_series, quadratures),
-            _series_to_points(y_series, quadratures),
+            _quadrature_points(np.stack([x_series.real, x_series.imag]), quadratures),
+            _quadrature_points(np.stack([y_series.real, y_series.imag]), quadratures),
             variance_ratio_delta=delta,
             n_bootstrap=n_bootstrap,
             rng=rng.spawn(1)[0] if n_bootstrap > 0 else None,
@@ -462,3 +511,31 @@ def estimate_temperature(
     dt = t[1] - t[0] if len(t) > 1 else 0.0
     return EstimateReport(estimates, tuple(pair_estimates), float(consistency),
                           quadratures, (float(t[0]), float(t[-1] + dt)), seed)
+
+
+# the nine difference pairs of difference_pairs, in its order, as slot
+# indices (num_a, num_b, den_a, den_b)
+_PAIR_SLOTS = np.array([[_SLOTS.index(name) for name in num + den]
+                        for c in COEFFICIENTS for num, den, _ in DIFFERENCE_PAIRS[c]])
+
+
+def _draw_slopes(iq: np.ndarray, quadratures: str, delta: float) -> np.ndarray:
+    """Aggregated slopes A, B, C, shape (b, 3), of b draws of the six windowed
+    sequence traces, given as ``iq`` of shape (b, 6, 2, m): slots in as_dict
+    order, I over Q.  Each draw's slopes are, to the bit, those that
+    estimate_temperature aggregates with n_bootstrap 0; a draw on which
+    deming_slope would raise raises DegenerateDataError.
+    """
+    points = _quadrature_points(iq, quadratures)
+    _check_deming_args(points.shape[-1], points.shape[-1], delta)
+    num_a, num_b, den_a, den_b = _PAIR_SLOTS.T
+    xs = points[:, den_a] - points[:, den_b]
+    ys = points[:, num_a] - points[:, num_b]
+    degenerate = _single_valued(xs) | _single_valued(ys)
+    _, _, sxx, syy, sxy = _row_moments(xs, ys)
+    degenerate |= sxy == 0.0
+    if np.any(degenerate):
+        c = COEFFICIENTS[np.argwhere(degenerate)[0, 1] // 3]
+        raise DegenerateDataError(f"a draw's {c} difference pair is single-valued or "
+                                  f"uncorrelated; slope undefined")
+    return _deming_closed_form(sxx, syy, sxy, delta).reshape(-1, 3, 3).mean(axis=-1)

@@ -1,10 +1,20 @@
-"""Exact noiseless oracles the tests hold the simulator and the estimator
-against: the population permutation a gate sequence should perform, and the
-coefficients A, B, C as population ratios."""
+"""Oracles the tests hold the simulator and the estimator against: the
+exact population permutation a gate sequence should perform, the
+coefficients A, B, C as population ratios, and the Monte-Carlo studies
+written one experiment or draw at a time."""
+
+import numpy as np
 
 from tritherm.hilbert import Populations
 from tritherm.pulses import GateSequence
-from tritherm.thermometry import COEFFICIENTS, DegenerateDataError
+from tritherm.readout import add_noise
+from tritherm.thermometry import (
+    COEFFICIENTS,
+    DegenerateDataError,
+    SequenceResponses,
+    deming_slope,
+    estimate_temperature,
+)
 
 
 def apply_sequence_ideal(populations: Populations, seq: GateSequence) -> Populations:
@@ -29,3 +39,52 @@ def coefficient_from_populations(p: Populations, which: str) -> float:
             f"(equal populations)"
         )
     return num / den
+
+
+def slope_bias_study_loop(spec, lambda_grid):
+    """The bias study one experiment at a time: per true slope, fit each
+    noisy cloud with deming_slope or least squares, skipping and counting
+    degenerate fits.  Returns (mean_fit, ci_low, ci_high, n_failures)."""
+    rng = np.random.default_rng(spec.seed)
+    x0 = spec.design_points()
+    rows, failures = [], 0
+    for lam in np.asarray(lambda_grid, dtype=float):
+        y0 = lam * x0
+        fits = []
+        for _ in range(spec.n_experiments):
+            xs = x0 + rng.normal(0.0, spec.noise_sigma, size=len(x0))
+            ys = y0 + rng.normal(0.0, spec.noise_sigma, size=len(x0))
+            if spec.fit_method == "deming":
+                try:
+                    fits.append(deming_slope(xs, ys, delta=1.0)[0])
+                except DegenerateDataError:
+                    failures += 1
+                continue
+            xc = xs - xs.mean()
+            sxx = np.mean(xc ** 2)
+            if xs.min() == xs.max() or sxx == 0.0:
+                failures += 1
+                continue
+            fits.append(float(np.mean(xc * (ys - ys.mean())) / sxx))
+        fits = np.asarray(fits)
+        m = fits.mean()
+        sem = fits.std(ddof=1) / np.sqrt(len(fits))
+        rows.append((m, m - 1.96 * sem, m + 1.96 * sem))
+    mean, lo, hi = (np.array(col) for col in zip(*rows))
+    return mean, lo, hi, failures
+
+
+def repeated_temperatures_loop(responses, levels, n_runs, noise_sigma, seed,
+                               quadratures="IQ", delta=1.0, clamp=False):
+    """The repeated study one draw at a time: fresh noise on each trace
+    through readout.add_noise, then estimate_temperature with n_bootstrap 0.
+    Returns the (n_runs, 3) array of T_A, T_B, T_C."""
+    rng = np.random.default_rng(seed)
+    temps = []
+    for _ in range(n_runs):
+        noisy = SequenceResponses.from_dict({name: add_noise(tr, noise_sigma, 1, rng)
+                                             for name, tr in responses.as_dict().items()})
+        report = estimate_temperature(noisy, levels, delta=delta, quadratures=quadratures,
+                                      n_bootstrap=0, clamp=clamp)
+        temps.append([est.t_mk for est in report.estimates])
+    return np.array(temps)

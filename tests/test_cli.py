@@ -303,6 +303,18 @@ def test_montecarlo_rejects_invalid_anchor(tmp_path, capsys, anchor):
     assert not (tmp_path / "mc").exists()
 
 
+@pytest.mark.parametrize("repeats", ["1", "-2"])
+def test_montecarlo_rejects_too_few_repeats(mini_config_path, tmp_path, capsys,
+                                            monkeypatch, repeats):
+    # one draw has no spread: rejected before the bias study or any output
+    monkeypatch.setattr(cli, "slope_bias_study", None)
+    rc = main(["montecarlo", "--config", str(mini_config_path), "--repeats", repeats,
+               "--out", str(tmp_path / "mc")])
+    assert rc == 2
+    assert "--repeats must be 0 (off) or at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "mc").exists()
+
+
 def test_sweep_bath_points_and_failure_rows(mini_config_path, tmp_path):
     out = tmp_path / "sweep"
     rc = main(["sweep", "--config", str(mini_config_path),
@@ -348,6 +360,29 @@ def test_cli_exposes_benchmarked_names():
     for name in ("load_config", "run_protocol", "calibrate_transitions", "read_trace_csv",
                  "write_trace_csv", "slope_bias_study", "temperature_discrepancy"):
         assert callable(getattr(cli, name)), name
+
+
+def test_cli_calls_the_benchmark_counted_functions(tmp_path, monkeypatch):
+    # the benchmark counts calls of errorlab._fit_slope (montecarlo) and of
+    # thermometry.deming_fit (estimate) through these module attributes
+    from tritherm import errorlab, thermometry
+
+    calls = {"_fit_slope": 0, "deming_fit": 0}
+    for module, name in ((errorlab, "_fit_slope"), (thermometry, "deming_fit")):
+        def counted(*args, _inner=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    assert main(["montecarlo", "--experiments", "100", "--lambda-points", "3",
+                 "--out", str(tmp_path / "mc")]) == 0
+    assert calls["_fit_slope"] >= 1
+    (tmp_path / "traces").mkdir()
+    levels = _write_synthetic(tmp_path / "traces")
+    assert main(["estimate", "--traces", str(tmp_path / "traces"),
+                 "--f-ge", f"{levels.f_ge_ghz}", "--f-gf", f"{levels.f_gf_ghz}",
+                 "--window-start", "0", "--window-end", "600",
+                 "--out", str(tmp_path / "est")]) == 0
+    assert calls["deming_fit"] >= 1
 
 
 def test_calibrate_subcommand(mini_config_path, tmp_path):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import make_synthetic_responses
+from oracles import repeated_temperatures_loop, slope_bias_study_loop
+from tritherm import errorlab, thermometry
 from tritherm.errorlab import (
     MonteCarloReport,
     MonteCarloSpec,
@@ -10,7 +13,14 @@ from tritherm.errorlab import (
     slope_bias_study,
     temperature_discrepancy,
 )
-from tritherm.thermometry import COEFFICIENTS, DegenerateDataError
+from tritherm.readout import IQTrace
+from tritherm.thermometry import (
+    COEFFICIENTS,
+    DegenerateDataError,
+    SequenceResponses,
+    SlopeOutOfRangeError,
+    estimate_temperature,
+)
 
 seed = 20260312
 
@@ -34,10 +44,60 @@ def test_spec_validation():
 
 
 def test_least_squares_fit_rejects_single_valued_x():
-    # the variance of np.full(50, 0.1) rounds to ~1e-33, not to zero
-    ys = np.random.default_rng(seed).normal(size=50)
-    with pytest.raises(DegenerateDataError):
-        _fit_slope(np.full(50, 0.1), ys, "least_squares")
+    # the variance of np.full(50, 0.1) rounds to ~1e-33, not to zero; that of
+    # +-1e-300 underflows to exactly zero although x is not single-valued
+    rng = np.random.default_rng(seed)
+    xs = np.stack([np.full(50, 0.1), np.resize([-1e-300, 0.0, 1e-300], 50),
+                   rng.normal(size=50)])
+    ys = rng.normal(size=(3, 50))
+    slopes, degenerate = _fit_slope(xs, ys, "least_squares")
+    assert degenerate.tolist() == [True, True, False]
+    assert np.isfinite(slopes[2])
+    # Deming flags what deming_slope rejects: a single-valued y here
+    slopes, degenerate = _fit_slope(xs[[2, 2]], np.stack([ys[0], np.full(50, 0.3)]), "deming")
+    assert degenerate.tolist() == [False, True]
+
+
+def test_bias_study_without_two_fits_names_the_slope():
+    # every x row spans +-1e-300, so every least-squares fit is degenerate
+    spec = MonteCarloSpec(true_slope=0.5, n_points=3, x_span=1e-300, noise_sigma=0.0,
+                          abscissa="uniform", n_experiments=100, seed=seed)
+    with pytest.raises(DegenerateDataError, match="0 of 100 .* slope 0.5"):
+        slope_bias_study(spec)
+
+
+STUDY_CASES = [
+    dict(fit_method="least_squares", abscissa="sinusoid"),
+    dict(fit_method="least_squares", abscissa="uniform"),
+    dict(fit_method="deming", abscissa="sinusoid"),
+    dict(fit_method="deming", abscissa="uniform"),
+    dict(fit_method="least_squares", abscissa="sinusoid", noise_sigma=0.0),
+    dict(fit_method="deming", abscissa="uniform", noise_sigma=0.0),
+]
+
+
+@pytest.mark.parametrize("case", STUDY_CASES, ids=lambda c: "-".join(map(str, c.values())))
+def test_bias_study_matches_the_per_experiment_loop(case):
+    spec = MonteCarloSpec(true_slope=0.5, n_experiments=101, n_points=120, seed=seed, **case)
+    grid = np.linspace(0.05, 1.0, 4)
+    report = slope_bias_study(spec, grid)
+    mean, lo, hi, failures = slope_bias_study_loop(spec, grid)
+    for got, ref in ((report.mean_fit, mean), (report.ci_low, lo), (report.ci_high, hi)):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+    assert report.n_failures == failures
+
+
+@pytest.mark.parametrize("block", [1, 7, errorlab._NOISE_BLOCK])
+def test_studies_do_not_depend_on_the_block_size(monkeypatch, block):
+    spec = MonteCarloSpec(true_slope=0.5, n_experiments=100, n_points=60, seed=seed,
+                          fit_method="deming")
+    responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=40)
+    reference = (slope_bias_study(spec, [0.2, 0.7]).mean_fit,
+                 repeated_measurement_stats(responses, levels, n_runs=23, seed=seed).t_b_mk)
+    monkeypatch.setattr(errorlab, "_NOISE_BLOCK", block)
+    np.testing.assert_array_equal(slope_bias_study(spec, [0.2, 0.7]).mean_fit, reference[0])
+    np.testing.assert_array_equal(
+        repeated_measurement_stats(responses, levels, n_runs=23, seed=seed).t_b_mk, reference[1])
 
 
 def test_slope_bias_study_rejects_bad_grid():
@@ -167,3 +227,64 @@ def test_repeated_stats_noise_scaling(wp_run):
         assert hi.std(coef) > lo.std(coef)
         # the mean stays anchored at the bath temperature
         assert abs(lo.mean(coef) - 163.0) < 8.0
+
+
+REPEATED_CASES = [
+    dict(quadratures="IQ"),
+    dict(quadratures="I"),
+    dict(quadratures="IQ", delta=0.5, clamp=True),
+    dict(quadratures="I", noise_sigma=0.0),
+]
+
+
+@pytest.mark.parametrize("case", REPEATED_CASES, ids=lambda c: "-".join(map(str, c.values())))
+def test_repeated_draws_match_estimate_temperature(case):
+    responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=60)
+    kw = dict(quadratures="IQ", delta=1.0, clamp=False, noise_sigma=0.002) | case
+    sigma = kw.pop("noise_sigma")
+    stats = repeated_measurement_stats(responses, levels, n_runs=21, noise_sigma=sigma,
+                                       seed=seed, **kw)
+    batched = np.stack([stats.samples(c) for c in COEFFICIENTS], axis=1)
+    # each draw equals estimate_temperature on the same noisy responses
+    np.testing.assert_allclose(
+        batched, repeated_temperatures_loop(responses, levels, 21, sigma, seed, **kw),
+        rtol=1e-12, atol=0.0)
+
+
+def test_repeated_draws_clamp_out_of_range_slopes():
+    # at 8 mK 1 - A ~ 1e-18: noise puts some A slopes past the cold edge
+    responses, levels = make_synthetic_responses(t_mk=8.0, n_samples=60)
+    with pytest.raises(SlopeOutOfRangeError):
+        repeated_measurement_stats(responses, levels, n_runs=10, seed=seed)
+    with pytest.raises(SlopeOutOfRangeError):
+        repeated_temperatures_loop(responses, levels, 10, 0.002, seed)
+    stats = repeated_measurement_stats(responses, levels, n_runs=10, seed=seed, clamp=True)
+    assert np.any(stats.t_a_mk == 1.0)
+    np.testing.assert_allclose(
+        np.stack([stats.samples(c) for c in COEFFICIENTS], axis=1),
+        repeated_temperatures_loop(responses, levels, 10, 0.002, seed, clamp=True),
+        rtol=1e-12, atol=0.0)
+
+
+def test_repeated_draws_keep_the_estimator_guards(monkeypatch):
+    responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=60)
+    with pytest.raises(ValueError, match="at least 2"):
+        repeated_measurement_stats(responses, levels, n_runs=1)
+    with pytest.raises(ValueError, match="quadratures"):
+        repeated_measurement_stats(responses, levels, n_runs=4, quadratures="Q")
+    with pytest.raises(ValueError, match="delta"):
+        repeated_measurement_stats(responses, levels, n_runs=4, delta=0.0)
+    # identical x0 and x1 make the A pair along ge single-valued in y
+    x0 = responses.x0
+    same = SequenceResponses.from_dict(
+        responses.as_dict() | {"x1": IQTrace(x0.t_ns, x0.i_vals, x0.q_vals, "x1")})
+    with pytest.raises(DegenerateDataError):
+        repeated_measurement_stats(same, levels, n_runs=4, noise_sigma=0.0)
+    with pytest.raises(DegenerateDataError):
+        estimate_temperature(same, levels)
+    # a temperature that does not reproduce its slope fails the residual check
+    monkeypatch.setattr(thermometry, "_invert_coefficient",
+                        lambda levels, which, values, clamp: np.full(np.shape(values), 151.0))
+    with pytest.raises(RuntimeError, match="inversion residual"):
+        repeated_measurement_stats(responses, levels, n_runs=4)
+

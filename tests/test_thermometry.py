@@ -21,7 +21,7 @@ from tritherm.thermometry import (
     coefficient_vs_temperature,
     deming_fit,
     deming_slope,
-    _invert_scalar,
+    _invert_coefficient,
     difference_pairs,
     estimate_temperature,
     invert_temperature,
@@ -103,7 +103,7 @@ BRACKET_GRID = np.geomspace(1.0, 2000.0, 61)
 def test_inversion_matches_brentq(which):
     for t_mk in BRACKET_GRID:
         value = coefficient_vs_temperature(ANCHOR, t_mk, which)
-        got = _invert_scalar(ANCHOR, which, value, clamp=False)
+        got = _invert_coefficient(ANCHOR, which, value, clamp=False)
         assert abs(coefficient_vs_temperature(ANCHOR, got, which) - value) <= 1e-10
         # below ~20 mK, 1 - A ~ exp(-h f_ge / k_B T) < 1e-7, so one ulp of A
         # spans more than 1e-8 mK and any two solvers may stop apart
@@ -112,6 +112,39 @@ def test_inversion_matches_brentq(which):
         ref = brentq(lambda t: coefficient_vs_temperature(ANCHOR, t, which) - value,
                      *T_BRACKET_MK, xtol=1e-9)
         assert abs(got - ref) <= 1e-8, (which, t_mk, got, ref)
+
+
+@pytest.mark.parametrize("which", COEFFICIENTS)
+def test_array_inversion_equals_one_value_at_a_time(which):
+    values = coefficient_vs_temperature(ANCHOR, BRACKET_GRID, which)
+    together = _invert_coefficient(ANCHOR, which, values.reshape(-1, 1), clamp=False)
+    assert together.shape == (len(BRACKET_GRID), 1)
+    alone = [float(_invert_coefficient(ANCHOR, which, v, clamp=False)) for v in values]
+    np.testing.assert_array_equal(together[:, 0], alone)
+    # one out-of-range value fails the whole array unless clamped
+    lo, hi = attainable_range(ANCHOR, which)
+    spoiled = np.append(values, hi + 1e-3)
+    with pytest.raises(SlopeOutOfRangeError):
+        _invert_coefficient(ANCHOR, which, spoiled, clamp=False)
+    clamped = _invert_coefficient(ANCHOR, which, spoiled, clamp=True)
+    np.testing.assert_array_equal(clamped[:-1], alone)
+    assert clamped[-1] == (T_BRACKET_MK[0] if which == "A" else T_BRACKET_MK[1])
+
+
+def test_point_ci_reuses_the_point_temperature(monkeypatch):
+    calls = []
+    invert = thermometry._invert_coefficient
+    def counted(*args):
+        calls.append(args)
+        return invert(*args)
+    value = coefficient_vs_temperature(ANCHOR, 150.0, "B")
+    monkeypatch.setattr(thermometry, "_invert_coefficient", counted)
+    point = invert_temperature(_slope("B", value, half=0.0), ANCHOR)
+    assert len(calls) == 1 and point.t_ci95_mk == (point.t_mk, point.t_mk)
+    calls.clear()
+    spread = invert_temperature(_slope("B", value), ANCHOR)
+    assert len(calls) == 3 and spread.t_mk == point.t_mk
+    assert spread.t_ci95_mk[0] < point.t_mk < spread.t_ci95_mk[1]
 
 
 def test_inversion_evaluation_budget(monkeypatch):
@@ -128,7 +161,7 @@ def test_inversion_evaluation_budget(monkeypatch):
             for t_mk in BRACKET_GRID:
                 value = coefficient_vs_temperature(levels, t_mk, which)
                 calls.clear()
-                _invert_scalar(levels, which, value, clamp=False)
+                _invert_coefficient(levels, which, value, clamp=False)
                 assert len(calls) == 2, (levels, which, t_mk, len(calls))
 
 
@@ -142,7 +175,7 @@ def test_inversion_grid_over_devices(default_ops, wp_config):
         for which in COEFFICIENTS:
             for t_mk in BRACKET_GRID:
                 value = coefficient_vs_temperature(levels, t_mk, which)
-                got = _invert_scalar(levels, which, value, clamp=False)
+                got = _invert_coefficient(levels, which, value, clamp=False)
                 assert abs(coefficient_vs_temperature(levels, got, which) - value) <= 1e-10
                 # where 1 - A < 1e-7 (below ~20 mK at f_ge 6.74 GHz, ~24 mK at
                 # 8 GHz) one ulp of A spans more than 1e-9 mK
@@ -154,9 +187,9 @@ def test_inversion_grid_over_devices(default_ops, wp_config):
 def test_inversion_guards_raise(monkeypatch):
     # a NaN slope never stops the Newton iteration, so the step cap raises
     with pytest.raises(RuntimeError, match="not converged"):
-        _invert_scalar(ANCHOR, "B", float("nan"), clamp=True)
+        _invert_coefficient(ANCHOR, "B", float("nan"), clamp=True)
     value = coefficient_vs_temperature(ANCHOR, 150.0, "C")
-    monkeypatch.setattr(thermometry, "_invert_scalar", lambda *args: 151.0)
+    monkeypatch.setattr(thermometry, "_invert_coefficient", lambda *args: 151.0)
     with pytest.raises(RuntimeError, match="inversion residual"):
         invert_temperature(_slope("C", value), ANCHOR)
 
