@@ -35,15 +35,13 @@ from .thermometry import (
     COEFFICIENTS,
     DegenerateDataError,
     SequenceResponses,
-    SlopeEstimate,
-    SlopeOutOfRangeError,
-    _deming_closed_form,
     _checked_inverse,
+    _deming_closed_form,
     _draw_slopes,
     _row_moments,
     _single_valued,
+    attainable_range,
     coefficient_vs_temperature,
-    invert_temperature,
 )
 
 DEFAULT_IF_CYCLES_PER_SAMPLE = 0.05  # 50 MHz at 1 ns sampling
@@ -202,25 +200,22 @@ def temperature_discrepancy(report: MonteCarloReport, levels,
                             t_grid=None) -> DiscrepancyCurves:
     """Map the slope bias through the inversion: at each bath temperature,
     evaluate the coefficient, look up its mean fitted value, invert, and
-    record the offset.  Out-of-range fitted slopes are skipped and counted.
+    record the offset.  Coefficients outside the study grid and fitted
+    slopes outside the attainable range are skipped and counted.
     """
     if t_grid is None:
         t_grid = np.arange(50.0, 250.1, 5.0)
     t_grid = np.asarray(t_grid, dtype=float)
+    lg = report.lambda_grid
     curves = {c: np.full(len(t_grid), np.nan) for c in COEFFICIENTS}
     skipped = 0
-    for i, t in enumerate(t_grid):
-        for c in COEFFICIENTS:
-            lam = coefficient_vs_temperature(levels, t, c)
-            try:
-                lam_fit = report.fitted_slope_at(lam)
-                est = invert_temperature(
-                    SlopeEstimate(c, None, lam_fit, (lam_fit, lam_fit), 0.0), levels
-                )
-            except (ValueError, SlopeOutOfRangeError):
-                skipped += 1
-                continue
-            curves[c][i] = est.t_mk - t
+    for c in COEFFICIENTS:
+        lam = coefficient_vs_temperature(levels, t_grid, c)
+        lam_fit = np.interp(lam, lg, report.mean_fit)
+        lo, hi = attainable_range(levels, c)
+        ok = (lg[0] <= lam) & (lam <= lg[-1]) & (lo <= lam_fit) & (lam_fit <= hi)
+        curves[c][ok] = _checked_inverse(levels, c, lam_fit[ok], False) - t_grid[ok]
+        skipped += int(np.count_nonzero(~ok))
     return DiscrepancyCurves(t_grid, curves["A"], curves["B"], curves["C"], skipped)
 
 

@@ -1,17 +1,21 @@
 """Oracles the tests hold the simulator and the estimator against: the
 exact population permutation a gate sequence should perform, the
-coefficients A, B, C as population ratios, and the Monte-Carlo studies
-written one experiment or draw at a time."""
+coefficients A, B, C as population ratios, the temperature inversion one
+value at a time, and the Monte-Carlo studies written one experiment or draw
+at a time."""
 
 import numpy as np
 
+from tritherm.constants import GHZ_TO_MK
 from tritherm.hilbert import Populations
 from tritherm.pulses import GateSequence
 from tritherm.readout import add_noise
 from tritherm.thermometry import (
     COEFFICIENTS,
+    T_BRACKET_MK,
     DegenerateDataError,
     SequenceResponses,
+    attainable_range,
     deming_slope,
     estimate_temperature,
 )
@@ -88,3 +92,26 @@ def repeated_temperatures_loop(responses, levels, n_runs, noise_sigma, seed,
                                       n_bootstrap=0, clamp=clamp)
         temps.append([est.t_mk for est in report.estimates])
     return np.array(temps)
+
+
+def invert_coefficient_scalar(levels, which, value):
+    """Temperature (mK) at which coefficient ``which`` equals ``value``, by
+    the same Newton iteration in e = exp(-h f_ge / k_B T) as the estimator,
+    one in-range value at a time in Python floats."""
+    lo, hi = attainable_range(levels, which)
+    if not lo < value < hi:
+        raise ValueError("the oracle takes values strictly inside the attainable range")
+    f_ge, f_gf = (levels.f_ge_ghz, levels.f_gf_ghz) if hasattr(levels, "f_ge_ghz") else levels
+    r = f_gf / f_ge
+    if which == "A":
+        value = 1.0 - value
+    a, b, c = (1.0, 1.0 + value, value) if which == "B" else (1.0 - value, 1.0, value)
+    e = 0.0
+    for _ in range(100):
+        e_r1 = e ** (r - 1.0)
+        e_next = e - (a * e_r1 * e - b * e + c) / (a * r * e_r1 - b)
+        if e_next <= e:
+            return float(min(max(GHZ_TO_MK * f_ge / -np.log(e), T_BRACKET_MK[0]),
+                             T_BRACKET_MK[1]))
+        e = e_next
+    raise RuntimeError("not converged")

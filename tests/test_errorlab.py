@@ -73,18 +73,25 @@ STUDY_CASES = [
     dict(fit_method="deming", abscissa="uniform"),
     dict(fit_method="least_squares", abscissa="sinusoid", noise_sigma=0.0),
     dict(fit_method="deming", abscissa="uniform", noise_sigma=0.0),
+    # squares of ~3e-162 underflow, so some fits (not all) are degenerate
+    dict(fit_method="least_squares", abscissa="uniform", n_points=3, x_span=3e-162,
+         noise_sigma=3e-162),
+    dict(fit_method="deming", abscissa="uniform", n_points=3, x_span=3e-162,
+         noise_sigma=3e-162),
 ]
 
 
 @pytest.mark.parametrize("case", STUDY_CASES, ids=lambda c: "-".join(map(str, c.values())))
 def test_bias_study_matches_the_per_experiment_loop(case):
-    spec = MonteCarloSpec(true_slope=0.5, n_experiments=101, n_points=120, seed=seed, **case)
+    spec = MonteCarloSpec(**dict(true_slope=0.5, n_experiments=101, n_points=120, seed=seed)
+                          | case)
     grid = np.linspace(0.05, 1.0, 4)
     report = slope_bias_study(spec, grid)
     mean, lo, hi, failures = slope_bias_study_loop(spec, grid)
     for got, ref in ((report.mean_fit, mean), (report.ci_low, lo), (report.ci_high, hi)):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
     assert report.n_failures == failures
+    assert (failures > 0) == (spec.x_span < 1e-100)
 
 
 @pytest.mark.parametrize("block", [1, 7, errorlab._NOISE_BLOCK])

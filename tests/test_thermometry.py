@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import make_synthetic_responses
-from oracles import coefficient_from_populations
+from oracles import coefficient_from_populations, invert_coefficient_scalar
 from tritherm import thermometry
 from tritherm.hilbert import LevelEnergies, Populations
 from tritherm.thermometry import (
@@ -116,11 +116,17 @@ def test_inversion_matches_brentq(which):
 
 @pytest.mark.parametrize("which", COEFFICIENTS)
 def test_array_inversion_equals_one_value_at_a_time(which):
+    # bit for bit, the iteration in Python floats; the grid's two ends are the
+    # bracket edges, which return without iterating
     values = coefficient_vs_temperature(ANCHOR, BRACKET_GRID, which)
     together = _invert_coefficient(ANCHOR, which, values.reshape(-1, 1), clamp=False)
     assert together.shape == (len(BRACKET_GRID), 1)
     alone = [float(_invert_coefficient(ANCHOR, which, v, clamp=False)) for v in values]
     np.testing.assert_array_equal(together[:, 0], alone)
+    noisy = values[1:-1] * (1.0 + 1e-4 * np.sin(np.arange(len(values) - 2)))
+    noisy = noisy[(noisy > values.min()) & (noisy < values.max())]
+    np.testing.assert_array_equal(_invert_coefficient(ANCHOR, which, noisy, clamp=False),
+                                  [invert_coefficient_scalar(ANCHOR, which, v) for v in noisy])
     # one out-of-range value fails the whole array unless clamped
     lo, hi = attainable_range(ANCHOR, which)
     spoiled = np.append(values, hi + 1e-3)
