@@ -51,7 +51,6 @@ from .thermometry import (
     TemperatureEstimate,
     coefficient_vs_temperature,
     deming_fit,
-    difference_pairs,
     estimate_temperature,
     invert_temperature,
 )

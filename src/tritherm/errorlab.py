@@ -36,7 +36,7 @@ from .thermometry import (
     DegenerateDataError,
     SequenceResponses,
     _checked_inverse,
-    _deming_closed_form,
+    _deming_rule,
     _draw_slopes,
     _row_moments,
     _single_valued,
@@ -128,15 +128,14 @@ def _fit_slope(xs: np.ndarray, ys: np.ndarray, method: str) -> Tuple[np.ndarray,
 
     A least-squares row is degenerate when x takes a single value or its
     centred variance is exactly zero; a Deming row where deming_slope would
-    raise DegenerateDataError.
+    raise DegenerateDataError (the same rule, ``_deming_rule``).
     """
     _, _, sxx, syy, sxy = _row_moments(xs, ys)
-    degenerate = _single_valued(xs)
+    single_x = _single_valued(xs)
+    if method == "deming":
+        return _deming_rule(sxx, syy, sxy, single_x | _single_valued(ys), 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if method == "deming":
-            degenerate |= _single_valued(ys) | (sxy == 0.0)
-            return _deming_closed_form(sxx, syy, sxy, 1.0), degenerate
-        return sxy / sxx, degenerate | (sxx == 0.0)
+        return sxy / sxx, single_x | (sxx == 0.0)
 
 
 def slope_bias_study(spec: MonteCarloSpec, lambda_grid=None) -> MonteCarloReport:
@@ -275,7 +274,7 @@ def repeated_measurement_stats(
         raise ValueError(f"n_runs must be at least 2 for a spread, got {n_runs}")
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be non-negative")
-    clean = np.stack([[tr.i_vals, tr.q_vals] for tr in responses.as_dict().values()])
+    clean = responses.iq()
     rng = np.random.default_rng(seed)
     slopes = []
     for start in range(0, n_runs, _NOISE_BLOCK):

@@ -72,6 +72,10 @@ class SequenceResponses:
     def as_dict(self) -> Dict[str, IQTrace]:
         return {name: getattr(self, name) for name in _SLOTS}
 
+    def iq(self) -> np.ndarray:
+        """The six traces stacked as (6, 2, m): slots in as_dict order, I over Q."""
+        return np.stack([[tr.i_vals, tr.q_vals] for tr in self.as_dict().values()])
+
     @classmethod
     def from_dict(cls, traces: Dict[str, IQTrace]) -> "SequenceResponses":
         try:
@@ -148,19 +152,11 @@ DIFFERENCE_PAIRS = {
 }
 
 
-def difference_pairs(responses: SequenceResponses):
-    """The nine (x_series, y_series, coefficient, direction) difference pairs.
-
-    Series are complex (I + iQ) windowed samples; the y series plotted against
-    the x series has the coefficient as its slope.
-    """
-    traces = {k: t.complex_vals() for k, t in responses.as_dict().items()}
-    out = []
-    for coef in COEFFICIENTS:
-        for (na, nb), (da, db), direction in DIFFERENCE_PAIRS[coef]:
-            out.append((traces[da] - traces[db], traces[na] - traces[nb],
-                        coef, direction))
-    return out
+# the nine pairs in DIFFERENCE_PAIRS order: slot indices (num_a, num_b, den_a,
+# den_b), and (coefficient, direction) tags
+_PAIR_SLOTS = np.array([[_SLOTS.index(name) for name in num + den]
+                        for c in COEFFICIENTS for num, den, _ in DIFFERENCE_PAIRS[c]])
+_PAIR_TAGS = tuple((c, direction) for c in COEFFICIENTS for _, _, direction in DIFFERENCE_PAIRS[c])
 
 
 def _quadrature_points(iq: np.ndarray, quadratures: str) -> np.ndarray:
@@ -173,15 +169,34 @@ def _quadrature_points(iq: np.ndarray, quadratures: str) -> np.ndarray:
     raise ValueError(f"quadratures must be 'I' or 'IQ', got {quadratures!r}")
 
 
+def _pair_rows(iq: np.ndarray, quadratures: str) -> Tuple[np.ndarray, np.ndarray]:
+    """x and y rows, each (..., 9, n), of the nine difference pairs of six
+    traces stacked as (..., 6, 2, m) (SequenceResponses.iq order); the y row
+    against the x row has the pair's coefficient as its slope."""
+    points = _quadrature_points(iq, quadratures)
+    num_a, num_b, den_a, den_b = _PAIR_SLOTS.T
+    return (points[..., den_a, :] - points[..., den_b, :],
+            points[..., num_a, :] - points[..., num_b, :])
+
+
 # resamples drawn and reduced per block: bounds the b x n index and count
 # arrays to a fixed size whatever the number of resamples
 _BOOTSTRAP_BLOCK = 64
 
 
-def _deming_closed_form(sxx, syy, sxy, delta):
-    """Deming slope from the second central moments (scalars or arrays)."""
+def _deming_rule(sxx, syy, sxy, single, delta):
+    """Closed-form Deming slopes from the second central moments (scalars or
+    arrays) and the mask of degenerate rows, whose slopes are meaningless.
+
+    A row is degenerate when ``single`` flags it (its x or y takes a single
+    value, tested exactly rather than through a variance that rounding
+    leaves near zero) or when its covariance is exactly zero.  Every Deming
+    fit in the package decides degeneracy here.
+    """
     term = syy - delta * sxx
-    return (term + np.sqrt(term * term + 4.0 * delta * sxy * sxy)) / (2.0 * sxy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (term + np.sqrt(term * term + 4.0 * delta * sxy * sxy)) / (2.0 * sxy)
+    return slope, single | (sxy == 0.0)
 
 
 def _row_moments(xs: np.ndarray, ys: np.ndarray):
@@ -196,15 +211,16 @@ def _row_moments(xs: np.ndarray, ys: np.ndarray):
 
 
 def _single_valued(v: np.ndarray) -> np.ndarray:
-    """Rows taking one value, tested exactly rather than through a variance
-    that rounding leaves near zero."""
+    """Rows taking one value, compared exactly."""
     return v.min(axis=-1) == v.max(axis=-1)
 
 
 def _check_deming_args(n_x: int, n_y: int, delta: float) -> None:
     if delta <= 0.0:
         raise ValueError("variance ratio delta must be positive")
-    if n_x != n_y or n_x < 3:
+    if n_x != n_y:
+        raise ValueError(f"x and y differ in length: {n_x} and {n_y} points")
+    if n_x < 3:
         raise ValueError("need at least 3 paired points")
 
 
@@ -212,21 +228,21 @@ def deming_slope(xs: np.ndarray, ys: np.ndarray, delta: float = 1.0) -> Tuple[fl
     """Closed-form Deming slope and intercept for y-to-x noise variance ratio
     ``delta``.
 
-    Raises DegenerateDataError when x or y takes a single value (tested
-    exactly, not through a variance that rounding leaves near zero) or when
-    the covariance is exactly zero.
+    Raises DegenerateDataError, naming the cause, on a series that
+    ``_deming_rule`` flags: x or y takes a single value, or the covariance is
+    exactly zero.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     _check_deming_args(len(xs), len(ys), delta)
-    if _single_valued(xs):
-        raise DegenerateDataError("x series takes a single value")
-    if _single_valued(ys):
-        raise DegenerateDataError("y series takes a single value; slope undefined")
+    single_x, single_y = _single_valued(xs), _single_valued(ys)
     xb, yb, sxx, syy, sxy = _row_moments(xs, ys)
-    if sxy == 0.0:
-        raise DegenerateDataError("x and y series are uncorrelated; slope undefined")
-    slope = _deming_closed_form(sxx, syy, sxy, delta)
+    slope, degenerate = _deming_rule(sxx, syy, sxy, single_x | single_y, delta)
+    if degenerate:
+        cause = ("x series takes a single value" if single_x else
+                 "y series takes a single value" if single_y else
+                 "x and y series are uncorrelated")
+        raise DegenerateDataError(f"{cause}; slope undefined")
     return float(slope), float(yb - slope * xb)
 
 
@@ -246,14 +262,12 @@ def _bootstrap_slopes(xs: np.ndarray, ys: np.ndarray, delta: float,
         counts = np.bincount((idx + n * np.arange(b)[:, None]).ravel(),
                              minlength=b * n).reshape(b, n)
         mx, my, mxx, myy, mxy = (counts @ basis).T / n
-        sxy = mxy - mx * my
         single = counts.max(axis=1) == n
         for v in repeating:
-            drawn = v[idx]
-            single |= drawn.min(axis=1) == drawn.max(axis=1)
-        ok = ~single & (sxy != 0.0)
-        kept.append(_deming_closed_form(mxx[ok] - mx[ok] ** 2, myy[ok] - my[ok] ** 2,
-                                        sxy[ok], delta))
+            single |= _single_valued(v[idx])
+        slopes, degenerate = _deming_rule(mxx - mx ** 2, myy - my ** 2, mxy - mx * my,
+                                          single, delta)
+        kept.append(slopes[~degenerate])
     return np.concatenate(kept)
 
 
@@ -450,10 +464,10 @@ class EstimateReport:
         return out
 
 
-def _aggregate(fits: Sequence[DemingFit], coefficient: str,
+def _aggregate(pairs: Sequence[SlopeEstimate], coefficient: str,
                aggregation: str) -> SlopeEstimate:
-    values = np.array([f.slope for f in fits])
-    halfwidths = np.array([0.5 * (f.ci95[1] - f.ci95[0]) for f in fits])
+    values = np.array([s.value for s in pairs])
+    halfwidths = np.array([0.5 * (s.ci95[1] - s.ci95[0]) for s in pairs])
     if aggregation == "inverse_variance" and np.all(halfwidths > 0):
         w = 1.0 / halfwidths ** 2
         value = float(np.sum(w * values) / np.sum(w))
@@ -463,7 +477,7 @@ def _aggregate(fits: Sequence[DemingFit], coefficient: str,
         half = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
     else:
         raise ValueError(f"unknown aggregation {aggregation!r}")
-    rms = float(np.sqrt(np.mean([f.residual_rms ** 2 for f in fits])))
+    rms = float(np.sqrt(np.mean([s.residual_rms ** 2 for s in pairs])))
     lo, hi = value - 1.96 * half, value + 1.96 * half
     return SlopeEstimate(coefficient, None, value, (min(lo, value), max(hi, value)), rms)
 
@@ -485,22 +499,16 @@ def estimate_temperature(
     (inverse-variance weights when bootstrap CIs are available, plain mean
     otherwise), and inverts A, B, C to temperatures.
     """
-    pairs = difference_pairs(responses)
+    xs, ys = _pair_rows(responses.iq(), quadratures)
     rng = np.random.default_rng(seed)
     pair_estimates: List[SlopeEstimate] = []
-    fits: Dict[str, List[DemingFit]] = {c: [] for c in COEFFICIENTS}
-    for x_series, y_series, coefficient, direction in pairs:
-        fit = deming_fit(
-            _quadrature_points(np.stack([x_series.real, x_series.imag]), quadratures),
-            _quadrature_points(np.stack([y_series.real, y_series.imag]), quadratures),
-            variance_ratio_delta=delta,
-            n_bootstrap=n_bootstrap,
-            rng=rng.spawn(1)[0] if n_bootstrap > 0 else None,
-        )
-        fits[coefficient].append(fit)
+    for x, y, (coefficient, direction) in zip(xs, ys, _PAIR_TAGS):
+        fit = deming_fit(x, y, variance_ratio_delta=delta, n_bootstrap=n_bootstrap,
+                         rng=rng.spawn(1)[0] if n_bootstrap > 0 else None)
         pair_estimates.append(SlopeEstimate(coefficient, direction, fit.slope,
                                             fit.ci95, fit.residual_rms, fit.intercept))
-    aggregated = {c: _aggregate(fits[c], c, aggregation) for c in COEFFICIENTS}
+    aggregated = {c: _aggregate([s for s in pair_estimates if s.coefficient == c], c,
+                                aggregation) for c in COEFFICIENTS}
     consistency = abs(
         aggregated["C"].value - aggregated["A"].value * aggregated["B"].value
     ) / abs(aggregated["C"].value)
@@ -513,29 +521,20 @@ def estimate_temperature(
                           quadratures, (float(t[0]), float(t[-1] + dt)), seed)
 
 
-# the nine difference pairs of difference_pairs, in its order, as slot
-# indices (num_a, num_b, den_a, den_b)
-_PAIR_SLOTS = np.array([[_SLOTS.index(name) for name in num + den]
-                        for c in COEFFICIENTS for num, den, _ in DIFFERENCE_PAIRS[c]])
-
-
 def _draw_slopes(iq: np.ndarray, quadratures: str, delta: float) -> np.ndarray:
     """Aggregated slopes A, B, C, shape (b, 3), of b draws of the six windowed
-    sequence traces, given as ``iq`` of shape (b, 6, 2, m): slots in as_dict
-    order, I over Q.  Each draw's slopes are, to the bit, those that
+    sequence traces, given as ``iq`` of shape (b, 6, 2, m) (SequenceResponses.iq
+    order).  Each draw's slopes are, to the bit, those that
     estimate_temperature aggregates with n_bootstrap 0; a draw on which
-    deming_slope would raise raises DegenerateDataError.
+    deming_slope would raise raises DegenerateDataError naming the coefficient.
     """
-    points = _quadrature_points(iq, quadratures)
-    _check_deming_args(points.shape[-1], points.shape[-1], delta)
-    num_a, num_b, den_a, den_b = _PAIR_SLOTS.T
-    xs = points[:, den_a] - points[:, den_b]
-    ys = points[:, num_a] - points[:, num_b]
-    degenerate = _single_valued(xs) | _single_valued(ys)
+    xs, ys = _pair_rows(iq, quadratures)
+    _check_deming_args(xs.shape[-1], ys.shape[-1], delta)
     _, _, sxx, syy, sxy = _row_moments(xs, ys)
-    degenerate |= sxy == 0.0
+    slopes, degenerate = _deming_rule(sxx, syy, sxy,
+                                      _single_valued(xs) | _single_valued(ys), delta)
     if np.any(degenerate):
         c = COEFFICIENTS[np.argwhere(degenerate)[0, 1] // 3]
         raise DegenerateDataError(f"a draw's {c} difference pair is single-valued or "
                                   f"uncorrelated; slope undefined")
-    return _deming_closed_form(sxx, syy, sxy, delta).reshape(-1, 3, 3).mean(axis=-1)
+    return slopes.reshape(-1, 3, 3).mean(axis=-1)

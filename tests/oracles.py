@@ -1,8 +1,8 @@
 """Oracles the tests hold the simulator and the estimator against: the
 exact population permutation a gate sequence should perform, the
-coefficients A, B, C as population ratios, the temperature inversion one
-value at a time, and the Monte-Carlo studies written one experiment or draw
-at a time."""
+coefficients A, B, C as population ratios, the nine difference pairs as
+complex series, the temperature inversion one value at a time, and the
+Monte-Carlo studies written one experiment or draw at a time."""
 
 import numpy as np
 
@@ -12,6 +12,7 @@ from tritherm.pulses import GateSequence
 from tritherm.readout import add_noise
 from tritherm.thermometry import (
     COEFFICIENTS,
+    DIFFERENCE_PAIRS,
     T_BRACKET_MK,
     DegenerateDataError,
     SequenceResponses,
@@ -43,6 +44,21 @@ def coefficient_from_populations(p: Populations, which: str) -> float:
             f"(equal populations)"
         )
     return num / den
+
+
+def difference_pairs(responses: SequenceResponses):
+    """The nine (x_series, y_series, coefficient, direction) difference pairs.
+
+    Series are complex (I + iQ) windowed samples; the y series plotted against
+    the x series has the coefficient as its slope.
+    """
+    traces = {k: t.complex_vals() for k, t in responses.as_dict().items()}
+    out = []
+    for coef in COEFFICIENTS:
+        for (na, nb), (da, db), direction in DIFFERENCE_PAIRS[coef]:
+            out.append((traces[da] - traces[db], traces[na] - traces[nb],
+                        coef, direction))
+    return out
 
 
 def slope_bias_study_loop(spec, lambda_grid):

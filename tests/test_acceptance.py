@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 
 from conftest import make_synthetic_responses
-from oracles import apply_sequence_ideal, coefficient_from_populations
+from oracles import apply_sequence_ideal, coefficient_from_populations, difference_pairs
 from tritherm.errorlab import repeated_measurement_stats, temperature_discrepancy
 from tritherm.hilbert import Populations, thermal_populations
 from tritherm.lindblad import (
@@ -98,8 +98,6 @@ def test_criterion_3_coefficient_algebra(criterion):
 
         responses, levels = make_synthetic_responses(t_mk=140.0)
         pops = thermal_populations(levels, 140.0)
-        from tritherm.thermometry import difference_pairs
-
         slopes = {coef: [] for coef in COEFFICIENTS}
         for xs, ys, coef, _ in difference_pairs(responses):
             pts_x = np.concatenate([xs.real, xs.imag])

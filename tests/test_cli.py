@@ -363,12 +363,15 @@ def test_cli_exposes_benchmarked_names():
 
 
 def test_cli_calls_the_benchmark_counted_functions(tmp_path, monkeypatch):
-    # the benchmark counts calls of errorlab._fit_slope (montecarlo) and of
-    # thermometry.deming_fit (estimate) through these module attributes
+    # the benchmark counts calls of errorlab._fit_slope (montecarlo), and of
+    # thermometry.deming_fit and thermometry.deming_slope (estimate), through
+    # these module attributes; it takes the bootstrap's share as the
+    # deming_slope calls outside deming_fit, so each fit must make one
     from tritherm import errorlab, thermometry
 
-    calls = {"_fit_slope": 0, "deming_fit": 0}
-    for module, name in ((errorlab, "_fit_slope"), (thermometry, "deming_fit")):
+    calls = {"_fit_slope": 0, "deming_fit": 0, "deming_slope": 0}
+    for module, name in ((errorlab, "_fit_slope"), (thermometry, "deming_fit"),
+                         (thermometry, "deming_slope")):
         def counted(*args, _inner=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _inner(*args, **kwargs)
@@ -380,9 +383,10 @@ def test_cli_calls_the_benchmark_counted_functions(tmp_path, monkeypatch):
     levels = _write_synthetic(tmp_path / "traces")
     assert main(["estimate", "--traces", str(tmp_path / "traces"),
                  "--f-ge", f"{levels.f_ge_ghz}", "--f-gf", f"{levels.f_gf_ghz}",
-                 "--window-start", "0", "--window-end", "600",
+                 "--window-start", "0", "--window-end", "600", "--bootstrap", "20",
                  "--out", str(tmp_path / "est")]) == 0
     assert calls["deming_fit"] >= 1
+    assert calls["deming_slope"] >= calls["deming_fit"]
 
 
 def test_calibrate_subcommand(mini_config_path, tmp_path):

@@ -253,9 +253,8 @@ def test_repeated_draws_match_estimate_temperature(case):
                                        seed=seed, **kw)
     batched = np.stack([stats.samples(c) for c in COEFFICIENTS], axis=1)
     # each draw equals estimate_temperature on the same noisy responses
-    np.testing.assert_allclose(
-        batched, repeated_temperatures_loop(responses, levels, 21, sigma, seed, **kw),
-        rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(
+        batched, repeated_temperatures_loop(responses, levels, 21, sigma, seed, **kw))
 
 
 def test_repeated_draws_clamp_out_of_range_slopes():
@@ -267,10 +266,9 @@ def test_repeated_draws_clamp_out_of_range_slopes():
         repeated_temperatures_loop(responses, levels, 10, 0.002, seed)
     stats = repeated_measurement_stats(responses, levels, n_runs=10, seed=seed, clamp=True)
     assert np.any(stats.t_a_mk == 1.0)
-    np.testing.assert_allclose(
+    np.testing.assert_array_equal(
         np.stack([stats.samples(c) for c in COEFFICIENTS], axis=1),
-        repeated_temperatures_loop(responses, levels, 10, 0.002, seed, clamp=True),
-        rtol=1e-12, atol=0.0)
+        repeated_temperatures_loop(responses, levels, 10, 0.002, seed, clamp=True))
 
 
 def test_repeated_draws_keep_the_estimator_guards(monkeypatch):
@@ -285,7 +283,7 @@ def test_repeated_draws_keep_the_estimator_guards(monkeypatch):
     x0 = responses.x0
     same = SequenceResponses.from_dict(
         responses.as_dict() | {"x1": IQTrace(x0.t_ns, x0.i_vals, x0.q_vals, "x1")})
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(DegenerateDataError, match="draw's A difference pair"):
         repeated_measurement_stats(same, levels, n_runs=4, noise_sigma=0.0)
     with pytest.raises(DegenerateDataError):
         estimate_temperature(same, levels)

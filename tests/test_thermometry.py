@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import make_synthetic_responses
-from oracles import coefficient_from_populations, invert_coefficient_scalar
+from oracles import coefficient_from_populations, difference_pairs, invert_coefficient_scalar
 from tritherm import thermometry
+from tritherm.errorlab import _fit_slope
 from tritherm.hilbert import LevelEnergies, Populations
 from tritherm.thermometry import (
     T_BRACKET_MK,
     COEFFICIENTS,
     DIFFERENCE_PAIRS,
     DegenerateDataError,
+    SequenceResponses,
     SlopeEstimate,
     SlopeOutOfRangeError,
     attainable_range,
@@ -22,7 +24,7 @@ from tritherm.thermometry import (
     deming_fit,
     deming_slope,
     _invert_coefficient,
-    difference_pairs,
+    _pair_rows,
     estimate_temperature,
     invert_temperature,
 )
@@ -245,8 +247,10 @@ def test_deming_bootstrap_ci():
 def test_deming_rejects_degenerate_data():
     with pytest.raises(DegenerateDataError):
         deming_fit(np.zeros(50), np.zeros(50))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 3"):
         deming_fit(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="differ in length: 5 and 4"):
+        deming_slope(np.arange(5.0), np.arange(4.0))
     with pytest.raises(ValueError):
         deming_fit(np.arange(5.0), np.arange(5.0), variance_ratio_delta=0.0)
 
@@ -320,15 +324,58 @@ def test_bootstrap_memory_is_flat_in_resamples():
 
 
 def test_nine_difference_pairs_structure():
+    # the pair rows equal the complex difference pairs of the oracle, bit for bit
     responses, _ = make_synthetic_responses()
     pairs = difference_pairs(responses)
-    assert len(pairs) == 9
-    per_coef = {c: [] for c in COEFFICIENTS}
-    for xs, ys, coef, direction in pairs:
-        assert len(xs) == len(ys) == 350
-        per_coef[coef].append(direction)
+    assert [(coef, direction) for *_, coef, direction in pairs] == list(thermometry._PAIR_TAGS)
     for coef in COEFFICIENTS:
-        assert sorted(per_coef[coef]) == ["ef", "ge", "gf"]
+        assert sorted(d for *_, c, d in pairs if c == coef) == ["ef", "ge", "gf"]
+    draws = [make_synthetic_responses(t_mk=t, seed=s)[0] for t, s in ((120.0, 7), (60.0, 8))]
+    stack = np.stack([r.iq() for r in draws])
+    for quadratures in ("I", "IQ"):
+        def points(z):
+            return np.concatenate([z.real, z.imag]) if quadratures == "IQ" else z.real
+        for got, ref in ((_pair_rows(responses.iq(), quadratures), [responses]),
+                         (_pair_rows(stack, quadratures), draws)):
+            want = [np.array([[points(pair[k]) for pair in difference_pairs(r)] for r in ref])
+                    for k in (0, 1)]
+            for rows, expected in zip(got, want):
+                np.testing.assert_array_equal(rows, expected.reshape(rows.shape))
+
+
+# (x, y, the DegenerateDataError cause, or None for a series that fits)
+DEMING_SERIES = {
+    "x single-valued": ([0.3, 0.3, 0.3, 0.3], [1.0, 2.0, 0.5, 3.0], "x series"),
+    "y single-valued": ([1.0, 2.0, 0.5, 3.0], [0.3, 0.3, 0.3, 0.3], "y series"),
+    "zero covariance": ([1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0], "uncorrelated"),
+    "a line": ([1.0, 2.0, 0.5, 3.0], [0.6, 1.1, 0.2, 1.4], None),
+}
+
+
+@pytest.mark.parametrize("name", DEMING_SERIES)
+def test_every_deming_fit_flags_the_same_rows(name):
+    x, y, cause = DEMING_SERIES[name]
+    x, y = np.array(x), np.array(y)
+
+    def raises(xs, ys):
+        try:
+            deming_slope(xs, ys)
+        except DegenerateDataError:
+            return True
+        return False
+
+    if cause:
+        with pytest.raises(DegenerateDataError, match=cause):
+            deming_slope(x, y)
+    assert _fit_slope(x[None], y[None], "deming")[1].tolist() == [raises(x, y)] == [bool(cause)]
+    # the bootstrap's resamples: the same indices as 300 size-n draws
+    idx = np.random.default_rng(7).integers(0, len(x), size=(300, len(x)))
+    slopes, flagged = _fit_slope(x[idx], y[idx], "deming")
+    assert flagged.tolist() == [raises(x[i], y[i]) for i in idx]
+    # every resample of a single-valued series is flagged; of the others, some
+    assert flagged.any() and flagged.all() == (cause in ("x series", "y series"))
+    kept = thermometry._bootstrap_slopes(x, y, 1.0, 300, np.random.default_rng(7))
+    np.testing.assert_allclose(kept, slopes[~flagged], rtol=1e-12, atol=0.0)
 
 
 def test_pair_slopes_match_population_algebra():
