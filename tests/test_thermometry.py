@@ -16,7 +16,6 @@ from tritherm.thermometry import (
     COEFFICIENTS,
     DIFFERENCE_PAIRS,
     DegenerateDataError,
-    SequenceResponses,
     SlopeEstimate,
     SlopeOutOfRangeError,
     attainable_range,
