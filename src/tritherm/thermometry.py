@@ -247,28 +247,53 @@ def deming_slope(xs: np.ndarray, ys: np.ndarray, delta: float = 1.0) -> Tuple[fl
 
 
 def _bootstrap_slopes(xs: np.ndarray, ys: np.ndarray, delta: float,
-                      n_bootstrap: int, gen: np.random.Generator) -> np.ndarray:
-    """Deming slopes of the non-degenerate resamples, in draw order."""
-    n = len(xs)
-    xc, yc = xs - xs.mean(), ys - ys.mean()
-    basis = np.column_stack([xc, yc, xc * xc, yc * yc, xc * yc])
-    # a resample that draws one point n times is single-valued in x and y; in
-    # a series with repeated values, draws of several points can be too
-    repeating = [v for v in (xs, ys) if np.unique(v).size < n]
-    kept = []
+                      n_bootstrap: int, gen: np.random.Generator) -> List[np.ndarray]:
+    """Deming slopes of the non-degenerate resamples of each of the k rows
+    of ``xs`` and ``ys`` (each (k, n), on a shared sample axis), in draw
+    order: one array per row.
+
+    A resample is a row of counts, how often each of the n samples was
+    drawn, and one resample serves every row.  Its Deming slopes need only
+    the five moments of each row's resampled points; with each row centred
+    on its full-sample mean those are one count matrix times the n x 5k
+    table [x, y, x^2, y^2, xy] of all rows, divided by n.  Resamples are
+    drawn and reduced in blocks of ``_BOOTSTRAP_BLOCK``, which keeps memory
+    flat in ``n_bootstrap``; a block's ``integers(0, n, size=(b, n))`` draws
+    the same indices as b successive size-n draws, so the slopes do not
+    depend on the block size.
+    """
+    k, n = xs.shape
+    xc = xs - xs.mean(axis=-1, keepdims=True)
+    yc = ys - ys.mean(axis=-1, keepdims=True)
+    basis = np.ascontiguousarray(np.concatenate([xc, yc, xc * xc, yc * yc, xc * yc]).T)
+    # a resample that draws one sample n times is single-valued in every row;
+    # in a row with repeated values, draws of several samples can be too
+    repeating = [(row, v[row]) for row in range(k) for v in (xs, ys)
+                 if np.unique(v[row]).size < n]
+    slopes = np.empty((n_bootstrap, k))
+    degenerate = np.empty((n_bootstrap, k), dtype=bool)
     for start in range(0, n_bootstrap, _BOOTSTRAP_BLOCK):
         b = min(_BOOTSTRAP_BLOCK, n_bootstrap - start)
         idx = gen.integers(0, n, size=(b, n))
         counts = np.bincount((idx + n * np.arange(b)[:, None]).ravel(),
                              minlength=b * n).reshape(b, n)
-        mx, my, mxx, myy, mxy = (counts @ basis).T / n
-        single = counts.max(axis=1) == n
-        for v in repeating:
-            single |= _single_valued(v[idx])
-        slopes, degenerate = _deming_rule(mxx - mx ** 2, myy - my ** 2, mxy - mx * my,
-                                          single, delta)
-        kept.append(slopes[~degenerate])
-    return np.concatenate(kept)
+        mx, my, mxx, myy, mxy = (counts @ basis).reshape(b, 5, k).transpose(1, 0, 2) / n
+        single = np.repeat((counts.max(axis=1) == n)[:, None], k, axis=1)
+        for row, v in repeating:
+            single[:, row] |= _single_valued(v[idx])
+        block = slice(start, start + b)
+        slopes[block], degenerate[block] = _deming_rule(
+            mxx - mx ** 2, myy - my ** 2, mxy - mx * my, single, delta)
+    return [s[~d] for s, d in zip(slopes.T, degenerate.T)]
+
+
+def _bootstrap_ci(samples: np.ndarray, slope: float, n_bootstrap: int) -> Tuple[float, float]:
+    """Percentile 95% CI of the kept resample slopes, widened to contain the
+    point slope; fewer than ``n_bootstrap // 2`` kept raise."""
+    if len(samples) < n_bootstrap // 2:
+        raise DegenerateDataError("bootstrap resamples mostly degenerate")
+    lo, hi = np.percentile(samples, [2.5, 97.5])
+    return float(min(lo, slope)), float(max(hi, slope))
 
 
 def deming_fit(xs, ys, variance_ratio_delta: float = 1.0,
@@ -276,16 +301,8 @@ def deming_fit(xs, ys, variance_ratio_delta: float = 1.0,
     """Deming fit with a nonparametric bootstrap 95% CI on the slope.
 
     ``rng`` seeds the bootstrap (int, Generator, or None); with
-    ``n_bootstrap = 0`` the CI degenerates to the point value.
-
-    A resample is a row of counts: how often each of the n points was drawn.
-    Its Deming slope needs only the five moments of the resampled points,
-    and with the data centred on the full-sample mean those are one count
-    matrix times the n x 5 table [x, y, x^2, y^2, xy], divided by n.
-    Resamples are drawn and reduced in blocks of ``_BOOTSTRAP_BLOCK``, which
-    keeps memory flat in ``n_bootstrap``. A block's ``integers(0, n,
-    size=(b, n))`` draws the same indices as b successive size-n draws, so
-    the resamples, and hence the CI, do not depend on the block size. As in
+    ``n_bootstrap = 0`` the CI degenerates to the point value.  The
+    resamples are those of ``_bootstrap_slopes`` on this one row.  As in
     ``deming_slope``, a resample in which x or y takes a single value, or
     whose covariance is exactly zero, is skipped; fewer than
     ``n_bootstrap // 2`` kept resamples raise DegenerateDataError.
@@ -295,16 +312,12 @@ def deming_fit(xs, ys, variance_ratio_delta: float = 1.0,
     slope, intercept = deming_slope(xs, ys, variance_ratio_delta)
     resid = (ys - intercept - slope * xs) / np.sqrt(1.0 + slope * slope / variance_ratio_delta)
     rms = float(np.sqrt(np.mean(resid ** 2)))
+    ci = (slope, slope)
     if n_bootstrap > 0:
-        samples = _bootstrap_slopes(xs, ys, variance_ratio_delta, n_bootstrap,
-                                    np.random.default_rng(rng))
-        if len(samples) < n_bootstrap // 2:
-            raise DegenerateDataError("bootstrap resamples mostly degenerate")
-        lo, hi = np.percentile(samples, [2.5, 97.5])
-        lo, hi = min(lo, slope), max(hi, slope)
-    else:
-        lo = hi = slope
-    return DemingFit(slope, intercept, (float(lo), float(hi)), rms)
+        samples = _bootstrap_slopes(xs[None], ys[None], variance_ratio_delta, n_bootstrap,
+                                    np.random.default_rng(rng))[0]
+        ci = _bootstrap_ci(samples, slope, n_bootstrap)
+    return DemingFit(slope, intercept, ci, rms)
 
 
 def _frequencies(levels: Union[LevelEnergies, Tuple[float, float]]) -> Tuple[float, float]:
@@ -414,16 +427,20 @@ def invert_temperature(slope: SlopeEstimate, levels, clamp: bool = False) -> Tem
 
     Newton's method in e = exp(-h f_ge / k_B T) on the convex equation of B
     or C (1 - A = C), started at e = 0, over the 1 mK - 2 K bracket; the CI
-    comes from inverting both slope CI bounds (clamped to the bracket when
-    they spill past it; a bound equal to the point value reuses its
-    temperature).  ``clamp=True`` pins an out-of-range point estimate to the
-    bracket edge instead of raising.
+    comes from inverting both slope CI bounds in one call (clamped to the
+    bracket when they spill past it; a bound equal to the point value reuses
+    its temperature).  ``clamp=True`` pins an out-of-range point estimate to
+    the bracket edge instead of raising.
     """
     c = slope.coefficient
     t = float(_checked_inverse(levels, c, slope.value, clamp))
-    bounds = sorted(t if v == slope.value else float(_invert_coefficient(levels, c, v, True))
-                    for v in slope.ci95)
-    return TemperatureEstimate(t, c, slope, (bounds[0], bounds[1]))
+    ci = np.array(slope.ci95)
+    t_ci = np.full(2, t)
+    moved = ci != slope.value
+    if np.any(moved):
+        t_ci[moved] = _invert_coefficient(levels, c, ci[moved], True)
+    lo, hi = sorted(t_ci.tolist())
+    return TemperatureEstimate(t, c, slope, (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -497,16 +514,21 @@ def estimate_temperature(
     Fits all nine difference pairs with Deming regression (three redundant
     directions per coefficient), aggregates each coefficient's slopes
     (inverse-variance weights when bootstrap CIs are available, plain mean
-    otherwise), and inverts A, B, C to temperatures.
+    otherwise), and inverts A, B, C to temperatures.  The nine pairs share
+    their sample instants, so with ``n_bootstrap`` > 0 each resample of
+    those instants, drawn from ``np.random.default_rng(seed)``, serves all
+    nine pair CIs.
     """
     xs, ys = _pair_rows(responses.iq(), quadratures)
-    rng = np.random.default_rng(seed)
-    pair_estimates: List[SlopeEstimate] = []
-    for x, y, (coefficient, direction) in zip(xs, ys, _PAIR_TAGS):
-        fit = deming_fit(x, y, variance_ratio_delta=delta, n_bootstrap=n_bootstrap,
-                         rng=rng.spawn(1)[0] if n_bootstrap > 0 else None)
-        pair_estimates.append(SlopeEstimate(coefficient, direction, fit.slope,
-                                            fit.ci95, fit.residual_rms, fit.intercept))
+    fits = [deming_fit(x, y, variance_ratio_delta=delta, n_bootstrap=0) for x, y in zip(xs, ys)]
+    cis = [fit.ci95 for fit in fits]
+    if n_bootstrap > 0:
+        kept = _bootstrap_slopes(xs, ys, delta, n_bootstrap, np.random.default_rng(seed))
+        cis = [_bootstrap_ci(samples, fit.slope, n_bootstrap)
+               for samples, fit in zip(kept, fits)]
+    pair_estimates = [SlopeEstimate(coefficient, direction, fit.slope, ci, fit.residual_rms,
+                                    fit.intercept)
+                      for fit, ci, (coefficient, direction) in zip(fits, cis, _PAIR_TAGS)]
     aggregated = {c: _aggregate([s for s in pair_estimates if s.coefficient == c], c,
                                 aggregation) for c in COEFFICIENTS}
     consistency = abs(

@@ -1,8 +1,9 @@
 """Oracles the tests hold the simulator and the estimator against: the
 exact population permutation a gate sequence should perform, the
 coefficients A, B, C as population ratios, the nine difference pairs as
-complex series, the temperature inversion one value at a time, and the
-Monte-Carlo studies written one experiment or draw at a time."""
+complex series, the pair bootstrap one resample at a time, the temperature
+inversion one value at a time, and the Monte-Carlo studies written one
+experiment or draw at a time."""
 
 import numpy as np
 
@@ -59,6 +60,24 @@ def difference_pairs(responses: SequenceResponses):
             out.append((traces[da] - traces[db], traces[na] - traces[nb],
                         coef, direction))
     return out
+
+
+def bootstrap_pair_slopes_loop(xs, ys, n_bootstrap, seed, delta=1.0):
+    """The shared pair bootstrap one resample at a time: per resample one
+    integers(0, n, size=n) draw of the sample instants, then deming_slope on
+    each pair row (xs, ys are (k, n)) at those instants, skipping degenerate
+    ones.  Returns each row's kept slopes, in draw order."""
+    gen = np.random.default_rng(seed)
+    n = xs.shape[-1]
+    kept = [[] for _ in xs]
+    for _ in range(n_bootstrap):
+        idx = gen.integers(0, n, size=n)
+        for row, (x, y) in enumerate(zip(xs, ys)):
+            try:
+                kept[row].append(deming_slope(x[idx], y[idx], delta)[0])
+            except DegenerateDataError:
+                pass
+    return [np.array(slopes) for slopes in kept]
 
 
 def slope_bias_study_loop(spec, lambda_grid):

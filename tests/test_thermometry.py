@@ -7,15 +7,22 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import make_synthetic_responses
-from oracles import coefficient_from_populations, difference_pairs, invert_coefficient_scalar
+from oracles import (
+    bootstrap_pair_slopes_loop,
+    coefficient_from_populations,
+    difference_pairs,
+    invert_coefficient_scalar,
+)
 from tritherm import thermometry
 from tritherm.errorlab import _fit_slope
 from tritherm.hilbert import LevelEnergies, Populations
+from tritherm.readout import IQTrace, add_noise
 from tritherm.thermometry import (
     T_BRACKET_MK,
     COEFFICIENTS,
     DIFFERENCE_PAIRS,
     DegenerateDataError,
+    SequenceResponses,
     SlopeEstimate,
     SlopeOutOfRangeError,
     attainable_range,
@@ -149,9 +156,17 @@ def test_point_ci_reuses_the_point_temperature(monkeypatch):
     point = invert_temperature(_slope("B", value, half=0.0), ANCHOR)
     assert len(calls) == 1 and point.t_ci95_mk == (point.t_mk, point.t_mk)
     calls.clear()
+    # both bounds of a spread go in one call, and match one bound at a time
     spread = invert_temperature(_slope("B", value), ANCHOR)
-    assert len(calls) == 3 and spread.t_mk == point.t_mk
+    assert len(calls) == 2 and spread.t_mk == point.t_mk
     assert spread.t_ci95_mk[0] < point.t_mk < spread.t_ci95_mk[1]
+    alone = sorted(float(invert(ANCHOR, "B", v, True)) for v in (value - 1e-4, value + 1e-4))
+    assert list(spread.t_ci95_mk) == alone
+    calls.clear()
+    one_sided = invert_temperature(SlopeEstimate("B", None, value, (value, value + 1e-4), 0.0),
+                                   ANCHOR)
+    assert len(calls) == 2 and len(calls[1][2]) == 1
+    assert one_sided.t_ci95_mk == (point.t_mk, spread.t_ci95_mk[1])
 
 
 def test_inversion_evaluation_budget(monkeypatch):
@@ -322,6 +337,82 @@ def test_bootstrap_memory_is_flat_in_resamples():
     assert peak <= 4e6
 
 
+def test_nine_row_bootstrap_memory_is_flat_in_resamples():
+    rng = np.random.default_rng(seed + 5)
+    x = rng.normal(size=(9, 700))
+    y = 0.5 * x + rng.normal(scale=0.1, size=(9, 700))
+    tracemalloc.start()
+    try:
+        thermometry._bootstrap_slopes(x, y, 1.0, 1000, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
+def _noisy_responses(n_samples, noise_seed):
+    responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=n_samples)
+    rng = np.random.default_rng(noise_seed)
+    return SequenceResponses.from_dict({name: add_noise(tr, 0.02, 1, rng)
+                                        for name, tr in responses.as_dict().items()}), levels
+
+
+def _assert_pair_cis_match_reference(report, xs, ys, n_bootstrap, seed):
+    kept = bootstrap_pair_slopes_loop(xs, ys, n_bootstrap, seed)
+    for est, samples in zip(report.pair_slopes, kept):
+        lo, hi = np.percentile(samples, [2.5, 97.5])
+        for got, ref in zip(est.ci95, (min(lo, est.value), max(hi, est.value))):
+            assert abs(got - ref) <= 1e-12 * abs(ref), (est.coefficient, est.direction,
+                                                        n_bootstrap, got, ref)
+    return kept
+
+
+@pytest.mark.parametrize("quadratures", ["I", "IQ"])
+def test_shared_bootstrap_matches_per_resample_reference(quadratures):
+    responses, levels = _noisy_responses(350, seed + 6)
+    xs, ys = _pair_rows(responses.iq(), quadratures)
+    for n_bootstrap in (1, 63, 64, 65, 1000):
+        report = estimate_temperature(responses, levels, quadratures=quadratures,
+                                      n_bootstrap=n_bootstrap, seed=7)
+        _assert_pair_cis_match_reference(report, xs, ys, n_bootstrap, 7)
+
+
+def test_shared_bootstrap_masks_each_pair_row_on_its_own():
+    # every difference serves two pairs: x0 - x1 is the y row of A ge and the
+    # x row of B ge.  Zero but for its last sample, it leaves those two rows
+    # single-valued in the ~35% of resamples that miss that sample, and no other
+    responses, levels = _noisy_responses(12, seed + 7)
+    traces = responses.as_dict()
+    i_vals = traces["x0"].i_vals.copy()
+    i_vals[-1] += 0.3
+    traces["x1"] = IQTrace(traces["x1"].t_ns, i_vals, traces["x1"].q_vals, "x1")
+    responses = SequenceResponses.from_dict(traces)
+    xs, ys = _pair_rows(responses.iq(), "I")
+    report = estimate_temperature(responses, levels, quadratures="I", n_bootstrap=1000,
+                                  seed=3, clamp=True)
+    kept = _assert_pair_cis_match_reference(report, xs, ys, 1000, 3)
+    short = [tag for tag, slopes in zip(thermometry._PAIR_TAGS, kept) if len(slopes) < 1000]
+    assert short == [("A", "ge"), ("B", "ge")]
+    got = thermometry._bootstrap_slopes(xs, ys, 1.0, 1000, np.random.default_rng(3))
+    assert [len(g) for g in got] == [len(k) for k in kept]
+
+
+def test_estimate_draws_one_bootstrap_for_all_pairs(monkeypatch):
+    calls = []
+    inner = thermometry._bootstrap_slopes
+
+    def counted(xs, ys, *args):
+        calls.append(xs.shape)
+        return inner(xs, ys, *args)
+
+    monkeypatch.setattr(thermometry, "_bootstrap_slopes", counted)
+    responses, levels = _noisy_responses(350, seed + 6)
+    estimate_temperature(responses, levels, n_bootstrap=0)
+    assert calls == []
+    estimate_temperature(responses, levels, n_bootstrap=200, seed=3)
+    assert calls == [(9, 700)]
+
+
 def test_nine_difference_pairs_structure():
     # the pair rows equal the complex difference pairs of the oracle, bit for bit
     responses, _ = make_synthetic_responses()
@@ -348,6 +439,8 @@ DEMING_SERIES = {
     "y single-valued": ([1.0, 2.0, 0.5, 3.0], [0.3, 0.3, 0.3, 0.3], "y series"),
     "zero covariance": ([1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0], "uncorrelated"),
     "a line": ([1.0, 2.0, 0.5, 3.0], [0.6, 1.1, 0.2, 1.4], None),
+    # no repeated values, yet a ninth of its resamples draw one point thrice
+    "three points": ([0.1, 0.7, 0.3], [0.2, 0.5, 0.9], None),
 }
 
 
@@ -373,7 +466,7 @@ def test_every_deming_fit_flags_the_same_rows(name):
     assert flagged.tolist() == [raises(x[i], y[i]) for i in idx]
     # every resample of a single-valued series is flagged; of the others, some
     assert flagged.any() and flagged.all() == (cause in ("x series", "y series"))
-    kept = thermometry._bootstrap_slopes(x, y, 1.0, 300, np.random.default_rng(7))
+    kept = thermometry._bootstrap_slopes(x[None], y[None], 1.0, 300, np.random.default_rng(7))[0]
     np.testing.assert_allclose(kept, slopes[~flagged], rtol=1e-12, atol=0.0)
 
 
@@ -426,8 +519,6 @@ def test_estimate_report_dict_keys():
 def test_sequence_responses_reject_mislabeled_slot():
     responses, _ = make_synthetic_responses()
     traces = responses.as_dict()
-    from tritherm.thermometry import SequenceResponses
-
     swapped = dict(traces)
     swapped["x2"], swapped["y1"] = traces["y1"], traces["x2"]
     with pytest.raises(ValueError):
