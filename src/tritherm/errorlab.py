@@ -13,14 +13,15 @@ attenuation exactly (factor S_xx/(S_xx + sigma^2)); a symmetric Deming fit
 with delta = 1 is available for comparison and is mean-unbiased on this
 geometry.
 
-Both Monte-Carlo studies draw their noise in blocks of ``_NOISE_BLOCK``
-experiments or draws and reduce each block with array operations.  A
-block's ``normal(size=(b, 2, n))`` (bias study) or ``normal(size=(b, 6, 2,
-m))`` (repeated draws) fills the same numbers as b successive per-experiment
-or per-draw calls, and every row is reduced in the order a single fit
-reduces it, so the results do not depend on the block size.  The block
-bounds the working set: a few (b, 9, 2m) arrays for the repeated draws,
-whatever the number of draws.
+The bias study never builds its noisy clouds.  A fit reads only the
+cloud's second central moments, and for Gaussian noise their law is exact
+and needs five draws per experiment (see ``_sample_moments``), where an
+explicit cloud needs 2n.  The repeated draws do build noisy traces: they
+draw them in blocks of ``_NOISE_BLOCK`` draws, one ``normal(size=(b, 6, 2,
+m))`` call per block, which fills the same numbers as b successive per-draw
+calls; each row is reduced in the order a single fit reduces it, so the
+results do not depend on the block size.  The block bounds the working set
+to a few (b, 9, 2m) arrays, whatever the number of draws.
 """
 
 from __future__ import annotations
@@ -38,15 +39,13 @@ from .thermometry import (
     _checked_inverse,
     _deming_rule,
     _draw_slopes,
-    _row_moments,
-    _single_valued,
     attainable_range,
     coefficient_vs_temperature,
 )
 
 DEFAULT_IF_CYCLES_PER_SAMPLE = 0.05  # 50 MHz at 1 ns sampling
 
-# experiments or draws whose noise is drawn and reduced at once
+# repeated draws whose noise is drawn and reduced at once
 _NOISE_BLOCK = 8
 
 
@@ -87,7 +86,7 @@ class MonteCarloSpec:
     def design_points(self) -> np.ndarray:
         if self.abscissa == "uniform":
             return np.linspace(-self.x_span, self.x_span, self.n_points)
-        half = self.n_points // 2
+        half = (self.n_points + 1) // 2
         t = np.arange(half, dtype=float)
         phase = TWO_PI * DEFAULT_IF_CYCLES_PER_SAMPLE * t
         pts = np.concatenate([np.cos(phase), np.sin(phase)])
@@ -122,25 +121,61 @@ class MonteCarloReport:
         return float(np.interp(true_slope, lg, self.mean_fit))
 
 
-def _fit_slope(xs: np.ndarray, ys: np.ndarray, method: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Slopes of the paired rows of ``xs`` and ``ys`` (shape (b, n)) and a
-    mask of the degenerate rows, whose slopes are meaningless.
+def _fit_slope(sxx, syy, sxy, method: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Slopes from arrays of second central moments and a mask of the
+    degenerate experiments, whose slopes are meaningless.
 
-    A least-squares row is degenerate when x takes a single value or its
-    centred variance is exactly zero; a Deming row where deming_slope would
-    raise DegenerateDataError (the same rule, ``_deming_rule``).
+    A least-squares fit is degenerate when sxx is exactly zero; a Deming fit
+    where ``_deming_rule`` flags it, with an exactly-zero sxx or syy standing
+    for a single-valued axis.  Sampled moments come from no row of values,
+    so a single-valued axis shows only as an exactly-zero moment.
     """
-    _, _, sxx, syy, sxy = _row_moments(xs, ys)
-    single_x = _single_valued(xs)
     if method == "deming":
-        return _deming_rule(sxx, syy, sxy, single_x | _single_valued(ys), 1.0)
+        return _deming_rule(sxx, syy, sxy, (sxx == 0.0) | (syy == 0.0), 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return sxy / sxx, single_x | (sxx == 0.0)
+        return sxy / sxx, sxx == 0.0
+
+
+def _sample_moments(rng, x0: np.ndarray, slope: float, sigma: float, size: int):
+    """Second central moments (sxx, syy, sxy) of ``size`` noisy clouds
+    (x0 + e, slope * x0 + f), e and f iid N(0, sigma^2) per point, drawn from
+    their exact law without drawing the clouds.
+
+    Centring leaves n - 1 noise directions per axis.  Along the unit design
+    direction x0c / a (a^2 = sum x0c^2, x0c the centred design) the noise is
+    g ~ N(0, sigma^2 I_2); on the n - 2 directions orthogonal to it the two
+    axes' noise has a Wishart scatter, sigma^2 L L^T with the Bartlett factor
+    L = [[sqrt(c1), 0], [z, sqrt(c2)]], c1 ~ chi2(n-2), c2 ~ chi2(n-3)
+    (0 when n = 3), z ~ N(0, 1) (Bartlett 1933).  With u = a + g0 and
+    w = slope * a + g1:
+
+        n sxx = u^2 + sigma^2 c1
+        n syy = w^2 + sigma^2 (z^2 + c2)
+        n sxy = u w + sigma^2 sqrt(c1) z
+
+    Draw order per call: standard_normal(size=(3, size)) gives g0/sigma,
+    g1/sigma and z; then chisquare(n - 2, size) gives c1 and, when n > 3,
+    chisquare(n - 3, size) gives c2.
+    """
+    n = len(x0)
+    x0c = x0 - x0.mean()
+    a = np.sqrt(np.sum(x0c * x0c))
+    g0, g1, z = rng.standard_normal(size=(3, size))
+    c1 = rng.chisquare(n - 2, size)
+    c2 = rng.chisquare(n - 3, size) if n > 3 else np.zeros(size)
+    u = a + sigma * g0
+    w = slope * a + sigma * g1
+    s2 = sigma * sigma
+    return ((u * u + s2 * c1) / n, (w * w + s2 * (z * z + c2)) / n,
+            (u * w + s2 * np.sqrt(c1) * z) / n)
 
 
 def slope_bias_study(spec: MonteCarloSpec, lambda_grid=None) -> MonteCarloReport:
     """Fit ``n_experiments`` noisy collinear clouds per true slope.
 
+    Each experiment's second moments are sampled from their exact Gaussian
+    law (``_sample_moments``), one call per slope point in grid order on one
+    generator seeded with ``spec.seed``, then fitted with ``_fit_slope``.
     Reports the mean fitted slope with the 95% CI of the mean (normal
     approximation over experiments).  Degenerate fits are counted, not fatal,
     unless fewer than two fits survive at a slope, which raises
@@ -159,15 +194,10 @@ def slope_bias_study(spec: MonteCarloSpec, lambda_grid=None) -> MonteCarloReport
     ci_hi = np.empty(len(lambda_grid))
     failures = 0
     for j, lam in enumerate(lambda_grid):
-        y0 = lam * x0
-        kept = []
-        for start in range(0, spec.n_experiments, _NOISE_BLOCK):
-            b = min(_NOISE_BLOCK, spec.n_experiments - start)
-            noise = rng.normal(0.0, spec.noise_sigma, size=(b, 2, len(x0)))
-            slopes, degenerate = _fit_slope(x0 + noise[:, 0], y0 + noise[:, 1], spec.fit_method)
-            failures += int(degenerate.sum())
-            kept.append(slopes[~degenerate])
-        fits = np.concatenate(kept)
+        moments = _sample_moments(rng, x0, lam, spec.noise_sigma, spec.n_experiments)
+        slopes, degenerate = _fit_slope(*moments, spec.fit_method)
+        failures += int(degenerate.sum())
+        fits = slopes[~degenerate]
         if len(fits) < 2:
             raise DegenerateDataError(
                 f"{len(fits)} of {spec.n_experiments} fits are non-degenerate at true slope "

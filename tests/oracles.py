@@ -3,7 +3,8 @@ exact population permutation a gate sequence should perform, the
 coefficients A, B, C as population ratios, the nine difference pairs as
 complex series, the pair bootstrap one resample at a time, the temperature
 inversion one value at a time, and the Monte-Carlo studies written one
-experiment or draw at a time."""
+experiment or draw at a time (the bias study both as its law and as the
+explicit clouds of its sampled moments)."""
 
 import numpy as np
 
@@ -80,19 +81,16 @@ def bootstrap_pair_slopes_loop(xs, ys, n_bootstrap, seed, delta=1.0):
     return [np.array(slopes) for slopes in kept]
 
 
-def slope_bias_study_loop(spec, lambda_grid):
-    """The bias study one experiment at a time: per true slope, fit each
-    noisy cloud with deming_slope or least squares, skipping and counting
-    degenerate fits.  Returns (mean_fit, ci_low, ci_high, n_failures)."""
+def _bias_study_of_clouds(spec, lambda_grid, clouds):
+    """Per true slope, fit each cloud that ``clouds(rng, x0, slope)`` yields
+    with deming_slope or least squares, skipping and counting degenerate
+    fits.  Returns (mean_fit, ci_low, ci_high, n_failures)."""
     rng = np.random.default_rng(spec.seed)
     x0 = spec.design_points()
     rows, failures = [], 0
     for lam in np.asarray(lambda_grid, dtype=float):
-        y0 = lam * x0
         fits = []
-        for _ in range(spec.n_experiments):
-            xs = x0 + rng.normal(0.0, spec.noise_sigma, size=len(x0))
-            ys = y0 + rng.normal(0.0, spec.noise_sigma, size=len(x0))
+        for xs, ys in clouds(rng, x0, lam):
             if spec.fit_method == "deming":
                 try:
                     fits.append(deming_slope(xs, ys, delta=1.0)[0])
@@ -111,6 +109,42 @@ def slope_bias_study_loop(spec, lambda_grid):
         rows.append((m, m - 1.96 * sem, m + 1.96 * sem))
     mean, lo, hi = (np.array(col) for col in zip(*rows))
     return mean, lo, hi, failures
+
+
+def slope_bias_study_loop(spec, lambda_grid):
+    """The bias study's law, one explicit noisy cloud per experiment: x and
+    y noise drawn point by point, N(0, noise_sigma^2) on each axis."""
+    def clouds(rng, x0, lam):
+        for _ in range(spec.n_experiments):
+            xs = x0 + rng.normal(0.0, spec.noise_sigma, size=len(x0))
+            yield xs, lam * x0 + rng.normal(0.0, spec.noise_sigma, size=len(x0))
+    return _bias_study_of_clouds(spec, lambda_grid, clouds)
+
+
+def slope_bias_study_replayed(spec, lambda_grid):
+    """The sampled bias study with every experiment's cloud built: replays
+    the sampler's draws per true slope (g0/sigma, g1/sigma, z, then c1 and
+    c2, as errorlab._sample_moments documents) and builds the centred noise
+    E = xhat g^T + [q3 q4] sigma L^T, L = [[sqrt(c1), 0], [z, sqrt(c2)]],
+    with xhat the unit centred design and q3, q4 orthonormal to 1 and xhat
+    (q3 alone when n = 3).  The cloud (x0 + E[:, 0], slope x0 + E[:, 1])
+    has the sampled second moments."""
+    sigma, size = spec.noise_sigma, spec.n_experiments
+
+    def clouds(rng, x0, lam):
+        n = len(x0)
+        x0c = x0 - x0.mean()
+        xhat = x0c / np.linalg.norm(x0c)
+        q = np.linalg.qr(np.column_stack([np.ones(n), x0c]), mode="complete")[0][:, 2:4]
+        g0, g1, z = rng.standard_normal(size=(3, size))
+        c1 = rng.chisquare(n - 2, size)
+        c2 = rng.chisquare(n - 3, size) if n > 3 else np.zeros(size)
+        for k in range(size):
+            lower = np.array([[np.sqrt(c1[k]), 0.0], [z[k], np.sqrt(c2[k])]])
+            e = (np.outer(xhat, sigma * np.array([g0[k], g1[k]]))
+                 + q @ (sigma * lower.T)[: q.shape[1]])
+            yield x0 + e[:, 0], lam * x0 + e[:, 1]
+    return _bias_study_of_clouds(spec, lambda_grid, clouds)
 
 
 def repeated_temperatures_loop(responses, levels, n_runs, noise_sigma, seed,

@@ -363,10 +363,11 @@ def test_cli_exposes_benchmarked_names():
 
 
 def test_cli_calls_the_benchmark_counted_functions(tmp_path, monkeypatch):
-    # the benchmark counts calls of errorlab._fit_slope (montecarlo), and of
-    # thermometry.deming_fit and thermometry.deming_slope (estimate), through
-    # these module attributes; on the estimate path they count the nine
-    # per-pair point fits, each deming_fit making one deming_slope call
+    # the benchmark counts calls of errorlab._fit_slope (montecarlo, one per
+    # slope point), and of thermometry.deming_fit and thermometry.deming_slope
+    # (estimate), through these module attributes; on the estimate path they
+    # count the nine per-pair point fits, each deming_fit making one
+    # deming_slope call
     from tritherm import errorlab, thermometry
 
     calls = {"_fit_slope": 0, "deming_fit": 0, "deming_slope": 0}

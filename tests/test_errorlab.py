@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_synthetic_responses
-from oracles import repeated_temperatures_loop, slope_bias_study_loop
+from oracles import repeated_temperatures_loop, slope_bias_study_loop, slope_bias_study_replayed
 from tritherm import errorlab, thermometry
 from tritherm.errorlab import (
     MonteCarloReport,
@@ -19,6 +19,9 @@ from tritherm.thermometry import (
     DegenerateDataError,
     SequenceResponses,
     SlopeOutOfRangeError,
+    _deming_rule,
+    _row_moments,
+    _single_valued,
     estimate_temperature,
 )
 
@@ -44,18 +47,42 @@ def test_spec_validation():
 
 
 def test_least_squares_fit_rejects_single_valued_x():
-    # the variance of np.full(50, 0.1) rounds to ~1e-33, not to zero; that of
-    # +-1e-300 underflows to exactly zero although x is not single-valued
+    # the variance of np.full(50, 0.1) rounds to ~1e-33, not to zero, so on
+    # rows only the exact single-value test catches it; that of +-1e-300
+    # underflows to exactly zero although x is not single-valued
     rng = np.random.default_rng(seed)
     xs = np.stack([np.full(50, 0.1), np.resize([-1e-300, 0.0, 1e-300], 50),
                    rng.normal(size=50)])
     ys = rng.normal(size=(3, 50))
-    slopes, degenerate = _fit_slope(xs, ys, "least_squares")
-    assert degenerate.tolist() == [True, True, False]
+    _, _, sxx, syy, sxy = _row_moments(xs, ys)
+    assert _single_valued(xs).tolist() == [True, False, False]
+    assert (sxx == 0.0).tolist() == [False, True, False]
+    assert _fit_slope(sxx, syy, sxy, "least_squares")[1].tolist() == [False, True, False]
+    slopes, degenerate = _deming_rule(sxx, syy, sxy, _single_valued(xs) | _single_valued(ys), 1.0)
+    assert degenerate.tolist() == [True, False, False]
     assert np.isfinite(slopes[2])
     # Deming flags what deming_slope rejects: a single-valued y here
-    slopes, degenerate = _fit_slope(xs[[2, 2]], np.stack([ys[0], np.full(50, 0.3)]), "deming")
+    xs, ys = xs[[2, 2]], np.stack([ys[0], np.full(50, 0.3)])
+    _, _, sxx, syy, sxy = _row_moments(xs, ys)
+    slopes, degenerate = _deming_rule(sxx, syy, sxy, _single_valued(xs) | _single_valued(ys), 1.0)
     assert degenerate.tolist() == [False, True]
+
+
+def test_fit_slope_reads_moments():
+    # (sxx, syy, sxy): a fit, zero sxx, zero syy, zero covariance, subnormal
+    # sxx; a variance underflows to zero where the covariance need not
+    sxx = np.array([2.0, 0.0, 2.0, 1.0, 5e-324])
+    syy = np.array([1.0, 1.0, 0.0, 1.0, 1.0])
+    sxy = np.array([0.5, 1e-170, 1e-170, 0.0, 1e-300])
+    slopes, degenerate = _fit_slope(sxx, syy, sxy, "least_squares")
+    assert degenerate.tolist() == [False, True, False, False, False]
+    np.testing.assert_array_equal(slopes[[0, 2, 3]], [0.25, 5e-171, 0.0])
+    assert np.isfinite(slopes[4])
+    slopes, degenerate = _fit_slope(sxx, syy, sxy, "deming")
+    assert degenerate.tolist() == [False, True, True, True, False]
+    # delta = 1: (syy - sxx + sqrt((syy - sxx)^2 + 4 sxy^2)) / (2 sxy)
+    np.testing.assert_allclose(slopes[0], np.sqrt(2.0) - 1.0, rtol=1e-15)
+    assert np.isfinite(slopes[4])
 
 
 def test_bias_study_without_two_fits_names_the_slope():
@@ -83,28 +110,45 @@ STUDY_CASES = [
 
 @pytest.mark.parametrize("case", STUDY_CASES, ids=lambda c: "-".join(map(str, c.values())))
 def test_bias_study_matches_the_per_experiment_loop(case):
+    # the sampled moments follow the law of explicit noisy clouds: means
+    # within 4 combined SEMs, SEMs within 25%; noiseless studies are exact
+    spec = MonteCarloSpec(**dict(true_slope=0.5, n_experiments=400, n_points=120, seed=seed)
+                          | case)
+    grid = np.linspace(0.05, 1.0, 4)
+    report = slope_bias_study(spec, grid)
+    mean, _, hi, failures = slope_bias_study_loop(spec, grid)
+    assert (failures > 0) == (report.n_failures > 0) == (spec.x_span < 1e-100)
+    if spec.x_span < 1e-100:
+        return
+    sem, sem_ref = report.ci_high - report.mean_fit, hi - mean
+    if spec.noise_sigma == 0.0:
+        np.testing.assert_allclose(report.mean_fit, mean, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal([sem, sem_ref], 0.0)
+        return
+    assert np.all(np.abs(report.mean_fit - mean) <= 4.0 * np.hypot(sem, sem_ref) / 1.96)
+    assert np.all((0.8 <= sem / sem_ref) & (sem / sem_ref <= 1.25))
+
+
+@pytest.mark.parametrize("case", [c for c in STUDY_CASES if c.get("x_span", 1.0) > 1e-100],
+                         ids=lambda c: "-".join(map(str, c.values())))
+def test_bias_study_matches_its_replayed_clouds(case):
     spec = MonteCarloSpec(**dict(true_slope=0.5, n_experiments=101, n_points=120, seed=seed)
                           | case)
     grid = np.linspace(0.05, 1.0, 4)
     report = slope_bias_study(spec, grid)
-    mean, lo, hi, failures = slope_bias_study_loop(spec, grid)
+    mean, lo, hi, failures = slope_bias_study_replayed(spec, grid)
     for got, ref in ((report.mean_fit, mean), (report.ci_low, lo), (report.ci_high, hi)):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
-    assert report.n_failures == failures
-    assert (failures > 0) == (spec.x_span < 1e-100)
+    assert report.n_failures == failures == 0
 
 
 @pytest.mark.parametrize("block", [1, 7, errorlab._NOISE_BLOCK])
 def test_studies_do_not_depend_on_the_block_size(monkeypatch, block):
-    spec = MonteCarloSpec(true_slope=0.5, n_experiments=100, n_points=60, seed=seed,
-                          fit_method="deming")
     responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=40)
-    reference = (slope_bias_study(spec, [0.2, 0.7]).mean_fit,
-                 repeated_measurement_stats(responses, levels, n_runs=23, seed=seed).t_b_mk)
+    reference = repeated_measurement_stats(responses, levels, n_runs=23, seed=seed).t_b_mk
     monkeypatch.setattr(errorlab, "_NOISE_BLOCK", block)
-    np.testing.assert_array_equal(slope_bias_study(spec, [0.2, 0.7]).mean_fit, reference[0])
     np.testing.assert_array_equal(
-        repeated_measurement_stats(responses, levels, n_runs=23, seed=seed).t_b_mk, reference[1])
+        repeated_measurement_stats(responses, levels, n_runs=23, seed=seed).t_b_mk, reference)
 
 
 def test_slope_bias_study_rejects_bad_grid():
@@ -123,6 +167,10 @@ def test_design_points():
     assert abs(np.mean(x ** 2) - 0.042 ** 2 / 2.0) < 0.05 * 0.042 ** 2
     u = MonteCarloSpec(true_slope=0.5, abscissa="uniform").design_points()
     assert abs(np.mean(u ** 2) - 0.042 ** 2 / 3.0) < 0.05 * 0.042 ** 2
+    for n in range(3, 10):
+        for abscissa in ("sinusoid", "uniform"):
+            spec = MonteCarloSpec(true_slope=0.5, n_points=n, abscissa=abscissa)
+            assert len(spec.design_points()) == n
 
 
 def test_noiseless_study_is_exact():

@@ -14,7 +14,6 @@ from oracles import (
     invert_coefficient_scalar,
 )
 from tritherm import thermometry
-from tritherm.errorlab import _fit_slope
 from tritherm.hilbert import LevelEnergies, Populations
 from tritherm.readout import IQTrace, add_noise
 from tritherm.thermometry import (
@@ -29,8 +28,11 @@ from tritherm.thermometry import (
     coefficient_vs_temperature,
     deming_fit,
     deming_slope,
+    _deming_rule,
     _invert_coefficient,
     _pair_rows,
+    _row_moments,
+    _single_valued,
     estimate_temperature,
     invert_temperature,
 )
@@ -459,10 +461,14 @@ def test_every_deming_fit_flags_the_same_rows(name):
     if cause:
         with pytest.raises(DegenerateDataError, match=cause):
             deming_slope(x, y)
-    assert _fit_slope(x[None], y[None], "deming")[1].tolist() == [raises(x, y)] == [bool(cause)]
+    def row_rule(xs, ys):
+        _, _, sxx, syy, sxy = _row_moments(xs, ys)
+        return _deming_rule(sxx, syy, sxy, _single_valued(xs) | _single_valued(ys), 1.0)
+
+    assert row_rule(x[None], y[None])[1].tolist() == [raises(x, y)] == [bool(cause)]
     # the bootstrap's resamples: the same indices as 300 size-n draws
     idx = np.random.default_rng(7).integers(0, len(x), size=(300, len(x)))
-    slopes, flagged = _fit_slope(x[idx], y[idx], "deming")
+    slopes, flagged = row_rule(x[idx], y[idx])
     assert flagged.tolist() == [raises(x[i], y[i]) for i in idx]
     # every resample of a single-valued series is flagged; of the others, some
     assert flagged.any() and flagged.all() == (cause in ("x series", "y series"))
