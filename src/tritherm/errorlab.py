@@ -16,10 +16,10 @@ geometry.
 The bias study never builds its noisy clouds.  A fit reads only the
 cloud's second central moments, and for Gaussian noise their law is exact
 and needs five draws per experiment (see ``_sample_moments``), where an
-explicit cloud needs 2n.  The repeated draws do build noisy traces: they
-draw them in blocks of ``_NOISE_BLOCK`` draws, one ``normal(size=(b, 6, 2,
-m))`` call per block, which fills the same numbers as b successive per-draw
-calls; each row is reduced in the order a single fit reduces it, so the
+explicit cloud needs 2n.  The repeated draws do build noisy traces, in
+blocks of ``_NOISE_BLOCK`` draws: one ``normal(size=(b, 6, 2, m))`` call,
+the same numbers as b per-draw calls, and one estimator fit call on the
+(b, 9, 2m) pair rows, which reduces each row as a single fit does, so the
 results do not depend on the block size.  The block bounds the working set
 to a few (b, 9, 2m) arrays, whatever the number of draws.
 """
@@ -38,7 +38,7 @@ from .thermometry import (
     SequenceResponses,
     _checked_inverse,
     _deming_rule,
-    _draw_slopes,
+    _fit_pairs,
     attainable_range,
     coefficient_vs_temperature,
 )
@@ -310,8 +310,8 @@ def repeated_measurement_stats(
     for start in range(0, n_runs, _NOISE_BLOCK):
         b = min(_NOISE_BLOCK, n_runs - start)
         noisy = clean + rng.normal(0.0, noise_sigma, size=(b,) + clean.shape)
-        slopes.append(_draw_slopes(noisy, quadratures, delta))
-    slopes = np.concatenate(slopes)
+        slopes.append(_fit_pairs(noisy, quadratures, delta, 0).slope)
+    slopes = np.concatenate(slopes).reshape(-1, 3, 3).mean(axis=-1)
     t_a, t_b, t_c = (_checked_inverse(levels, c, slopes[:, k], clamp)
                      for k, c in enumerate(COEFFICIENTS))
     return RepeatedStats(t_a, t_b, t_c, noise_sigma, seed)

@@ -18,6 +18,10 @@ e = exp(-h f_ge / k_B T) by Newton's method, which rises monotonically to the
 root from e = 0 because each coefficient equation is convex in e.
 Transition frequencies enter as positive numbers; the signs live in the
 exponents above.
+
+One ``deming_fit`` call fits the nine difference pairs as rows of one
+(9, n) array, bootstrap included, and the (b, 9, n) blocks of ``errorlab``'s
+repeated draws; a degenerate row raises naming its pair.
 """
 
 from __future__ import annotations
@@ -39,7 +43,13 @@ DIRECTIONS = ("ge", "gf", "ef")
 
 
 class DegenerateDataError(RuntimeError):
-    """Difference series carries no usable slope information."""
+    """Difference series carries no usable slope information.  ``row``, the
+    leading-axes index of the degenerate row in a stack of rows, prefixes
+    the message; ``reason`` is the message without it."""
+
+    def __init__(self, reason: str, row: Tuple[int, ...] = ()):
+        super().__init__(f"row {', '.join(map(str, row))}: {reason}" if row else reason)
+        self.reason, self.row = reason, row
 
 
 class SlopeOutOfRangeError(RuntimeError):
@@ -86,15 +96,17 @@ class SequenceResponses:
 
 @dataclass(frozen=True)
 class DemingFit:
-    """Closed-form errors-in-variables straight-line fit."""
+    """Closed-form errors-in-variables straight-line fits.  Each field has
+    the rows' leading shape (scalars for one row); ``ci95`` adds a trailing
+    (low, high) axis."""
 
-    slope: float
-    intercept: float
-    ci95: Tuple[float, float]
-    residual_rms: float
+    slope: np.ndarray
+    intercept: np.ndarray
+    ci95: np.ndarray
+    residual_rms: np.ndarray
 
     def __post_init__(self):
-        if self.residual_rms < 0:
+        if np.any(self.residual_rms < 0):
             raise ValueError("residual_rms must be non-negative")
 
 
@@ -153,10 +165,12 @@ DIFFERENCE_PAIRS = {
 
 
 # the nine pairs in DIFFERENCE_PAIRS order: slot indices (num_a, num_b, den_a,
-# den_b), and (coefficient, direction) tags
+# den_b), (coefficient, direction) tags, and the names error messages give them
 _PAIR_SLOTS = np.array([[_SLOTS.index(name) for name in num + den]
                         for c in COEFFICIENTS for num, den, _ in DIFFERENCE_PAIRS[c]])
 _PAIR_TAGS = tuple((c, direction) for c in COEFFICIENTS for _, _, direction in DIFFERENCE_PAIRS[c])
+_PAIR_NAMES = tuple(f"{c}/{d} pair ({na} - {nb} against {da} - {db})" for c in COEFFICIENTS
+                    for (na, nb), (da, db), d in DIFFERENCE_PAIRS[c])
 
 
 def _quadrature_points(iq: np.ndarray, quadratures: str) -> np.ndarray:
@@ -215,35 +229,34 @@ def _single_valued(v: np.ndarray) -> np.ndarray:
     return v.min(axis=-1) == v.max(axis=-1)
 
 
-def _check_deming_args(n_x: int, n_y: int, delta: float) -> None:
-    if delta <= 0.0:
-        raise ValueError("variance ratio delta must be positive")
-    if n_x != n_y:
-        raise ValueError(f"x and y differ in length: {n_x} and {n_y} points")
-    if n_x < 3:
-        raise ValueError("need at least 3 paired points")
-
-
 def deming_slope(xs: np.ndarray, ys: np.ndarray, delta: float = 1.0) -> Tuple[float, float]:
     """Closed-form Deming slope and intercept for y-to-x noise variance ratio
-    ``delta``.
+    ``delta``, of one row or of a stack of rows (..., n) on a shared sample
+    axis; each result has the rows' leading shape, scalars for one row.
 
-    Raises DegenerateDataError, naming the cause, on a series that
-    ``_deming_rule`` flags: x or y takes a single value, or the covariance is
-    exactly zero.
+    Raises DegenerateDataError, naming the cause and, in a stack, the index
+    of the first row that ``_deming_rule`` flags: x or y takes a single
+    value, or the covariance is exactly zero.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    _check_deming_args(len(xs), len(ys), delta)
+    if delta <= 0.0:
+        raise ValueError("variance ratio delta must be positive")
+    if xs.shape != ys.shape:
+        sizes = " and ".join("x".join(map(str, v.shape)) for v in (xs, ys))
+        raise ValueError(f"x and y differ in length: {sizes} points")
+    if xs.ndim == 0 or xs.shape[-1] < 3:
+        raise ValueError("need at least 3 paired points")
     single_x, single_y = _single_valued(xs), _single_valued(ys)
     xb, yb, sxx, syy, sxy = _row_moments(xs, ys)
     slope, degenerate = _deming_rule(sxx, syy, sxy, single_x | single_y, delta)
-    if degenerate:
-        cause = ("x series takes a single value" if single_x else
-                 "y series takes a single value" if single_y else
+    if np.any(degenerate):
+        row = tuple(np.argwhere(degenerate)[0].tolist())
+        cause = ("x series takes a single value" if single_x[row] else
+                 "y series takes a single value" if single_y[row] else
                  "x and y series are uncorrelated")
-        raise DegenerateDataError(f"{cause}; slope undefined")
-    return float(slope), float(yb - slope * xb)
+        raise DegenerateDataError(f"{cause}; slope undefined", row)
+    return slope, yb - slope * xb
 
 
 def _bootstrap_slopes(xs: np.ndarray, ys: np.ndarray, delta: float,
@@ -287,37 +300,46 @@ def _bootstrap_slopes(xs: np.ndarray, ys: np.ndarray, delta: float,
     return [s[~d] for s, d in zip(slopes.T, degenerate.T)]
 
 
-def _bootstrap_ci(samples: np.ndarray, slope: float, n_bootstrap: int) -> Tuple[float, float]:
-    """Percentile 95% CI of the kept resample slopes, widened to contain the
-    point slope; fewer than ``n_bootstrap // 2`` kept raise."""
-    if len(samples) < n_bootstrap // 2:
-        raise DegenerateDataError("bootstrap resamples mostly degenerate")
-    lo, hi = np.percentile(samples, [2.5, 97.5])
-    return float(min(lo, slope)), float(max(hi, slope))
-
-
 def deming_fit(xs, ys, variance_ratio_delta: float = 1.0,
                n_bootstrap: int = 1000, rng=None) -> DemingFit:
-    """Deming fit with a nonparametric bootstrap 95% CI on the slope.
+    """Deming fits of one row or a stack of rows (..., n), in one
+    ``deming_slope`` call, with percentile bootstrap 95% CIs on the slopes.
 
     ``rng`` seeds the bootstrap (int, Generator, or None); with
-    ``n_bootstrap = 0`` the CI degenerates to the point value.  The
-    resamples are those of ``_bootstrap_slopes`` on this one row.  As in
-    ``deming_slope``, a resample in which x or y takes a single value, or
-    whose covariance is exactly zero, is skipped; fewer than
-    ``n_bootstrap // 2`` kept resamples raise DegenerateDataError.
+    ``n_bootstrap = 0`` each CI degenerates to the point value.  One
+    resample of the sample axis serves every row (``_bootstrap_slopes``).
+    Degenerate resamples, as ``deming_slope`` defines them, are skipped; a
+    row keeping none, or fewer than ``n_bootstrap // 2``, raises
+    DegenerateDataError.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     slope, intercept = deming_slope(xs, ys, variance_ratio_delta)
-    resid = (ys - intercept - slope * xs) / np.sqrt(1.0 + slope * slope / variance_ratio_delta)
-    rms = float(np.sqrt(np.mean(resid ** 2)))
-    ci = (slope, slope)
+    b, a = slope[..., None], intercept[..., None]
+    resid = (ys - a - b * xs) / np.sqrt(1.0 + b * b / variance_ratio_delta)
+    rms = np.sqrt(np.mean(resid ** 2, axis=-1))
+    bounds = np.stack([slope, slope], axis=-1)
     if n_bootstrap > 0:
-        samples = _bootstrap_slopes(xs[None], ys[None], variance_ratio_delta, n_bootstrap,
-                                    np.random.default_rng(rng))[0]
-        ci = _bootstrap_ci(samples, slope, n_bootstrap)
+        n = xs.shape[-1]
+        kept = _bootstrap_slopes(xs.reshape(-1, n), ys.reshape(-1, n), variance_ratio_delta,
+                                 n_bootstrap, np.random.default_rng(rng))
+        if any(len(k) < max(1, n_bootstrap // 2) for k in kept):
+            raise DegenerateDataError("bootstrap resamples mostly degenerate")
+        bounds = np.reshape([np.percentile(k, [2.5, 97.5]) for k in kept], bounds.shape)
+    ci = np.stack([np.minimum(bounds[..., 0], slope), np.maximum(bounds[..., 1], slope)], -1)
     return DemingFit(slope, intercept, ci, rms)
+
+
+def _fit_pairs(iq: np.ndarray, quadratures: str, delta: float, n_bootstrap: int,
+               seed=None) -> DemingFit:
+    """``deming_fit`` of the nine pair rows of traces stacked as (..., 6, 2, m);
+    a degenerate row raises naming its pair, whatever the leading axes."""
+    try:
+        return deming_fit(*_pair_rows(iq, quadratures), delta, n_bootstrap, seed)
+    except DegenerateDataError as exc:
+        if not exc.row:
+            raise
+        raise DegenerateDataError(f"{_PAIR_NAMES[exc.row[-1]]}: {exc.reason}") from None
 
 
 def _frequencies(levels: Union[LevelEnergies, Tuple[float, float]]) -> Tuple[float, float]:
@@ -511,24 +533,19 @@ def estimate_temperature(
 ) -> EstimateReport:
     """Run the estimator on windowed sequence responses.
 
-    Fits all nine difference pairs with Deming regression (three redundant
-    directions per coefficient), aggregates each coefficient's slopes
-    (inverse-variance weights when bootstrap CIs are available, plain mean
-    otherwise), and inverts A, B, C to temperatures.  The nine pairs share
-    their sample instants, so with ``n_bootstrap`` > 0 each resample of
-    those instants, drawn from ``np.random.default_rng(seed)``, serves all
-    nine pair CIs.
+    Fits all nine difference pairs (three redundant directions per
+    coefficient) in one ``deming_fit`` call, aggregates each
+    coefficient's slopes (inverse-variance weights when bootstrap CIs are
+    available, plain mean otherwise), and inverts A, B, C to temperatures.
+    The nine pairs share their sample instants, so with ``n_bootstrap`` > 0
+    each resample of those instants, drawn from
+    ``np.random.default_rng(seed)``, serves all nine pair CIs.
     """
-    xs, ys = _pair_rows(responses.iq(), quadratures)
-    fits = [deming_fit(x, y, variance_ratio_delta=delta, n_bootstrap=0) for x, y in zip(xs, ys)]
-    cis = [fit.ci95 for fit in fits]
-    if n_bootstrap > 0:
-        kept = _bootstrap_slopes(xs, ys, delta, n_bootstrap, np.random.default_rng(seed))
-        cis = [_bootstrap_ci(samples, fit.slope, n_bootstrap)
-               for samples, fit in zip(kept, fits)]
-    pair_estimates = [SlopeEstimate(coefficient, direction, fit.slope, ci, fit.residual_rms,
-                                    fit.intercept)
-                      for fit, ci, (coefficient, direction) in zip(fits, cis, _PAIR_TAGS)]
+    fit = _fit_pairs(responses.iq(), quadratures, delta, n_bootstrap, seed)
+    pair_estimates = [SlopeEstimate(*tag, value, tuple(ci), rms, intercept)
+                      for tag, value, ci, rms, intercept in zip(
+                          _PAIR_TAGS, fit.slope.tolist(), fit.ci95.tolist(),
+                          fit.residual_rms.tolist(), fit.intercept.tolist())]
     aggregated = {c: _aggregate([s for s in pair_estimates if s.coefficient == c], c,
                                 aggregation) for c in COEFFICIENTS}
     consistency = abs(
@@ -541,22 +558,3 @@ def estimate_temperature(
     dt = t[1] - t[0] if len(t) > 1 else 0.0
     return EstimateReport(estimates, tuple(pair_estimates), float(consistency),
                           quadratures, (float(t[0]), float(t[-1] + dt)), seed)
-
-
-def _draw_slopes(iq: np.ndarray, quadratures: str, delta: float) -> np.ndarray:
-    """Aggregated slopes A, B, C, shape (b, 3), of b draws of the six windowed
-    sequence traces, given as ``iq`` of shape (b, 6, 2, m) (SequenceResponses.iq
-    order).  Each draw's slopes are, to the bit, those that
-    estimate_temperature aggregates with n_bootstrap 0; a draw on which
-    deming_slope would raise raises DegenerateDataError naming the coefficient.
-    """
-    xs, ys = _pair_rows(iq, quadratures)
-    _check_deming_args(xs.shape[-1], ys.shape[-1], delta)
-    _, _, sxx, syy, sxy = _row_moments(xs, ys)
-    slopes, degenerate = _deming_rule(sxx, syy, sxy,
-                                      _single_valued(xs) | _single_valued(ys), delta)
-    if np.any(degenerate):
-        c = COEFFICIENTS[np.argwhere(degenerate)[0, 1] // 3]
-        raise DegenerateDataError(f"a draw's {c} difference pair is single-valued or "
-                                  f"uncorrelated; slope undefined")
-    return slopes.reshape(-1, 3, 3).mean(axis=-1)

@@ -365,8 +365,8 @@ def test_cli_exposes_benchmarked_names():
 def test_cli_calls_the_benchmark_counted_functions(tmp_path, monkeypatch):
     # the benchmark counts calls of errorlab._fit_slope (montecarlo, one per
     # slope point), and of thermometry.deming_fit and thermometry.deming_slope
-    # (estimate), through these module attributes; on the estimate path they
-    # count the nine per-pair point fits, each deming_fit making one
+    # (estimate), through these module attributes; an estimate fits its nine
+    # pair rows, bootstrap included, in one deming_fit call making one
     # deming_slope call
     from tritherm import errorlab, thermometry
 
@@ -386,8 +386,7 @@ def test_cli_calls_the_benchmark_counted_functions(tmp_path, monkeypatch):
                  "--f-ge", f"{levels.f_ge_ghz}", "--f-gf", f"{levels.f_gf_ghz}",
                  "--window-start", "0", "--window-end", "600", "--bootstrap", "20",
                  "--out", str(tmp_path / "est")]) == 0
-    assert calls["deming_fit"] >= 1
-    assert calls["deming_slope"] >= calls["deming_fit"]
+    assert calls["deming_fit"] == calls["deming_slope"] == 1
 
 
 def test_calibrate_subcommand(mini_config_path, tmp_path):

@@ -331,9 +331,10 @@ def test_repeated_draws_keep_the_estimator_guards(monkeypatch):
     x0 = responses.x0
     same = SequenceResponses.from_dict(
         responses.as_dict() | {"x1": IQTrace(x0.t_ns, x0.i_vals, x0.q_vals, "x1")})
-    with pytest.raises(DegenerateDataError, match="draw's A difference pair"):
+    pair = r"^A/ge pair \(x0 - x1 against y0 - y1\): y series takes a single value"
+    with pytest.raises(DegenerateDataError, match=pair):
         repeated_measurement_stats(same, levels, n_runs=4, noise_sigma=0.0)
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(DegenerateDataError, match=pair):
         estimate_temperature(same, levels)
     # a temperature that does not reproduce its slope fails the residual check
     monkeypatch.setattr(thermometry, "_invert_coefficient",
@@ -341,3 +342,17 @@ def test_repeated_draws_keep_the_estimator_guards(monkeypatch):
     with pytest.raises(RuntimeError, match="inversion residual"):
         repeated_measurement_stats(responses, levels, n_runs=4)
 
+
+
+def test_a_degenerate_pair_is_named_alike_by_both_fit_callers():
+    # identical x2 and y2 make B ge (x2 - y2 against x0 - x1) single-valued
+    # in y, and C ge after it; the draws fit (8, 9) and (1, 9) stacks
+    responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=60)
+    x2 = responses.x2
+    same = SequenceResponses.from_dict(
+        responses.as_dict() | {"y2": IQTrace(x2.t_ns, x2.i_vals, x2.q_vals, "y2")})
+    pair = r"^B/ge pair \(x2 - y2 against x0 - x1\): y series takes a single value"
+    with pytest.raises(DegenerateDataError, match=pair):
+        estimate_temperature(same, levels)
+    with pytest.raises(DegenerateDataError, match=pair):
+        repeated_measurement_stats(same, levels, n_runs=9, noise_sigma=0.0)

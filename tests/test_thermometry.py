@@ -255,7 +255,7 @@ def test_deming_bootstrap_ci():
     y = 0.5 * x + rng.normal(scale=0.05, size=300)
     a = deming_fit(x, y, n_bootstrap=400, rng=np.random.default_rng(11))
     b = deming_fit(x, y, n_bootstrap=400, rng=np.random.default_rng(11))
-    assert a.ci95 == b.ci95
+    assert np.array_equal(a.ci95, b.ci95)
     assert a.ci95[0] < a.slope < a.ci95[1]
     assert a.ci95[0] < 0.5 < a.ci95[1]
 
@@ -324,6 +324,11 @@ def test_bootstrap_mostly_degenerate_raises():
     assert len(_reference_bootstrap(x, y, 1000, 0)) < 500
     with pytest.raises(DegenerateDataError, match="mostly degenerate"):
         deming_fit(x, y, n_bootstrap=1000, rng=0)
+    # one resample, and it is degenerate: nothing is left to take a CI from
+    for rng in (0, 1, 4):
+        assert _reference_bootstrap(x, y, 1, rng) == []
+        with pytest.raises(DegenerateDataError, match="mostly degenerate"):
+            deming_fit(x, y, n_bootstrap=1, rng=rng)
 
 
 def test_bootstrap_memory_is_flat_in_resamples():
@@ -413,6 +418,43 @@ def test_estimate_draws_one_bootstrap_for_all_pairs(monkeypatch):
     assert calls == []
     estimate_temperature(responses, levels, n_bootstrap=200, seed=3)
     assert calls == [(9, 700)]
+
+
+def _fit_fields(fit):
+    return [np.asarray(getattr(fit, k)) for k in ("slope", "intercept", "residual_rms", "ci95")]
+
+
+def test_stacked_fit_equals_one_row_at_a_time():
+    draws = [_noisy_responses(60, seed + 8 + k)[0].iq() for k in range(3)]
+    for iq in (draws[0], np.stack(draws)):
+        xs, ys = _pair_rows(iq, "IQ")
+        stacked = _fit_fields(deming_fit(xs, ys, n_bootstrap=0))
+        n = xs.shape[-1]
+        rows = [deming_fit(x, y, n_bootstrap=0) for x, y in zip(xs.reshape(-1, n),
+                                                                  ys.reshape(-1, n))]
+        for got, field in zip(stacked, zip(*map(_fit_fields, rows))):
+            assert got.shape == xs.shape[:-1] + np.shape(field[0])
+            np.testing.assert_array_equal(got, np.reshape(field, got.shape))
+
+
+def test_stacked_fit_bootstrap_matches_per_resample_loop():
+    xs, ys = _pair_rows(_noisy_responses(40, seed + 11)[0].iq(), "I")
+    fit = deming_fit(xs, ys, n_bootstrap=300, rng=5)
+    assert fit.ci95.shape == (9, 2)
+    for samples, slope, ci in zip(bootstrap_pair_slopes_loop(xs, ys, 300, 5), fit.slope,
+                                  fit.ci95):
+        lo, hi = np.percentile(samples, [2.5, 97.5])
+        np.testing.assert_allclose(ci, [min(lo, slope), max(hi, slope)], rtol=1e-12, atol=0.0)
+
+
+def test_stacked_slope_names_the_degenerate_row():
+    xs, ys = _pair_rows(np.stack([_noisy_responses(30, seed + 12 + k)[0].iq()
+                                  for k in range(2)]), "IQ")
+    xs[1, 4] = 0.25
+    with pytest.raises(DegenerateDataError, match=r"^row 1, 4: x series takes a single"):
+        deming_slope(xs, ys)
+    with pytest.raises(DegenerateDataError, match=r"^row 4: x series takes a single"):
+        deming_slope(xs[1], ys[1])
 
 
 def test_nine_difference_pairs_structure():
