@@ -20,7 +20,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .config import ConfigError, ProtocolConfig, RunConfig, load_config, stream_seed
+from .config import (ConfigError, ProtocolConfig, RunConfig, load_config, stream_seed,
+                     with_changes)
 from .errorlab import (
     MonteCarloSpec,
     repeated_measurement_stats,
@@ -28,10 +29,10 @@ from .errorlab import (
     temperature_discrepancy,
 )
 from .hilbert import LevelEnergies, diagonalize_transmon
-from .pipeline import calibrate_transitions, estimate, run_protocol
+from .pipeline import calibrate_transitions, estimate, run_protocol, windowed_sequences
 from .pulses import SEQUENCE_LABELS
-from .readout import ReadoutConfig, read_trace_csv, window, write_trace_csv
-from .thermometry import EstimateReport, SequenceResponses
+from .readout import ReadoutConfig, read_trace_csv, write_trace_csv
+from .thermometry import EstimateReport
 
 OUTPUT_ENV_VAR = "TRITHERM_OUTPUT_DIR"
 CONSISTENCY_ALARM = 0.05
@@ -51,13 +52,9 @@ PROTOCOL_FLAGS = {"quadratures": "quadratures", "delta": "delta", "bootstrap": "
                   "clamp": "clamp_out_of_range", "duration": "pulse_duration_ns"}
 
 
-def _override_protocol(protocol: ProtocolConfig, args) -> ProtocolConfig:
-    changes = {field: getattr(args, flag) for flag, field in PROTOCOL_FLAGS.items()
-               if getattr(args, flag, None) is not None}
-    try:
-        return dataclasses.replace(protocol, **changes)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _protocol_flags(args) -> dict:
+    return {field: getattr(args, flag) for flag, field in PROTOCOL_FLAGS.items()
+            if getattr(args, flag, None) is not None}
 
 
 def _load_run_config(args, required: bool = True) -> Optional[RunConfig]:
@@ -67,10 +64,10 @@ def _load_run_config(args, required: bool = True) -> Optional[RunConfig]:
         if required:
             raise ConfigError("this command needs --config pointing at a run config")
         return None
-    config = load_config(args.config)
-    seed = config.seed if args.seed is None else args.seed
-    return dataclasses.replace(config, seed=seed,
-                               protocol=_override_protocol(config.protocol, args))
+    changes = {"protocol": _protocol_flags(args)}
+    if args.seed is not None:
+        changes["seed"] = args.seed
+    return with_changes(load_config(args.config), changes)
 
 
 def _levels_from_args(args, config: Optional[RunConfig]) -> LevelEnergies:
@@ -167,9 +164,7 @@ def _estimate_report(traces: Dict, readout: ReadoutConfig, levels: LevelEnergies
     """Window the six sequence traces and estimate; returns the report and
     its ``estimate.json`` payload, alarm included."""
     try:
-        responses = SequenceResponses.from_dict(
-            {lab: window(traces[lab], readout) for lab in SEQUENCE_LABELS}
-        )
+        responses = windowed_sequences(traces, readout)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = estimate(responses, levels, protocol, seed)
@@ -214,15 +209,13 @@ def cmd_estimate(args) -> int:
     config = _load_run_config(args, required=False)
     levels = _levels_from_args(args, config)
     traces = _collect_traces(Path(args.traces))
-    window_flags = {k: v for k, v in (("window_start_ns", args.window_start),
-                                      ("window_end_ns", args.window_end)) if v is not None}
-    try:
-        readout = (dataclasses.replace(config.readout, **window_flags) if config else
-                   ReadoutConfig(**window_flags,
-                                 probe_duration_ns=max(args.window_end or 0.0, 2000.0)))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    protocol = config.protocol if config else _override_protocol(ProtocolConfig(), args)
+    changes = {k: v for k, v in (("window_start_ns", args.window_start),
+                                 ("window_end_ns", args.window_end)) if v is not None}
+    if config is None:  # the default readout block, its probe long enough for the window
+        changes["probe_duration_ns"] = max(args.window_end or 0.0, 2000.0)
+    readout = with_changes(config.readout if config else ReadoutConfig(), changes, "readout")
+    protocol = (config.protocol if config else
+                with_changes(ProtocolConfig(), _protocol_flags(args), "protocol"))
     seed = config.seed if config else args.seed or 0
     report, payload = _estimate_report(traces, readout, levels, protocol, seed)
     out = _resolve_output_dir(args, None)
@@ -302,13 +295,9 @@ def _parse_list(text: str) -> list:
 def _point_config(config: RunConfig, sweep_bath: bool, value: float, index: int) -> RunConfig:
     """The run config of sweep point ``index``: its bath temperature or its
     flux, and its own noise seed."""
-    if sweep_bath:
-        changes = {"dissipation": dataclasses.replace(config.dissipation, bath_t_mk=value)}
-    else:
-        transmon = dataclasses.replace(config.system.transmon, flux_quantum_fraction=value)
-        changes = {"system": dataclasses.replace(config.system, transmon=transmon)}
-    return dataclasses.replace(config, seed=stream_seed(config.seed, "noise", 100 + index),
-                               **changes)
+    point = ({"dissipation": {"bath_t_mk": value}} if sweep_bath else
+             {"system": {"transmon": {"flux_quantum_fraction": value}}})
+    return with_changes(config, {**point, "seed": stream_seed(config.seed, "noise", 100 + index)})
 
 
 def cmd_sweep(args) -> int:

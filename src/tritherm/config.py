@@ -4,7 +4,9 @@ master-seed stream discipline.
 Configs are JSON with one block per module (system.transmon,
 system.resonator, dissipation, readout, protocol).  Parsing is strict:
 unknown keys are rejected with their full path, so a typo in a physics
-parameter fails instead of silently running defaults.
+parameter fails instead of silently running defaults.  Command-line flags
+and sweep points change a config through ``with_changes``, which rebuilds
+it by the same rules, so their errors name their block too.
 
 All randomness flows from the single ``seed`` through named substreams
 (calibration, noise, bootstrap, montecarlo), so any artifact can be
@@ -14,10 +16,11 @@ regenerated bit for bit while the streams stay statistically independent.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -89,70 +92,70 @@ class ProtocolConfig:
 class RunConfig:
     system: SystemSpec
     dissipation: DissipationSpec
-    readout: ReadoutConfig
-    protocol: ProtocolConfig
+    readout: ReadoutConfig = dataclasses.field(default_factory=ReadoutConfig)
+    protocol: ProtocolConfig = dataclasses.field(default_factory=ProtocolConfig)
     seed: int = 0
     output_dir: Optional[str] = None
+
+    def __post_init__(self):
+        if not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise ValueError("output_dir must be a string path")
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
+@functools.lru_cache(maxsize=None)
+def _field_types(cls) -> dict:
+    # get_type_hints evaluates the string annotations anew on every call
+    return get_type_hints(cls)
+
+
 def _build_block(cls, data: dict, path: str):
+    """An instance of the config dataclass ``cls`` from the mapping ``data``,
+    descending into every field whose type is itself a config dataclass.
+    ``path`` is the block's dotted name ("" for the root); every error,
+    from the checks here or from a block's own validation, names it."""
+    prefix = path + "." if path else ""
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
-    field_names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - field_names)
+        raise ConfigError(f"{path or 'config root'}: expected a mapping, "
+                          f"got {type(data).__name__}")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(data) - {f.name for f in fields})
     if unknown:
-        raise ConfigError(f"unknown key(s) {', '.join(path + '.' + k for k in unknown)}")
-    required = {
-        f.name
-        for f in dataclasses.fields(cls)
-        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-    }
-    missing = sorted(required - set(data))
+        raise ConfigError(f"unknown key(s) {', '.join(prefix + k for k in unknown)}")
+    missing = [f.name for f in fields if f.name not in data and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
     if missing:
-        raise ConfigError(f"missing required key(s) {', '.join(path + '.' + k for k in missing)}")
+        raise ConfigError(f"missing required key(s) {', '.join(prefix + k for k in missing)}")
+    types = _field_types(cls)
+    values = {k: _build_block(types[k], v, prefix + k) if dataclasses.is_dataclass(types[k])
+              else v for k, v in data.items()}
     try:
-        return cls(**data)
+        return cls(**values)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-    known = {"system", "dissipation", "readout", "protocol", "seed", "output_dir"}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s) {', '.join(unknown)}")
-    if "system" not in data:
-        raise ConfigError("missing required block 'system'")
-    system_block = data["system"]
-    if not isinstance(system_block, dict):
-        raise ConfigError("system: expected a mapping")
-    sys_unknown = sorted(set(system_block) - {"transmon", "resonator"})
-    if sys_unknown:
-        raise ConfigError(f"unknown key(s) {', '.join('system.' + k for k in sys_unknown)}")
-    for sub in ("transmon", "resonator"):
-        if sub not in system_block:
-            raise ConfigError(f"missing required block system.{sub}")
-    system = SystemSpec(
-        transmon=_build_block(TransmonSpec, system_block["transmon"], "system.transmon"),
-        resonator=_build_block(ResonatorSpec, system_block["resonator"], "system.resonator"),
-    )
-    if "dissipation" not in data:
-        raise ConfigError("missing required block 'dissipation'")
-    dissipation = _build_block(DissipationSpec, data["dissipation"], "dissipation")
-    readout = _build_block(ReadoutConfig, data.get("readout", {}), "readout")
-    protocol = _build_block(ProtocolConfig, data.get("protocol", {}), "protocol")
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    output_dir = data.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError("output_dir must be a string path")
-    return RunConfig(system, dissipation, readout, protocol, seed, output_dir)
+    return _build_block(RunConfig, data, "")
+
+
+def _merge(data: dict, changes: dict) -> dict:
+    for key, value in changes.items():
+        if isinstance(value, dict) and isinstance(data.get(key), dict):
+            _merge(data[key], value)
+        else:
+            data[key] = value
+    return data
+
+
+def with_changes(block, changes: dict, path: str = ""):
+    """``block`` with the nested ``changes`` merged into its fields, rebuilt
+    and checked by ``_build_block``; ``path`` names the block in errors."""
+    return _build_block(type(block), _merge(dataclasses.asdict(block), changes), path)
 
 
 def load_config(path) -> RunConfig:

@@ -18,7 +18,7 @@ cloud's second central moments, and for Gaussian noise their law is exact
 and needs five draws per experiment (see ``_sample_moments``), where an
 explicit cloud needs 2n.  The repeated draws do build noisy traces, in
 blocks of ``_NOISE_BLOCK`` draws: one ``normal(size=(b, 6, 2, m))`` call,
-the same numbers as b per-draw calls, and one estimator fit call on the
+the same numbers as b per-draw calls, and one ``deming_slope`` call on the
 (b, 9, 2m) pair rows, which reduces each row as a single fit does, so the
 results do not depend on the block size.  The block bounds the working set
 to a few (b, 9, 2m) arrays, whatever the number of draws.
@@ -41,6 +41,7 @@ from .thermometry import (
     _fit_pairs,
     attainable_range,
     coefficient_vs_temperature,
+    deming_slope,
 )
 
 DEFAULT_IF_CYCLES_PER_SAMPLE = 0.05  # 50 MHz at 1 ns sampling
@@ -310,7 +311,7 @@ def repeated_measurement_stats(
     for start in range(0, n_runs, _NOISE_BLOCK):
         b = min(_NOISE_BLOCK, n_runs - start)
         noisy = clean + rng.normal(0.0, noise_sigma, size=(b,) + clean.shape)
-        slopes.append(_fit_pairs(noisy, quadratures, delta, 0).slope)
+        slopes.append(_fit_pairs(deming_slope, noisy, quadratures, delta)[0])
     slopes = np.concatenate(slopes).reshape(-1, 3, 3).mean(axis=-1)
     t_a, t_b, t_c = (_checked_inverse(levels, c, slopes[:, k], clamp)
                      for k, c in enumerate(COEFFICIENTS))

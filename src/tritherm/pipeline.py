@@ -36,6 +36,7 @@ from .pulses import (
 )
 from .readout import (
     IQTrace,
+    ReadoutConfig,
     add_noise,
     normalization_factor,
     pure_basis_states,
@@ -74,9 +75,10 @@ def calibrate_transitions(ops: CompositeOperators, protocol: ProtocolConfig,
     }
 
 
-def _windowed_sequences(traces: Dict[str, IQTrace], config: RunConfig) -> SequenceResponses:
+def windowed_sequences(traces: Dict[str, IQTrace], readout: ReadoutConfig) -> SequenceResponses:
+    """The six sequence traces cut to ``readout``'s analysis window."""
     return SequenceResponses.from_dict(
-        {lab: window(traces[lab], config.readout) for lab in SEQUENCE_LABELS}
+        {lab: window(traces[lab], readout) for lab in SEQUENCE_LABELS}
     )
 
 
@@ -141,9 +143,9 @@ def run_protocol(
     msg = config.readout.check_ring_up(ops.rspec)
     if msg is not None:
         warnings.warn(msg)
-    responses = _windowed_sequences(noisy_traces, config)
+    responses = windowed_sequences(noisy_traces, config.readout)
     noiseless_responses = (
-        responses if not noisy else _windowed_sequences(clean_traces, config)
+        responses if not noisy else windowed_sequences(clean_traces, config.readout)
     )
 
     return SimulationResult(

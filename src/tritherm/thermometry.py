@@ -20,8 +20,9 @@ Transition frequencies enter as positive numbers; the signs live in the
 exponents above.
 
 One ``deming_fit`` call fits the nine difference pairs as rows of one
-(9, n) array, bootstrap included, and the (b, 9, n) blocks of ``errorlab``'s
-repeated draws; a degenerate row raises naming its pair.
+(9, n) array, bootstrap included, and one ``deming_slope`` call the (b, 9, n)
+blocks of ``errorlab``'s repeated draws; a degenerate row raises naming its
+pair.
 """
 
 from __future__ import annotations
@@ -310,7 +311,7 @@ def deming_fit(xs, ys, variance_ratio_delta: float = 1.0,
     resample of the sample axis serves every row (``_bootstrap_slopes``).
     Degenerate resamples, as ``deming_slope`` defines them, are skipped; a
     row keeping none, or fewer than ``n_bootstrap // 2``, raises
-    DegenerateDataError.
+    DegenerateDataError naming the first such row in a stack.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -323,19 +324,22 @@ def deming_fit(xs, ys, variance_ratio_delta: float = 1.0,
         n = xs.shape[-1]
         kept = _bootstrap_slopes(xs.reshape(-1, n), ys.reshape(-1, n), variance_ratio_delta,
                                  n_bootstrap, np.random.default_rng(rng))
-        if any(len(k) < max(1, n_bootstrap // 2) for k in kept):
-            raise DegenerateDataError("bootstrap resamples mostly degenerate")
+        short = [len(k) < max(1, n_bootstrap // 2) for k in kept]
+        if any(short):
+            row = np.unravel_index(short.index(True), slope.shape)
+            raise DegenerateDataError("bootstrap resamples mostly degenerate",
+                                      tuple(map(int, row)))
         bounds = np.reshape([np.percentile(k, [2.5, 97.5]) for k in kept], bounds.shape)
     ci = np.stack([np.minimum(bounds[..., 0], slope), np.maximum(bounds[..., 1], slope)], -1)
     return DemingFit(slope, intercept, ci, rms)
 
 
-def _fit_pairs(iq: np.ndarray, quadratures: str, delta: float, n_bootstrap: int,
-               seed=None) -> DemingFit:
-    """``deming_fit`` of the nine pair rows of traces stacked as (..., 6, 2, m);
-    a degenerate row raises naming its pair, whatever the leading axes."""
+def _fit_pairs(fit, iq: np.ndarray, quadratures: str, *args):
+    """``fit(xs, ys, *args)``, ``deming_fit`` or ``deming_slope``, of the nine
+    pair rows of traces stacked as (..., 6, 2, m); a degenerate row raises
+    naming its pair, whatever the leading axes."""
     try:
-        return deming_fit(*_pair_rows(iq, quadratures), delta, n_bootstrap, seed)
+        return fit(*_pair_rows(iq, quadratures), *args)
     except DegenerateDataError as exc:
         if not exc.row:
             raise
@@ -403,7 +407,9 @@ def _invert_coefficient(levels, which: str, values, clamp: bool) -> np.ndarray:
     # (a, b, c) = (1 - C, 1, C), or (1, 1 + B, B); A goes through 1 - A = C.
     # On [0, 1] g is convex with g(0) = c > 0 and g(1) = 0, so Newton's method
     # from e = 0 rises monotonically to the physical root e* < 1; a value has
-    # converged when a step no longer raises its e, and leaves the iteration.
+    # converged when a step no longer raises its e.  ``np.maximum`` then holds
+    # it in place, and its step is the same at every pass, so all values are
+    # stepped until none rises.
     # e^(r-1) is taken with the C library's scalar pow: numpy's vectorised
     # power rounds differently on some SIMD paths, and the last ulp decides
     # where the iteration stops.  Rounding can put T ~1e-11 mK past the
@@ -416,20 +422,15 @@ def _invert_coefficient(levels, which: str, values, clamp: bool) -> np.ndarray:
     ones = np.ones_like(v)
     a, b, c = (ones, 1.0 + v, v) if which == "B" else (1.0 - v, ones, v)
     e = np.zeros_like(v)
-    roots = np.empty_like(v)
-    left = np.arange(len(v))
     for _ in range(100):
-        if not len(left):
-            break
         e_r1 = np.array([x ** (r - 1.0) for x in e.tolist()])
-        e_next = e - (a * e_r1 * e - b * e + c) / (a * r * e_r1 - b)
-        done = e_next <= e
-        roots[left[done]] = e[done]
-        going = ~done
-        left, e, a, b, c = left[going], e_next[going], a[going], b[going], c[going]
-    if len(left):
+        e_next = np.maximum(e, e - (a * e_r1 * e - b * e + c) / (a * r * e_r1 - b))
+        if np.all(e_next <= e):  # False for NaN, which runs into the step cap
+            break
+        e = e_next
+    else:
         raise RuntimeError("Newton iteration for exp(-h f_ge / k_B T) not converged in 100 steps")
-    t.flat[todo] = np.minimum(np.maximum(GHZ_TO_MK * f_ge / -np.log(roots), t_lo), t_hi)
+    t.flat[todo] = np.minimum(np.maximum(GHZ_TO_MK * f_ge / -np.log(e), t_lo), t_hi)
     return t
 
 
@@ -541,7 +542,7 @@ def estimate_temperature(
     each resample of those instants, drawn from
     ``np.random.default_rng(seed)``, serves all nine pair CIs.
     """
-    fit = _fit_pairs(responses.iq(), quadratures, delta, n_bootstrap, seed)
+    fit = _fit_pairs(deming_fit, responses.iq(), quadratures, delta, n_bootstrap, seed)
     pair_estimates = [SlopeEstimate(*tag, value, tuple(ci), rms, intercept)
                       for tag, value, ci, rms, intercept in zip(
                           _PAIR_TAGS, fit.slope.tolist(), fit.ci95.tolist(),

@@ -185,6 +185,23 @@ def test_estimate_rejects_invalid_estimator_flags(tmp_path, capsys, flags):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("with_config", [True, False], ids=["config", "no-config"])
+@pytest.mark.parametrize("flags, message", [
+    (["--delta", "0"], "protocol: delta must be positive"),
+    (["--window-start", "500", "--window-end", "400"],
+     "readout: need 0 <= window_start < window_end <= probe_duration")])
+def test_estimate_flag_errors_name_their_block(tmp_path, capsys, mini_config_path,
+                                               with_config, flags, message):
+    levels = _write_synthetic(tmp_path)
+    source = (["--config", str(mini_config_path)] if with_config else
+              ["--f-ge", f"{levels.f_ge_ghz}", "--f-gf", f"{levels.f_gf_ghz}"])
+    out = tmp_path / "out"
+    assert main(["estimate", "--traces", str(tmp_path), "--out", str(out)]
+                + source + flags) == 2
+    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("broken_row", [
     None,  # empty file
     "3,0.5,0.25",  # short row
@@ -327,7 +344,7 @@ def test_sweep_bath_points_and_failure_rows(mini_config_path, tmp_path):
     assert abs(float(good[header.index("T_A_mK")]) - 120.0) < 10.0
     assert good[header.index("error")] == ""
     bad = rows[2].rstrip("\r").split(",")
-    assert bad[header.index("error")] != ""
+    assert bad[header.index("error")] == "ConfigError: dissipation: bath_t_mk must be positive"
     # exactly one of bath/flux, and a non-empty list, must be given; the
     # usage error leaves no output directory behind
     for points in ([], ["--bath-mk", "100", "--flux", "0.0"], ["--bath-mk", ","]):
@@ -408,6 +425,18 @@ def test_calibrate_rejects_out_of_range_duration(mini_config_path, tmp_path, cap
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_calibrate_duration_error_names_its_block(mini_config_path, tmp_path, capsys):
+    # calibrate needs --config, so without one the duration is never applied
+    out = tmp_path / "cal"
+    for source, message in (
+            (["--config", str(mini_config_path)],
+             "protocol: pulse_duration_ns must lie in [40, 200]"),
+            ([], "this command needs --config pointing at a run config")):
+        assert main(["calibrate", "--duration", "30", "--out", str(out)] + source) == 2
+        assert f"config error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # every command in one process on the default device cut to n_fock 2 (the

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,11 +8,14 @@ from conftest import CONFIG_DIR
 from tritherm.config import (
     ConfigError,
     ProtocolConfig,
+    RunConfig,
     config_from_dict,
     load_config,
     rng_stream,
     stream_seed,
+    with_changes,
 )
+from tritherm.readout import ReadoutConfig
 
 seed = 20260312
 
@@ -122,3 +126,91 @@ def test_config_files_in_repo_parse():
     for name in ("default.json", "working_point.json"):
         cfg = load_config(CONFIG_DIR / name)
         assert cfg.system.resonator.coupling_ghz > 0.0
+
+
+def _edited(data, path, value=None, delete=False):
+    """``data`` with the key at dotted ``path`` set to ``value`` or deleted."""
+    *parents, key = path.split(".")
+    block = data
+    for name in parents:
+        block = block[name]
+    if delete:
+        del block[key]
+    else:
+        block[key] = value
+    return data
+
+
+@pytest.mark.parametrize("path", ["bath", "system.cavity", "system.transmon.ej_ghz",
+                                  "protocol.step_ns"])
+def test_unknown_key_names_its_path_at_every_depth(default_config, path):
+    with pytest.raises(ConfigError, match=rf"^unknown key\(s\) {path}$"):
+        config_from_dict(_edited(default_config.as_dict(), path, 1.0))
+
+
+@pytest.mark.parametrize("path", ["dissipation", "system.resonator", "system.transmon.ec_ghz",
+                                  "dissipation.bath_t_mk"])
+def test_missing_key_names_its_path_at_every_depth(default_config, path):
+    with pytest.raises(ConfigError, match=rf"^missing required key\(s\) {path}$"):
+        config_from_dict(_edited(default_config.as_dict(), path, delete=True))
+
+
+@pytest.mark.parametrize("path, value, kind", [
+    ("system", [], "list"), ("readout", None, "NoneType"),
+    ("system.transmon", 3, "int"), ("protocol", "IQ", "str")])
+def test_block_that_is_not_a_mapping_names_its_path(default_config, path, value, kind):
+    with pytest.raises(ConfigError, match=rf"^{path}: expected a mapping, got {kind}$"):
+        config_from_dict(_edited(default_config.as_dict(), path, value))
+
+
+def test_config_root_must_be_a_mapping():
+    with pytest.raises(ConfigError, match="^config root: expected a mapping, got list$"):
+        config_from_dict([])
+
+
+def test_root_fields_are_checked_by_the_run_config(default_config):
+    for key, value, message in (("seed", "abc", "seed must be an integer, got 'abc'"),
+                                ("output_dir", 3, "output_dir must be a string path")):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            config_from_dict(_edited(default_config.as_dict(), key, value))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RunConfig(default_config.system, default_config.dissipation, **{key: value})
+
+
+def test_readout_and_protocol_blocks_default(default_config):
+    cfg = RunConfig(default_config.system, default_config.dissipation)
+    assert cfg.readout == ReadoutConfig() and cfg.protocol == ProtocolConfig()
+    data = default_config.as_dict()
+    del data["readout"], data["protocol"]
+    assert config_from_dict(data) == dataclasses.replace(cfg, seed=default_config.seed)
+
+
+@pytest.mark.parametrize("name", ["default.json", "working_point.json"])
+def test_with_no_changes_returns_an_equal_config(name):
+    cfg = load_config(CONFIG_DIR / name)
+    assert with_changes(cfg, {}) == cfg
+    assert with_changes(cfg.protocol, {}, "protocol") == cfg.protocol
+
+
+def test_with_changes_merges_nested_fields(default_config):
+    cfg = with_changes(default_config, {"system": {"transmon": {"flux_quantum_fraction": 0.05}},
+                                        "protocol": {"delta": 2.0}, "seed": 9})
+    assert cfg.system.transmon == dataclasses.replace(default_config.system.transmon,
+                                                      flux_quantum_fraction=0.05)
+    assert cfg.system.resonator == default_config.system.resonator
+    assert cfg.protocol == dataclasses.replace(default_config.protocol, delta=2.0)
+    assert (cfg.dissipation, cfg.readout, cfg.seed) == (
+        default_config.dissipation, default_config.readout, 9)
+
+
+def test_with_changes_errors_name_the_block(default_config):
+    for block, changes, path, message in (
+            (default_config, {"protocol": {"delta": 0.0}}, "", "protocol: delta must be positive"),
+            (default_config.protocol, {"delta": 0.0}, "protocol",
+             "protocol: delta must be positive"),
+            (default_config, {"dissipation": {"bath_t_mk": -5.0}}, "",
+             "dissipation: bath_t_mk must be positive"),
+            (default_config, {"protocol": {"step_ns": 1.0}}, "",
+             r"unknown key\(s\) protocol.step_ns")):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            with_changes(block, changes, path)

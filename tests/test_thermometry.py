@@ -331,6 +331,37 @@ def test_bootstrap_mostly_degenerate_raises():
             deming_fit(x, y, n_bootstrap=1, rng=rng)
 
 
+def test_mostly_degenerate_bootstrap_names_its_row():
+    bad_x, bad_y = [0.0, 0.0, 1.0], [0.0, 1.0, 1.0]
+    good_x, good_y = [0.1, 0.7, 0.3], [0.2, 0.5, 0.9]
+    for xs, ys, row in (([bad_x, good_x], [bad_y, good_y], (0,)),
+                        ([good_x, bad_x], [good_y, bad_y], (1,)),
+                        ([[good_x, good_x], [good_x, bad_x]],
+                         [[good_y, good_y], [good_y, bad_y]], (1, 1)),
+                        (bad_x, bad_y, ())):
+        with pytest.raises(DegenerateDataError) as err:
+            deming_fit(np.array(xs), np.array(ys), n_bootstrap=1000, rng=0)
+        assert err.value.row == row
+        assert err.value.reason == "bootstrap resamples mostly degenerate"
+        prefix = f"row {', '.join(map(str, row))}: " if row else ""
+        assert str(err.value) == prefix + err.value.reason
+
+
+def test_mostly_degenerate_bootstrap_names_its_pair():
+    # three I samples per slot: only B/ge (x2 - y2 against x0 - x1), the fifth
+    # pair, keeps fewer than half of its 1000 resamples
+    i_vals = [[2, 0, 2], [1, 1, 1], [2, 0, 1], [2, 1, 1], [0, 2, 0], [0, 0, 1]]
+    t = np.arange(3.0)
+    responses = SequenceResponses.from_dict(
+        {lab: IQTrace(t, np.array(v, dtype=float), np.zeros(3), lab)
+         for lab, v in zip(("x0", "x1", "x2", "y0", "y1", "y2"), i_vals)})
+    estimate_temperature(responses, ANCHOR, quadratures="I", clamp=True)  # point fits hold
+    with pytest.raises(DegenerateDataError,
+                       match=r"^B/ge pair \(x2 - y2 against x0 - x1\): bootstrap resamples "
+                             r"mostly degenerate$"):
+        estimate_temperature(responses, ANCHOR, quadratures="I", n_bootstrap=1000, seed=0)
+
+
 def test_bootstrap_memory_is_flat_in_resamples():
     rng = np.random.default_rng(seed + 4)
     x = rng.normal(size=700)
