@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, get_type_hints
@@ -98,8 +99,6 @@ class RunConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self):
-        if not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ValueError("output_dir must be a string path")
 
@@ -111,6 +110,19 @@ class RunConfig:
 def _field_types(cls) -> dict:
     # get_type_hints evaluates the string annotations anew on every call
     return get_type_hints(cls)
+
+
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+          bool: (bool, "true or false")}
+
+
+def _check_kind(name: str, kind, value) -> None:
+    """Raise unless ``value`` suits a field annotated int, float or bool: a
+    number with a fraction is no integer, and true/false is no number."""
+    if kind in _KINDS:
+        base, what = _KINDS[kind]
+        if not isinstance(value, base) or isinstance(value, bool) != (kind is bool):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def _build_block(cls, data: dict, path: str):
@@ -134,6 +146,8 @@ def _build_block(cls, data: dict, path: str):
     values = {k: _build_block(types[k], v, prefix + k) if dataclasses.is_dataclass(types[k])
               else v for k, v in data.items()}
     try:
+        for k, v in values.items():
+            _check_kind(k, types[k], v)
         return cls(**values)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc

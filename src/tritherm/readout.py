@@ -20,8 +20,8 @@ on the scale of the measured responses.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -213,81 +213,136 @@ def window(trace: IQTrace, config: ReadoutConfig) -> IQTrace:
     return IQTrace(trace.t_ns[mask], trace.i_vals[mask], trace.q_vals[mask], trace.label)
 
 
+_TRACE_HEADER = "t_ns,I,Q,label"
+_TRACE_DTYPE = np.dtype([("t", float), ("I", float), ("Q", float), ("label", object)])
+# numpy's C parser strips these around a number, float() does not
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of several fields."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_trace_csv(path, traces: Sequence[IQTrace]) -> None:
     """Write traces as CSV rows t_ns, I, Q, label: I and Q with 12 significant
     digits, t_ns with the shortest digits that read back exactly, so that the
-    sample spacing ``read_trace_csv`` checks survives the round trip.
+    sample spacing ``read_trace_csv`` checks survives the round trip.  The
+    bytes are those of ``csv.writer``: CRLF line ends, labels quoted as it
+    quotes them.
 
     The traces of a run share one time grid, so each distinct grid is
-    formatted once; the rows are generated as they are written."""
+    formatted once; the file is built as one string and written at once."""
     grids = {}
-
-    def rows(tr):
+    parts = [_TRACE_HEADER + "\r\n"]
+    for tr in traces:
         key = (tr.t_ns.dtype.str, tr.t_ns.tobytes())
         if key not in grids:
             grids[key] = [np.format_float_positional(t, trim="-") for t in tr.t_ns]
-        return zip(grids[key], (f"{i:.12g}" for i in tr.i_vals.tolist()),
-                   (f"{q:.12g}" for q in tr.q_vals.tolist()), repeat(tr.label))
-
+        end = f",{_csv_field(tr.label)}\r\n"
+        parts += [f"{t},{i:.12g},{q:.12g}{end}" for t, i, q in
+                  zip(grids[key], tr.i_vals.tolist(), tr.q_vals.tolist())]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t_ns", "I", "Q", "label"])
-        w.writerows(chain.from_iterable(map(rows, traces)))
+        fh.write("".join(parts))
+
+
+def _records(path):
+    """(line number, fields) of each csv record after the header."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            yield reader.line_num, row
 
 
 def _record_lines(path) -> list:
     """Line number of each record after the header, for error messages."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return [reader.line_num for _ in reader]
+    return [line for line, _ in _records(path)]
 
 
-def _raise_first_bad_row(path, rows) -> None:
+def _are_numbers(values) -> bool:
+    """Whether numpy's C parser, which reads the accepted files, and float()
+    both read every value: ``1_0`` and non-ASCII digits fail the first,
+    ASCII separators around a number the second."""
+    try:
+        [float(v) for v in values]
+        np.loadtxt([",".join('"' + v.replace('"', '""') + '"' for v in values)],
+                   delimiter=",", quotechar='"', comments=None)
+    except ValueError:
+        return False
+    return True
+
+
+def _raise_first_bad_row(path) -> None:
     """Raise for the first row without four fields or with a non-numeric
     sample, naming its line."""
-    for line, row in zip(_record_lines(path), rows):
+    for line, row in _records(path):
         if len(row) != 4:
             raise ValueError(f"line {line}: expected 4 fields t_ns,I,Q,label, got {len(row)}")
-        try:
-            [float(v) for v in row[:3]]
-        except ValueError:
-            raise ValueError(f"line {line}: non-numeric value in {row[:3]}") from None
+        if not _are_numbers(row[:3]):
+            raise ValueError(f"line {line}: non-numeric value in {row[:3]}")
+
+
+def _has_blank_line(body: str) -> bool:
+    """Whether the body opens with a line break or has one right after
+    another, CRLF aside: a blank line, which numpy's C parser skips and csv
+    reads as an empty record (or, rarely, a line break in a quoted label)."""
+    a = np.frombuffer(body.encode(), np.uint8)
+    at = np.flatnonzero((a == 10) | (a == 13))
+    second = at[1:][np.diff(at) == 1]
+    return at[:1].tolist() == [0] or bool(np.any((a[second - 1] != 13) | (a[second] != 10)))
+
+
+def _body(path) -> str:
+    """The text after a checked header."""
+    with open(path, newline="") as fh:
+        if fh.readline().rstrip("\r\n") != _TRACE_HEADER:
+            # quoting, extra fields or a wrong header: read it as csv does
+            fh.seek(0)
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise ValueError("empty file, expected the header t_ns,I,Q,label")
+            if header[:4] != ["t_ns", "I", "Q", "label"]:
+                raise ValueError(f"line 1: unexpected trace header {header}")
+        return fh.read()
 
 
 def read_trace_csv(path) -> Dict[str, IQTrace]:
     """Inverse of ``write_trace_csv``; returns traces keyed by label.
 
     Traces need not come from the simulator, so the file is checked: an
-    empty file, a wrong header, a row without exactly four fields, a
-    non-numeric or non-finite sample, or a label whose sample times do not
-    increase or are not uniformly spaced raises ``ValueError`` naming the
-    file and the line.  The numeric columns are converted in one numpy call;
-    only a failed check goes back to the file for the line number.
+    empty file, a wrong header, a blank line, a row without exactly four
+    fields, a non-numeric or non-finite sample, or a label whose sample
+    times do not increase or are not uniformly spaced raises ``ValueError``
+    naming the file and the line.  The body is parsed by one numpy
+    ``loadtxt`` call; only a failed check, or a body whose line breaks or
+    separators the C parser reads differently from csv, goes back to the
+    file with the csv module for the line number.
     """
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError("empty file, expected the header t_ns,I,Q,label")
-            if header[:4] != ["t_ns", "I", "Q", "label"]:
-                raise ValueError(f"line 1: unexpected trace header {header}")
-            rows = list(reader)
-        if set(map(len, rows)) - {4}:
-            _raise_first_bad_row(path, rows)
-        t, i, q, labels = zip(*rows) if rows else ((),) * 4
+        body = _body(path)
+        if not body:
+            return {}
+        if _has_blank_line(body) or any(c in body for c in _SEPARATORS):
+            _raise_first_bad_row(path)
         try:
-            data = np.array((t, i, q), dtype=float)
+            data = np.loadtxt(io.StringIO(body, newline=""), dtype=_TRACE_DTYPE,
+                              delimiter=",", quotechar='"', comments=None, ndmin=1)
         except ValueError:
-            _raise_first_bad_row(path, rows)
+            _raise_first_bad_row(path)
             raise
-        # one label per file is the common case and needs no mask
-        tags = np.array(labels) if len(set(labels)) > 1 else None
+        labels = data["label"]
+        columns = np.array([data["t"], data["I"], data["Q"]])
+        # one label per file is the common case and needs no mask; labels are
+        # compared as objects, as numpy's string comparison drops trailing NULs
+        single = bool((labels == labels[:1]).all())
         out = {}
-        for label in dict.fromkeys(labels):
-            at = np.arange(len(labels)) if tags is None else np.flatnonzero(tags == label)
-            arr = data[:, at]
+        for label in [labels[0]] if single else dict.fromkeys(labels.tolist()):
+            at = (np.arange(len(labels)) if single else
+                  np.flatnonzero(labels == np.array(label, dtype=object)))
+            arr = columns if single else columns[:, at]
             bad = np.flatnonzero(~np.isfinite(arr).all(axis=0))
             if bad.size:
                 raise ValueError(f"line {_record_lines(path)[at[bad[0]]]}: non-finite "

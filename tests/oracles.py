@@ -4,14 +4,17 @@ coefficients A, B, C as population ratios, the nine difference pairs as
 complex series, the pair bootstrap one resample at a time, the temperature
 inversion one value at a time, and the Monte-Carlo studies written one
 experiment or draw at a time (the bias study both as its law and as the
-explicit clouds of its sampled moments)."""
+explicit clouds of its sampled moments), and the trace CSV reader built on
+the csv module."""
+
+import csv
 
 import numpy as np
 
 from tritherm.constants import GHZ_TO_MK
 from tritherm.hilbert import Populations
 from tritherm.pulses import GateSequence
-from tritherm.readout import add_noise
+from tritherm.readout import IQTrace, add_noise
 from tritherm.thermometry import (
     COEFFICIENTS,
     DIFFERENCE_PAIRS,
@@ -184,3 +187,67 @@ def invert_coefficient_scalar(levels, which, value):
                              T_BRACKET_MK[1]))
         e = e_next
     raise RuntimeError("not converged")
+
+
+def _csv_record_lines(path) -> list:
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return [reader.line_num for _ in reader]
+
+
+def _csv_raise_first_bad_row(path, rows) -> None:
+    for line, row in zip(_csv_record_lines(path), rows):
+        if len(row) != 4:
+            raise ValueError(f"line {line}: expected 4 fields t_ns,I,Q,label, got {len(row)}")
+        try:
+            [float(v) for v in row[:3]]
+        except ValueError:
+            raise ValueError(f"line {line}: non-numeric value in {row[:3]}") from None
+
+
+def read_trace_csv_csv_module(path):
+    """The trace CSV reader row by row through ``csv.reader``: every record
+    a list of strings, the numbers converted by float() in one numpy call,
+    a failed conversion traced back to its line.  One change from its
+    original: labels are told apart as Python strings, where numpy's string
+    comparison dropped trailing NULs and so merged the traces of ``a`` and
+    ``a\\x00``."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("empty file, expected the header t_ns,I,Q,label")
+            if header[:4] != ["t_ns", "I", "Q", "label"]:
+                raise ValueError(f"line 1: unexpected trace header {header}")
+            rows = list(reader)
+        if set(map(len, rows)) - {4}:
+            _csv_raise_first_bad_row(path, rows)
+        t, i, q, labels = zip(*rows) if rows else ((),) * 4
+        try:
+            data = np.array((t, i, q), dtype=float)
+        except ValueError:
+            _csv_raise_first_bad_row(path, rows)
+            raise
+        out = {}
+        for label in dict.fromkeys(labels):
+            at = np.flatnonzero([tag == label for tag in labels])
+            arr = data[:, at]
+            bad = np.flatnonzero(~np.isfinite(arr).all(axis=0))
+            if bad.size:
+                raise ValueError(f"line {_csv_record_lines(path)[at[bad[0]]]}: non-finite "
+                                 f"value in trace {label!r}")
+            dt = np.diff(arr[0])
+            stalled = np.flatnonzero(dt <= 0)
+            if stalled.size:
+                raise ValueError(f"line {_csv_record_lines(path)[at[stalled[0] + 1]]}: "
+                                 f"sample times of trace {label!r} do not increase")
+            uneven = np.flatnonzero(np.abs(dt - dt[:1]) > 1e-9)
+            if uneven.size:
+                raise ValueError(f"line {_csv_record_lines(path)[at[uneven[0] + 1]]}: "
+                                 f"sample spacing of trace {label!r} is not uniform")
+            out[label] = IQTrace(arr[0], arr[1], arr[2], label)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return out

@@ -439,6 +439,29 @@ def test_calibrate_duration_error_names_its_block(mini_config_path, tmp_path, ca
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command, block, key, value, message", [
+    ("estimate", "protocol", "n_bootstrap", 2.5,
+     "protocol: n_bootstrap must be an integer, got 2.5"),
+    ("calibrate", "system.transmon", "n_transmon_levels", 3.5,
+     "system.transmon: n_transmon_levels must be an integer, got 3.5"),
+])
+def test_config_value_of_the_wrong_type_is_a_config_error(simulate_dir, tmp_path, capsys,
+                                                          command, block, key, value, message):
+    # a float in an integer field once ran on and stopped on a TypeError
+    data = json.loads(json.dumps(MINI_CONFIG))
+    target = data
+    for name in block.split("."):
+        target = target[name]
+    target[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    extra = ["--traces", str(simulate_dir)] if command == "estimate" else []
+    assert main([command, "--config", str(path), "--out", str(out)] + extra) == 2
+    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # every command in one process on the default device cut to n_fock 2 (the
 # 144 x 144 composite): the package must run without importing scipy, so a
 # fresh process pays no scipy import, neither at start-up nor on first use

@@ -169,12 +169,36 @@ def test_config_root_must_be_a_mapping():
 
 
 def test_root_fields_are_checked_by_the_run_config(default_config):
+    # the seed's type is checked by the builder, the output path by RunConfig
     for key, value, message in (("seed", "abc", "seed must be an integer, got 'abc'"),
                                 ("output_dir", 3, "output_dir must be a string path")):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             config_from_dict(_edited(default_config.as_dict(), key, value))
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            RunConfig(default_config.system, default_config.dissipation, **{key: value})
+    with pytest.raises(ValueError, match="^output_dir must be a string path$"):
+        RunConfig(default_config.system, default_config.dissipation, output_dir=3)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    ("protocol.n_bootstrap", 2.5, "protocol: n_bootstrap must be an integer, got 2.5"),
+    ("protocol.n_bootstrap", True, "protocol: n_bootstrap must be an integer, got True"),
+    ("system.transmon.n_transmon_levels", 3.5,
+     "system.transmon: n_transmon_levels must be an integer, got 3.5"),
+    ("seed", 1.0, "seed must be an integer, got 1.0"),
+    ("dissipation.bath_t_mk", "150", "dissipation: bath_t_mk must be a number, got '150'"),
+    ("dissipation.bath_t_mk", None, "dissipation: bath_t_mk must be a number, got None"),
+    ("readout.noise_sigma", False, "readout: noise_sigma must be a number, got False"),
+    ("protocol.clamp_out_of_range", 1,
+     "protocol: clamp_out_of_range must be true or false, got 1"),
+])
+def test_field_types_are_checked_by_the_builder(default_config, path, value, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        config_from_dict(_edited(default_config.as_dict(), path, value))
+
+
+def test_float_fields_take_integers(default_config):
+    # JSON writes 12000 for 12000.0; the integer is kept as written
+    cfg = config_from_dict(_edited(default_config.as_dict(), "dissipation.bath_t_mk", 150))
+    assert cfg.dissipation.bath_t_mk == 150 and cfg.system.resonator.q_loaded == 12000
 
 
 def test_readout_and_protocol_blocks_default(default_config):

@@ -1,11 +1,14 @@
+import ast
 import csv
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from oracles import read_trace_csv_csv_module
 from superops import static_super, unit_superoperator
 from tritherm import readout
 from tritherm.constants import TWO_PI
@@ -231,14 +234,46 @@ def _write_rows_one_by_one(path, traces):
                             f"{q:.12g}", tr.label])
 
 
-def test_trace_csv_matches_row_by_row_writer(tmp_path):
-    # two labels on one non-integer grid plus one on a grid of its own
+# labels csv quotes (a comma, a quote, a line break), leaves bare, or writes
+# as "" when alone in a row (the empty one)
+LABELS = ["a", "b", "", "x,y", 'q"t', "l\nm", " s", "c\r\nd", "#", "a\x00", "\r"]
+
+
+@st.composite
+def trace_sets(draw):
+    """One to three labelled traces on one or two grids, so that labels
+    often share a grid."""
+    grids = draw(st.lists(st.builds(lambda n, t0, dt: t0 + dt * np.arange(n),
+                                    st.integers(1, 30), st.floats(-1e4, 1e4),
+                                    st.floats(1e-6, 1e3)), min_size=1, max_size=2))
+    labels = draw(st.lists(st.one_of(st.sampled_from(LABELS), st.text(max_size=6)),
+                           min_size=1, max_size=3, unique=True))
+    traces = []
+    for label in labels:
+        t = grids[draw(st.integers(0, len(grids) - 1))]
+        i, q = (np.array(draw(st.lists(st.floats(), min_size=len(t), max_size=len(t))))
+                for _ in range(2))
+        traces.append(IQTrace(t, i, q, label=label))
+    return traces
+
+
+def _example_traces():
+    # two labels on one non-integer grid, the empty one among them, plus one
+    # on a grid of its own
     rng = np.random.default_rng(seed)
     t = 12.5 + 0.1 * np.arange(300)
     traces = [IQTrace(t, rng.normal(size=300), rng.normal(size=300), label=lab)
-              for lab in ("x0", "x1")]
+              for lab in ("", "x1")]
     traces.append(IQTrace(t[:50] / 3.0, rng.normal(size=50) * 1e-7,
-                          rng.normal(size=50) * 1e5, label="x2"))
+                          rng.normal(size=50) * 1e5, label='say "hi",\r\n'))
+    return traces
+
+
+@settings(max_examples=80, deadline=None)
+@given(traces=trace_sets())
+@example(traces=_example_traces())
+def test_trace_csv_matches_row_by_row_writer(tmp_path_factory, traces):
+    tmp_path = tmp_path_factory.mktemp("csv")
     write_trace_csv(tmp_path / "fast.csv", traces)
     _write_rows_one_by_one(tmp_path / "ref.csv", traces)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -285,6 +320,9 @@ def _two_label_rows():
     return [f"{t},0.5,0.25,{lab}" for t in range(10) for lab in "ab"]
 
 
+CRLF_ROWS = {k: row + "\r" for k, row in enumerate(_two_label_rows())}
+
+
 @pytest.mark.parametrize("edit, message", [
     ({4: "2,abc,0.25,a", 7: "3,0.5"}, "line 6: non-numeric value in ['2', 'abc', '0.25']"),
     ({7: "3,0.5"}, "line 9: expected 4 fields t_ns,I,Q,label, got 2"),
@@ -293,6 +331,15 @@ def _two_label_rows():
     ({11: "3,0.5,0.25,b"}, "line 13: sample times of trace 'b' do not increase"),
     # a quoted label spanning two lines moves every later line number by one
     ({2: '1,0.5,0.25,"c\nd"', 7: "3,0.5"}, "line 10: expected 4 fields t_ns,I,Q,label, got 2"),
+    # blank lines, which numpy's parser would skip, mid-file and trailing
+    ({4: ""}, "line 6: expected 4 fields t_ns,I,Q,label, got 0"),
+    ({19: "9,0.5,0.25,b\n"}, "line 22: expected 4 fields t_ns,I,Q,label, got 0"),
+    # CRLF line ends, with a short row and with a blank line
+    ({**CRLF_ROWS, 7: "3,0.5\r"}, "line 9: expected 4 fields t_ns,I,Q,label, got 2"),
+    ({**CRLF_ROWS, 4: "\r"}, "line 6: expected 4 fields t_ns,I,Q,label, got 0"),
+    # numbers float() reads but numpy's C parser does not
+    ({5: "2,1_0,0.25,b"}, "line 7: non-numeric value in ['2', '1_0', '0.25']"),
+    ({6: "3,\u0661,0.25,a"}, "line 8: non-numeric value in ['3', '\u0661', '0.25']"),
 ])
 def test_read_trace_csv_names_the_offending_line(tmp_path, edit, message):
     rows = _two_label_rows()
@@ -313,3 +360,108 @@ def test_read_trace_csv_splits_labels(tmp_path):
     for tr in traces.values():
         np.testing.assert_array_equal(tr.t_ns, np.arange(10.0))
         assert np.all(tr.i_vals == 0.5) and np.all(tr.q_vals == 0.25)
+
+
+def test_accepted_files_never_reach_the_csv_module(tmp_path, monkeypatch):
+    # numpy's C parser reads an accepted file alone; the csv module only
+    # finds the line of a rejected one
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader on the accept path")
+
+    rng = np.random.default_rng(seed)
+    t = np.arange(1000.0)
+    traces = [IQTrace(t, rng.normal(size=1000), rng.normal(size=1000), label=lab)
+              for lab in ("x0", 'y "1", quoted')]
+    path = tmp_path / "traces.csv"
+    write_trace_csv(path, traces)
+    monkeypatch.setattr(readout.csv, "reader", refuse)
+    back = read_trace_csv(path)
+    assert list(back) == [tr.label for tr in traces]
+    assert sum(len(tr.t_ns) for tr in back.values()) == 2000
+
+
+# values for a numeric field: bad, non-finite, padded, and 1_0 and a
+# non-ASCII digit, which only float() reads
+FIELD_VALUES = ["abc", "nan", "inf", "-Infinity", " 1.5 ", "\t2", "1_0", "\u0661", "1\x1c",
+                "", " ", "0x1", "1e", "+.5", '"3"', "2.0", "-0"]
+HEADERS = ["t_ns,I,Q,label", '"t_ns","I","Q","label"', "t_ns,I,Q,label,extra", "t_ns,I,Q",
+           "time,I,Q,label"]
+
+
+def _field(label, quote):
+    if quote or any(c in label for c in ',"\r\n'):
+        return '"' + label.replace('"', '""') + '"'
+    return label
+
+
+@st.composite
+def trace_files(draw):
+    """The text of a valid trace file, several labels interleaved, then up to
+    three of: a blank line, a short or long row, a replaced value, spaces
+    around a number, a time moved back or off the grid."""
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3, unique=True))
+    grids = [(draw(st.integers(-5, 5)), draw(st.sampled_from([1.0, 0.5, 0.1, 2.5])))
+             for _ in labels]
+    picks = draw(st.lists(st.integers(0, len(labels) - 1), min_size=1, max_size=16))
+    numbers = st.floats(allow_nan=False, allow_infinity=False)
+    quote = draw(st.booleans())
+    rows, seen = [], [0] * len(labels)
+    for k in picks:
+        t0, dt = grids[k]
+        t = t0 + dt * seen[k]
+        seen[k] += 1
+        i, q = (draw(numbers) for _ in range(2))
+        fmt = draw(st.sampled_from([repr, lambda v: f"{v:.12g}"]))
+        rows.append([repr(t), fmt(i), fmt(q), _field(labels[k], quote)])
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["blank", "short", "long", "value", "spaces", "time"]))
+        if kind == "blank":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+            continue
+        at = draw(st.integers(0, len(rows) - 1))
+        fields = rows[at]
+        if kind == "short":
+            del fields[draw(st.integers(0, len(fields))):]
+        elif kind == "long":
+            fields.append(draw(st.sampled_from(["", "x", '"y"'])))
+        elif kind == "value" and fields:
+            fields[draw(st.integers(0, min(len(fields), 3) - 1))] = draw(
+                st.sampled_from(FIELD_VALUES))
+        elif kind == "spaces" and fields:
+            col = draw(st.integers(0, min(len(fields), 3) - 1))
+            fields[col] = draw(st.sampled_from([" ", "  ", "\t"])) + fields[col] + " "
+        elif kind == "time" and fields:  # most often back in time or off the grid
+            fields[0] = repr(draw(st.integers(-10, 20)) * 0.5)
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    header = draw(st.one_of(st.just(HEADERS[0]), st.sampled_from(HEADERS)))
+    text = eol.join([header] + [",".join(row) for row in rows])
+    return text + eol if draw(st.booleans()) else text
+
+
+def _outcome(read, path):
+    try:
+        return [(label, tr.t_ns.tobytes(), tr.i_vals.tobytes(), tr.q_vals.tobytes())
+                for label, tr in read(path).items()]
+    except ValueError as exc:
+        return str(exc)
+
+
+def _only_float_reads(value):
+    return "_" in value or any(not c.isascii() and c.isdecimal() for c in value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=trace_files())
+def test_reader_agrees_with_csv_module_reader(tmp_path_factory, text):
+    # the same traces bit for bit, or the same error naming the same line;
+    # the one difference allowed is that 1_0 or a non-ASCII digit, which
+    # float() reads, is rejected with its line
+    path = tmp_path_factory.mktemp("csv") / "traces.csv"
+    path.write_bytes(text.encode())
+    got = _outcome(read_trace_csv, path)
+    want = _outcome(read_trace_csv_csv_module, path)
+    if got != want:
+        named = re.fullmatch(rf"{re.escape(str(path))}: line \d+: non-numeric value in (.*)",
+                             got if isinstance(got, str) else "", flags=re.S)
+        assert named, (got, want)
+        assert any(map(_only_float_reads, ast.literal_eval(named.group(1)))), (got, want)
