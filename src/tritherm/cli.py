@@ -46,14 +46,18 @@ def _resolve_output_dir(args, config: Optional[RunConfig]) -> Path:
     return out
 
 
-# command-line flag -> protocol field; a flag left unset (None) keeps the
-# config's value, so a report from reloaded traces matches the in-process one
+# command-line flag -> field of the block it changes; a flag left unset
+# (None) keeps the block's value, so a report from reloaded traces matches
+# the in-process one
 PROTOCOL_FLAGS = {"quadratures": "quadratures", "delta": "delta", "bootstrap": "n_bootstrap",
                   "clamp": "clamp_out_of_range", "duration": "pulse_duration_ns"}
+MONTECARLO_FLAGS = {"true_slope": "true_slope", "experiments": "n_experiments",
+                    "sigma": "noise_sigma", "span": "x_span", "points": "n_points",
+                    "abscissa": "abscissa", "fit_method": "fit_method"}
 
 
-def _protocol_flags(args) -> dict:
-    return {field: getattr(args, flag) for flag, field in PROTOCOL_FLAGS.items()
+def _flags(args, table: dict) -> dict:
+    return {field: getattr(args, flag) for flag, field in table.items()
             if getattr(args, flag, None) is not None}
 
 
@@ -64,7 +68,7 @@ def _load_run_config(args, required: bool = True) -> Optional[RunConfig]:
         if required:
             raise ConfigError("this command needs --config pointing at a run config")
         return None
-    changes = {"protocol": _protocol_flags(args)}
+    changes = {"protocol": _flags(args, PROTOCOL_FLAGS)}
     if args.seed is not None:
         changes["seed"] = args.seed
     return with_changes(load_config(args.config), changes)
@@ -215,10 +219,10 @@ def cmd_estimate(args) -> int:
         changes["probe_duration_ns"] = max(args.window_end or 0.0, 2000.0)
     readout = with_changes(config.readout if config else ReadoutConfig(), changes, "readout")
     protocol = (config.protocol if config else
-                with_changes(ProtocolConfig(), _protocol_flags(args), "protocol"))
+                with_changes(ProtocolConfig(), _flags(args, PROTOCOL_FLAGS), "protocol"))
     seed = config.seed if config else args.seed or 0
     report, payload = _estimate_report(traces, readout, levels, protocol, seed)
-    out = _resolve_output_dir(args, None)
+    out = _resolve_output_dir(args, config)
     _write_json(out / "estimate.json", payload)
     print(f"estimate: {args.traces} -> {out / 'estimate.json'}")
     _print_report(report)
@@ -233,17 +237,9 @@ def cmd_montecarlo(args) -> int:
     config = _load_run_config(args, required=False)
     levels = _levels_from_args(args, config)
     seed = config.seed if config else args.seed or 0
+    spec = with_changes(MonteCarloSpec(seed=stream_seed(seed, "montecarlo")),
+                        _flags(args, MONTECARLO_FLAGS), "montecarlo")
     try:
-        spec = MonteCarloSpec(
-            true_slope=args.true_slope,
-            n_experiments=args.experiments,
-            x_span=args.span,
-            noise_sigma=args.sigma,
-            n_points=args.points,
-            seed=stream_seed(seed, "montecarlo"),
-            abscissa=args.abscissa,
-            fit_method=args.fit_method,
-        )
         grid = np.linspace(args.lambda_min, args.lambda_max, args.lambda_points)
         report = slope_bias_study(spec, grid)
     except ValueError as exc:
@@ -406,14 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("montecarlo", help="slope-bias study and repeated-run stats")
     common(p_mc, needs_quadratures=False)
-    p_mc.add_argument("--true-slope", type=float, default=0.8834)
-    p_mc.add_argument("--experiments", type=int, default=1000)
-    p_mc.add_argument("--sigma", type=float, default=0.002)
-    p_mc.add_argument("--span", type=float, default=0.042)
-    p_mc.add_argument("--points", type=int, default=700)
-    p_mc.add_argument("--abscissa", choices=["sinusoid", "uniform"], default="sinusoid")
-    p_mc.add_argument("--fit-method", choices=["least_squares", "deming"],
-                      default="least_squares")
+    # the spec flags default to MonteCarloSpec's fields
+    p_mc.add_argument("--true-slope", type=float)
+    p_mc.add_argument("--experiments", type=int)
+    p_mc.add_argument("--sigma", type=float)
+    p_mc.add_argument("--span", type=float)
+    p_mc.add_argument("--points", type=int)
+    p_mc.add_argument("--abscissa", choices=["sinusoid", "uniform"])
+    p_mc.add_argument("--fit-method", choices=["least_squares", "deming"])
     p_mc.add_argument("--lambda-min", type=float, default=0.01)
     p_mc.add_argument("--lambda-max", type=float, default=1.0)
     p_mc.add_argument("--lambda-points", type=int, default=25)

@@ -36,6 +36,7 @@ from .thermometry import (
     COEFFICIENTS,
     DegenerateDataError,
     SequenceResponses,
+    _aggregate,
     _checked_inverse,
     _deming_rule,
     _fit_pairs,
@@ -61,7 +62,7 @@ class MonteCarloSpec:
     even grid for sensitivity checks.
     """
 
-    true_slope: float
+    true_slope: float = 0.8834
     n_experiments: int = 1000
     x_span: float = 0.042
     noise_sigma: float = 0.002
@@ -73,9 +74,9 @@ class MonteCarloSpec:
     def __post_init__(self):
         if self.n_experiments < 100:
             raise ValueError("n_experiments must be at least 100")
-        if self.x_span <= 0:
+        if not self.x_span > 0:  # also rejects NaN
             raise ValueError("x_span must be positive")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be non-negative")
         if self.n_points < 3:
             raise ValueError("n_points must be at least 3")
@@ -297,9 +298,9 @@ def repeated_measurement_stats(
 
     Noise is added per sample and quadrature on the analysis window (the
     estimator never sees samples outside it).  Deterministic under a fixed
-    seed; each draw's temperatures are those estimate_temperature gives the
-    noisy responses with n_bootstrap 0, since only the point estimates feed
-    the statistics.  A draw that estimate_temperature would reject raises.
+    seed; each draw's pair slopes take the estimator's ``_aggregate`` (plain
+    mean) and ``_checked_inverse``, so a draw gets the temperatures, or the
+    error, that estimate_temperature gives it with n_bootstrap 0.
     """
     if n_runs < 2:
         raise ValueError(f"n_runs must be at least 2 for a spread, got {n_runs}")
@@ -312,7 +313,8 @@ def repeated_measurement_stats(
         b = min(_NOISE_BLOCK, n_runs - start)
         noisy = clean + rng.normal(0.0, noise_sigma, size=(b,) + clean.shape)
         slopes.append(_fit_pairs(deming_slope, noisy, quadratures, delta)[0])
-    slopes = np.concatenate(slopes).reshape(-1, 3, 3).mean(axis=-1)
-    t_a, t_b, t_c = (_checked_inverse(levels, c, slopes[:, k], clamp)
+    slopes = np.concatenate(slopes).reshape(-1, 3, 3)
+    lam, _ = _aggregate(slopes, np.zeros_like(slopes), aggregation="mean")
+    t_a, t_b, t_c = (_checked_inverse(levels, c, lam[:, k], clamp)
                      for k, c in enumerate(COEFFICIENTS))
     return RepeatedStats(t_a, t_b, t_c, noise_sigma, seed)

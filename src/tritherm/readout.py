@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -249,17 +250,21 @@ def write_trace_csv(path, traces: Sequence[IQTrace]) -> None:
 
 
 def _records(path):
-    """(line number, fields) of each csv record after the header."""
+    """(line number, fields) of each csv record, the header first; a record
+    the csv module cannot read raises ValueError naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            yield reader.line_num, row
+        try:
+            for row in reader:
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
 
 
-def _record_lines(path) -> list:
-    """Line number of each record after the header, for error messages."""
-    return [line for line, _ in _records(path)]
+def _raise_at(path, record: int, message: str) -> None:
+    """Raise ``message`` naming the line of record ``record`` after the header."""
+    line, _ = next(itertools.islice(_records(path), record + 1, None))
+    raise ValueError(f"line {line}: {message}")
 
 
 def _are_numbers(values) -> bool:
@@ -278,7 +283,7 @@ def _are_numbers(values) -> bool:
 def _raise_first_bad_row(path) -> None:
     """Raise for the first row without four fields or with a non-numeric
     sample, naming its line."""
-    for line, row in _records(path):
+    for line, row in itertools.islice(_records(path), 1, None):
         if len(row) != 4:
             raise ValueError(f"line {line}: expected 4 fields t_ns,I,Q,label, got {len(row)}")
         if not _are_numbers(row[:3]):
@@ -299,12 +304,11 @@ def _body(path) -> str:
     """The text after a checked header."""
     with open(path, newline="") as fh:
         if fh.readline().rstrip("\r\n") != _TRACE_HEADER:
-            # quoting, extra fields or a wrong header: read it as csv does
-            fh.seek(0)
-            header = next(csv.reader(fh), None)
+            # quoted or wrong: read as csv does (the four names span one line)
+            _, header = next(_records(path), (1, None))
             if header is None:
                 raise ValueError("empty file, expected the header t_ns,I,Q,label")
-            if header[:4] != ["t_ns", "I", "Q", "label"]:
+            if header != ["t_ns", "I", "Q", "label"]:
                 raise ValueError(f"line 1: unexpected trace header {header}")
         return fh.read()
 
@@ -345,17 +349,16 @@ def read_trace_csv(path) -> Dict[str, IQTrace]:
             arr = columns if single else columns[:, at]
             bad = np.flatnonzero(~np.isfinite(arr).all(axis=0))
             if bad.size:
-                raise ValueError(f"line {_record_lines(path)[at[bad[0]]]}: non-finite "
-                                 f"value in trace {label!r}")
+                _raise_at(path, at[bad[0]], f"non-finite value in trace {label!r}")
             dt = np.diff(arr[0])
             stalled = np.flatnonzero(dt <= 0)
             if stalled.size:
-                raise ValueError(f"line {_record_lines(path)[at[stalled[0] + 1]]}: sample "
-                                 f"times of trace {label!r} do not increase")
+                _raise_at(path, at[stalled[0] + 1],
+                          f"sample times of trace {label!r} do not increase")
             uneven = np.flatnonzero(np.abs(dt - dt[:1]) > 1e-9)
             if uneven.size:
-                raise ValueError(f"line {_record_lines(path)[at[uneven[0] + 1]]}: sample "
-                                 f"spacing of trace {label!r} is not uniform")
+                _raise_at(path, at[uneven[0] + 1],
+                          f"sample spacing of trace {label!r} is not uniform")
             out[label] = IQTrace(arr[0], arr[1], arr[2], label)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

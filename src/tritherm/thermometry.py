@@ -22,13 +22,15 @@ exponents above.
 One ``deming_fit`` call fits the nine difference pairs as rows of one
 (9, n) array, bootstrap included, and one ``deming_slope`` call the (b, 9, n)
 blocks of ``errorlab``'s repeated draws; a degenerate row raises naming its
-pair.
+pair.  From the pair slopes on, the estimator and the repeated draws share
+one path: ``_aggregate`` for the coefficients, ``_checked_inverse`` for the
+temperatures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -384,22 +386,23 @@ def attainable_range(levels, which: str) -> Tuple[float, float]:
     return (v2, v1) if v1 > v2 else (v1, v2)
 
 
-def _invert_coefficient(levels, which: str, values, clamp: bool) -> np.ndarray:
+def _invert_coefficient(levels, which: str, values, clamp) -> np.ndarray:
     """Temperatures (mK) at which coefficient ``which`` takes ``values`` (a
-    scalar or an array; the result has its shape)."""
+    scalar or an array; the result has its shape).  An out-of-range value
+    is pinned to the bracket edge where ``clamp`` (a bool or a mask) is set."""
     values = np.asarray(values, dtype=float)
     t_lo, t_hi = T_BRACKET_MK
     lo, hi = attainable_range(levels, which)
     v_lo, v_hi = (hi, lo) if which == "A" else (lo, hi)  # A falls with T, B and C rise
     outside = ~((lo <= values) & (values <= hi))  # NaN counts as outside
-    if np.any(outside):
-        if not clamp:
-            raise SlopeOutOfRangeError(
-                f"slope {values[outside].flat[0]:.6g} outside the attainable range "
-                f"[{lo:.6g}, {hi:.6g}] of coefficient {which} over {T_BRACKET_MK} mK; "
-                f"enable clamping to pin to the bracket edge"
-            )
-        values = np.minimum(np.maximum(values, lo), hi)
+    unclamped = outside & ~np.asarray(clamp)
+    if np.any(unclamped):
+        raise SlopeOutOfRangeError(
+            f"slope {values[unclamped].flat[0]:.6g} outside the attainable range "
+            f"[{lo:.6g}, {hi:.6g}] of coefficient {which} over {T_BRACKET_MK} mK; "
+            f"enable clamping to pin to the bracket edge"
+        )
+    values = np.minimum(np.maximum(values, lo), hi)
     t = np.where(values == v_lo, t_lo, t_hi)
     todo = np.flatnonzero((values != v_lo) & (values != v_hi))
     # With e = exp(-h f_ge / k_B T) and r = f_gf / f_ge > 1, C = (e - e^r) / (1 - e^r)
@@ -434,14 +437,14 @@ def _invert_coefficient(levels, which: str, values, clamp: bool) -> np.ndarray:
     return t
 
 
-def _checked_inverse(levels, which: str, values, clamp: bool) -> np.ndarray:
-    """``_invert_coefficient`` plus, without clamping, the check that every
+def _checked_inverse(levels, which: str, values, clamp) -> np.ndarray:
+    """``_invert_coefficient`` plus the check that every unclamped
     temperature reproduces its value to 1e-10."""
     t = _invert_coefficient(levels, which, values, clamp)
-    if not clamp:
-        residual = np.abs(coefficient_vs_temperature(levels, t, which) - values)
-        if np.any(residual > 1e-10):
-            raise RuntimeError(f"inversion residual {np.max(residual):.2e} above 1e-10")
+    checked = ~np.broadcast_to(clamp, np.shape(values))
+    residual = np.abs(coefficient_vs_temperature(levels, t, which) - values)[checked]
+    if np.any(residual > 1e-10):
+        raise RuntimeError(f"inversion residual {np.max(residual):.2e} above 1e-10")
     return t
 
 
@@ -449,21 +452,16 @@ def invert_temperature(slope: SlopeEstimate, levels, clamp: bool = False) -> Tem
     """Temperature whose thermal coefficient equals the fitted slope.
 
     Newton's method in e = exp(-h f_ge / k_B T) on the convex equation of B
-    or C (1 - A = C), started at e = 0, over the 1 mK - 2 K bracket; the CI
-    comes from inverting both slope CI bounds in one call (clamped to the
-    bracket when they spill past it; a bound equal to the point value reuses
-    its temperature).  ``clamp=True`` pins an out-of-range point estimate to
+    or C (1 - A = C), started at e = 0, over the 1 mK - 2 K bracket.  One
+    elementwise call inverts the point value and both slope CI bounds, so a
+    bound equal to the point gets its temperature.  Bounds past the bracket
+    are clamped to it; ``clamp=True`` pins an out-of-range point estimate to
     the bracket edge instead of raising.
     """
     c = slope.coefficient
-    t = float(_checked_inverse(levels, c, slope.value, clamp))
-    ci = np.array(slope.ci95)
-    t_ci = np.full(2, t)
-    moved = ci != slope.value
-    if np.any(moved):
-        t_ci[moved] = _invert_coefficient(levels, c, ci[moved], True)
-    lo, hi = sorted(t_ci.tolist())
-    return TemperatureEstimate(t, c, slope, (lo, hi))
+    t, *t_ci = _checked_inverse(levels, c, [slope.value, *slope.ci95],
+                                np.array([clamp, True, True])).tolist()
+    return TemperatureEstimate(t, c, slope, tuple(sorted(t_ci)))
 
 
 @dataclass(frozen=True)
@@ -504,22 +502,19 @@ class EstimateReport:
         return out
 
 
-def _aggregate(pairs: Sequence[SlopeEstimate], coefficient: str,
-               aggregation: str) -> SlopeEstimate:
-    values = np.array([s.value for s in pairs])
-    halfwidths = np.array([0.5 * (s.ci95[1] - s.ci95[0]) for s in pairs])
-    if aggregation == "inverse_variance" and np.all(halfwidths > 0):
-        w = 1.0 / halfwidths ** 2
-        value = float(np.sum(w * values) / np.sum(w))
-        half = 1.0 / np.sqrt(np.sum(w))
-    elif aggregation in ("inverse_variance", "mean"):
-        value = float(values.mean())
-        half = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-    else:
+def _aggregate(slopes, halfwidths, aggregation: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Coefficient slopes and CI half-widths (..., 3) from the pair slopes
+    and CI half-widths (..., 3, 3), as one weighted mean: inverse squared
+    half-widths for "inverse_variance" (half-width 1 / sqrt(sum of weights)),
+    unit weights for "mean" and for a coefficient with a zero-width pair CI
+    (half-width the standard error of its three slopes)."""
+    if aggregation not in ("inverse_variance", "mean"):
         raise ValueError(f"unknown aggregation {aggregation!r}")
-    rms = float(np.sqrt(np.mean([s.residual_rms ** 2 for s in pairs])))
-    lo, hi = value - 1.96 * half, value + 1.96 * half
-    return SlopeEstimate(coefficient, None, value, (min(lo, value), max(hi, value)), rms)
+    weighted = (aggregation == "inverse_variance") & np.all(halfwidths > 0, axis=-1)
+    w = np.divide(1.0, halfwidths ** 2, out=np.ones_like(halfwidths), where=weighted[..., None])
+    total = np.sum(w, axis=-1)
+    half = np.where(weighted, 1.0 / np.sqrt(total), slopes.std(axis=-1, ddof=1) / np.sqrt(3))
+    return np.sum(w * slopes, axis=-1) / total, half
 
 
 def estimate_temperature(
@@ -547,15 +542,14 @@ def estimate_temperature(
                       for tag, value, ci, rms, intercept in zip(
                           _PAIR_TAGS, fit.slope.tolist(), fit.ci95.tolist(),
                           fit.residual_rms.tolist(), fit.intercept.tolist())]
-    aggregated = {c: _aggregate([s for s in pair_estimates if s.coefficient == c], c,
-                                aggregation) for c in COEFFICIENTS}
-    consistency = abs(
-        aggregated["C"].value - aggregated["A"].value * aggregated["B"].value
-    ) / abs(aggregated["C"].value)
-    estimates = tuple(
-        invert_temperature(aggregated[c], levels, clamp=clamp) for c in COEFFICIENTS
-    )
+    value, half = _aggregate(fit.slope.reshape(3, 3),
+                             0.5 * (fit.ci95[:, 1] - fit.ci95[:, 0]).reshape(3, 3), aggregation)
+    rms = np.sqrt(np.mean(fit.residual_rms.reshape(3, 3) ** 2, axis=-1))
+    aggregated = [SlopeEstimate(c, None, v, (min(v - 1.96 * h, v), max(v + 1.96 * h, v)), r)
+                  for c, v, h, r in zip(COEFFICIENTS, value.tolist(), half.tolist(), rms.tolist())]
+    consistency = float(abs(value[2] - value[0] * value[1]) / abs(value[2]))
+    estimates = tuple(invert_temperature(s, levels, clamp=clamp) for s in aggregated)
     t = responses.x0.t_ns
     dt = t[1] - t[0] if len(t) > 1 else 0.0
-    return EstimateReport(estimates, tuple(pair_estimates), float(consistency),
+    return EstimateReport(estimates, tuple(pair_estimates), consistency,
                           quadratures, (float(t[0]), float(t[-1] + dt)), seed)

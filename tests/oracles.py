@@ -209,17 +209,19 @@ def _csv_raise_first_bad_row(path, rows) -> None:
 def read_trace_csv_csv_module(path):
     """The trace CSV reader row by row through ``csv.reader``: every record
     a list of strings, the numbers converted by float() in one numpy call,
-    a failed conversion traced back to its line.  One change from its
+    a failed conversion traced back to its line.  Two changes from its
     original: labels are told apart as Python strings, where numpy's string
     comparison dropped trailing NULs and so merged the traces of ``a`` and
-    ``a\\x00``."""
+    ``a\\x00``; and the header must be exactly the four names, where the
+    original took any header starting with them (``t_ns,I,Q,label,extra``)
+    and then rejected every row carrying the fifth field."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise ValueError("empty file, expected the header t_ns,I,Q,label")
-            if header[:4] != ["t_ns", "I", "Q", "label"]:
+            if header != ["t_ns", "I", "Q", "label"]:
                 raise ValueError(f"line 1: unexpected trace header {header}")
             rows = list(reader)
         if set(map(len, rows)) - {4}:

@@ -11,7 +11,8 @@ import pytest
 from conftest import make_synthetic_responses
 from tritherm import cli
 from tritherm.cli import main
-from tritherm.config import load_config
+from tritherm.config import load_config, stream_seed
+from tritherm.errorlab import MonteCarloSpec
 from tritherm.hilbert import diagonalize_transmon
 from tritherm.pipeline import calibrate_transitions, estimate
 from tritherm.pulses import SEQUENCE_LABELS
@@ -211,6 +212,8 @@ def test_estimate_flag_errors_name_their_block(tmp_path, capsys, mini_config_pat
     # whole files: times that do not increase
     pytest.param(["5,0.5,0.25,y2"] * 3, id="constant_time"),
     pytest.param([f"{t},0.5,0.25,y2" for t in (3, 2, 1)], id="descending_time"),
+    # a label over the csv module's field limit, then a short row (once exit 1)
+    pytest.param(["0,0.5,0.25," + "x" * 200_000, "1,0.5"], id="overlong_label"),
 ])
 def test_estimate_rejects_malformed_trace_file(tmp_path, capsys, broken_row):
     levels = _write_synthetic(tmp_path)
@@ -289,6 +292,17 @@ def test_output_dir_from_environment(tmp_path, monkeypatch):
     assert (env_out / "estimate.json").is_file()
 
 
+def test_estimate_writes_to_the_config_output_dir(simulate_dir, tmp_path, monkeypatch):
+    # without --out or the environment variable the config's output_dir wins over ./runs
+    monkeypatch.delenv("TRITHERM_OUTPUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(MINI_CONFIG, output_dir=str(tmp_path / "cfgout"))))
+    assert main(["estimate", "--config", str(path), "--traces", str(simulate_dir)]) == 0
+    assert (tmp_path / "cfgout" / "estimate.json").is_file()
+    assert not (tmp_path / "runs").exists()
+
+
 def test_montecarlo_outputs(tmp_path):
     args = ["montecarlo", "--experiments", "150", "--points", "120",
             "--lambda-points", "5", "--f-ge", "6.74", "--f-gf", "13.14",
@@ -318,6 +332,27 @@ def test_montecarlo_rejects_invalid_anchor(tmp_path, capsys, anchor):
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "mc").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--sigma", "nan"], "montecarlo: noise_sigma must be non-negative"),
+    (["--span", "nan"], "montecarlo: x_span must be positive"),
+    (["--experiments", "50"], "montecarlo: n_experiments must be at least 100"),
+    (["--points", "2"], "montecarlo: n_points must be at least 3")])
+def test_montecarlo_spec_errors_name_their_block(tmp_path, capsys, flags, message):
+    # NaN once passed the spec's checks and failed later as a CI error
+    out = tmp_path / "mc"
+    assert main(["montecarlo", "--out", str(out)] + flags) == 2
+    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_montecarlo_spec_defaults_are_the_dataclass_defaults(tmp_path):
+    out = tmp_path / "mc"
+    assert main(["montecarlo", "--experiments", "100", "--lambda-points", "3", "--seed", "2",
+                 "--out", str(out)]) == 0
+    spec = MonteCarloSpec(n_experiments=100, seed=stream_seed(2, "montecarlo"))
+    assert json.loads((out / "mc_stats.json").read_text())["spec"] == dataclasses.asdict(spec)
 
 
 @pytest.mark.parametrize("repeats", ["1", "-2"])

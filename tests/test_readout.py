@@ -286,6 +286,32 @@ def test_trace_csv_rejects_foreign_header(tmp_path):
         read_trace_csv(path)
 
 
+def test_trace_csv_header_must_be_exactly_the_four_names(tmp_path):
+    # a fifth header field was once let through, and every row carrying one rejected
+    path = tmp_path / "traces.csv"
+    for header in ("t_ns,I,Q,label,extra", "t_ns,I,Q", '"t_ns","I","Q","label",'):
+        path.write_text(header + "\n0,0.5,0.25,a\n")
+        with pytest.raises(ValueError, match=r"^.*: line 1: unexpected trace header \["):
+            read_trace_csv(path)
+    # quoting is csv's business: a quoted header of the four names reads
+    path.write_text('"t_ns","I","Q","label"\r\n0,0.5,0.25,a\r\n1,0.5,0.25,a\r\n')
+    assert list(read_trace_csv(path)) == ["a"]
+
+
+def test_overlong_fields_beyond_the_csv_limit(tmp_path):
+    # numpy's parser, which reads accepted files, takes a label over the csv
+    # module's 131072-character limit; in the header it is named at line 1
+    label = "x" * 200_000
+    rows = "".join(f"{t},0.5,0.25,{label}\n" for t in range(5))
+    path = tmp_path / "traces.csv"
+    path.write_text("t_ns,I,Q,label\n" + rows)
+    assert len(read_trace_csv(path)[label].t_ns) == 5
+    path.write_text(f"t_ns,I,Q,{label}\n" + rows)
+    with pytest.raises(ValueError) as err:
+        read_trace_csv(path)
+    assert str(err.value) == f"{path}: line 1: field larger than field limit (131072)"
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 40),
@@ -340,6 +366,9 @@ CRLF_ROWS = {k: row + "\r" for k, row in enumerate(_two_label_rows())}
     # numbers float() reads but numpy's C parser does not
     ({5: "2,1_0,0.25,b"}, "line 7: non-numeric value in ['2', '1_0', '0.25']"),
     ({6: "3,\u0661,0.25,a"}, "line 8: non-numeric value in ['3', '\u0661', '0.25']"),
+    # a field over the csv module's 131072-character limit, at its own line
+    ({4: "2,0.5,0.25," + "x" * 200_000, 7: "3,0.5"},
+     "line 6: field larger than field limit (131072)"),
 ])
 def test_read_trace_csv_names_the_offending_line(tmp_path, edit, message):
     rows = _two_label_rows()

@@ -28,6 +28,7 @@ from tritherm.thermometry import (
     coefficient_vs_temperature,
     deming_fit,
     deming_slope,
+    _aggregate,
     _deming_rule,
     _invert_coefficient,
     _pair_rows,
@@ -148,6 +149,8 @@ def test_array_inversion_equals_one_value_at_a_time(which):
 
 
 def test_point_ci_reuses_the_point_temperature(monkeypatch):
+    # the point and both CI bounds go in one inversion call; the inversion is
+    # elementwise, so a bound equal to the point gets the point's temperature
     calls = []
     invert = thermometry._invert_coefficient
     def counted(*args):
@@ -157,18 +160,35 @@ def test_point_ci_reuses_the_point_temperature(monkeypatch):
     monkeypatch.setattr(thermometry, "_invert_coefficient", counted)
     point = invert_temperature(_slope("B", value, half=0.0), ANCHOR)
     assert len(calls) == 1 and point.t_ci95_mk == (point.t_mk, point.t_mk)
+    assert point.t_mk == float(invert(ANCHOR, "B", value, False))
     calls.clear()
-    # both bounds of a spread go in one call, and match one bound at a time
     spread = invert_temperature(_slope("B", value), ANCHOR)
-    assert len(calls) == 2 and spread.t_mk == point.t_mk
+    assert len(calls) == 1 and spread.t_mk == point.t_mk
     assert spread.t_ci95_mk[0] < point.t_mk < spread.t_ci95_mk[1]
     alone = sorted(float(invert(ANCHOR, "B", v, True)) for v in (value - 1e-4, value + 1e-4))
     assert list(spread.t_ci95_mk) == alone
     calls.clear()
     one_sided = invert_temperature(SlopeEstimate("B", None, value, (value, value + 1e-4), 0.0),
                                    ANCHOR)
-    assert len(calls) == 2 and len(calls[1][2]) == 1
+    assert len(calls) == 1
     assert one_sided.t_ci95_mk == (point.t_mk, spread.t_ci95_mk[1])
+    # bounds past the attainable range are clamped to the bracket, the point is not
+    wide = invert_temperature(_slope("B", value, half=10.0), ANCHOR)
+    assert wide.t_mk == point.t_mk and wide.t_ci95_mk == T_BRACKET_MK
+
+
+def test_mixed_clamp_raises_only_for_unclamped_values():
+    lo, hi = attainable_range(ANCHOR, "C")
+    inside = coefficient_vs_temperature(ANCHOR, 150.0, "C")
+    values = np.array([inside, hi + 1e-3, lo - 1e-3])
+    t = _invert_coefficient(ANCHOR, "C", values, np.array([False, True, True]))
+    assert t.tolist() == [float(_invert_coefficient(ANCHOR, "C", inside, False)),
+                          T_BRACKET_MK[1], T_BRACKET_MK[0]]
+    for k in (1, 2):
+        clamp = np.ones(3, dtype=bool)
+        clamp[k] = False
+        with pytest.raises(SlopeOutOfRangeError, match=rf"^slope {values[k]:.6g} outside"):
+            _invert_coefficient(ANCHOR, "C", values, clamp)
 
 
 def test_inversion_evaluation_budget(monkeypatch):
@@ -213,7 +233,8 @@ def test_inversion_guards_raise(monkeypatch):
     with pytest.raises(RuntimeError, match="not converged"):
         _invert_coefficient(ANCHOR, "B", float("nan"), clamp=True)
     value = coefficient_vs_temperature(ANCHOR, 150.0, "C")
-    monkeypatch.setattr(thermometry, "_invert_coefficient", lambda *args: 151.0)
+    monkeypatch.setattr(thermometry, "_invert_coefficient",
+                        lambda levels, which, values, clamp: np.full(np.shape(values), 151.0))
     with pytest.raises(RuntimeError, match="inversion residual"):
         invert_temperature(_slope("C", value), ANCHOR)
 
@@ -581,6 +602,35 @@ def test_estimate_aggregation_modes():
         assert abs(a.temperature(coef).t_mk - b.temperature(coef).t_mk) < 0.02
     with pytest.raises(ValueError):
         estimate_temperature(responses, levels, aggregation="median")
+
+
+@pytest.mark.parametrize("aggregation", ["inverse_variance", "mean"])
+def test_aggregate_stack_equals_single_rows(aggregation):
+    # a (k, 3, 3) stack aggregates bit for bit as its k rows and 3k
+    # coefficients do one at a time; a zero half-width falls back to the mean
+    rng = np.random.default_rng(seed)
+    slopes = rng.uniform(0.05, 0.95, size=(5, 3, 3))
+    half = rng.uniform(1e-4, 1e-2, size=(5, 3, 3))
+    half[1, 0, 2] = 0.0
+    half[3] = 0.0
+    value, width = _aggregate(slopes, half, aggregation)
+    assert value.shape == width.shape == (5, 3)
+    for k in range(5):
+        row = _aggregate(slopes[k], half[k], aggregation)
+        np.testing.assert_array_equal(row[0], value[k])
+        np.testing.assert_array_equal(row[1], width[k])
+        for j in range(3):
+            s, h = slopes[k, j], half[k, j]
+            v, w = _aggregate(s, h, aggregation)
+            assert (v, w) == (value[k, j], width[k, j])
+            if aggregation == "mean" or not np.all(h > 0):
+                assert (v, w) == (s.mean(), s.std(ddof=1) / np.sqrt(3))
+            else:
+                weights = 1.0 / h ** 2
+                assert (v, w) == (np.sum(weights * s) / np.sum(weights),
+                                  1.0 / np.sqrt(np.sum(weights)))
+    with pytest.raises(ValueError, match="unknown aggregation"):
+        _aggregate(slopes, half, "median")
 
 
 def test_estimate_report_dict_keys():
