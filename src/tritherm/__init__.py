@@ -47,7 +47,6 @@ from .readout import (
 from .thermometry import (
     EstimateReport,
     SequenceResponses,
-    SlopeEstimate,
     TemperatureEstimate,
     coefficient_vs_temperature,
     deming_fit,

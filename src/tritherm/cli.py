@@ -103,8 +103,8 @@ def _write_table(path: Path, columns, rows) -> None:
 def _print_report(report: EstimateReport) -> None:
     for est in report.estimates:
         lo, hi = est.t_ci95_mk
-        print(f"  T_{est.source_coefficient} = {est.t_mk:7.2f} mK"
-              f"  (lambda = {est.slope.value:.6f}, CI [{lo:.2f}, {hi:.2f}] mK)")
+        print(f"  T_{est.coefficient} = {est.t_mk:7.2f} mK"
+              f"  (lambda = {est.slope:.6f}, CI [{lo:.2f}, {hi:.2f}] mK)")
     print(f"  consistency |C - A*B|/C = {report.consistency:.3e}")
 
 
@@ -249,7 +249,7 @@ def cmd_montecarlo(args) -> int:
                  zip(report.lambda_grid, report.mean_fit, report.ci_low, report.ci_high))
     curves = temperature_discrepancy(report, levels)
     _write_table(out / "discrepancy.csv", ["T_mK", "dT_A_mK", "dT_B_mK", "dT_C_mK"],
-                 zip(curves.t_mk, curves.dt_a_mk, curves.dt_b_mk, curves.dt_c_mk))
+                 zip(curves.t_mk, *curves.dt_mk.T))
 
     stats = {
         "spec": dataclasses.asdict(spec),
@@ -324,7 +324,7 @@ def cmd_sweep(args) -> int:
                                   calibrations=calibrations[cfg.system])
             report = estimate(result.responses, result.levels, cfg.protocol, cfg.seed)
             for est in report.estimates:
-                c = est.source_coefficient
+                c = est.coefficient
                 row[f"T_{c}_mK"] = est.t_mk
                 row[f"T_{c}_ci_low_mK"] = est.t_ci95_mk[0]
                 row[f"T_{c}_ci_high_mK"] = est.t_ci95_mk[1]

@@ -118,11 +118,14 @@ _KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number
 
 def _check_kind(name: str, kind, value) -> None:
     """Raise unless ``value`` suits a field annotated int, float or bool: a
-    number with a fraction is no integer, and true/false is no number."""
+    number with a fraction is no integer, true/false is no number, and a
+    number is finite (JSON reads NaN and Infinity)."""
     if kind in _KINDS:
         base, what = _KINDS[kind]
         if not isinstance(value, base) or isinstance(value, bool) != (kind is bool):
             raise ValueError(f"{name} must be {what}, got {value!r}")
+        if not -np.inf < value < np.inf:
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _build_block(cls, data: dict, path: str):

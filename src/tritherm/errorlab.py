@@ -22,6 +22,9 @@ the same numbers as b per-draw calls, and one ``deming_slope`` call on the
 (b, 9, 2m) pair rows, which reduces each row as a single fit does, so the
 results do not depend on the block size.  The block bounds the working set
 to a few (b, 9, 2m) arrays, whatever the number of draws.
+
+Both study records hold one column per coefficient, in COEFFICIENTS order:
+``RepeatedStats.t_mk`` is (n_runs, 3) and ``DiscrepancyCurves.dt_mk`` (n_t, 3).
 """
 
 from __future__ import annotations
@@ -110,9 +113,6 @@ class MonteCarloReport:
         if not (np.all(self.ci_low <= self.mean_fit + 1e-15)
                 and np.all(self.mean_fit <= self.ci_high + 1e-15)):
             raise ValueError("CI must bracket the mean pointwise")
-
-    def bias(self) -> np.ndarray:
-        return self.mean_fit - self.lambda_grid
 
     def fitted_slope_at(self, true_slope: float) -> float:
         """Interpolated mean fitted slope at a true slope inside the grid."""
@@ -214,17 +214,14 @@ def slope_bias_study(spec: MonteCarloSpec, lambda_grid=None) -> MonteCarloReport
 
 @dataclass(frozen=True)
 class DiscrepancyCurves:
-    """Predicted estimator offsets Delta T(T) per coefficient."""
+    """Predicted estimator offsets Delta T(T), NaN where skipped."""
 
     t_mk: np.ndarray
-    dt_a_mk: np.ndarray
-    dt_b_mk: np.ndarray
-    dt_c_mk: np.ndarray
+    dt_mk: np.ndarray
     n_skipped: int = 0
 
     def at(self, coefficient: str, t_mk: float) -> float:
-        curve = {"A": self.dt_a_mk, "B": self.dt_b_mk, "C": self.dt_c_mk}[coefficient]
-        return float(np.interp(t_mk, self.t_mk, curve))
+        return float(np.interp(t_mk, self.t_mk, self.dt_mk[:, COEFFICIENTS.index(coefficient)]))
 
 
 def temperature_discrepancy(report: MonteCarloReport, levels,
@@ -238,30 +235,26 @@ def temperature_discrepancy(report: MonteCarloReport, levels,
         t_grid = np.arange(50.0, 250.1, 5.0)
     t_grid = np.asarray(t_grid, dtype=float)
     lg = report.lambda_grid
-    curves = {c: np.full(len(t_grid), np.nan) for c in COEFFICIENTS}
-    skipped = 0
-    for c in COEFFICIENTS:
+    dt = np.full((len(t_grid), 3), np.nan)
+    for k, c in enumerate(COEFFICIENTS):
         lam = coefficient_vs_temperature(levels, t_grid, c)
         lam_fit = np.interp(lam, lg, report.mean_fit)
         lo, hi = attainable_range(levels, c)
         ok = (lg[0] <= lam) & (lam <= lg[-1]) & (lo <= lam_fit) & (lam_fit <= hi)
-        curves[c][ok] = _checked_inverse(levels, c, lam_fit[ok], False) - t_grid[ok]
-        skipped += int(np.count_nonzero(~ok))
-    return DiscrepancyCurves(t_grid, curves["A"], curves["B"], curves["C"], skipped)
+        dt[ok, k] = _checked_inverse(levels, c, lam_fit[ok], False) - t_grid[ok]
+    return DiscrepancyCurves(t_grid, dt, int(np.count_nonzero(np.isnan(dt))))
 
 
 @dataclass(frozen=True)
 class RepeatedStats:
     """Per-coefficient temperature samples over repeated noisy estimates."""
 
-    t_a_mk: np.ndarray
-    t_b_mk: np.ndarray
-    t_c_mk: np.ndarray
+    t_mk: np.ndarray
     noise_sigma: float
     seed: Optional[int]
 
     def samples(self, coefficient: str) -> np.ndarray:
-        return {"A": self.t_a_mk, "B": self.t_b_mk, "C": self.t_c_mk}[coefficient]
+        return self.t_mk[:, COEFFICIENTS.index(coefficient)]
 
     def mean(self, coefficient: str) -> float:
         return float(self.samples(coefficient).mean())
@@ -276,7 +269,7 @@ class RepeatedStats:
 
     def as_dict(self) -> dict:
         out = {"noise_sigma": self.noise_sigma, "seed": self.seed,
-               "n_runs": len(self.t_a_mk)}
+               "n_runs": len(self.t_mk)}
         for c in COEFFICIENTS:
             out[f"T_{c}_mean_mK"] = self.mean(c)
             out[f"T_{c}_std_mK"] = self.std(c)
@@ -315,6 +308,6 @@ def repeated_measurement_stats(
         slopes.append(_fit_pairs(deming_slope, noisy, quadratures, delta)[0])
     slopes = np.concatenate(slopes).reshape(-1, 3, 3)
     lam, _ = _aggregate(slopes, np.zeros_like(slopes), aggregation="mean")
-    t_a, t_b, t_c = (_checked_inverse(levels, c, lam[:, k], clamp)
-                     for k, c in enumerate(COEFFICIENTS))
-    return RepeatedStats(t_a, t_b, t_c, noise_sigma, seed)
+    t = np.stack([_checked_inverse(levels, c, lam[:, k], clamp)
+                  for k, c in enumerate(COEFFICIENTS)], axis=-1)
+    return RepeatedStats(t, noise_sigma, seed)

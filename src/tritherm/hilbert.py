@@ -16,6 +16,9 @@ import numpy as np
 from .constants import GHZ_TO_MK
 
 MAX_COMPOSITE_DIM = 256  # guard against accidentally huge product spaces
+# rounding allowed on a probability (population, trace, eigenvalue): the
+# steady state passes at -1e-10, so its renormalised populations must too
+PROB_TOL = 1e-10
 
 
 class TruncationError(RuntimeError):
@@ -132,9 +135,9 @@ class Populations:
 
     def __post_init__(self):
         for p in (self.p_g, self.p_e, self.p_f):
-            if not -1e-12 <= p <= 1.0 + 1e-12:
+            if not -PROB_TOL <= p <= 1.0 + PROB_TOL:
                 raise ValueError(f"population {p} outside [0, 1]")
-        if self.p_g + self.p_e + self.p_f > 1.0 + 1e-12:
+        if self.p_g + self.p_e + self.p_f > 1.0 + PROB_TOL:
             raise ValueError("populations sum above 1")
 
     def as_array(self) -> np.ndarray:
@@ -305,8 +308,8 @@ def thermal_populations(levels: LevelEnergies, t_mk: float) -> Populations:
     return Populations(*w)
 
 
-def validate_density_matrix(rho: np.ndarray, herm_tol=1e-12, trace_tol=1e-10,
-                            eig_tol=-1e-10) -> None:
+def validate_density_matrix(rho: np.ndarray, herm_tol=1e-12, trace_tol=PROB_TOL,
+                            eig_tol=-PROB_TOL) -> None:
     """Assert Hermiticity, unit trace and positivity within tolerances."""
     if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
         raise ValueError("density matrix is not Hermitian within tolerance")

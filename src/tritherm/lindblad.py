@@ -309,7 +309,7 @@ def steady_state(liou: Liouvillian, frame_ghz: float = 0.0) -> np.ndarray:
     if resid > 1e-10 * l_norm:
         raise SteadyStateError(f"steady-state residual {resid:.3e} exceeds 1e-10*|L|")
     try:
-        validate_density_matrix(rho, herm_tol=1e-12, trace_tol=1e-10, eig_tol=-1e-10)
+        validate_density_matrix(rho)
     except ValueError as exc:
         raise SteadyStateError(
             f"extracted state is not a density matrix: {exc} "

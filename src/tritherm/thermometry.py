@@ -25,6 +25,10 @@ blocks of ``errorlab``'s repeated draws; a degenerate row raises naming its
 pair.  From the pair slopes on, the estimator and the repeated draws share
 one path: ``_aggregate`` for the coefficients, ``_checked_inverse`` for the
 temperatures.
+
+The records hold these arrays as computed: ``EstimateReport.pairs`` is the
+nine-row ``DemingFit`` in ``DIFFERENCE_PAIRS`` order, tagged only by
+``as_dict``; a ``TemperatureEstimate`` holds one aggregated slope.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ T_BRACKET_MK = (1.0, 2000.0)
 T_GUARD_MK = (0.1, 10000.0)
 
 COEFFICIENTS = ("A", "B", "C")
-DIRECTIONS = ("ge", "gf", "ef")
 
 
 class DegenerateDataError(RuntimeError):
@@ -114,40 +117,17 @@ class DemingFit:
 
 
 @dataclass(frozen=True)
-class SlopeEstimate:
-    """One fitted slope, tagged by coefficient and difference direction.
-
-    ``direction`` names the pure-response difference the pair lies along
-    (ge, gf, ef) and ``intercept`` is that pair's fitted intercept;
-    aggregated estimates carry None for both.
-    """
+class TemperatureEstimate:
+    """One coefficient's aggregated slope and the temperature it inverts to."""
 
     coefficient: str
-    direction: Optional[str]
-    value: float
-    ci95: Tuple[float, float]
-    residual_rms: float
-    intercept: Optional[float] = None
+    slope: float
+    t_mk: float
+    t_ci95_mk: Tuple[float, float]
 
     def __post_init__(self):
         if self.coefficient not in COEFFICIENTS:
             raise ValueError(f"coefficient must be one of {COEFFICIENTS}")
-        if self.direction is not None and self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS} or None")
-        if not self.ci95[0] <= self.value <= self.ci95[1]:
-            raise ValueError("ci95 must contain the point value")
-        if self.residual_rms < 0:
-            raise ValueError("residual_rms must be non-negative")
-
-
-@dataclass(frozen=True)
-class TemperatureEstimate:
-    t_mk: float
-    source_coefficient: str
-    slope: SlopeEstimate
-    t_ci95_mk: Tuple[float, float]
-
-    def __post_init__(self):
         if self.t_mk <= 0:
             raise ValueError("t_mk must be positive")
 
@@ -448,8 +428,10 @@ def _checked_inverse(levels, which: str, values, clamp) -> np.ndarray:
     return t
 
 
-def invert_temperature(slope: SlopeEstimate, levels, clamp: bool = False) -> TemperatureEstimate:
-    """Temperature whose thermal coefficient equals the fitted slope.
+def invert_temperature(coefficient: str, value: float, ci95: Tuple[float, float], levels,
+                       clamp: bool = False) -> TemperatureEstimate:
+    """Temperature whose thermal coefficient equals the slope ``value``, with
+    the temperature interval of its slope CI ``ci95``.
 
     Newton's method in e = exp(-h f_ge / k_B T) on the convex equation of B
     or C (1 - A = C), started at e = 0, over the 1 mK - 2 K bracket.  One
@@ -458,19 +440,21 @@ def invert_temperature(slope: SlopeEstimate, levels, clamp: bool = False) -> Tem
     are clamped to it; ``clamp=True`` pins an out-of-range point estimate to
     the bracket edge instead of raising.
     """
-    c = slope.coefficient
-    t, *t_ci = _checked_inverse(levels, c, [slope.value, *slope.ci95],
+    if not ci95[0] <= value <= ci95[1]:
+        raise ValueError("ci95 must contain the point value")
+    t, *t_ci = _checked_inverse(levels, coefficient, [value, *ci95],
                                 np.array([clamp, True, True])).tolist()
-    return TemperatureEstimate(t, c, slope, tuple(sorted(t_ci)))
+    return TemperatureEstimate(coefficient, value, t, tuple(sorted(t_ci)))
 
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Full protocol output: per-coefficient temperatures, the nine slopes,
-    and the C = A*B consistency diagnostic."""
+    """Full protocol output: per-coefficient temperatures, the nine pair
+    fits as one ``DemingFit`` in ``DIFFERENCE_PAIRS`` row order, and the
+    C = A*B consistency diagnostic."""
 
     estimates: Tuple[TemperatureEstimate, TemperatureEstimate, TemperatureEstimate]
-    pair_slopes: Tuple[SlopeEstimate, ...]
+    pairs: DemingFit
     consistency: float
     quadratures: str
     window_ns: Tuple[float, float]
@@ -478,22 +462,23 @@ class EstimateReport:
 
     def temperature(self, coefficient: str) -> TemperatureEstimate:
         for est in self.estimates:
-            if est.source_coefficient == coefficient:
+            if est.coefficient == coefficient:
                 return est
         raise KeyError(coefficient)
 
     def as_dict(self) -> dict:
         out = {}
         for est in self.estimates:
-            c = est.source_coefficient
+            c = est.coefficient
             out[f"T_{c}_mK"] = est.t_mk
             out[f"T_{c}_ci95_mK"] = list(est.t_ci95_mk)
-            out[f"lambda_{c}"] = est.slope.value
+            out[f"lambda_{c}"] = est.slope
+        p = self.pairs
         out["pair_slopes"] = [
-            {"coefficient": s.coefficient, "direction": s.direction, "value": s.value,
-             "ci95": list(s.ci95), "residual_rms": s.residual_rms,
-             "intercept": s.intercept}
-            for s in self.pair_slopes
+            {"coefficient": c, "direction": d, "value": v, "ci95": ci, "residual_rms": rms,
+             "intercept": a}
+            for (c, d), v, ci, rms, a in zip(_PAIR_TAGS, p.slope.tolist(), p.ci95.tolist(),
+                                             p.residual_rms.tolist(), p.intercept.tolist())
         ]
         out["consistency_C_vs_AB"] = self.consistency
         out["quadratures"] = self.quadratures
@@ -538,18 +523,13 @@ def estimate_temperature(
     ``np.random.default_rng(seed)``, serves all nine pair CIs.
     """
     fit = _fit_pairs(deming_fit, responses.iq(), quadratures, delta, n_bootstrap, seed)
-    pair_estimates = [SlopeEstimate(*tag, value, tuple(ci), rms, intercept)
-                      for tag, value, ci, rms, intercept in zip(
-                          _PAIR_TAGS, fit.slope.tolist(), fit.ci95.tolist(),
-                          fit.residual_rms.tolist(), fit.intercept.tolist())]
     value, half = _aggregate(fit.slope.reshape(3, 3),
                              0.5 * (fit.ci95[:, 1] - fit.ci95[:, 0]).reshape(3, 3), aggregation)
-    rms = np.sqrt(np.mean(fit.residual_rms.reshape(3, 3) ** 2, axis=-1))
-    aggregated = [SlopeEstimate(c, None, v, (min(v - 1.96 * h, v), max(v + 1.96 * h, v)), r)
-                  for c, v, h, r in zip(COEFFICIENTS, value.tolist(), half.tolist(), rms.tolist())]
+    lo, hi = np.minimum(value - 1.96 * half, value), np.maximum(value + 1.96 * half, value)
     consistency = float(abs(value[2] - value[0] * value[1]) / abs(value[2]))
-    estimates = tuple(invert_temperature(s, levels, clamp=clamp) for s in aggregated)
+    estimates = tuple(invert_temperature(c, v, ci, levels, clamp) for c, v, ci in zip(
+        COEFFICIENTS, value.tolist(), zip(lo.tolist(), hi.tolist())))
     t = responses.x0.t_ns
     dt = t[1] - t[0] if len(t) > 1 else 0.0
-    return EstimateReport(estimates, tuple(pair_estimates), consistency,
+    return EstimateReport(estimates, fit, consistency,
                           quadratures, (float(t[0]), float(t[-1] + dt)), seed)

@@ -26,7 +26,6 @@ from tritherm.readout import IQTrace
 from tritherm.thermometry import (
     COEFFICIENTS,
     SequenceResponses,
-    SlopeEstimate,
     deming_slope,
     estimate_temperature,
     invert_temperature,
@@ -74,11 +73,9 @@ def test_criterion_1_round_trip_recovery(criterion, temperature_runs):
 
 def test_criterion_2_anchor_inversions(criterion):
     with criterion(2, "anchor slope inversions (A = 0.9936, B = 0.1320)"):
-        est_a = invert_temperature(
-            SlopeEstimate("A", None, 0.9936, (0.9936, 0.9936), 0.0), (5.7, 11.1))
+        est_a = invert_temperature("A", 0.9936, (0.9936, 0.9936), (5.7, 11.1))
         assert abs(est_a.t_mk - 54.0) < 1.0, f"T_A = {est_a.t_mk:.2f}"
-        est_b = invert_temperature(
-            SlopeEstimate("B", None, 0.1320, (0.1320, 0.1320), 0.0), (6.74, 13.14))
+        est_b = invert_temperature("B", 0.1320, (0.1320, 0.1320), (6.74, 13.14))
         assert abs(est_b.t_mk - 161.0) < 2.0, f"T_B = {est_b.t_mk:.2f}"
 
 
@@ -186,8 +183,8 @@ def test_criterion_6_estimator_bias_bands(criterion, bias_report):
         curves = temperature_discrepancy(bias_report, (6.74, 13.14))
         dt_a = curves.at("A", 165.0)
         assert 2.0 <= dt_a <= 8.0, f"dT_A(165) = {dt_a:+.2f} mK"
-        assert np.nanmax(np.abs(curves.dt_b_mk)) <= 2.5
-        assert np.nanmax(np.abs(curves.dt_c_mk)) <= 2.5
+        assert np.nanmax(np.abs(curves.dt_mk[:, 1])) <= 2.5
+        assert np.nanmax(np.abs(curves.dt_mk[:, 2])) <= 2.5
 
 
 def test_criterion_7_noise_propagation_ordering(criterion, wp_run):

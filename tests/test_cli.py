@@ -335,8 +335,8 @@ def test_montecarlo_rejects_invalid_anchor(tmp_path, capsys, anchor):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--sigma", "nan"], "montecarlo: noise_sigma must be non-negative"),
-    (["--span", "nan"], "montecarlo: x_span must be positive"),
+    (["--sigma", "nan"], "montecarlo: noise_sigma must be a finite number, got nan"),
+    (["--span", "nan"], "montecarlo: x_span must be a finite number, got nan"),
     (["--experiments", "50"], "montecarlo: n_experiments must be at least 100"),
     (["--points", "2"], "montecarlo: n_points must be at least 3")])
 def test_montecarlo_spec_errors_name_their_block(tmp_path, capsys, flags, message):

@@ -189,6 +189,14 @@ def test_root_fields_are_checked_by_the_run_config(default_config):
     ("readout.noise_sigma", False, "readout: noise_sigma must be a number, got False"),
     ("protocol.clamp_out_of_range", 1,
      "protocol: clamp_out_of_range must be true or false, got 1"),
+    ("readout.noise_sigma", float("nan"), "readout: noise_sigma must be a finite number, got nan"),
+    ("dissipation.bath_t_mk", float("nan"),
+     "dissipation: bath_t_mk must be a finite number, got nan"),
+    ("protocol.gap_ns", float("nan"), "protocol: gap_ns must be a finite number, got nan"),
+    ("dissipation.bath_t_mk", float("inf"),
+     "dissipation: bath_t_mk must be a finite number, got inf"),
+    ("readout.noise_sigma", float("-inf"),
+     "readout: noise_sigma must be a finite number, got -inf"),
 ])
 def test_field_types_are_checked_by_the_builder(default_config, path, value, message):
     with pytest.raises(ConfigError, match=f"^{message}$"):

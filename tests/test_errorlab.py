@@ -145,10 +145,10 @@ def test_bias_study_matches_its_replayed_clouds(case):
 @pytest.mark.parametrize("block", [1, 7, errorlab._NOISE_BLOCK])
 def test_studies_do_not_depend_on_the_block_size(monkeypatch, block):
     responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=40)
-    reference = repeated_measurement_stats(responses, levels, n_runs=23, seed=seed).t_b_mk
+    reference = repeated_measurement_stats(responses, levels, n_runs=23, seed=seed).t_mk
     monkeypatch.setattr(errorlab, "_NOISE_BLOCK", block)
     np.testing.assert_array_equal(
-        repeated_measurement_stats(responses, levels, n_runs=23, seed=seed).t_b_mk, reference)
+        repeated_measurement_stats(responses, levels, n_runs=23, seed=seed).t_mk, reference)
 
 
 def test_slope_bias_study_rejects_bad_grid():
@@ -194,7 +194,7 @@ def test_least_squares_attenuates_below_truth(bias_report):
 
 
 def test_bias_scales_linearly_with_slope(bias_report):
-    bias = bias_report.bias()
+    bias = bias_report.mean_fit - bias_report.lambda_grid
     lam = bias_report.lambda_grid
     r = np.corrcoef(lam, bias)[0, 1]
     assert r < -0.98  # attenuation: bias = (atten - 1) * lambda + noise
@@ -233,15 +233,13 @@ def test_discrepancy_curves(bias_report):
     # B and C stay within fractions of a mK
     dt_a = curves.at("A", 165.0)
     assert 2.0 <= dt_a <= 8.0
-    mask = ~np.isnan(curves.dt_b_mk)
-    assert np.nanmax(np.abs(curves.dt_b_mk)) <= 2.5
-    assert np.nanmax(np.abs(curves.dt_c_mk)) <= 2.5
+    mask = ~np.isnan(curves.dt_mk[:, 1])
+    assert np.nanmax(np.abs(curves.dt_mk[:, 1])) <= 2.5
+    assert np.nanmax(np.abs(curves.dt_mk[:, 2])) <= 2.5
     assert mask.sum() > 10
     # low-temperature B and C fall below the studied slope grid and are skipped
     assert curves.n_skipped > 0
-    assert curves.n_skipped + np.isfinite(
-        np.concatenate([curves.dt_a_mk, curves.dt_b_mk, curves.dt_c_mk])
-    ).sum() == 3 * len(curves.t_mk)
+    assert curves.n_skipped + np.isfinite(curves.dt_mk).sum() == 3 * len(curves.t_mk)
 
 
 def test_repeated_stats_structure(wp_run):
@@ -313,7 +311,7 @@ def test_repeated_draws_clamp_out_of_range_slopes():
     with pytest.raises(SlopeOutOfRangeError):
         repeated_temperatures_loop(responses, levels, 10, 0.002, seed)
     stats = repeated_measurement_stats(responses, levels, n_runs=10, seed=seed, clamp=True)
-    assert np.any(stats.t_a_mk == 1.0)
+    assert np.any(stats.samples("A") == 1.0)
     np.testing.assert_array_equal(
         np.stack([stats.samples(c) for c in COEFFICIENTS], axis=1),
         repeated_temperatures_loop(responses, levels, 10, 0.002, seed, clamp=True))

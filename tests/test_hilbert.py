@@ -109,6 +109,8 @@ def test_populations_validation():
         Populations(0.5, 0.6, 0.2)
     with pytest.raises(ValueError):
         Populations(-0.1, 0.6, 0.2)
+    with pytest.raises(ValueError):
+        Populations(-2e-10, 0.6, 0.4 + 2e-10)
 
 
 def test_composite_operator_algebra():

@@ -161,6 +161,15 @@ def test_steady_state_boltzmann_weak_coupling():
     np.testing.assert_allclose(pops.as_array(), ref.as_array(), atol=1e-6)
 
 
+def test_cold_working_point_steady_state_populations(wp_config):
+    # at 5 mK p_e rounds to about -1e-12, inside the steady state's -1e-10
+    # eigenvalue bound, and its renormalised populations must pass too
+    ops = wp_config.system.build_operators()
+    cold = dataclasses.replace(wp_config.dissipation, bath_t_mk=5.0)
+    pops = ops.protocol_populations(steady_state(build_liouvillian(ops, cold)))
+    assert abs(pops.p_g - 1.0) < 1e-9
+
+
 def test_steady_state_frame_invariant(small_liou):
     rho0 = steady_state(small_liou, frame_ghz=0.0)
     rhof = steady_state(small_liou, frame_ghz=small_liou.ops.rspec.fr_ghz)

@@ -22,8 +22,8 @@ from tritherm.thermometry import (
     DIFFERENCE_PAIRS,
     DegenerateDataError,
     SequenceResponses,
-    SlopeEstimate,
     SlopeOutOfRangeError,
+    TemperatureEstimate,
     attainable_range,
     coefficient_vs_temperature,
     deming_fit,
@@ -43,8 +43,8 @@ seed = 20260312
 ANCHOR = (6.74, 13.14)
 
 
-def _slope(coef, value, half=1e-4):
-    return SlopeEstimate(coef, None, value, (value - half, value + half), 0.0)
+def _invert(coef, value, levels, half=1e-4, clamp=False):
+    return invert_temperature(coef, value, (value - half, value + half), levels, clamp)
 
 
 def test_coefficients_from_populations():
@@ -74,11 +74,11 @@ def test_coefficient_temperature_limits():
 
 def test_inversion_anchor_points():
     # frozen against direct Boltzmann-ratio arithmetic on the stated levels
-    est = invert_temperature(_slope("A", 0.9936), (5.7, 11.1))
+    est = _invert("A", 0.9936, (5.7, 11.1))
     assert abs(est.t_mk - 54.244218513127876) < 1e-6
     assert abs(est.t_mk - 54.0) < 1.0
 
-    est = invert_temperature(_slope("B", 0.1320), ANCHOR)
+    est = _invert("B", 0.1320, ANCHOR)
     assert abs(est.t_mk - 161.06712993672295) < 1e-6
     assert abs(est.t_mk - 161.0) < 2.0
     lo, hi = est.t_ci95_mk
@@ -90,20 +90,29 @@ def test_inversion_is_exact_round_trip():
     for coef in COEFFICIENTS:
         for t_true in (40.0, 120.0, 250.0, 700.0):
             val = coefficient_vs_temperature(lv, t_true, coef)
-            est = invert_temperature(_slope(coef, val), lv)
+            est = _invert(coef, val, lv)
             assert abs(est.t_mk - t_true) < 1e-5
 
 
 def test_inversion_out_of_range():
     with pytest.raises(SlopeOutOfRangeError) as err:
-        invert_temperature(_slope("A", 1.2), ANCHOR)
+        _invert("A", 1.2, ANCHOR)
     assert "attainable range" in str(err.value)
-    est = invert_temperature(_slope("A", 1.2), ANCHOR, clamp=True)
+    est = _invert("A", 1.2, ANCHOR, clamp=True)
     assert est.t_mk == 1.0  # cold edge of the bracket
-    est = invert_temperature(_slope("B", 0.9), ANCHOR, clamp=True)
+    est = _invert("B", 0.9, ANCHOR, clamp=True)
     assert est.t_mk == 2000.0
     lo, hi = attainable_range(ANCHOR, "A")
     assert 0.0 < lo < hi < 1.0 + 1e-12
+
+
+def test_temperature_records_check_their_inputs():
+    with pytest.raises(ValueError, match="^ci95 must contain the point value$"):
+        invert_temperature("B", 0.1320, (0.1321, 0.1322), ANCHOR)
+    with pytest.raises(ValueError, match="^coefficient must be one of"):
+        TemperatureEstimate("D", 0.1320, 161.0, (160.0, 162.0))
+    with pytest.raises(ValueError, match="^t_mk must be positive$"):
+        TemperatureEstimate("B", 0.1320, 0.0, (0.0, 0.0))
 
 
 # temperatures across the inversion bracket, denser at the cold end
@@ -158,22 +167,21 @@ def test_point_ci_reuses_the_point_temperature(monkeypatch):
         return invert(*args)
     value = coefficient_vs_temperature(ANCHOR, 150.0, "B")
     monkeypatch.setattr(thermometry, "_invert_coefficient", counted)
-    point = invert_temperature(_slope("B", value, half=0.0), ANCHOR)
+    point = _invert("B", value, ANCHOR, half=0.0)
     assert len(calls) == 1 and point.t_ci95_mk == (point.t_mk, point.t_mk)
     assert point.t_mk == float(invert(ANCHOR, "B", value, False))
     calls.clear()
-    spread = invert_temperature(_slope("B", value), ANCHOR)
+    spread = _invert("B", value, ANCHOR)
     assert len(calls) == 1 and spread.t_mk == point.t_mk
     assert spread.t_ci95_mk[0] < point.t_mk < spread.t_ci95_mk[1]
     alone = sorted(float(invert(ANCHOR, "B", v, True)) for v in (value - 1e-4, value + 1e-4))
     assert list(spread.t_ci95_mk) == alone
     calls.clear()
-    one_sided = invert_temperature(SlopeEstimate("B", None, value, (value, value + 1e-4), 0.0),
-                                   ANCHOR)
+    one_sided = invert_temperature("B", value, (value, value + 1e-4), ANCHOR)
     assert len(calls) == 1
     assert one_sided.t_ci95_mk == (point.t_mk, spread.t_ci95_mk[1])
     # bounds past the attainable range are clamped to the bracket, the point is not
-    wide = invert_temperature(_slope("B", value, half=10.0), ANCHOR)
+    wide = _invert("B", value, ANCHOR, half=10.0)
     assert wide.t_mk == point.t_mk and wide.t_ci95_mk == T_BRACKET_MK
 
 
@@ -236,7 +244,7 @@ def test_inversion_guards_raise(monkeypatch):
     monkeypatch.setattr(thermometry, "_invert_coefficient",
                         lambda levels, which, values, clamp: np.full(np.shape(values), 151.0))
     with pytest.raises(RuntimeError, match="inversion residual"):
-        invert_temperature(_slope("C", value), ANCHOR)
+        _invert("C", value, ANCHOR)
 
 
 def test_deming_exact_collinear():
@@ -418,11 +426,11 @@ def _noisy_responses(n_samples, noise_seed):
 
 def _assert_pair_cis_match_reference(report, xs, ys, n_bootstrap, seed):
     kept = bootstrap_pair_slopes_loop(xs, ys, n_bootstrap, seed)
-    for est, samples in zip(report.pair_slopes, kept):
+    pairs = report.pairs
+    for tag, value, ci, samples in zip(thermometry._PAIR_TAGS, pairs.slope, pairs.ci95, kept):
         lo, hi = np.percentile(samples, [2.5, 97.5])
-        for got, ref in zip(est.ci95, (min(lo, est.value), max(hi, est.value))):
-            assert abs(got - ref) <= 1e-12 * abs(ref), (est.coefficient, est.direction,
-                                                        n_bootstrap, got, ref)
+        for got, ref in zip(ci, (min(lo, value), max(hi, value))):
+            assert abs(got - ref) <= 1e-12 * abs(ref), (tag, n_bootstrap, got, ref)
     return kept
 
 
@@ -576,9 +584,9 @@ def test_pair_slopes_match_population_algebra():
 
     p = thermal_populations(levels, 120.0)
     report = estimate_temperature(responses, levels)
-    for est in report.pair_slopes:
-        want = coefficient_from_populations(p, est.coefficient)
-        assert abs(est.value - want) < 1e-10
+    for (coef, _), value in zip(thermometry._PAIR_TAGS, report.pairs.slope):
+        want = coefficient_from_populations(p, coef)
+        assert abs(value - want) < 1e-10
     assert report.consistency < 1e-10
 
 
@@ -635,7 +643,8 @@ def test_aggregate_stack_equals_single_rows(aggregation):
 
 def test_estimate_report_dict_keys():
     responses, levels = make_synthetic_responses()
-    d = estimate_temperature(responses, levels).as_dict()
+    report = estimate_temperature(responses, levels, n_bootstrap=50, seed=3)
+    d = report.as_dict()
     for coef in COEFFICIENTS:
         assert f"T_{coef}_mK" in d
         assert f"lambda_{coef}" in d
@@ -643,6 +652,15 @@ def test_estimate_report_dict_keys():
     for pair in d["pair_slopes"]:
         assert isinstance(pair["intercept"], float)
     assert "consistency_C_vs_AB" in d
+    # the nine entries carry their (coefficient, direction) tags in
+    # DIFFERENCE_PAIRS order and the report's pair fits bit for bit
+    tags = [(c, direction) for c in COEFFICIENTS for _, _, direction in DIFFERENCE_PAIRS[c]]
+    assert [(pair["coefficient"], pair["direction"]) for pair in d["pair_slopes"]] == tags
+    fit = report.pairs
+    for k, pair in enumerate(d["pair_slopes"]):
+        assert pair["value"] == fit.slope[k] and pair["ci95"] == fit.ci95[k].tolist()
+        assert pair["residual_rms"] == fit.residual_rms[k]
+        assert pair["intercept"] == fit.intercept[k]
 
 
 def test_sequence_responses_reject_mislabeled_slot():
@@ -682,7 +700,7 @@ def test_coefficient_identity(p):
 def test_slope_temperature_round_trip(t_mk, coef):
     lv = LevelEnergies.from_frequencies(*ANCHOR)
     val = coefficient_vs_temperature(lv, t_mk, coef)
-    est = invert_temperature(_slope(coef, val), lv)
+    est = _invert(coef, val, lv)
     assert abs(est.t_mk - t_mk) < 1e-4
 
 
