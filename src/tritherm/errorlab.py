@@ -13,15 +13,12 @@ attenuation exactly (factor S_xx/(S_xx + sigma^2)); a symmetric Deming fit
 with delta = 1 is available for comparison and is mean-unbiased on this
 geometry.
 
-The bias study never builds its noisy clouds.  A fit reads only the
-cloud's second central moments, and for Gaussian noise their law is exact
-and needs five draws per experiment (see ``_sample_moments``), where an
-explicit cloud needs 2n.  The repeated draws do build noisy traces, in
-blocks of ``_NOISE_BLOCK`` draws: one ``normal(size=(b, 6, 2, m))`` call,
-the same numbers as b per-draw calls, and one ``deming_slope`` call on the
-(b, 9, 2m) pair rows, which reduces each row as a single fit does, so the
-results do not depend on the block size.  The block bounds the working set
-to a few (b, 9, 2m) arrays, whatever the number of draws.
+Neither study builds its noisy data.  A fit reads only second central
+moments, and for Gaussian noise their law is exact.  A bias experiment
+needs five draws (``_sample_moments``), where an explicit cloud needs 2n.
+A repeated draw's nine pair fits read only the 6 x 6 scatter of the six
+traces' fit points, which needs 57 draws (``_sample_pair_moments``), where
+explicit traces need 6n; the working set is a few (draws, 6, 6) arrays.
 
 Both study records hold one column per coefficient, in COEFFICIENTS order:
 ``RepeatedStats.t_mk`` is (n_runs, 3) and ``DiscrepancyCurves.dt_mk`` (n_t, 3).
@@ -39,20 +36,19 @@ from .thermometry import (
     COEFFICIENTS,
     DegenerateDataError,
     SequenceResponses,
+    _PAIR_NAMES,
     _aggregate,
     _checked_inverse,
     _deming_rule,
     _fit_pairs,
+    _pair_matrices,
+    _quadrature_points,
     attainable_range,
     coefficient_vs_temperature,
     deming_slope,
 )
 
 DEFAULT_IF_CYCLES_PER_SAMPLE = 0.05  # 50 MHz at 1 ns sampling
-
-# repeated draws whose noise is drawn and reduced at once
-_NOISE_BLOCK = 8
-
 
 @dataclass(frozen=True)
 class MonteCarloSpec:
@@ -123,17 +119,18 @@ class MonteCarloReport:
         return float(np.interp(true_slope, lg, self.mean_fit))
 
 
-def _fit_slope(sxx, syy, sxy, method: str) -> Tuple[np.ndarray, np.ndarray]:
+def _fit_slope(sxx, syy, sxy, method: str, delta: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
     """Slopes from arrays of second central moments and a mask of the
     degenerate experiments, whose slopes are meaningless.
 
     A least-squares fit is degenerate when sxx is exactly zero; a Deming fit
     where ``_deming_rule`` flags it, with an exactly-zero sxx or syy standing
     for a single-valued axis.  Sampled moments come from no row of values,
-    so a single-valued axis shows only as an exactly-zero moment.
+    so a single-valued axis shows only as an exactly-zero moment.  ``delta``
+    is the Deming fit's y-to-x noise variance ratio.
     """
     if method == "deming":
-        return _deming_rule(sxx, syy, sxy, (sxx == 0.0) | (syy == 0.0), 1.0)
+        return _deming_rule(sxx, syy, sxy, (sxx == 0.0) | (syy == 0.0), delta)
     with np.errstate(divide="ignore", invalid="ignore"):
         return sxy / sxx, sxx == 0.0
 
@@ -276,6 +273,51 @@ class RepeatedStats:
         return out
 
 
+def _sample_pair_moments(rng, points: np.ndarray, sigma: float, size: int):
+    """Second central moments (sxx, syy, sxy), each (size, 9), of the nine
+    pair rows of ``size`` noisy copies of six traces' fit points (6, n),
+    noise iid N(0, sigma^2) per point, drawn from their exact law without
+    drawing the copies.
+
+    A pair's rows are d^T Y and u^T Y (``_pair_matrices``), so its moments
+    are d^T M d, u^T M u and d^T M u, M the scatter of the centred noisy
+    points.  With Q (n x k, k = min(6, n - 1)) columns 1.. of the QR of
+    [1, Xc^T], orthogonal to 1 and spanning the rows of the centred clean
+    points Xc whatever their rank,
+
+        n M = (A + sigma G)(A + sigma G)^T + sigma^2 W,   A = Xc Q,
+
+    G (6 x k) iid N(0, 1) and W ~ W_6(nu, I) the scatter of the other
+    nu = n - 1 - k directions orthogonal to 1: L L^T for nu >= 6, L the
+    Bartlett factor, lower triangular with sqrt(chi2(nu - i)) at (i, i) and
+    N(0, 1) below (Bartlett 1933); else Z Z^T, Z (6 x nu) iid N(0, 1).  The
+    moments returned are those of n M: the fit is scale-free.
+
+    Draw order: standard_normal(size=(size, 6, k)) for G; then, for nu >= 6,
+    chisquare(nu - arange(6), size=(size, 6)) for L's squared diagonal and
+    standard_normal(size=(size, 15)) for its entries below, row by row;
+    else standard_normal(size=(size, 6, nu)) for Z.
+    """
+    n = points.shape[-1]
+    xc = points - points.mean(axis=-1, keepdims=True)
+    q = np.linalg.qr(np.column_stack([np.ones(n), xc.T]))[0][:, 1:]
+    k = q.shape[1]
+    nu = n - 1 - k
+    # n M = C C^T with C = [A + sigma G, sigma L] (sigma Z for nu < 6)
+    c = np.zeros((size, 6, k + min(nu, 6)))
+    c[..., :k] = xc @ q + sigma * rng.standard_normal(size=(size, 6, k))
+    if nu >= 6:
+        c[..., range(6), range(k, k + 6)] = sigma * np.sqrt(
+            rng.chisquare(nu - np.arange(6), (size, 6)))
+        below = np.tril_indices(6, -1)
+        c[..., below[0], k + below[1]] = sigma * rng.standard_normal(size=(size, 15))
+    else:
+        c[..., k:] = sigma * rng.standard_normal(size=(size, 6, nu))
+    scatter = c @ c.transpose(0, 2, 1)
+    d, u = _pair_matrices()
+    return tuple(np.einsum("ki,rij,kj->rk", x, scatter, y) for x, y in ((d, d), (u, u), (d, u)))
+
+
 def repeated_measurement_stats(
     responses: SequenceResponses,
     levels,
@@ -289,24 +331,35 @@ def repeated_measurement_stats(
     """Re-estimate temperature ``n_runs`` (at least 2) times with fresh noise
     draws on one noiseless set of windowed responses.
 
-    Noise is added per sample and quadrature on the analysis window (the
-    estimator never sees samples outside it).  Deterministic under a fixed
-    seed; each draw's pair slopes take the estimator's ``_aggregate`` (plain
-    mean) and ``_checked_inverse``, so a draw gets the temperatures, or the
-    error, that estimate_temperature gives it with n_bootstrap 0.
+    Noise is iid N(0, noise_sigma^2) per sample and quadrature on the
+    analysis window (the estimator never sees samples outside it).  A draw's
+    pair moments are sampled from their exact law (``_sample_pair_moments``),
+    its slopes take the estimator's Deming rule, ``_aggregate`` (plain mean)
+    and ``_checked_inverse``, so a draw gets the temperatures, or the error,
+    that estimate_temperature gives with n_bootstrap 0 to traces with its
+    scatter.  With ``noise_sigma`` 0 every draw is the clean fit.
+    Deterministic under a fixed seed.
     """
     if n_runs < 2:
         raise ValueError(f"n_runs must be at least 2 for a spread, got {n_runs}")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be non-negative")
+    if not np.isfinite(noise_sigma) or noise_sigma < 0:
+        raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     clean = responses.iq()
-    rng = np.random.default_rng(seed)
-    slopes = []
-    for start in range(0, n_runs, _NOISE_BLOCK):
-        b = min(_NOISE_BLOCK, n_runs - start)
-        noisy = clean + rng.normal(0.0, noise_sigma, size=(b,) + clean.shape)
-        slopes.append(_fit_pairs(deming_slope, noisy, quadratures, delta)[0])
-    slopes = np.concatenate(slopes).reshape(-1, 3, 3)
+    if noise_sigma == 0:
+        slopes = _fit_pairs(deming_slope, clean, quadratures, delta)[0]
+    else:
+        points = _quadrature_points(clean, quadratures)
+        if delta <= 0.0:
+            raise ValueError("variance ratio delta must be positive")
+        if points.shape[-1] < 3:
+            raise ValueError("need at least 3 paired points")
+        moments = _sample_pair_moments(np.random.default_rng(seed), points, noise_sigma, n_runs)
+        slopes, degenerate = _fit_slope(*moments, "deming", delta)
+        if np.any(degenerate):
+            pair = _PAIR_NAMES[np.argwhere(degenerate)[0][1]]
+            raise DegenerateDataError(f"{pair}: a sampled scatter or covariance is exactly "
+                                      f"zero; slope undefined")
+    slopes = np.broadcast_to(slopes, (n_runs, 9)).reshape(n_runs, 3, 3)
     lam, _ = _aggregate(slopes, np.zeros_like(slopes), aggregation="mean")
     t = np.stack([_checked_inverse(levels, c, lam[:, k], clamp)
                   for k, c in enumerate(COEFFICIENTS)], axis=-1)

@@ -19,6 +19,7 @@ on the scale of the measured responses.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -193,8 +194,8 @@ def add_noise(trace: IQTrace, noise_sigma: float, n_averages: int, seed) -> IQTr
     count; ``n_averages`` is accepted to document that interpretation.
     Deterministic for a fixed seed.
     """
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be non-negative")
+    if not np.isfinite(noise_sigma) or noise_sigma < 0:
+        raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     if noise_sigma == 0.0:
         return trace
     rng = np.random.default_rng(seed)
@@ -261,9 +262,23 @@ def _records(path):
             raise ValueError(f"line {reader.line_num}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _fields_of_any_length():
+    """Lift the csv module's field size limit (131072 characters) inside the
+    with block and restore it on leaving: numpy's parser reads labels of any
+    length, so a long label in the body is no fault to report.  2**31 - 1 is
+    the largest limit every platform's C long holds."""
+    limit = csv.field_size_limit(2 ** 31 - 1)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(limit)
+
+
 def _raise_at(path, record: int, message: str) -> None:
     """Raise ``message`` naming the line of record ``record`` after the header."""
-    line, _ = next(itertools.islice(_records(path), record + 1, None))
+    with _fields_of_any_length():
+        line, _ = next(itertools.islice(_records(path), record + 1, None))
     raise ValueError(f"line {line}: {message}")
 
 
@@ -283,11 +298,12 @@ def _are_numbers(values) -> bool:
 def _raise_first_bad_row(path) -> None:
     """Raise for the first row without four fields or with a non-numeric
     sample, naming its line."""
-    for line, row in itertools.islice(_records(path), 1, None):
-        if len(row) != 4:
-            raise ValueError(f"line {line}: expected 4 fields t_ns,I,Q,label, got {len(row)}")
-        if not _are_numbers(row[:3]):
-            raise ValueError(f"line {line}: non-numeric value in {row[:3]}")
+    with _fields_of_any_length():
+        for line, row in itertools.islice(_records(path), 1, None):
+            if len(row) != 4:
+                raise ValueError(f"line {line}: expected 4 fields t_ns,I,Q,label, got {len(row)}")
+            if not _are_numbers(row[:3]):
+                raise ValueError(f"line {line}: non-numeric value in {row[:3]}")
 
 
 def _has_blank_line(body: str) -> bool:
@@ -304,7 +320,8 @@ def _body(path) -> str:
     """The text after a checked header."""
     with open(path, newline="") as fh:
         if fh.readline().rstrip("\r\n") != _TRACE_HEADER:
-            # quoted or wrong: read as csv does (the four names span one line)
+            # quoted or wrong: read as csv does (the four names span one line;
+            # a field over csv's limit, which is none of them, is named as such)
             _, header = next(_records(path), (1, None))
             if header is None:
                 raise ValueError("empty file, expected the header t_ns,I,Q,label")

@@ -20,10 +20,11 @@ Transition frequencies enter as positive numbers; the signs live in the
 exponents above.
 
 One ``deming_fit`` call fits the nine difference pairs as rows of one
-(9, n) array, bootstrap included, and one ``deming_slope`` call the (b, 9, n)
-blocks of ``errorlab``'s repeated draws; a degenerate row raises naming its
-pair.  From the pair slopes on, the estimator and the repeated draws share
-one path: ``_aggregate`` for the coefficients, ``_checked_inverse`` for the
+(9, n) array, bootstrap included; a degenerate row raises naming its pair.
+``errorlab``'s repeated draws sample the pairs' moments through the
+difference matrices of ``_pair_matrices`` and take the same Deming rule.
+From the pair slopes on, the estimator and the repeated draws share one
+path: ``_aggregate`` for the coefficients, ``_checked_inverse`` for the
 temperatures.
 
 The records hold these arrays as computed: ``EstimateReport.pairs`` is the
@@ -174,6 +175,18 @@ def _pair_rows(iq: np.ndarray, quadratures: str) -> Tuple[np.ndarray, np.ndarray
     num_a, num_b, den_a, den_b = _PAIR_SLOTS.T
     return (points[..., den_a, :] - points[..., den_b, :],
             points[..., num_a, :] - points[..., num_b, :])
+
+
+def _pair_matrices() -> Tuple[np.ndarray, np.ndarray]:
+    """(9, 6) matrices D and U, +1 and -1 at two slots per row, whose
+    products with six traces' fit points (..., 6, n) are the x and y rows
+    of ``_pair_rows``."""
+    d, u = np.zeros((2, len(_PAIR_SLOTS), len(_SLOTS)))
+    rows = np.arange(len(_PAIR_SLOTS))
+    num_a, num_b, den_a, den_b = _PAIR_SLOTS.T
+    d[rows, den_a], d[rows, den_b] = 1.0, -1.0
+    u[rows, num_a], u[rows, num_b] = 1.0, -1.0
+    return d, u
 
 
 # resamples drawn and reduced per block: bounds the b x n index and count

@@ -3,9 +3,9 @@ exact population permutation a gate sequence should perform, the
 coefficients A, B, C as population ratios, the nine difference pairs as
 complex series, the pair bootstrap one resample at a time, the temperature
 inversion one value at a time, and the Monte-Carlo studies written one
-experiment or draw at a time (the bias study both as its law and as the
-explicit clouds of its sampled moments), and the trace CSV reader built on
-the csv module."""
+experiment or draw at a time (both studies as their law and as the explicit
+noisy data of their sampled moments), and the trace CSV reader built on the
+csv module."""
 
 import csv
 
@@ -161,6 +161,57 @@ def repeated_temperatures_loop(responses, levels, n_runs, noise_sigma, seed,
         noisy = SequenceResponses.from_dict({name: add_noise(tr, noise_sigma, 1, rng)
                                              for name, tr in responses.as_dict().items()})
         report = estimate_temperature(noisy, levels, delta=delta, quadratures=quadratures,
+                                      n_bootstrap=0, clamp=clamp)
+        temps.append([est.t_mk for est in report.estimates])
+    return np.array(temps)
+
+
+def repeated_temperatures_replayed(responses, levels, n_runs, noise_sigma, seed,
+                                   quadratures="IQ", delta=1.0, clamp=False):
+    """The sampled repeated study with every draw's traces built: replays the
+    sampler's draws (G, then the chi-square diagonal and the entries below
+    it of the Bartlett factor L, or Z in its place, as
+    errorlab._sample_pair_moments documents) and builds each draw's fit
+    points Xc + sigma (G Q^T + L R^T), with Q columns 1..k of the complete
+    QR of [1, Xc^T], R its remaining columns (orthonormal to 1 and Q), and
+    L padded with zero columns to R's width.  Those points have the sampled
+    scatter; each draw runs estimate_temperature with n_bootstrap 0 on
+    traces carrying them (Q untouched for quadratures "I").  Returns the
+    (n_runs, 3) array of T_A, T_B, T_C."""
+    traces = responses.as_dict()
+    clean = responses.iq()
+    points = clean.reshape(6, -1) if quadratures == "IQ" else clean[:, 0]
+    n = points.shape[-1]
+    xc = points - points.mean(axis=-1, keepdims=True)
+    basis = np.linalg.qr(np.column_stack([np.ones(n), xc.T]), mode="complete")[0]
+    k = min(6, n - 1)
+    q, r = basis[:, 1:k + 1], basis[:, k + 1:]
+    nu = r.shape[1]
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(size=(n_runs, 6, k))
+    if nu >= 6:
+        chi2 = rng.chisquare(nu - np.arange(6), size=(n_runs, 6))
+        below = rng.standard_normal(size=(n_runs, 15))
+    else:
+        z = rng.standard_normal(size=(n_runs, 6, nu))
+    temps = []
+    for run in range(n_runs):
+        if nu >= 6:
+            lower = np.zeros((6, nu))
+            entries = iter(below[run])
+            for i in range(6):
+                lower[i, i] = np.sqrt(chi2[run, i])
+                for j in range(i):
+                    lower[i, j] = next(entries)
+        else:
+            lower = z[run]
+        noisy = xc + noise_sigma * (g[run] @ q.T + lower @ r.T)
+        iq = noisy.reshape(6, 2, -1) if quadratures == "IQ" else np.stack(
+            [noisy, clean[:, 1]], axis=1)
+        drawn = SequenceResponses.from_dict({
+            name: IQTrace(tr.t_ns, iq[slot, 0], iq[slot, 1], name)
+            for slot, (name, tr) in enumerate(traces.items())})
+        report = estimate_temperature(drawn, levels, delta=delta, quadratures=quadratures,
                                       n_bootstrap=0, clamp=clamp)
         temps.append([est.t_mk for est in report.estimates])
     return np.array(temps)

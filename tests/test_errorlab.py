@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import make_synthetic_responses
-from oracles import repeated_temperatures_loop, slope_bias_study_loop, slope_bias_study_replayed
-from tritherm import errorlab, thermometry
+from oracles import (
+    repeated_temperatures_loop,
+    repeated_temperatures_replayed,
+    slope_bias_study_loop,
+    slope_bias_study_replayed,
+)
+from tritherm import thermometry
 from tritherm.errorlab import (
     MonteCarloReport,
     MonteCarloSpec,
@@ -142,15 +147,6 @@ def test_bias_study_matches_its_replayed_clouds(case):
     assert report.n_failures == failures == 0
 
 
-@pytest.mark.parametrize("block", [1, 7, errorlab._NOISE_BLOCK])
-def test_studies_do_not_depend_on_the_block_size(monkeypatch, block):
-    responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=40)
-    reference = repeated_measurement_stats(responses, levels, n_runs=23, seed=seed).t_mk
-    monkeypatch.setattr(errorlab, "_NOISE_BLOCK", block)
-    np.testing.assert_array_equal(
-        repeated_measurement_stats(responses, levels, n_runs=23, seed=seed).t_mk, reference)
-
-
 def test_slope_bias_study_rejects_bad_grid():
     spec = MonteCarloSpec(true_slope=0.5, n_experiments=100, seed=seed)
     for grid in ([], [0.5, 0.5], [1.0, 0.01]):
@@ -287,20 +283,47 @@ REPEATED_CASES = [
     dict(quadratures="I"),
     dict(quadratures="IQ", delta=0.5, clamp=True),
     dict(quadratures="I", noise_sigma=0.0),
+    # fewer than 6 noise directions outside Q: Z Z^T in place of the Bartlett factor
+    dict(quadratures="IQ", n_samples=6, clamp=True),
+    dict(quadratures="I", n_samples=5, clamp=True),
 ]
 
 
 @pytest.mark.parametrize("case", REPEATED_CASES, ids=lambda c: "-".join(map(str, c.values())))
 def test_repeated_draws_match_estimate_temperature(case):
-    responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=60)
-    kw = dict(quadratures="IQ", delta=1.0, clamp=False, noise_sigma=0.002) | case
+    # each draw equals estimate_temperature on traces with its sampled
+    # scatter, rebuilt from its draws; noiseless draws on the clean traces
+    kw = dict(quadratures="IQ", delta=1.0, clamp=False, noise_sigma=0.002, n_samples=60) | case
     sigma = kw.pop("noise_sigma")
+    responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=kw.pop("n_samples"))
     stats = repeated_measurement_stats(responses, levels, n_runs=21, noise_sigma=sigma,
                                        seed=seed, **kw)
-    batched = np.stack([stats.samples(c) for c in COEFFICIENTS], axis=1)
-    # each draw equals estimate_temperature on the same noisy responses
-    np.testing.assert_array_equal(
-        batched, repeated_temperatures_loop(responses, levels, 21, sigma, seed, **kw))
+    if sigma == 0.0:
+        np.testing.assert_array_equal(
+            stats.t_mk, repeated_temperatures_loop(responses, levels, 21, sigma, seed, **kw))
+        return
+    np.testing.assert_allclose(
+        stats.t_mk, repeated_temperatures_replayed(responses, levels, 21, sigma, seed, **kw),
+        rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("case", [dict(quadratures="IQ", n_samples=60),
+                                  dict(quadratures="I", n_samples=60),
+                                  dict(quadratures="I", n_samples=5)],
+                         ids=lambda c: "-".join(map(str, c.values())))
+def test_repeated_draws_follow_the_law_of_explicit_noise(case):
+    # against draws that add noise to every sample: means within 3 combined
+    # SEMs, standard deviations within 15% of each other
+    responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=case["n_samples"])
+    n_runs, q = 1000, case["quadratures"]
+    sampled = repeated_measurement_stats(responses, levels, n_runs=n_runs, noise_sigma=0.002,
+                                         seed=seed, quadratures=q, clamp=True).t_mk
+    explicit = repeated_temperatures_loop(responses, levels, n_runs, 0.002, seed + 1,
+                                          quadratures=q, clamp=True)
+    sd, sd_ref = sampled.std(axis=0, ddof=1), explicit.std(axis=0, ddof=1)
+    assert np.all(np.abs(sampled.mean(axis=0) - explicit.mean(axis=0))
+                  <= 3.0 * np.hypot(sd, sd_ref) / np.sqrt(n_runs))
+    assert np.all((0.85 <= sd / sd_ref) & (sd / sd_ref <= 1.15))
 
 
 def test_repeated_draws_clamp_out_of_range_slopes():
@@ -309,12 +332,23 @@ def test_repeated_draws_clamp_out_of_range_slopes():
     with pytest.raises(SlopeOutOfRangeError):
         repeated_measurement_stats(responses, levels, n_runs=10, seed=seed)
     with pytest.raises(SlopeOutOfRangeError):
-        repeated_temperatures_loop(responses, levels, 10, 0.002, seed)
+        repeated_temperatures_replayed(responses, levels, 10, 0.002, seed)
     stats = repeated_measurement_stats(responses, levels, n_runs=10, seed=seed, clamp=True)
     assert np.any(stats.samples("A") == 1.0)
-    np.testing.assert_array_equal(
-        np.stack([stats.samples(c) for c in COEFFICIENTS], axis=1),
-        repeated_temperatures_loop(responses, levels, 10, 0.002, seed, clamp=True))
+    np.testing.assert_allclose(
+        stats.t_mk, repeated_temperatures_replayed(responses, levels, 10, 0.002, seed, clamp=True),
+        rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -0.001])
+def test_repeated_draws_reject_noise_that_is_not_a_finite_std(sigma):
+    # NaN and inf once passed the sign check and failed later as a slope
+    # out of range or, clamped, as an unconverged inversion
+    responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=60)
+    for clamp in (False, True):
+        with pytest.raises(ValueError, match="^noise_sigma must be finite and non-negative"):
+            repeated_measurement_stats(responses, levels, n_runs=4, noise_sigma=sigma,
+                                       clamp=clamp)
 
 
 def test_repeated_draws_keep_the_estimator_guards(monkeypatch):
@@ -325,6 +359,9 @@ def test_repeated_draws_keep_the_estimator_guards(monkeypatch):
         repeated_measurement_stats(responses, levels, n_runs=4, quadratures="Q")
     with pytest.raises(ValueError, match="delta"):
         repeated_measurement_stats(responses, levels, n_runs=4, delta=0.0)
+    short, _ = make_synthetic_responses(t_mk=120.0, n_samples=2)
+    with pytest.raises(ValueError, match="^need at least 3 paired points"):
+        repeated_measurement_stats(short, levels, n_runs=4, quadratures="I")
     # identical x0 and x1 make the A pair along ge single-valued in y
     x0 = responses.x0
     same = SequenceResponses.from_dict(
@@ -334,6 +371,10 @@ def test_repeated_draws_keep_the_estimator_guards(monkeypatch):
         repeated_measurement_stats(same, levels, n_runs=4, noise_sigma=0.0)
     with pytest.raises(DegenerateDataError, match=pair):
         estimate_temperature(same, levels)
+    # under noise far below their rounding, every sampled scatter of that
+    # pair's y row is exactly zero
+    with pytest.raises(DegenerateDataError, match=r"^A/ge pair \(x0 - x1 against y0 - y1\): "):
+        repeated_measurement_stats(same, levels, n_runs=4, noise_sigma=1e-200)
     # a temperature that does not reproduce its slope fails the residual check
     monkeypatch.setattr(thermometry, "_invert_coefficient",
                         lambda levels, which, values, clamp: np.full(np.shape(values), 151.0))
@@ -341,10 +382,9 @@ def test_repeated_draws_keep_the_estimator_guards(monkeypatch):
         repeated_measurement_stats(responses, levels, n_runs=4)
 
 
-
 def test_a_degenerate_pair_is_named_alike_by_both_fit_callers():
     # identical x2 and y2 make B ge (x2 - y2 against x0 - x1) single-valued
-    # in y, and C ge after it; the draws fit (8, 9) and (1, 9) stacks
+    # in y, and C ge after it; noiseless draws fit the clean traces once
     responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=60)
     x2 = responses.x2
     same = SequenceResponses.from_dict(

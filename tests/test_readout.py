@@ -181,6 +181,14 @@ def test_normalization_factor(small_liou):
     assert abs(peak - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -0.001])
+def test_add_noise_rejects_noise_that_is_not_a_finite_std(sigma):
+    # NaN once passed the sign check and returned a NaN trace
+    clean = IQTrace(np.arange(10.0), np.zeros(10), np.zeros(10))
+    with pytest.raises(ValueError, match="^noise_sigma must be finite and non-negative"):
+        add_noise(clean, sigma, 1, seed)
+
+
 def test_noise_determinism_and_scale():
     t = np.arange(2000.0)
     clean = IQTrace(t, np.zeros(2000), np.zeros(2000))
@@ -312,6 +320,24 @@ def test_overlong_fields_beyond_the_csv_limit(tmp_path):
     assert str(err.value) == f"{path}: line 1: field larger than field limit (131072)"
 
 
+@pytest.mark.parametrize("last, message", [
+    ("5,inf,0.25,{label}", "line 7: non-finite value in trace {label!r}"),
+    ("5,0.5", "line 7: expected 4 fields t_ns,I,Q,label, got 2"),
+])
+def test_overlong_labels_do_not_hide_the_faulty_line(tmp_path, last, message):
+    # finding the line reads the long labels with the csv module, whose field
+    # limit once named line 2; the limit is lifted for that read only
+    label = "x" * 200_000
+    rows = [f"{t},0.5,0.25,{label}" for t in range(5)] + [last.format(label=label)]
+    path = tmp_path / "traces.csv"
+    path.write_text("t_ns,I,Q,label\n" + "".join(row + "\n" for row in rows))
+    limit = csv.field_size_limit()
+    with pytest.raises(ValueError) as err:
+        read_trace_csv(path)
+    assert str(err.value) == f"{path}: " + message.format(label=label)
+    assert csv.field_size_limit() == limit
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 40),
@@ -366,9 +392,10 @@ CRLF_ROWS = {k: row + "\r" for k, row in enumerate(_two_label_rows())}
     # numbers float() reads but numpy's C parser does not
     ({5: "2,1_0,0.25,b"}, "line 7: non-numeric value in ['2', '1_0', '0.25']"),
     ({6: "3,\u0661,0.25,a"}, "line 8: non-numeric value in ['3', '\u0661', '0.25']"),
-    # a field over the csv module's 131072-character limit, at its own line
+    # a label over the csv module's 131072-character limit is valid: the
+    # short row after it is named
     ({4: "2,0.5,0.25," + "x" * 200_000, 7: "3,0.5"},
-     "line 6: field larger than field limit (131072)"),
+     "line 9: expected 4 fields t_ns,I,Q,label, got 2"),
 ])
 def test_read_trace_csv_names_the_offending_line(tmp_path, edit, message):
     rows = _two_label_rows()

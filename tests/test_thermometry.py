@@ -31,7 +31,9 @@ from tritherm.thermometry import (
     _aggregate,
     _deming_rule,
     _invert_coefficient,
+    _pair_matrices,
     _pair_rows,
+    _quadrature_points,
     _row_moments,
     _single_valued,
     estimate_temperature,
@@ -535,6 +537,20 @@ def test_nine_difference_pairs_structure():
                     for k in (0, 1)]
             for rows, expected in zip(got, want):
                 np.testing.assert_array_equal(rows, expected.reshape(rows.shape))
+
+
+@pytest.mark.parametrize("quadratures", ["IQ", "I"])
+def test_pair_matrices_give_the_pair_rows(quadratures):
+    # the sampled repeated draws reach the pairs through D and U: the same
+    # rows, in the same order and sign, bit for bit
+    d, u = _pair_matrices()
+    assert d.shape == u.shape == (9, 6)
+    for iq in (_noisy_responses(40, seed + 13)[0].iq(),
+               np.stack([_noisy_responses(30, seed + 14 + k)[0].iq() for k in range(3)])):
+        points = _quadrature_points(iq, quadratures)
+        xs, ys = _pair_rows(iq, quadratures)
+        np.testing.assert_array_equal(d @ points, xs)
+        np.testing.assert_array_equal(u @ points, ys)
 
 
 # (x, y, the DegenerateDataError cause, or None for a series that fits)
