@@ -14,11 +14,13 @@ with delta = 1 is available for comparison and is mean-unbiased on this
 geometry.
 
 Neither study builds its noisy data.  A fit reads only second central
-moments, and for Gaussian noise their law is exact.  A bias experiment
-needs five draws (``_sample_moments``), where an explicit cloud needs 2n.
-A repeated draw's nine pair fits read only the 6 x 6 scatter of the six
-traces' fit points, which needs 57 draws (``_sample_pair_moments``), where
-explicit traces need 6n; the working set is a few (draws, 6, 6) arrays.
+moments, and for Gaussian noise the scatter of m noisy rows has an exact
+law, which one sampler draws (``_sample_scatter``).  A bias experiment is
+the two rows x and slope * x, whose 2 x 2 scatter takes 4 + 2 + 1 = 7
+draws (n >= 5), where an explicit cloud needs 2n.  A repeated draw's nine
+pair fits read the 6 x 6 scatter of the six traces' fit points through
+``_pair_matrices``, 36 + 6 + 15 = 57 draws (n >= 13), where explicit traces
+need 6n.  The working set is a few (draws, m, m) arrays.
 
 Both study records hold one column per coefficient, in COEFFICIENTS order:
 ``RepeatedStats.t_mk`` is (n_runs, 3) and ``DiscrepancyCurves.dt_mk`` (n_t, 3).
@@ -71,11 +73,14 @@ class MonteCarloSpec:
     fit_method: str = "least_squares"
 
     def __post_init__(self):
+        for name in ("true_slope", "n_experiments", "x_span", "noise_sigma", "n_points"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.n_experiments < 100:
             raise ValueError("n_experiments must be at least 100")
-        if not self.x_span > 0:  # also rejects NaN
+        if self.x_span <= 0:
             raise ValueError("x_span must be positive")
-        if not self.noise_sigma >= 0:
+        if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
         if self.n_points < 3:
             raise ValueError("n_points must be at least 3")
@@ -135,57 +140,65 @@ def _fit_slope(sxx, syy, sxy, method: str, delta: float = 1.0) -> Tuple[np.ndarr
         return sxy / sxx, sxx == 0.0
 
 
-def _sample_moments(rng, x0: np.ndarray, slope: float, sigma: float, size: int):
-    """Second central moments (sxx, syy, sxy) of ``size`` noisy clouds
-    (x0 + e, slope * x0 + f), e and f iid N(0, sigma^2) per point, drawn from
-    their exact law without drawing the clouds.
+def _sample_scatter(rng, points: np.ndarray, sigma: float, size: int) -> np.ndarray:
+    """n M, (size, m, m), for ``size`` noisy copies of m rows of n points
+    (``points``, (m, n)), noise iid N(0, sigma^2) per point, M the scatter of
+    the centred noisy rows, drawn from its exact law without drawing the
+    copies.
 
-    Centring leaves n - 1 noise directions per axis.  Along the unit design
-    direction x0c / a (a^2 = sum x0c^2, x0c the centred design) the noise is
-    g ~ N(0, sigma^2 I_2); on the n - 2 directions orthogonal to it the two
-    axes' noise has a Wishart scatter, sigma^2 L L^T with the Bartlett factor
-    L = [[sqrt(c1), 0], [z, sqrt(c2)]], c1 ~ chi2(n-2), c2 ~ chi2(n-3)
-    (0 when n = 3), z ~ N(0, 1) (Bartlett 1933).  With u = a + g0 and
-    w = slope * a + g1:
+    With Q (n x k, k = min(m, n - 1)) columns 1.. of the QR of [1, Xc^T],
+    orthogonal to 1 and spanning the centred clean rows Xc whatever their
+    rank,
 
-        n sxx = u^2 + sigma^2 c1
-        n syy = w^2 + sigma^2 (z^2 + c2)
-        n sxy = u w + sigma^2 sqrt(c1) z
+        n M = (A + sigma G)(A + sigma G)^T + sigma^2 W,   A = Xc Q,
 
-    Draw order per call: standard_normal(size=(3, size)) gives g0/sigma,
-    g1/sigma and z; then chisquare(n - 2, size) gives c1 and, when n > 3,
-    chisquare(n - 3, size) gives c2.
+    G (m x k) iid N(0, 1) and W ~ W_m(nu, I) the scatter of the other
+    nu = n - 1 - k directions orthogonal to 1: L L^T for nu >= m, L the
+    Bartlett factor, lower triangular with sqrt(chi2(nu - i)) at (i, i) and
+    N(0, 1) below (Bartlett 1933); else Z Z^T, Z (m x nu) iid N(0, 1).
+
+    Draw order: standard_normal(size=(size, m, k)) for G; then, for nu >= m,
+    chisquare(nu - arange(m), size=(size, m)) for L's squared diagonal and
+    standard_normal(size=(size, m (m - 1) / 2)) for its entries below, row by
+    row; else standard_normal(size=(size, m, nu)) for Z.
     """
-    n = len(x0)
-    x0c = x0 - x0.mean()
-    a = np.sqrt(np.sum(x0c * x0c))
-    g0, g1, z = rng.standard_normal(size=(3, size))
-    c1 = rng.chisquare(n - 2, size)
-    c2 = rng.chisquare(n - 3, size) if n > 3 else np.zeros(size)
-    u = a + sigma * g0
-    w = slope * a + sigma * g1
-    s2 = sigma * sigma
-    return ((u * u + s2 * c1) / n, (w * w + s2 * (z * z + c2)) / n,
-            (u * w + s2 * np.sqrt(c1) * z) / n)
+    m, n = points.shape
+    xc = points - points.mean(axis=-1, keepdims=True)
+    q = np.linalg.qr(np.column_stack([np.ones(n), xc.T]))[0][:, 1:]
+    k = q.shape[1]
+    nu = n - 1 - k
+    # n M = C C^T with C = [A + sigma G, sigma L] (sigma Z for nu < m)
+    c = np.zeros((size, m, k + min(nu, m)))
+    c[..., :k] = xc @ q + sigma * rng.standard_normal(size=(size, m, k))
+    if nu >= m:
+        c[..., range(m), range(k, k + m)] = sigma * np.sqrt(
+            rng.chisquare(nu - np.arange(m), (size, m)))
+        below = np.tril_indices(m, -1)
+        c[..., below[0], k + below[1]] = sigma * rng.standard_normal(size=(size, len(below[0])))
+    else:
+        c[..., k:] = sigma * rng.standard_normal(size=(size, m, nu))
+    return c @ c.transpose(0, 2, 1)
 
 
 def slope_bias_study(spec: MonteCarloSpec, lambda_grid=None) -> MonteCarloReport:
     """Fit ``n_experiments`` noisy collinear clouds per true slope.
 
-    Each experiment's second moments are sampled from their exact Gaussian
-    law (``_sample_moments``), one call per slope point in grid order on one
+    Each experiment's second moments are read off the 2 x 2 scatter of the
+    rows (x0, slope * x0), sampled from its exact Gaussian law
+    (``_sample_scatter``), one call per slope point in grid order on one
     generator seeded with ``spec.seed``, then fitted with ``_fit_slope``.
     Reports the mean fitted slope with the 95% CI of the mean (normal
     approximation over experiments).  Degenerate fits are counted, not fatal,
     unless fewer than two fits survive at a slope, which raises
-    DegenerateDataError; an empty or non-increasing ``lambda_grid`` raises
-    ValueError.
+    DegenerateDataError; an empty, non-finite or non-increasing
+    ``lambda_grid`` raises ValueError.
     """
     if lambda_grid is None:
         lambda_grid = np.array([spec.true_slope])
     lambda_grid = np.asarray(lambda_grid, dtype=float)
-    if lambda_grid.size == 0 or np.any(np.diff(lambda_grid) <= 0):
-        raise ValueError("lambda grid must be non-empty and strictly increasing")
+    if (lambda_grid.size == 0 or not np.all(np.isfinite(lambda_grid))
+            or np.any(np.diff(lambda_grid) <= 0)):
+        raise ValueError("lambda grid must be non-empty, finite and strictly increasing")
     rng = np.random.default_rng(spec.seed)
     x0 = spec.design_points()
     means = np.empty(len(lambda_grid))
@@ -193,8 +206,10 @@ def slope_bias_study(spec: MonteCarloSpec, lambda_grid=None) -> MonteCarloReport
     ci_hi = np.empty(len(lambda_grid))
     failures = 0
     for j, lam in enumerate(lambda_grid):
-        moments = _sample_moments(rng, x0, lam, spec.noise_sigma, spec.n_experiments)
-        slopes, degenerate = _fit_slope(*moments, spec.fit_method)
+        scatter = _sample_scatter(rng, np.stack([x0, lam * x0]), spec.noise_sigma,
+                                  spec.n_experiments)
+        slopes, degenerate = _fit_slope(scatter[:, 0, 0], scatter[:, 1, 1], scatter[:, 0, 1],
+                                        spec.fit_method)
         failures += int(degenerate.sum())
         fits = slopes[~degenerate]
         if len(fits) < 2:
@@ -273,51 +288,6 @@ class RepeatedStats:
         return out
 
 
-def _sample_pair_moments(rng, points: np.ndarray, sigma: float, size: int):
-    """Second central moments (sxx, syy, sxy), each (size, 9), of the nine
-    pair rows of ``size`` noisy copies of six traces' fit points (6, n),
-    noise iid N(0, sigma^2) per point, drawn from their exact law without
-    drawing the copies.
-
-    A pair's rows are d^T Y and u^T Y (``_pair_matrices``), so its moments
-    are d^T M d, u^T M u and d^T M u, M the scatter of the centred noisy
-    points.  With Q (n x k, k = min(6, n - 1)) columns 1.. of the QR of
-    [1, Xc^T], orthogonal to 1 and spanning the rows of the centred clean
-    points Xc whatever their rank,
-
-        n M = (A + sigma G)(A + sigma G)^T + sigma^2 W,   A = Xc Q,
-
-    G (6 x k) iid N(0, 1) and W ~ W_6(nu, I) the scatter of the other
-    nu = n - 1 - k directions orthogonal to 1: L L^T for nu >= 6, L the
-    Bartlett factor, lower triangular with sqrt(chi2(nu - i)) at (i, i) and
-    N(0, 1) below (Bartlett 1933); else Z Z^T, Z (6 x nu) iid N(0, 1).  The
-    moments returned are those of n M: the fit is scale-free.
-
-    Draw order: standard_normal(size=(size, 6, k)) for G; then, for nu >= 6,
-    chisquare(nu - arange(6), size=(size, 6)) for L's squared diagonal and
-    standard_normal(size=(size, 15)) for its entries below, row by row;
-    else standard_normal(size=(size, 6, nu)) for Z.
-    """
-    n = points.shape[-1]
-    xc = points - points.mean(axis=-1, keepdims=True)
-    q = np.linalg.qr(np.column_stack([np.ones(n), xc.T]))[0][:, 1:]
-    k = q.shape[1]
-    nu = n - 1 - k
-    # n M = C C^T with C = [A + sigma G, sigma L] (sigma Z for nu < 6)
-    c = np.zeros((size, 6, k + min(nu, 6)))
-    c[..., :k] = xc @ q + sigma * rng.standard_normal(size=(size, 6, k))
-    if nu >= 6:
-        c[..., range(6), range(k, k + 6)] = sigma * np.sqrt(
-            rng.chisquare(nu - np.arange(6), (size, 6)))
-        below = np.tril_indices(6, -1)
-        c[..., below[0], k + below[1]] = sigma * rng.standard_normal(size=(size, 15))
-    else:
-        c[..., k:] = sigma * rng.standard_normal(size=(size, 6, nu))
-    scatter = c @ c.transpose(0, 2, 1)
-    d, u = _pair_matrices()
-    return tuple(np.einsum("ki,rij,kj->rk", x, scatter, y) for x, y in ((d, d), (u, u), (d, u)))
-
-
 def repeated_measurement_stats(
     responses: SequenceResponses,
     levels,
@@ -333,8 +303,9 @@ def repeated_measurement_stats(
 
     Noise is iid N(0, noise_sigma^2) per sample and quadrature on the
     analysis window (the estimator never sees samples outside it).  A draw's
-    pair moments are sampled from their exact law (``_sample_pair_moments``),
-    its slopes take the estimator's Deming rule, ``_aggregate`` (plain mean)
+    pair moments are those of the six traces' fit points' scatter, sampled
+    from its exact law (``_sample_scatter``), through ``_pair_matrices``; its
+    slopes take the estimator's Deming rule, ``_aggregate`` (plain mean)
     and ``_checked_inverse``, so a draw gets the temperatures, or the error,
     that estimate_temperature gives with n_bootstrap 0 to traces with its
     scatter.  With ``noise_sigma`` 0 every draw is the clean fit.
@@ -353,7 +324,9 @@ def repeated_measurement_stats(
             raise ValueError("variance ratio delta must be positive")
         if points.shape[-1] < 3:
             raise ValueError("need at least 3 paired points")
-        moments = _sample_pair_moments(np.random.default_rng(seed), points, noise_sigma, n_runs)
+        scatter = _sample_scatter(np.random.default_rng(seed), points, noise_sigma, n_runs)
+        d, u = _pair_matrices()
+        moments = (np.einsum("ki,rij,kj->rk", x, scatter, y) for x, y in ((d, d), (u, u), (d, u)))
         slopes, degenerate = _fit_slope(*moments, "deming", delta)
         if np.any(degenerate):
             pair = _PAIR_NAMES[np.argwhere(degenerate)[0][1]]

@@ -275,6 +275,12 @@ def _fields_of_any_length():
         csv.field_size_limit(limit)
 
 
+def _quoted(label: str) -> str:
+    """``label`` quoted for an error message: whole up to 40 characters, else
+    its first 40 and its length, so that a long label keeps the message short."""
+    return repr(label) if len(label) <= 40 else f"{label[:40]!r}... ({len(label)} characters)"
+
+
 def _raise_at(path, record: int, message: str) -> None:
     """Raise ``message`` naming the line of record ``record`` after the header."""
     with _fields_of_any_length():
@@ -366,16 +372,16 @@ def read_trace_csv(path) -> Dict[str, IQTrace]:
             arr = columns if single else columns[:, at]
             bad = np.flatnonzero(~np.isfinite(arr).all(axis=0))
             if bad.size:
-                _raise_at(path, at[bad[0]], f"non-finite value in trace {label!r}")
+                _raise_at(path, at[bad[0]], f"non-finite value in trace {_quoted(label)}")
             dt = np.diff(arr[0])
             stalled = np.flatnonzero(dt <= 0)
             if stalled.size:
                 _raise_at(path, at[stalled[0] + 1],
-                          f"sample times of trace {label!r} do not increase")
+                          f"sample times of trace {_quoted(label)} do not increase")
             uneven = np.flatnonzero(np.abs(dt - dt[:1]) > 1e-9)
             if uneven.size:
                 _raise_at(path, at[uneven[0] + 1],
-                          f"sample spacing of trace {label!r} is not uniform")
+                          f"sample spacing of trace {_quoted(label)} is not uniform")
             out[label] = IQTrace(arr[0], arr[1], arr[2], label)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -124,29 +124,50 @@ def slope_bias_study_loop(spec, lambda_grid):
     return _bias_study_of_clouds(spec, lambda_grid, clouds)
 
 
-def slope_bias_study_replayed(spec, lambda_grid):
-    """The sampled bias study with every experiment's cloud built: replays
-    the sampler's draws per true slope (g0/sigma, g1/sigma, z, then c1 and
-    c2, as errorlab._sample_moments documents) and builds the centred noise
-    E = xhat g^T + [q3 q4] sigma L^T, L = [[sqrt(c1), 0], [z, sqrt(c2)]],
-    with xhat the unit centred design and q3, q4 orthonormal to 1 and xhat
-    (q3 alone when n = 3).  The cloud (x0 + E[:, 0], slope x0 + E[:, 1])
-    has the sampled second moments."""
-    sigma, size = spec.noise_sigma, spec.n_experiments
+def noisy_rows_replayed(rng, points, sigma, size):
+    """``size`` noisy copies of the rows ``points`` (m, n) whose scatters
+    are those errorlab._sample_scatter draws from ``rng``: replays its draws
+    (G, then the chi-square diagonal and the entries below it of the
+    Bartlett factor L, or Z in its place, as it documents) and builds each
+    copy points + sigma (G Q^T + L R^T), with Q columns 1..k of the complete
+    QR of [1, Xc^T], Xc the centred points, R its remaining columns
+    (orthonormal to 1 and Q), and L padded with zero columns to R's width.
+    Returns the (size, m, n) copies."""
+    m, n = points.shape
+    xc = points - points.mean(axis=-1, keepdims=True)
+    basis = np.linalg.qr(np.column_stack([np.ones(n), xc.T]), mode="complete")[0]
+    k = min(m, n - 1)
+    q, r = basis[:, 1:k + 1], basis[:, k + 1:]
+    nu = r.shape[1]
+    g = rng.standard_normal(size=(size, m, k))
+    if nu >= m:
+        chi2 = rng.chisquare(nu - np.arange(m), size=(size, m))
+        below = rng.standard_normal(size=(size, m * (m - 1) // 2))
+    else:
+        z = rng.standard_normal(size=(size, m, nu))
+    copies = []
+    for run in range(size):
+        if nu >= m:
+            lower = np.zeros((m, nu))
+            entries = iter(below[run])
+            for i in range(m):
+                lower[i, i] = np.sqrt(chi2[run, i])
+                for j in range(i):
+                    lower[i, j] = next(entries)
+        else:
+            lower = z[run]
+        copies.append(points + sigma * (g[run] @ q.T + lower @ r.T))
+    return np.array(copies)
 
+
+def slope_bias_study_replayed(spec, lambda_grid):
+    """The sampled bias study with every experiment's cloud built: per true
+    slope, the noisy copies of the rows (x0, slope x0) that
+    noisy_rows_replayed rebuilds from the study's draws, which have the
+    sampled second moments."""
     def clouds(rng, x0, lam):
-        n = len(x0)
-        x0c = x0 - x0.mean()
-        xhat = x0c / np.linalg.norm(x0c)
-        q = np.linalg.qr(np.column_stack([np.ones(n), x0c]), mode="complete")[0][:, 2:4]
-        g0, g1, z = rng.standard_normal(size=(3, size))
-        c1 = rng.chisquare(n - 2, size)
-        c2 = rng.chisquare(n - 3, size) if n > 3 else np.zeros(size)
-        for k in range(size):
-            lower = np.array([[np.sqrt(c1[k]), 0.0], [z[k], np.sqrt(c2[k])]])
-            e = (np.outer(xhat, sigma * np.array([g0[k], g1[k]]))
-                 + q @ (sigma * lower.T)[: q.shape[1]])
-            yield x0 + e[:, 0], lam * x0 + e[:, 1]
+        return noisy_rows_replayed(rng, np.stack([x0, lam * x0]), spec.noise_sigma,
+                                   spec.n_experiments)
     return _bias_study_of_clouds(spec, lambda_grid, clouds)
 
 
@@ -168,44 +189,17 @@ def repeated_temperatures_loop(responses, levels, n_runs, noise_sigma, seed,
 
 def repeated_temperatures_replayed(responses, levels, n_runs, noise_sigma, seed,
                                    quadratures="IQ", delta=1.0, clamp=False):
-    """The sampled repeated study with every draw's traces built: replays the
-    sampler's draws (G, then the chi-square diagonal and the entries below
-    it of the Bartlett factor L, or Z in its place, as
-    errorlab._sample_pair_moments documents) and builds each draw's fit
-    points Xc + sigma (G Q^T + L R^T), with Q columns 1..k of the complete
-    QR of [1, Xc^T], R its remaining columns (orthonormal to 1 and Q), and
-    L padded with zero columns to R's width.  Those points have the sampled
-    scatter; each draw runs estimate_temperature with n_bootstrap 0 on
-    traces carrying them (Q untouched for quadratures "I").  Returns the
-    (n_runs, 3) array of T_A, T_B, T_C."""
+    """The sampled repeated study with every draw's traces built: each draw
+    runs estimate_temperature with n_bootstrap 0 on traces carrying the
+    noisy fit points that noisy_rows_replayed rebuilds from the study's
+    draws (Q untouched for quadratures "I").  Returns the (n_runs, 3) array
+    of T_A, T_B, T_C."""
     traces = responses.as_dict()
     clean = responses.iq()
     points = clean.reshape(6, -1) if quadratures == "IQ" else clean[:, 0]
-    n = points.shape[-1]
-    xc = points - points.mean(axis=-1, keepdims=True)
-    basis = np.linalg.qr(np.column_stack([np.ones(n), xc.T]), mode="complete")[0]
-    k = min(6, n - 1)
-    q, r = basis[:, 1:k + 1], basis[:, k + 1:]
-    nu = r.shape[1]
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(size=(n_runs, 6, k))
-    if nu >= 6:
-        chi2 = rng.chisquare(nu - np.arange(6), size=(n_runs, 6))
-        below = rng.standard_normal(size=(n_runs, 15))
-    else:
-        z = rng.standard_normal(size=(n_runs, 6, nu))
+    copies = noisy_rows_replayed(np.random.default_rng(seed), points, noise_sigma, n_runs)
     temps = []
-    for run in range(n_runs):
-        if nu >= 6:
-            lower = np.zeros((6, nu))
-            entries = iter(below[run])
-            for i in range(6):
-                lower[i, i] = np.sqrt(chi2[run, i])
-                for j in range(i):
-                    lower[i, j] = next(entries)
-        else:
-            lower = z[run]
-        noisy = xc + noise_sigma * (g[run] @ q.T + lower @ r.T)
+    for noisy in copies:
         iq = noisy.reshape(6, 2, -1) if quadratures == "IQ" else np.stack(
             [noisy, clean[:, 1]], axis=1)
         drawn = SequenceResponses.from_dict({
@@ -240,6 +234,12 @@ def invert_coefficient_scalar(levels, which, value):
     raise RuntimeError("not converged")
 
 
+def _quoted(label):
+    """A label as the reader's messages quote it: whole up to 40 characters,
+    else its first 40 and its length."""
+    return repr(label) if len(label) <= 40 else f"{label[:40]!r}... ({len(label)} characters)"
+
+
 def _csv_record_lines(path) -> list:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -265,7 +265,9 @@ def read_trace_csv_csv_module(path):
     comparison dropped trailing NULs and so merged the traces of ``a`` and
     ``a\\x00``; and the header must be exactly the four names, where the
     original took any header starting with them (``t_ns,I,Q,label,extra``)
-    and then rejected every row carrying the fifth field."""
+    and then rejected every row carrying the fifth field.  Labels longer than
+    40 characters are quoted in messages by their first 40 and their length,
+    as the reader quotes them."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -290,16 +292,16 @@ def read_trace_csv_csv_module(path):
             bad = np.flatnonzero(~np.isfinite(arr).all(axis=0))
             if bad.size:
                 raise ValueError(f"line {_csv_record_lines(path)[at[bad[0]]]}: non-finite "
-                                 f"value in trace {label!r}")
+                                 f"value in trace {_quoted(label)}")
             dt = np.diff(arr[0])
             stalled = np.flatnonzero(dt <= 0)
             if stalled.size:
                 raise ValueError(f"line {_csv_record_lines(path)[at[stalled[0] + 1]]}: "
-                                 f"sample times of trace {label!r} do not increase")
+                                 f"sample times of trace {_quoted(label)} do not increase")
             uneven = np.flatnonzero(np.abs(dt - dt[:1]) > 1e-9)
             if uneven.size:
                 raise ValueError(f"line {_csv_record_lines(path)[at[uneven[0] + 1]]}: "
-                                 f"sample spacing of trace {label!r} is not uniform")
+                                 f"sample spacing of trace {_quoted(label)} is not uniform")
             out[label] = IQTrace(arr[0], arr[1], arr[2], label)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -49,6 +49,13 @@ def test_spec_validation():
         MonteCarloSpec(true_slope=0.5, abscissa="random")
     with pytest.raises(ValueError):
         MonteCarloSpec(true_slope=0.5, fit_method="huber")
+    # a non-finite value is named here, not left to fail later as a CI that
+    # does not bracket its mean
+    for name, value in (("noise_sigma", np.inf), ("x_span", np.inf), ("true_slope", np.nan),
+                        ("true_slope", np.inf), ("true_slope", -np.inf),
+                        ("n_experiments", np.inf), ("n_points", np.nan)):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {value}"):
+            MonteCarloSpec(**{name: value})
 
 
 def test_least_squares_fit_rejects_single_valued_x():
@@ -134,8 +141,11 @@ def test_bias_study_matches_the_per_experiment_loop(case):
     assert np.all((0.8 <= sem / sem_ref) & (sem / sem_ref <= 1.25))
 
 
-@pytest.mark.parametrize("case", [c for c in STUDY_CASES if c.get("x_span", 1.0) > 1e-100],
-                         ids=lambda c: "-".join(map(str, c.values())))
+@pytest.mark.parametrize("case", [c for c in STUDY_CASES if c.get("x_span", 1.0) > 1e-100] + [
+    # nu = n - 3 < 2 directions left for the two rows: Z Z^T in place of L L^T
+    dict(fit_method="least_squares", abscissa="uniform", n_points=3),
+    dict(fit_method="deming", abscissa="sinusoid", n_points=4),
+], ids=lambda c: "-".join(map(str, c.values())))
 def test_bias_study_matches_its_replayed_clouds(case):
     spec = MonteCarloSpec(**dict(true_slope=0.5, n_experiments=101, n_points=120, seed=seed)
                           | case)
@@ -149,8 +159,9 @@ def test_bias_study_matches_its_replayed_clouds(case):
 
 def test_slope_bias_study_rejects_bad_grid():
     spec = MonteCarloSpec(true_slope=0.5, n_experiments=100, seed=seed)
-    for grid in ([], [0.5, 0.5], [1.0, 0.01]):
-        with pytest.raises(ValueError, match="lambda grid"):
+    for grid in ([], [0.5, 0.5], [1.0, 0.01], [0.5, np.nan], [np.nan], [0.5, np.inf],
+                 [-np.inf, 0.5]):
+        with pytest.raises(ValueError, match="^lambda grid must be non-empty, finite"):
             slope_bias_study(spec, grid)
 
 

@@ -320,9 +320,15 @@ def test_overlong_fields_beyond_the_csv_limit(tmp_path):
     assert str(err.value) == f"{path}: line 1: field larger than field limit (131072)"
 
 
+LONG_LABEL = "'" + "x" * 40 + "'... (200000 characters)"
+
+
 @pytest.mark.parametrize("last, message", [
-    ("5,inf,0.25,{label}", "line 7: non-finite value in trace {label!r}"),
+    # a message quotes a long label's first 40 characters and its length
+    ("5,inf,0.25,{label}", f"line 7: non-finite value in trace {LONG_LABEL}"),
     ("5,0.5", "line 7: expected 4 fields t_ns,I,Q,label, got 2"),
+    ("4,0.5,0.25,{label}", f"line 7: sample times of trace {LONG_LABEL} do not increase"),
+    ("5.5,0.5,0.25,{label}", f"line 7: sample spacing of trace {LONG_LABEL} is not uniform"),
 ])
 def test_overlong_labels_do_not_hide_the_faulty_line(tmp_path, last, message):
     # finding the line reads the long labels with the csv module, whose field
