@@ -9,7 +9,7 @@ and sweep points change a config through ``with_changes``, which rebuilds
 it by the same rules, so their errors name their block too.
 
 All randomness flows from the single ``seed`` through named substreams
-(calibration, noise, bootstrap, montecarlo), so any artifact can be
+(noise, bootstrap, montecarlo), so any artifact can be
 regenerated bit for bit while the streams stay statistically independent.
 """
 
@@ -34,7 +34,7 @@ class ConfigError(Exception):
     """Invalid, missing, or unparseable run configuration."""
 
 
-SEED_STREAMS = {"calibration": 0, "noise": 1, "bootstrap": 2, "montecarlo": 3}
+SEED_STREAMS = {"noise": 1, "bootstrap": 2, "montecarlo": 3}
 
 
 def rng_stream(seed: Optional[int], name: str, index: int = 0) -> np.random.Generator:

@@ -19,8 +19,8 @@ law, which one sampler draws (``_sample_scatter``).  A bias experiment is
 the two rows x and slope * x, whose 2 x 2 scatter takes 4 + 2 + 1 = 7
 draws (n >= 5), where an explicit cloud needs 2n.  A repeated draw's nine
 pair fits read the 6 x 6 scatter of the six traces' fit points through
-``_pair_matrices``, 36 + 6 + 15 = 57 draws (n >= 13), where explicit traces
-need 6n.  The working set is a few (draws, m, m) arrays.
+``thermometry._pair_moments``, 36 + 6 + 15 = 57 draws (n >= 13), where
+explicit traces need 6n.  The working set is a few (draws, m, m) arrays.
 
 Both study records hold one column per coefficient, in COEFFICIENTS order:
 ``RepeatedStats.t_mk`` is (n_runs, 3) and ``DiscrepancyCurves.dt_mk`` (n_t, 3).
@@ -40,10 +40,11 @@ from .thermometry import (
     SequenceResponses,
     _PAIR_NAMES,
     _aggregate,
+    _check_fit_inputs,
     _checked_inverse,
     _deming_rule,
     _fit_pairs,
-    _pair_matrices,
+    _pair_moments,
     _quadrature_points,
     attainable_range,
     coefficient_vs_temperature,
@@ -107,7 +108,6 @@ class MonteCarloReport:
     mean_fit: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
-    spec: MonteCarloSpec
     n_failures: int = 0
 
     def __post_init__(self):
@@ -201,9 +201,7 @@ def slope_bias_study(spec: MonteCarloSpec, lambda_grid=None) -> MonteCarloReport
         raise ValueError("lambda grid must be non-empty, finite and strictly increasing")
     rng = np.random.default_rng(spec.seed)
     x0 = spec.design_points()
-    means = np.empty(len(lambda_grid))
-    ci_lo = np.empty(len(lambda_grid))
-    ci_hi = np.empty(len(lambda_grid))
+    means, half = np.empty((2, len(lambda_grid)))
     failures = 0
     for j, lam in enumerate(lambda_grid):
         scatter = _sample_scatter(rng, np.stack([x0, lam * x0]), spec.noise_sigma,
@@ -216,12 +214,8 @@ def slope_bias_study(spec: MonteCarloSpec, lambda_grid=None) -> MonteCarloReport
             raise DegenerateDataError(
                 f"{len(fits)} of {spec.n_experiments} fits are non-degenerate at true slope "
                 f"{lam:.6g}; the mean and its CI need at least 2")
-        m = fits.mean()
-        sem = fits.std(ddof=1) / np.sqrt(len(fits))
-        means[j] = m
-        ci_lo[j] = m - 1.96 * sem
-        ci_hi[j] = m + 1.96 * sem
-    return MonteCarloReport(lambda_grid, means, ci_lo, ci_hi, spec, failures)
+        means[j], half[j] = fits.mean(), 1.96 * (fits.std(ddof=1) / np.sqrt(len(fits)))
+    return MonteCarloReport(lambda_grid, means, means - half, means + half, failures)
 
 
 @dataclass(frozen=True)
@@ -304,7 +298,7 @@ def repeated_measurement_stats(
     Noise is iid N(0, noise_sigma^2) per sample and quadrature on the
     analysis window (the estimator never sees samples outside it).  A draw's
     pair moments are those of the six traces' fit points' scatter, sampled
-    from its exact law (``_sample_scatter``), through ``_pair_matrices``; its
+    from its exact law (``_sample_scatter``), through ``_pair_moments``; its
     slopes take the estimator's Deming rule, ``_aggregate`` (plain mean)
     and ``_checked_inverse``, so a draw gets the temperatures, or the error,
     that estimate_temperature gives with n_bootstrap 0 to traces with its
@@ -320,14 +314,9 @@ def repeated_measurement_stats(
         slopes = _fit_pairs(deming_slope, clean, quadratures, delta)[0]
     else:
         points = _quadrature_points(clean, quadratures)
-        if delta <= 0.0:
-            raise ValueError("variance ratio delta must be positive")
-        if points.shape[-1] < 3:
-            raise ValueError("need at least 3 paired points")
+        _check_fit_inputs(delta, points.shape[-1])
         scatter = _sample_scatter(np.random.default_rng(seed), points, noise_sigma, n_runs)
-        d, u = _pair_matrices()
-        moments = (np.einsum("ki,rij,kj->rk", x, scatter, y) for x, y in ((d, d), (u, u), (d, u)))
-        slopes, degenerate = _fit_slope(*moments, "deming", delta)
+        slopes, degenerate = _fit_slope(*_pair_moments(scatter), "deming", delta)
         if np.any(degenerate):
             pair = _PAIR_NAMES[np.argwhere(degenerate)[0][1]]
             raise DegenerateDataError(f"{pair}: a sampled scatter or covariance is exactly "

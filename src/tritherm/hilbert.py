@@ -8,8 +8,9 @@ eigenbasis-x-Fock product space.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -228,16 +229,8 @@ class CompositeOperators:
         self.n_phot_vec = np.tile(np.arange(nres), nlev).astype(float)
         # rotating-frame generator N = sum_k k|k><k| (x) I + I (x) a'a
         self.frame_gen_vec = self.n_level_vec + self.n_phot_vec
-        self._dressed: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
 
-    def sigma(self, k: int, l: int) -> np.ndarray:
-        """|k><l| on the transmon, identity on the resonator."""
-        nlev = self.tspec.n_transmon_levels
-        m = np.zeros((nlev, nlev))
-        m[k, l] = 1.0
-        return np.kron(m, np.eye(self.rspec.n_states))
-
-    def h_static(self, frame_ghz: float = 0.0) -> np.ndarray:
+    def h_static(self, frame_ghz: float) -> np.ndarray:
         """Static RWA Hamiltonian (units of h GHz) in a frame rotating at
         ``frame_ghz`` per excitation:
 
@@ -258,21 +251,21 @@ class CompositeOperators:
             h = h + g * (self.charge_raise @ self.a + self.charge_lower @ self.adag)
         return h
 
-    def dressed(self, frame_ghz: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
-        if frame_ghz not in self._dressed:
-            self._dressed[frame_ghz] = np.linalg.eigh(self.h_static(frame_ghz))
-        return self._dressed[frame_ghz]
+    @functools.cached_property
+    def dressed(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``eigh`` of ``h_static(0.0)``; another frame shifts the energies only."""
+        return np.linalg.eigh(self.h_static(0.0))
 
     def dressed_index(self, level: int, photons: int = 0) -> int:
         """Index of the dressed eigenstate with maximum overlap on the bare
         |level, photons> product state."""
-        _, v = self.dressed(0.0)
+        _, v = self.dressed
         bare = level * self.rspec.n_states + photons
         return int(np.argmax(np.abs(v[bare, :]) ** 2))
 
     def dressed_transition_ghz(self, k0: int, k1: int) -> float:
         """Coupling-shifted k0 -> k1 transition frequency at zero photons."""
-        w, _ = self.dressed(0.0)
+        w, _ = self.dressed
         return w[self.dressed_index(k1)] - w[self.dressed_index(k0)]
 
     def subpopulations(self, rho: np.ndarray) -> np.ndarray:

@@ -14,8 +14,9 @@ transmon level carries no explicit rate and thermalizes only through the
 coupling to the lossy resonator.  An optional pure-dephasing channel is
 exposed for robustness experiments and is off by default.
 
-Every jump operator acts on one factor of transmon (x) resonator, so the
-dissipator splits as D = D_T (x) 1 + 1 (x) D_R on the (k k', n n') view of
+Every jump operator is built and kept on the one factor of transmon (x)
+resonator it acts on (``Liouvillian.transmon_jumps``, ``resonator_jumps``), so
+the dissipator splits as D = D_T (x) 1 + 1 (x) D_R on the (k k', n n') view of
 rho[k n, k' n'].  The two parts commute, and exp(D t) is the pair of small
 exponentials exp(D_T t) (nlev^2 square) and exp(D_R t) ((n_fock + 1)^2
 square), computed by scaling and squaring.
@@ -140,86 +141,74 @@ def _local_dissipator(lops, m: int) -> np.ndarray:
 class Liouvillian:
     """Static generator plus jump operators for one system configuration.
 
-    ``jump_operators`` maps channel labels to rate-scaled operators on the
-    composite space (sqrt(rate) absorbed, rates per ns), each acting on the
-    transmon or on the resonator only.  Drives enter only through the
-    Hamiltonian slices of the split-step (see ``pulses``).
+    Every channel acts on one factor of transmon (x) resonator: its real,
+    rate-scaled operator (sqrt(rate) absorbed, rates per ns) on that factor
+    is kept in ``transmon_jumps`` or ``resonator_jumps``.  Drives enter only
+    through the Hamiltonian slices of the split-step (see ``pulses``).
     """
 
     ops: CompositeOperators
-    dissipation: DissipationSpec
     occupations: ThermalOccupations
-    jump_operators: Dict[str, np.ndarray]
+    transmon_jumps: Dict[str, np.ndarray]
+    resonator_jumps: Dict[str, np.ndarray]
     _cache: Dict = field(default_factory=dict, init=False, repr=False)
 
-    def dissipator_factors(self) -> Tuple[np.ndarray, np.ndarray]:
-        """D_T and D_R with D = D_T (x) 1 + 1 (x) D_R on the (k k', n n') view
-        X[k k', n n'] = rho[k n, k' n'], where D acts as D_T X + X D_R^T.
-
-        A channel is a transmon one when it equals A (x) 1 for the A read off
-        its photon-0 entries, a resonator one when it equals 1 (x) B.  Jump
-        operators must be real, as the thermal and dephasing channels are,
-        which keeps both factors real; anything else raises ``ValueError``."""
-        if "factors" not in self._cache:
-            nlev, nres = self.ops.tspec.n_transmon_levels, self.ops.rspec.n_states
-            t_ops, r_ops = [], []
-            for label, lop in self.jump_operators.items():
-                if np.iscomplexobj(lop) and np.any(lop.imag):
-                    raise ValueError(f"jump operator {label!r} is not real")
-                lop = lop.real
-                a, b = lop[::nres, ::nres], lop[:nres, :nres]
-                if np.array_equal(lop, np.kron(a, np.eye(nres))):
-                    t_ops.append(a)
-                elif np.array_equal(lop, np.kron(np.eye(nlev), b)):
-                    r_ops.append(b)
-                else:
-                    raise ValueError(f"jump operator {label!r} acts on both the "
-                                     f"transmon and the resonator")
-            self._cache["factors"] = (_local_dissipator(t_ops, nlev),
-                                      _local_dissipator(r_ops, nres))
-        return self._cache["factors"]
+    @property
+    def jump_operators(self) -> Dict[str, np.ndarray]:
+        """Every channel as its operator on the composite space, in the order
+        ``build_liouvillian`` makes them: the thermal pairs, then dephasing."""
+        eye_t, eye_r = np.eye(self.ops.tspec.n_transmon_levels), np.eye(self.ops.rspec.n_states)
+        lops = {**{k: np.kron(a, eye_r) for k, a in self.transmon_jumps.items()},
+                **{k: np.kron(eye_t, b) for k, b in self.resonator_jumps.items()}}
+        if "phi" in lops:
+            lops["phi"] = lops.pop("phi")
+        return lops
 
     def dissipator_step(self, dt_ns: float) -> Tuple[Tuple[np.ndarray, np.ndarray],
                                                      Tuple[np.ndarray, np.ndarray]]:
         """exp(D dt/2) and exp(D dt), the dissipative half and full slices of
-        the split-step, each as its (transmon, resonator) factor pair.  The
-        two parts of D commute, so exp(D t) = exp(D_T t) (x) exp(D_R t)
+        the split-step, each as its (transmon, resonator) factor pair, with
+        D = D_T (x) 1 + 1 (x) D_R on the (k k', n n') view
+        X[k k', n n'] = rho[k n, k' n'], where D acts as D_T X + X D_R^T.
+        The two parts of D commute, so exp(D t) = exp(D_T t) (x) exp(D_R t)
         exactly.  Like D, they do not depend on the rotating frame: every
         jump operator changes the excitation number by a fixed amount, so
         the frame phases cancel in each term of D[L]."""
         key = ("diss_step", dt_ns)
         if key not in self._cache:
-            half = tuple(_expm(0.5 * dt_ns * d) for d in self.dissipator_factors())
+            half = tuple(_expm(0.5 * dt_ns * _local_dissipator(jumps.values(), m)) for jumps, m in
+                         ((self.transmon_jumps, self.ops.tspec.n_transmon_levels),
+                          (self.resonator_jumps, self.ops.rspec.n_states)))
             self._cache[key] = (half, tuple(e @ e for e in half))
         return self._cache[key]
 
 
 def build_liouvillian(ops: CompositeOperators, dissipation: DissipationSpec) -> Liouvillian:
-    """Assemble the six thermal jump operators (plus optional dephasing).
+    """Assemble the six thermal jump operators (plus optional dephasing) on their factors.
 
     Raising/lowering pairs share a transition frequency, so their rates obey
     detailed balance by construction: Gamma_up/Gamma_down = n/(n+1).
     """
-    levels = ops.levels()
-    occ = thermal_occupations(levels, ops.rspec.fr_ghz, dissipation.bath_t_mk)
+    occ = thermal_occupations(ops.levels(), ops.rspec.fr_ghz, dissipation.bath_t_mk)
     g_eg = rate_from_mhz(dissipation.gamma_eg_mhz)
     g_fe = rate_from_mhz(dissipation.gamma_fe_mhz)
     kappa = kappa_rate_from_mhz(1e3 * ops.rspec.fr_ghz / ops.rspec.q_loaded)
-    jumps = {
-        "eg": np.sqrt(g_eg * (occ.n_eg + 1.0)) * ops.sigma(0, 1),
-        "ge": np.sqrt(g_eg * occ.n_eg) * ops.sigma(1, 0),
-        "fe": np.sqrt(g_fe * (occ.n_fe + 1.0)) * ops.sigma(1, 2),
-        "ef": np.sqrt(g_fe * occ.n_fe) * ops.sigma(2, 1),
-        "r_down": np.sqrt(kappa * (occ.n_r + 1.0)) * ops.a,
-        "r_up": np.sqrt(kappa * occ.n_r) * ops.adag,
+    e = np.eye(ops.tspec.n_transmon_levels)  # np.outer(e[k], e[l]) is |k><l|
+    a = np.diag(np.sqrt(np.arange(1.0, ops.rspec.n_states)), 1)
+    transmon = {
+        "eg": np.sqrt(g_eg * (occ.n_eg + 1.0)) * np.outer(e[0], e[1]),
+        "ge": np.sqrt(g_eg * occ.n_eg) * np.outer(e[1], e[0]),
+        "fe": np.sqrt(g_fe * (occ.n_fe + 1.0)) * np.outer(e[1], e[2]),
+        "ef": np.sqrt(g_fe * occ.n_fe) * np.outer(e[2], e[1]),
     }
     if dissipation.gamma_phi_mhz > 0.0:
         g_phi = rate_from_mhz(dissipation.gamma_phi_mhz)
-        jumps["phi"] = np.sqrt(2.0 * g_phi) * np.diag(ops.n_level_vec).astype(complex)
-    return Liouvillian(ops, dissipation, occ, jumps)
+        transmon["phi"] = np.sqrt(2.0 * g_phi) * np.diag(np.arange(len(e), dtype=float))
+    return Liouvillian(ops, occ, transmon, {"r_down": np.sqrt(kappa * (occ.n_r + 1.0)) * a,
+                                            "r_up": np.sqrt(kappa * occ.n_r) * a.T})
 
 
-def _block_generator(liou: Liouvillian, frame_ghz: float, in_block: np.ndarray):
+def _block_generator(liou: Liouvillian, in_block: np.ndarray):
     """Columns L[:, block] of the static generator on row-major vec(rho), and
     its 1- and inf-norms, from the images L(E_ij) of the basis matrices,
     one row i (dim images) at a time; the full generator is never formed.
@@ -230,7 +219,7 @@ def _block_generator(liou: Liouvillian, frame_ghz: float, in_block: np.ndarray):
     image costs O(dim^2)."""
     dim = liou.ops.dim
     ls = np.stack(list(liou.jump_operators.values())).astype(complex)
-    g = -2j * np.pi * liou.ops.h_static(frame_ghz) - 0.5 * np.einsum("lab,lac->bc", ls.conj(), ls)
+    g = -2j * np.pi * liou.ops.h_static(0.0) - 0.5 * np.einsum("lab,lac->bc", ls.conj(), ls)
     diag = np.arange(dim)
     cols = []
     norm_1, row_sums = 0.0, np.zeros(dim * dim)
@@ -245,7 +234,7 @@ def _block_generator(liou: Liouvillian, frame_ghz: float, in_block: np.ndarray):
     return np.concatenate(cols).T, norm_1, float(row_sums.max())
 
 
-def steady_state(liou: Liouvillian, frame_ghz: float = 0.0) -> np.ndarray:
+def steady_state(liou: Liouvillian) -> np.ndarray:
     """Drive-off steady state, solved on its symmetry block and reduced to
     populations.
 
@@ -256,9 +245,9 @@ def steady_state(liou: Liouvillian, frame_ghz: float = 0.0) -> np.ndarray:
     Inside it the coherences c are eliminated through the Schur complement
     c = -L_cc^-1 L_cp p, and the populations p are the null vector of the
     effective generator L_pp - L_pc L_cc^-1 L_cp, whose scale is set by the
-    rates rather than the GHz coherence frequencies.  The frame term is proportional to N and
-    cancels inside the block, so the result does not depend on
-    ``frame_ghz``.
+    rates rather than the GHz coherence frequencies.  A rotating frame adds
+    a term proportional to N, which cancels inside the block, so the
+    generator is built in the lab frame of ``h_static(0.0)``.
 
     Raises ``SteadyStateError`` when the generator leaks out of the block,
     when L_cc is singular or ill-conditioned, when the effective null space
@@ -270,7 +259,7 @@ def steady_state(liou: Liouvillian, frame_ghz: float = 0.0) -> np.ndarray:
     n_exc = liou.ops.frame_gen_vec
     in_block = (n_exc[:, None] == n_exc[None, :]).reshape(-1)
     block = np.flatnonzero(in_block)
-    l_cols, norm_1, norm_inf = _block_generator(liou, frame_ghz, in_block)
+    l_cols, norm_1, norm_inf = _block_generator(liou, in_block)
     if np.count_nonzero(l_cols[~in_block]):
         raise SteadyStateError("static generator maps weight out of the N_i == N_j block")
 

@@ -226,7 +226,7 @@ def transfer_probability(ops: CompositeOperators, transition: str, carrier_ghz: 
     """Closed-system population transfer k0 -> k1 for a lifted-Gaussian pulse,
     measured between zero-photon dressed states."""
     k0, k1 = _TRANSITIONS[transition]
-    _, v = ops.dressed(0.0)
+    _, v = ops.dressed
     psi0 = v[:, ops.dressed_index(k0)].astype(complex)
     target = v[:, ops.dressed_index(k1)]
     psi = _propagate_closed(ops, carrier_ghz, lifted_gaussian(amplitude, duration_ns),

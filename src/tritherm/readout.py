@@ -276,9 +276,14 @@ def _fields_of_any_length():
 
 
 def _quoted(label: str) -> str:
-    """``label`` quoted for an error message: whole up to 40 characters, else
-    its first 40 and its length, so that a long label keeps the message short."""
+    """A label or field quoted for an error message: whole up to 40 characters,
+    else its first 40 and its length, so that a long one keeps the message short."""
     return repr(label) if len(label) <= 40 else f"{label[:40]!r}... ({len(label)} characters)"
+
+
+def _quoted_fields(fields) -> str:
+    """A list of fields as its repr shows it, each field ``_quoted``."""
+    return f"[{', '.join(map(_quoted, fields))}]"
 
 
 def _raise_at(path, record: int, message: str) -> None:
@@ -309,7 +314,7 @@ def _raise_first_bad_row(path) -> None:
             if len(row) != 4:
                 raise ValueError(f"line {line}: expected 4 fields t_ns,I,Q,label, got {len(row)}")
             if not _are_numbers(row[:3]):
-                raise ValueError(f"line {line}: non-numeric value in {row[:3]}")
+                raise ValueError(f"line {line}: non-numeric value in {_quoted_fields(row[:3])}")
 
 
 def _has_blank_line(body: str) -> bool:
@@ -332,7 +337,7 @@ def _body(path) -> str:
             if header is None:
                 raise ValueError("empty file, expected the header t_ns,I,Q,label")
             if header != ["t_ns", "I", "Q", "label"]:
-                raise ValueError(f"line 1: unexpected trace header {header}")
+                raise ValueError(f"line 1: unexpected trace header {_quoted_fields(header)}")
         return fh.read()
 
 

@@ -19,10 +19,11 @@ root from e = 0 because each coefficient equation is convex in e.
 Transition frequencies enter as positive numbers; the signs live in the
 exponents above.
 
-One ``deming_fit`` call fits the nine difference pairs as rows of one
-(9, n) array, bootstrap included; a degenerate row raises naming its pair.
-``errorlab``'s repeated draws sample the pairs' moments through the
-difference matrices of ``_pair_matrices`` and take the same Deming rule.
+The nine difference pairs are the rows of the (9, 6) matrices ``_PAIR_D``
+and ``_PAIR_U``.  One ``deming_fit`` call fits the pair rows they make
+(``_pair_rows``), bootstrap included; a degenerate row raises naming its
+pair.  ``errorlab``'s repeated draws read the pairs' moments off a sampled
+scatter (``_pair_moments``) and take the same Deming rule.
 From the pair slopes on, the estimator and the repeated draws share one
 path: ``_aggregate`` for the coefficients, ``_checked_inverse`` for the
 temperatures.
@@ -85,6 +86,8 @@ class SequenceResponses:
                 raise ValueError(f"trace {name} is not on the shared time grid")
             if trace.label and trace.label != name:
                 raise ValueError(f"trace labeled {trace.label!r} in slot {name}")
+            if not (np.all(np.isfinite(trace.i_vals)) and np.all(np.isfinite(trace.q_vals))):
+                raise ValueError(f"trace {name} has a non-finite sample")
 
     def as_dict(self) -> Dict[str, IQTrace]:
         return {name: getattr(self, name) for name in _SLOTS}
@@ -148,10 +151,11 @@ DIFFERENCE_PAIRS = {
 }
 
 
-# the nine pairs in DIFFERENCE_PAIRS order: slot indices (num_a, num_b, den_a,
-# den_b), (coefficient, direction) tags, and the names error messages give them
-_PAIR_SLOTS = np.array([[_SLOTS.index(name) for name in num + den]
-                        for c in COEFFICIENTS for num, den, _ in DIFFERENCE_PAIRS[c]])
+# the nine pairs in DIFFERENCE_PAIRS order: U and D (9, 6), +1 and -1 at the slots of
+# each pair's numerator and denominator, tags, and the names error messages give them
+_PAIR_U, _PAIR_D = (
+    np.array([[(s == a) - (s == b) for s in _SLOTS] for a, b in diffs], dtype=float)
+    for diffs in zip(*(pair[:2] for c in COEFFICIENTS for pair in DIFFERENCE_PAIRS[c])))
 _PAIR_TAGS = tuple((c, direction) for c in COEFFICIENTS for _, _, direction in DIFFERENCE_PAIRS[c])
 _PAIR_NAMES = tuple(f"{c}/{d} pair ({na} - {nb} against {da} - {db})" for c in COEFFICIENTS
                     for (na, nb), (da, db), d in DIFFERENCE_PAIRS[c])
@@ -172,21 +176,22 @@ def _pair_rows(iq: np.ndarray, quadratures: str) -> Tuple[np.ndarray, np.ndarray
     traces stacked as (..., 6, 2, m) (SequenceResponses.iq order); the y row
     against the x row has the pair's coefficient as its slope."""
     points = _quadrature_points(iq, quadratures)
-    num_a, num_b, den_a, den_b = _PAIR_SLOTS.T
-    return (points[..., den_a, :] - points[..., den_b, :],
-            points[..., num_a, :] - points[..., num_b, :])
+    return _PAIR_D @ points, _PAIR_U @ points
 
 
-def _pair_matrices() -> Tuple[np.ndarray, np.ndarray]:
-    """(9, 6) matrices D and U, +1 and -1 at two slots per row, whose
-    products with six traces' fit points (..., 6, n) are the x and y rows
-    of ``_pair_rows``."""
-    d, u = np.zeros((2, len(_PAIR_SLOTS), len(_SLOTS)))
-    rows = np.arange(len(_PAIR_SLOTS))
-    num_a, num_b, den_a, den_b = _PAIR_SLOTS.T
-    d[rows, den_a], d[rows, den_b] = 1.0, -1.0
-    u[rows, num_a], u[rows, num_b] = 1.0, -1.0
-    return d, u
+def _pair_moments(scatter: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sxx, syy and sxy, each (r, 9), of the nine pairs from the scatters
+    (r, 6, 6) of six traces' fit points, in the scale of the scatters."""
+    return tuple(np.einsum("ki,rij,kj->rk", x, scatter, y)
+                 for x, y in ((_PAIR_D, _PAIR_D), (_PAIR_U, _PAIR_U), (_PAIR_D, _PAIR_U)))
+
+
+def _check_fit_inputs(delta: float, n_points: int) -> None:
+    """Raise ValueError unless 0 < delta < inf and a fit has 3 points or more."""
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"variance ratio delta must be finite and positive, got {delta}")
+    if n_points < 3:
+        raise ValueError("need at least 3 paired points")
 
 
 # resamples drawn and reduced per block: bounds the b x n index and count
@@ -236,13 +241,10 @@ def deming_slope(xs: np.ndarray, ys: np.ndarray, delta: float = 1.0) -> Tuple[fl
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if delta <= 0.0:
-        raise ValueError("variance ratio delta must be positive")
     if xs.shape != ys.shape:
         sizes = " and ".join("x".join(map(str, v.shape)) for v in (xs, ys))
         raise ValueError(f"x and y differ in length: {sizes} points")
-    if xs.ndim == 0 or xs.shape[-1] < 3:
-        raise ValueError("need at least 3 paired points")
+    _check_fit_inputs(delta, xs.shape[-1] if xs.ndim else 0)
     single_x, single_y = _single_valued(xs), _single_valued(ys)
     xb, yb, sxx, syy, sxy = _row_moments(xs, ys)
     slope, degenerate = _deming_rule(sxx, syy, sxy, single_x | single_y, delta)
@@ -308,6 +310,8 @@ def deming_fit(xs, ys, variance_ratio_delta: float = 1.0,
     row keeping none, or fewer than ``n_bootstrap // 2``, raises
     DegenerateDataError naming the first such row in a stack.
     """
+    if n_bootstrap < 0:
+        raise ValueError(f"n_bootstrap must be non-negative, got {n_bootstrap}")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     slope, intercept = deming_slope(xs, ys, variance_ratio_delta)

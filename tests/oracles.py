@@ -240,6 +240,11 @@ def _quoted(label):
     return repr(label) if len(label) <= 40 else f"{label[:40]!r}... ({len(label)} characters)"
 
 
+def _quoted_fields(fields):
+    """A list of fields as its repr shows it, each field ``_quoted``."""
+    return f"[{', '.join(map(_quoted, fields))}]"
+
+
 def _csv_record_lines(path) -> list:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -254,7 +259,7 @@ def _csv_raise_first_bad_row(path, rows) -> None:
         try:
             [float(v) for v in row[:3]]
         except ValueError:
-            raise ValueError(f"line {line}: non-numeric value in {row[:3]}") from None
+            raise ValueError(f"line {line}: non-numeric value in {_quoted_fields(row[:3])}") from None
 
 
 def read_trace_csv_csv_module(path):
@@ -265,9 +270,9 @@ def read_trace_csv_csv_module(path):
     comparison dropped trailing NULs and so merged the traces of ``a`` and
     ``a\\x00``; and the header must be exactly the four names, where the
     original took any header starting with them (``t_ns,I,Q,label,extra``)
-    and then rejected every row carrying the fifth field.  Labels longer than
-    40 characters are quoted in messages by their first 40 and their length,
-    as the reader quotes them."""
+    and then rejected every row carrying the fifth field.  Labels, header
+    names and sample fields longer than 40 characters are quoted in messages
+    by their first 40 and their length, as the reader quotes them."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -275,7 +280,7 @@ def read_trace_csv_csv_module(path):
             if header is None:
                 raise ValueError("empty file, expected the header t_ns,I,Q,label")
             if header != ["t_ns", "I", "Q", "label"]:
-                raise ValueError(f"line 1: unexpected trace header {header}")
+                raise ValueError(f"line 1: unexpected trace header {_quoted_fields(header)}")
             rows = list(reader)
         if set(map(len, rows)) - {4}:
             _csv_raise_first_bad_row(path, rows)

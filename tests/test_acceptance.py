@@ -40,7 +40,7 @@ def dressed_populations(ops, rho):
     Gates are calibrated between dressed states, so the coupling-induced
     (g/Delta)^2 admixture that bare projectors pick up cancels here.
     """
-    _, v = ops.dressed(0.0)
+    _, v = ops.dressed
     p = np.zeros(3)
     for k in range(3):
         for n in range(ops.rspec.n_states):
@@ -156,7 +156,7 @@ def test_criterion_5_sequence_permutations(criterion, run_150, default_config,
         ops = dataclasses.replace(default_config.system, resonator=rspec)\
             .build_operators()
         liou = build_liouvillian(ops, DissipationSpec(0.0, 0.0, 150.0))
-        _, v = ops.dressed(0.0)
+        _, v = ops.dressed
         p0 = np.array([0.6, 0.3, 0.1])
         rho0 = np.zeros((ops.dim, ops.dim), dtype=complex)
         for k, w in enumerate(p0):

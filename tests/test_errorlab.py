@@ -225,8 +225,7 @@ def test_uniform_abscissa_attenuates_more():
 
 def test_report_validates_ci_bracket():
     with pytest.raises(ValueError):
-        MonteCarloReport(np.array([0.5]), np.array([0.5]), np.array([0.6]),
-                         np.array([0.7]), MonteCarloSpec(true_slope=0.5))
+        MonteCarloReport(np.array([0.5]), np.array([0.5]), np.array([0.6]), np.array([0.7]))
 
 
 def test_fitted_slope_outside_grid_raises(bias_report):
@@ -360,6 +359,19 @@ def test_repeated_draws_reject_noise_that_is_not_a_finite_std(sigma):
         with pytest.raises(ValueError, match="^noise_sigma must be finite and non-negative"):
             repeated_measurement_stats(responses, levels, n_runs=4, noise_sigma=sigma,
                                        clamp=clamp)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("estimator", [estimate_temperature, repeated_measurement_stats])
+def test_estimators_reject_a_non_finite_sample_naming_its_slot(estimator, bad):
+    # an inf once ran through the fits into "ci95 must contain the point value"
+    responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=60)
+    y2 = responses.y2
+    q_vals = y2.q_vals.copy()
+    q_vals[5] = bad
+    traces = responses.as_dict() | {"y2": IQTrace(y2.t_ns, y2.i_vals, q_vals, "y2")}
+    with pytest.raises(ValueError, match="^trace y2 has a non-finite sample$"):
+        estimator(SequenceResponses.from_dict(traces), levels)
 
 
 def test_repeated_draws_keep_the_estimator_guards(monkeypatch):

@@ -143,7 +143,7 @@ def test_calibrated_pi_transfers(calibrations):
 def test_double_pi_returns_ground(default_ops, calibrations):
     # pi_ge applied twice on |g> must come back with p_g >= 0.998 closed-system
     rep = calibrations["ge"]
-    _, v = default_ops.dressed(0.0)
+    _, v = default_ops.dressed
     psi = v[:, default_ops.dressed_index(0)].astype(complex)
     from tritherm.pulses import _propagate_closed
 
@@ -264,7 +264,7 @@ def test_closed_stepper_matches_slice_exponentials(default_ops, calibrations):
     amps = [env((k + 0.5) * dt) for k in range(n)]
     assert len(np.unique(amps)) < n
     hs = [ops.h_static(rep.carrier_ghz) + a * ops.drive_op for a in amps]
-    _, v = ops.dressed(0.0)
+    _, v = ops.dressed
     psi0 = v[:, ops.dressed_index(0)].astype(complex)
 
     psi = _propagate_closed(ops, rep.carrier_ghz, env, span, psi0, GATE_STEP_NS)

@@ -402,13 +402,22 @@ CRLF_ROWS = {k: row + "\r" for k, row in enumerate(_two_label_rows())}
     # short row after it is named
     ({4: "2,0.5,0.25," + "x" * 200_000, 7: "3,0.5"},
      "line 9: expected 4 fields t_ns,I,Q,label, got 2"),
+    # a field over 40 characters is quoted by its first 40 and its length,
+    # a sample value and a header name alike
+    ({4: "2," + "x" * 100_000 + ",0.25,a"},
+     "line 6: non-numeric value in ['2', '" + "x" * 40 + "'... (100000 characters), '0.25']"),
+    ({"header": "t_ns,I,Q," + "y" * 100_000},
+     "line 1: unexpected trace header ['t_ns', 'I', 'Q', '" + "y" * 40
+     + "'... (100000 characters)]"),
 ])
 def test_read_trace_csv_names_the_offending_line(tmp_path, edit, message):
     rows = _two_label_rows()
+    edit = dict(edit)
+    header = edit.pop("header", "t_ns,I,Q,label")
     for k, row in edit.items():
         rows[k] = row
     path = tmp_path / "traces.csv"
-    path.write_text("t_ns,I,Q,label\n" + "".join(row + "\n" for row in rows))
+    path.write_text(header + "\n" + "".join(row + "\n" for row in rows))
     with pytest.raises(ValueError) as err:
         read_trace_csv(path)
     assert str(err.value) == f"{path}: {message}"

@@ -31,7 +31,7 @@ from tritherm.thermometry import (
     _aggregate,
     _deming_rule,
     _invert_coefficient,
-    _pair_matrices,
+    _pair_moments,
     _pair_rows,
     _quadrature_points,
     _row_moments,
@@ -298,8 +298,20 @@ def test_deming_rejects_degenerate_data():
         deming_fit(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="differ in length: 5 and 4"):
         deming_slope(np.arange(5.0), np.arange(4.0))
-    with pytest.raises(ValueError):
-        deming_fit(np.arange(5.0), np.arange(5.0), variance_ratio_delta=0.0)
+    # an infinite or NaN delta once gave a NaN slope without a word
+    for delta in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="^variance ratio delta must be finite and positive"):
+            deming_fit(np.arange(5.0), np.arange(5.0), variance_ratio_delta=delta)
+
+
+def test_negative_bootstrap_count_raises():
+    # it once gave a zero-width CI, as n_bootstrap 0 does
+    x = np.linspace(0.0, 1.0, 20)
+    with pytest.raises(ValueError, match="^n_bootstrap must be non-negative, got -5$"):
+        deming_fit(x, 0.5 * x + 0.01 * np.sin(7 * x), n_bootstrap=-5)
+    responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=60)
+    with pytest.raises(ValueError, match="^n_bootstrap must be non-negative, got -5$"):
+        estimate_temperature(responses, levels, n_bootstrap=-5)
 
 
 def test_deming_rejects_single_valued_series():
@@ -539,18 +551,29 @@ def test_nine_difference_pairs_structure():
                 np.testing.assert_array_equal(rows, expected.reshape(rows.shape))
 
 
+def test_pair_matrices_hold_the_slots_of_the_difference_pairs():
+    # U and D: +1 and -1 at the numerator and denominator slots of each pair
+    slots = list(_noisy_responses(3, seed)[0].as_dict())
+    pairs = [pair for c in COEFFICIENTS for pair in DIFFERENCE_PAIRS[c]]
+    for matrix, k in ((thermometry._PAIR_U, 0), (thermometry._PAIR_D, 1)):
+        want = np.zeros((9, 6))
+        for row, pair in enumerate(pairs):
+            a, b = pair[k]
+            want[row, slots.index(a)], want[row, slots.index(b)] = 1.0, -1.0
+        np.testing.assert_array_equal(matrix, want)
+
+
 @pytest.mark.parametrize("quadratures", ["IQ", "I"])
-def test_pair_matrices_give_the_pair_rows(quadratures):
-    # the sampled repeated draws reach the pairs through D and U: the same
-    # rows, in the same order and sign, bit for bit
-    d, u = _pair_matrices()
-    assert d.shape == u.shape == (9, 6)
-    for iq in (_noisy_responses(40, seed + 13)[0].iq(),
-               np.stack([_noisy_responses(30, seed + 14 + k)[0].iq() for k in range(3)])):
-        points = _quadrature_points(iq, quadratures)
-        xs, ys = _pair_rows(iq, quadratures)
-        np.testing.assert_array_equal(d @ points, xs)
-        np.testing.assert_array_equal(u @ points, ys)
+def test_pair_moments_of_a_scatter_are_the_pair_rows_moments(quadratures):
+    # the repeated draws read the pairs' moments off the six traces' scatter
+    iq = _noisy_responses(40, seed + 13)[0].iq()
+    points = _quadrature_points(iq, quadratures)
+    xc = points - points.mean(axis=-1, keepdims=True)
+    scatter = (xc @ xc.T / points.shape[-1])[None]
+    _, _, *want = _row_moments(*_pair_rows(iq, quadratures))
+    for got, ref in zip(_pair_moments(scatter), want):
+        assert got.shape == (1, 9)
+        np.testing.assert_allclose(got[0], ref, rtol=1e-12, atol=0.0)
 
 
 # (x, y, the DegenerateDataError cause, or None for a series that fits)
