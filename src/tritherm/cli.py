@@ -31,7 +31,8 @@ from .errorlab import (
 from .hilbert import LevelEnergies, diagonalize_transmon
 from .pipeline import calibrate_transitions, estimate, run_protocol, windowed_sequences
 from .pulses import SEQUENCE_LABELS
-from .readout import ReadoutConfig, read_trace_csv, write_trace_csv
+# simulate writes through write_trace_files; perfbench hooks write_trace_csv here
+from .readout import ReadoutConfig, read_trace_csv, write_trace_csv, write_trace_files
 from .thermometry import EstimateReport
 
 OUTPUT_ENV_VAR = "TRITHERM_OUTPUT_DIR"
@@ -182,9 +183,9 @@ def cmd_simulate(args) -> int:
     out = _resolve_output_dir(args, config)
     result = run_protocol(config, noiseless=args.noiseless)
     _write_json(out / "config.json", config.as_dict())
-    for label in SEQUENCE_LABELS:
-        write_trace_csv(out / f"{label}.csv", [result.traces[label]])
-    write_trace_csv(out / "basis.csv", list(result.basis_traces.values()))
+    files = {out / f"{label}.csv": [result.traces[label]] for label in SEQUENCE_LABELS}
+    files[out / "basis.csv"] = list(result.basis_traces.values())
+    write_trace_files(files)
     _write_json(out / "calibration.json",
                 {t: r.as_dict() for t, r in result.calibrations.items()})
     _write_json(out / "populations.json", {

@@ -10,22 +10,27 @@ several orders of magnitude in gate fidelity.
 
 Pulses are calibrated by emulating a Rabi experiment at fixed duration on
 the closed (dissipation-free) system: dressed-state population transfer is
-maximized jointly over amplitude and carrier by Newton steps on
-finite-difference gradients and Hessians, started from the analytic pi-area
-amplitude at the dressed transition frequency.  That seed already sits in
-the quadratic basin of the peak, so an amplitude scan would only spend
-evaluations, and a joint step reaches the peak that one-axis-at-a-time line
-searches stop short of.
+maximized jointly over amplitude and carrier by Newton steps, started from
+the analytic pi-area amplitude at the dressed transition frequency.  That
+seed already sits in the quadratic basin of the peak, so an amplitude scan
+would only spend evaluations, and a joint step reaches the peak that
+one-axis-at-a-time line searches stop short of.  The gradient is exact
+(``transfer_gradient``): each slice's eigendecomposition, which the
+propagation needs anyway, gives the derivative of its exponential through
+first divided differences of the eigenvalue phases (Daleckii-Krein, as in
+GRAPE: de Fouquieres, Schirmer, Glaser & Kuprov, J. Magn. Reson. 212, 412
+(2011)), one forward and one adjoint pass apply it, and the Hessian is a
+difference of two exact gradients.
 
 Calibration, gates and readout share one stepper.  A span is cut into
 slices of about the stage's step (below); each slice's unitary
 exp(-i 2 pi H_k dt) is exact for the Hamiltonian at the slice midpoint and
 comes from one batched ``eigh`` over the distinct slice amplitudes.  The
 closed calibration applies each slice to a statevector in its eigenbasis;
-the dissipative gates form the unitaries and interleave them with the
-dissipator's exponential in a Strang splitting (Strang, SIAM J. Numer.
-Anal. 5, 1968), second order in the slice length, and ``readout`` runs the
-transpose of the same slices on its adjoint row.  The dissipator's
+the dissipative gates form the distinct unitaries once per pulse and
+interleave them with the dissipator's exponential in a Strang splitting
+(Strang, SIAM J. Numer. Anal. 5, 1968), second order in the slice length,
+and ``readout`` runs the transpose of the same slices on its adjoint row.  The dissipator's
 exponential is applied as its transmon and resonator factors
 (``dissipate``): two small real matmuls on reshaped views of rho instead of
 one product with a dim^2 x dim^2 matrix.
@@ -61,7 +66,8 @@ EDGE = np.exp(-2.0)  # envelope value of the bare Gaussian at +-2 sigma
 CALIBRATION_STEP_NS = 1.0  # slice length of the closed Rabi calibration
 GATE_STEP_NS = 0.25  # slice length of the dissipative gates
 READOUT_STEP_NS = 0.5  # substep of each readout sample
-_NEWTON_STENCILS = (1e-3, 1e-4, 1e-5)  # one calibration Newton step per stencil
+_HESSIAN_STEP = 1e-4  # forward-difference step of the calibration Hessian, in x
+_NEWTON_STEPS = 3  # calibration Newton steps, all on the Hessian at the seed
 
 
 class CalibrationError(RuntimeError):
@@ -133,8 +139,8 @@ def _slice_eigenbases(ops: CompositeOperators, frame_ghz: float, envelope_fn,
 
     One batched ``eigh`` runs on the distinct amplitudes only (the lifted
     Gaussian is symmetric on the grid, guard slices carry no drive): returns
-    their phases exp(-i 2 pi w dt) and eigenvectors, each slice's index into
-    them, and the slice length."""
+    their phases exp(-i 2 pi w dt), eigenvalues w and eigenvectors, each
+    slice's index into them, and the slice length."""
     if not (span_ns > 0 and dt_ns > 0):
         raise ValueError("span_ns and dt_ns must be positive")
     n = int(np.ceil(span_ns / dt_ns))
@@ -142,21 +148,22 @@ def _slice_eigenbases(ops: CompositeOperators, frame_ghz: float, envelope_fn,
     amps, idx = np.unique([envelope_fn((k + 0.5) * dt) for k in range(n)],
                           return_inverse=True)
     w, v = np.linalg.eigh(ops.h_static(frame_ghz) + amps[:, None, None] * ops.drive_op)
-    return np.exp(-1j * TWO_PI * dt * w), v, idx, dt
+    return np.exp(-1j * TWO_PI * dt * w), w, v, idx, dt
 
 
 def _slice_unitaries(ops: CompositeOperators, frame_ghz: float, envelope_fn,
-                     span_ns: float, dt_ns: float) -> Tuple[np.ndarray, float]:
-    """The (n, dim, dim) stack of slice unitaries exp(-i 2 pi H_k dt), and dt."""
-    ph, v, idx, dt = _slice_eigenbases(ops, frame_ghz, envelope_fn, span_ns, dt_ns)
-    return ((v * ph[:, None, :]) @ np.swapaxes(v.conj(), 1, 2))[idx], dt
+                     span_ns: float, dt_ns: float) -> Tuple[np.ndarray, np.ndarray, float]:
+    """The distinct slice unitaries exp(-i 2 pi H dt), (m, dim, dim), each
+    slice's index into them, and dt."""
+    ph, _, v, idx, dt = _slice_eigenbases(ops, frame_ghz, envelope_fn, span_ns, dt_ns)
+    return (v * ph[:, None, :]) @ np.swapaxes(v.conj(), 1, 2), idx, dt
 
 
 def _propagate_closed(ops: CompositeOperators, frame_ghz: float, envelope_fn,
                       duration_ns: float, psi0: np.ndarray, dt_ns: float) -> np.ndarray:
     """Statevector propagation, each slice applied in its eigenbasis as
     V_k (exp(-i 2 pi w_k dt) * V_k+ psi), with no dense unitary formed."""
-    ph, v, idx, _ = _slice_eigenbases(ops, frame_ghz, envelope_fn, duration_ns, dt_ns)
+    ph, _, v, idx, _ = _slice_eigenbases(ops, frame_ghz, envelope_fn, duration_ns, dt_ns)
     vc = v.conj()
     psi = psi0
     for j in idx:
@@ -201,8 +208,9 @@ def strang_step(v: np.ndarray, us, half, full) -> np.ndarray:
 
 
 def _propagate_open(liou: Liouvillian, frame_ghz: float, envelope_fn, span_ns: float,
-                    rho0: np.ndarray, dt_ns: float) -> np.ndarray:
-    """Master-equation propagation over a span by ``strang_step``.
+                    rho0: np.ndarray, dt_ns: float, slices=None) -> np.ndarray:
+    """Master-equation propagation over a span by ``strang_step``.  ``slices``
+    is the span's ``_slice_unitaries`` when the caller already holds them.
 
     Every factor is completely positive and trace preserving, so the end state
     must be a density matrix (trace 1e-8, hermiticity 1e-10, eigenvalues
@@ -211,8 +219,9 @@ def _propagate_open(liou: Liouvillian, frame_ghz: float, envelope_fn, span_ns: f
     dim = liou.ops.dim
     if rho0.shape != (dim, dim):
         raise ValueError(f"rho0 must be {dim}x{dim}")
-    us, dt = _slice_unitaries(liou.ops, frame_ghz, envelope_fn, span_ns, dt_ns)
-    rho = strang_step(rho0.reshape(-1), us, *liou.dissipator_step(dt)).reshape(dim, dim)
+    us, idx, dt = slices or _slice_unitaries(liou.ops, frame_ghz, envelope_fn, span_ns, dt_ns)
+    rho = strang_step(rho0.reshape(-1), [us[j] for j in idx],
+                      *liou.dissipator_step(dt)).reshape(dim, dim)
     try:
         validate_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-8, eig_tol=-1e-8)
     except ValueError as exc:
@@ -232,6 +241,60 @@ def transfer_probability(ops: CompositeOperators, transition: str, carrier_ghz: 
     psi = _propagate_closed(ops, carrier_ghz, lifted_gaussian(amplitude, duration_ns),
                             duration_ns, psi0, dt_ns)
     return float(np.abs(target.conj() @ psi) ** 2)
+
+
+def transfer_gradient(ops: CompositeOperators, transition: str, carrier_ghz: float,
+                      amplitude: float, duration_ns: float,
+                      dt_ns: float = CALIBRATION_STEP_NS) -> Tuple[float, np.ndarray]:
+    """The transfer of ``transfer_probability`` and its exact gradient in
+    (amplitude, carrier_ghz).
+
+    With c = <target| U_n ... U_1 |psi0> and F = |c|^2, dF = 2 Re(c* dc) and
+    dc = sum_k <lam_k| dU_k |psi_k-1>: one forward pass gives the states
+    psi_k, one adjoint pass lam_k = U_k+1^+ ... U_n^+ |target>.  In slice k's
+    eigenbasis V, dU_k = V (G o V+ dH_k V) V+ (o elementwise), where G holds
+    the first divided differences of exp(-i 2 pi dt w) over the slice's
+    eigenvalues, G_mn = -i 2 pi dt h_m h_n sinc(dt (w_m - w_n)) with
+    h = exp(-i pi dt w), a form that stays exact where eigenvalues (nearly)
+    coincide; the phases h move onto the two state vectors.  The slice
+    derivatives are dH_k/d amplitude = e_k W, e_k the unit envelope, and
+    dH_k/d carrier = -N, the frame generator of ``h_static``; both are real,
+    as the eigenvectors are, so sinc o V+ dH V is a real product per
+    distinct slice.
+    """
+    k0, k1 = _TRANSITIONS[transition]
+    _, vd = ops.dressed
+    psi = vd[:, ops.dressed_index(k0)].astype(complex)
+    target = vd[:, ops.dressed_index(k1)]
+    ph, w, v, idx, dt = _slice_eigenbases(ops, carrier_ghz,
+                                          lifted_gaussian(amplitude, duration_ns),
+                                          duration_ns, dt_ns)
+    unit = lifted_gaussian(1.0, duration_ns)
+    env = np.empty(len(w))
+    env[idx] = [unit((k + 0.5) * dt) for k in range(len(idx))]
+    x = np.pi * dt * (w[:, :, None] - w[:, None, :])
+    sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
+    vt = np.swapaxes(v, 1, 2)
+    # sinc o V+ dH V per distinct slice for both parameters, (m, 2, dim, dim)
+    dh = sinc[:, None] * np.stack([env[:, None, None] * (vt @ ops.drive_op @ v),
+                                   -(vt * ops.frame_gen_vec) @ v], axis=1)
+    v = v.astype(complex)  # each product with a state would cast it again
+    fwd = np.empty((len(idx), ops.dim), dtype=complex)  # V_k+ psi_k-1
+    for k, j in enumerate(idx):
+        fwd[k] = psi @ v[j]
+        psi = v[j] @ (ph[j] * fwd[k])
+    c = target.conj() @ psi
+    bwd = np.empty_like(fwd)  # V_k+ lam_k
+    lam = target.astype(complex)
+    for k in range(len(idx) - 1, -1, -1):
+        bwd[k] = lam @ v[idx[k]]
+        lam = v[idx[k]] @ (ph[idx[k]].conj() * bwd[k])
+    half = np.exp(-1j * np.pi * dt * w)[idx]
+    left = half * bwd.conj()
+    left = np.stack([left.real, left.imag], axis=1)[:, None] @ dh[idx]  # real products
+    dc = (-1j * TWO_PI * dt) * np.einsum("kan,kn->a", left[:, :, 0] + 1j * left[:, :, 1],
+                                         half * fwd)
+    return float(np.abs(c) ** 2), 2.0 * (c.conj() * dc).real
 
 
 @dataclass(frozen=True)
@@ -271,19 +334,23 @@ def run_rabi_calibration(ops: CompositeOperators, transition: str, duration_ns: 
     40-200 ns the peak lies within 7.2e-4 of the seed in amplitude and
     0.6 MHz in carrier, inside the quadratic basin, so Newton steps converge
     from there directly and an amplitude scan would only spend evaluations.
-    Each of the ``_NEWTON_STENCILS`` steps fits a finite-difference gradient
-    and Hessian from six transfers (centre, +-h on each axis, one corner) at
-    the slice length ``dt_ns``: 18 evaluations, plus one for the reported
-    transfer, which is taken at ``GATE_STEP_NS`` because the gates run the
-    pulse at that step.  The stencils shrink as the iterate nears the peak;
-    at the last, 1e-5, rounding puts only ~eps/h^2 = 1e-6 relative error
-    into the Hessian, and the step lands within the ~sqrt(eps) to which
-    double precision resolves the argument of a quadratic maximum.
+    Gradients are exact (``transfer_gradient`` at the slice length
+    ``dt_ns``).  The Hessian is the symmetrised forward difference of the
+    gradient at the seed over ``_HESSIAN_STEP``, and all ``_NEWTON_STEPS``
+    steps reuse it: five gradient evaluations in all.  A Hessian off by a
+    relative e shrinks the distance to the peak by a factor of about e per
+    step, and e is the change of the Hessian between the seed and the peak
+    (the difference step adds ~1e-4).  On the shipped configs at 40-200 ns
+    a fourth step would move x by at most 3e-9 in amplitude and 6e-8 MHz
+    in carrier, near the ~sqrt(eps) to which double precision resolves the
+    argument of a quadratic maximum.  The reported transfer is
+    ``transfer_probability`` at ``GATE_STEP_NS``, because the gates run the
+    pulse at that step.
 
-    Raises ``CalibrationError`` when a Hessian is not negative definite (the
-    seed is not in the basin of a maximum), when the end point leaves the
-    domain 0.3-2.0 amp0, +-2 MHz, or when the reported transfer is below
-    0.999.
+    Raises ``CalibrationError`` when the Hessian at the seed is not negative
+    definite (the seed is not in the basin of a maximum), when the end point
+    leaves the domain 0.3-2.0 amp0, +-2 MHz, or when the reported transfer
+    is below 0.999.
     """
     if transition not in _TRANSITIONS:
         raise ValueError(f"transition must be 'ge' or 'ef', got {transition!r}")
@@ -301,32 +368,33 @@ def run_rabi_calibration(ops: CompositeOperators, transition: str, duration_ns: 
     n_me = abs(ops.nmat[k0, k1])
     amp0 = 0.25 / (n_me * _lifted_gauss_area(duration_ns))
 
-    def transfer(x, step=dt_ns):
-        return transfer_probability(ops, transition, carrier0 + 1e-3 * x[1], x[0] * amp0,
-                                    duration_ns, step)
+    def gradient(x):
+        _, grad = transfer_gradient(ops, transition, carrier0 + 1e-3 * x[1], x[0] * amp0,
+                                    duration_ns, dt_ns)
+        return grad * (amp0, 1e-3)
 
     x = np.array([1.0, 0.0])
-    for h in _NEWTON_STENCILS:
-        f0 = transfer(x)
-        fp = np.array([transfer(x + h * e) for e in np.eye(2)])
-        fm = np.array([transfer(x - h * e) for e in np.eye(2)])
-        hess = np.diag(fp - 2 * f0 + fm) / h**2
-        # forward cross difference from the (+h, +h) corner
-        hess[0, 1] = hess[1, 0] = (transfer(x + h) - fp[0] - fp[1] + f0) / h**2
-        if not (hess[0, 0] < 0 and np.linalg.det(hess) > 0):
-            raise CalibrationError(
-                f"pi_{transition}: transfer Hessian not negative definite at "
-                f"amplitude {x[0]:.6f} amp0, carrier offset {x[1]:+.6f} MHz "
-                f"(duration {duration_ns} ns); the analytic seed is not near a maximum"
-            )
-        x = x - np.linalg.solve(hess, (fp - fm) / (2 * h))
+    grad = gradient(x)
+    hess = np.array([gradient(x + _HESSIAN_STEP * e) - grad for e in np.eye(2)]) / _HESSIAN_STEP
+    hess = 0.5 * (hess + hess.T)
+    if not (hess[0, 0] < 0 and np.linalg.det(hess) > 0):
+        raise CalibrationError(
+            f"pi_{transition}: transfer Hessian not negative definite at "
+            f"amplitude {x[0]:.6f} amp0, carrier offset {x[1]:+.6f} MHz "
+            f"(duration {duration_ns} ns); the analytic seed is not near a maximum"
+        )
+    for step in range(_NEWTON_STEPS):
+        if step:
+            grad = gradient(x)
+        x = x - np.linalg.solve(hess, grad)
     if not (0.3 <= x[0] <= 2.0 and abs(x[1]) <= 2.0):
         raise CalibrationError(
             f"pi_{transition}: search ended at amplitude {x[0]:.6f} amp0, carrier "
             f"offset {x[1]:+.6f} MHz, outside 0.3-2.0 amp0 and +-2 MHz "
             f"(duration {duration_ns} ns)"
         )
-    best = transfer(x, GATE_STEP_NS)
+    best = transfer_probability(ops, transition, carrier0 + 1e-3 * x[1], x[0] * amp0,
+                                duration_ns, GATE_STEP_NS)
     if best < 0.999:
         raise CalibrationError(
             f"pi_{transition} transfer {best:.6f} < 0.999 at duration {duration_ns} ns, "
@@ -346,17 +414,26 @@ def change_frame(vec_rho: np.ndarray, ops: CompositeOperators, from_ghz: float,
     return vec_rho * (ph[:, None] * ph.conj()[None, :]).reshape(-1)
 
 
+def _gate_slices(pulse: CalibrationReport, liou: Liouvillian, gap_ns: float):
+    """The ``_slice_unitaries`` of one gate: ``pulse`` plus ``gap_ns`` of free
+    evolution at ``GATE_STEP_NS`` in the pulse's carrier frame."""
+    return _slice_unitaries(liou.ops, pulse.carrier_ghz, pulse.envelope(),
+                            pulse.duration_ns + gap_ns, GATE_STEP_NS)
+
+
 def _apply_gate(state: Tuple[np.ndarray, float, float], pulse: CalibrationReport,
-                liou: Liouvillian, gap_ns: float) -> Tuple[np.ndarray, float, float]:
+                liou: Liouvillian, gap_ns: float, slices=None) -> Tuple[np.ndarray, float, float]:
     """One gate on ``(rho, elapsed_ns, frame_ghz)``: change to the pulse's
     carrier frame at the elapsed time, then propagate over the pulse plus
-    ``gap_ns`` of free evolution."""
+    ``gap_ns`` of free evolution.  ``slices`` are the gate's
+    ``_gate_slices``, built here when not given."""
     rho, t_abs, frame = state
     ops = liou.ops
     v = change_frame(rho.reshape(-1), ops, frame, pulse.carrier_ghz, t_abs)
     span = pulse.duration_ns + gap_ns
     rho = _propagate_open(liou, pulse.carrier_ghz, pulse.envelope(), span,
-                          v.reshape(ops.dim, ops.dim), GATE_STEP_NS)
+                          v.reshape(ops.dim, ops.dim), GATE_STEP_NS,
+                          slices or _gate_slices(pulse, liou, gap_ns))
     return rho, t_abs + span, pulse.carrier_ghz
 
 
@@ -377,15 +454,20 @@ def prepare_sequences(
     each sequence on its own.  Each gate is one ``_propagate_open`` call over
     its pulse plus a ``gap_ns`` guard, in the gate's own carrier frame; frame
     changes are the diagonal phases of ``change_frame`` evaluated at the
-    elapsed time.  Returns ``{label: (rho, elapsed_ns, frame_ghz)}`` with each
+    elapsed time.  A pulse's slice unitaries are built once per call and
+    serve every gate that plays it, so the five gates diagonalize two
+    pulses.  Returns ``{label: (rho, elapsed_ns, frame_ghz)}`` with each
     state still expressed in its last gate's frame (bare frame for x0).
     """
     done = {(): (rho_ss.astype(complex), 0.0, 0.0)}
+    slices = {}
     out = {}
     for seq in seqs:
         for n, gate in enumerate(seq.gates, start=1):
             if seq.gates[:n] not in done:
-                done[seq.gates[:n]] = _apply_gate(done[seq.gates[:n - 1]],
-                                                  calibrations[gate], liou, gap_ns)
+                if gate not in slices:
+                    slices[gate] = _gate_slices(calibrations[gate], liou, gap_ns)
+                done[seq.gates[:n]] = _apply_gate(done[seq.gates[:n - 1]], calibrations[gate],
+                                                  liou, gap_ns, slices[gate])
         out[seq.label] = done[seq.gates]
     return out

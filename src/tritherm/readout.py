@@ -24,7 +24,7 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -233,21 +233,26 @@ def write_trace_csv(path, traces: Sequence[IQTrace]) -> None:
     digits, t_ns with the shortest digits that read back exactly, so that the
     sample spacing ``read_trace_csv`` checks survives the round trip.  The
     bytes are those of ``csv.writer``: CRLF line ends, labels quoted as it
-    quotes them.
+    quotes them."""
+    write_trace_files({path: traces})
 
-    The traces of a run share one time grid, so each distinct grid is
-    formatted once; the file is built as one string and written at once."""
+
+def write_trace_files(files: Mapping[object, Sequence[IQTrace]]) -> None:
+    """``write_trace_csv`` for each path and its traces.  The traces of a run
+    share one time grid, so each distinct grid is formatted once for all the
+    files; each file is built as one string and written at once."""
     grids = {}
-    parts = [_TRACE_HEADER + "\r\n"]
-    for tr in traces:
-        key = (tr.t_ns.dtype.str, tr.t_ns.tobytes())
-        if key not in grids:
-            grids[key] = [np.format_float_positional(t, trim="-") for t in tr.t_ns]
-        end = f",{_csv_field(tr.label)}\r\n"
-        parts += [f"{t},{i:.12g},{q:.12g}{end}" for t, i, q in
-                  zip(grids[key], tr.i_vals.tolist(), tr.q_vals.tolist())]
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(parts))
+    for path, traces in files.items():
+        parts = [_TRACE_HEADER + "\r\n"]
+        for tr in traces:
+            key = (tr.t_ns.dtype.str, tr.t_ns.tobytes())
+            if key not in grids:
+                grids[key] = [np.format_float_positional(t, trim="-") for t in tr.t_ns]
+            end = f",{_csv_field(tr.label)}\r\n"
+            parts += [f"{t},{i:.12g},{q:.12g}{end}" for t, i, q in
+                      zip(grids[key], tr.i_vals.tolist(), tr.q_vals.tolist())]
+        with open(path, "w", newline="") as fh:
+            fh.write("".join(parts))
 
 
 def _records(path):

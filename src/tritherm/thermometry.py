@@ -310,6 +310,8 @@ def deming_fit(xs, ys, variance_ratio_delta: float = 1.0,
     row keeping none, or fewer than ``n_bootstrap // 2``, raises
     DegenerateDataError naming the first such row in a stack.
     """
+    if isinstance(n_bootstrap, bool) or not isinstance(n_bootstrap, (int, np.integer)):
+        raise ValueError(f"n_bootstrap must be a non-negative integer, got {n_bootstrap!r}")
     if n_bootstrap < 0:
         raise ValueError(f"n_bootstrap must be non-negative, got {n_bootstrap}")
     xs = np.asarray(xs, dtype=float)

@@ -1,5 +1,7 @@
 import numpy as np
 
+from tritherm import pipeline
+
 from oracles import apply_sequence_ideal
 from tritherm.hilbert import thermal_populations
 from tritherm.pipeline import estimate
@@ -103,3 +105,21 @@ def test_seed_controls_noise_only(temperature_runs, run_150):
             repeat.responses.as_dict()[lab].i_vals,
             run_150.responses.as_dict()[lab].i_vals,
         )
+
+
+def test_repeated_runs_do_the_same_eigendecompositions(default_config, monkeypatch):
+    # nothing a run builds outlives it: a second run diagonalizes the same
+    # matrices as the first
+    shapes = []
+
+    def counted(a, *args, _inner=np.linalg.eigh, **kwargs):
+        shapes.append(np.shape(a))
+        return _inner(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    work = []
+    for _ in range(2):
+        shapes.clear()
+        pipeline.run_protocol(default_config, noiseless=True)
+        work.append(list(shapes))
+    assert work[0] == work[1] and len(work[0]) > 0

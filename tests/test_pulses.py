@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import expm, expm_frechet
 
 from oracles import apply_sequence_ideal
 from superops import static_super, unit_superoperator
@@ -33,6 +33,7 @@ from tritherm.pulses import (
     lifted_gaussian,
     prepare_sequences,
     run_rabi_calibration,
+    transfer_gradient,
     transfer_probability,
 )
 
@@ -166,21 +167,69 @@ def test_transfer_probability_off_resonance(default_ops, calibrations):
 
 
 def test_calibration_evaluation_budget(default_config, default_ops, monkeypatch):
-    # three Newton steps of six transfers each at the calibration step plus
-    # the reported transfer at the gate step: 19 per transition
+    # five exact gradients at the calibration step (the seed, two for the
+    # Hessian, two more Newton steps) plus the reported transfer at the gate
+    # step per transition
     calls = []
 
-    def counted(ops, transition, carrier, amp, duration_ns, dt_ns):
-        calls.append((transition, dt_ns))
+    def counted_gradient(ops, transition, carrier, amp, duration_ns, dt_ns):
+        calls.append(("gradient", transition, dt_ns))
+        return transfer_gradient(ops, transition, carrier, amp, duration_ns, dt_ns)
+
+    def counted_transfer(ops, transition, carrier, amp, duration_ns, dt_ns):
+        calls.append(("transfer", transition, dt_ns))
         return transfer_probability(ops, transition, carrier, amp, duration_ns, dt_ns)
 
-    monkeypatch.setattr(pulses_mod, "transfer_probability", counted)
+    monkeypatch.setattr(pulses_mod, "transfer_gradient", counted_gradient)
+    monkeypatch.setattr(pulses_mod, "transfer_probability", counted_transfer)
     for transition in ("ge", "ef"):
         run_rabi_calibration(default_ops, transition,
                              default_config.protocol.pulse_duration_ns)
-        assert calls.count((transition, CALIBRATION_STEP_NS)) == 18
-        assert calls.count((transition, GATE_STEP_NS)) == 1
-    assert len(calls) == 38
+        assert calls.count(("gradient", transition, CALIBRATION_STEP_NS)) == 5
+        assert calls.count(("transfer", transition, GATE_STEP_NS)) == 1
+    assert len(calls) == 12
+
+
+@pytest.mark.parametrize("transition", ["ge", "ef"])
+def test_transfer_gradient_matches_central_differences(default_config, default_ops,
+                                                       transition):
+    # on the calibration's coordinates x = (amplitude / amp0, carrier offset
+    # in MHz), at the analytic seed where the search starts and well off the
+    # peak; the value is transfer_probability's to the bit
+    ops = default_ops
+    duration = default_config.protocol.pulse_duration_ns
+    k0, k1 = {"ge": (0, 1), "ef": (1, 2)}[transition]
+    amp0 = 0.25 / (abs(ops.nmat[k0, k1]) * _lifted_gauss_area(duration))
+    carrier0 = ops.dressed_transition_ghz(k0, k1)
+
+    def transfer(x):
+        return transfer_probability(ops, transition, carrier0 + 1e-3 * x[1], amp0 * x[0],
+                                    duration)
+
+    h = 1e-4
+    for x in (np.array([1.0, 0.0]), np.array([0.9, 2.0])):
+        value, grad = transfer_gradient(ops, transition, carrier0 + 1e-3 * x[1],
+                                        amp0 * x[0], duration)
+        assert value == transfer(x)
+        central = [(transfer(x + h * e) - transfer(x - h * e)) / (2 * h) for e in np.eye(2)]
+        np.testing.assert_allclose(grad * (amp0, 1e-3), central, rtol=1e-6, atol=1e-10)
+
+
+def test_transfer_gradient_matches_the_frechet_derivative(small_ops):
+    # one slice spanning the whole pulse: the divided differences must give
+    # the Frechet derivative of the slice exponential, to rounding
+    ops = small_ops
+    carrier, amp, span = ops.dressed_transition_ghz(0, 1) + 3e-3, 4e-3, 40.0
+    _, v = ops.dressed
+    psi0, target = v[:, ops.dressed_index(0)], v[:, ops.dressed_index(1)]
+    a = -1j * TWO_PI * span * (ops.h_static(carrier) + amp * ops.drive_op)
+    value, grad = transfer_gradient(ops, "ge", carrier, amp, span, dt_ns=span)
+    c = target @ expm(a) @ psi0
+    assert abs(value - abs(c) ** 2) < 1e-12
+    for got, dh in zip(grad, (ops.drive_op, -np.diag(ops.frame_gen_vec))):
+        _, du = expm_frechet(a, -1j * TWO_PI * span * dh)
+        want = 2.0 * (c.conj() * (target @ du @ psi0)).real
+        assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
 
 def test_calibration_is_a_true_maximum(default_ops, calibrations):
@@ -246,9 +295,10 @@ def test_calibration_rejects_a_peak_outside_the_domain(small_ops, monkeypatch):
     amp0 = 0.25 / (abs(small_ops.nmat[0, 1]) * _lifted_gauss_area(56.0))
 
     def quadratic(ops, transition, carrier, amp, duration_ns, dt_ns=CALIBRATION_STEP_NS):
-        return 1.0 - (amp / amp0 - 1.0) ** 2 - 0.01 * (1e3 * (carrier - carrier0) - 3.0) ** 2
+        da, dc = amp / amp0 - 1.0, 1e3 * (carrier - carrier0) - 3.0
+        return 1.0 - da ** 2 - 0.01 * dc ** 2, np.array([-2.0 * da / amp0, -20.0 * dc])
 
-    monkeypatch.setattr(pulses_mod, "transfer_probability", quadratic)
+    monkeypatch.setattr(pulses_mod, "transfer_gradient", quadratic)
     with pytest.raises(CalibrationError, match="outside"):
         run_rabi_calibration(small_ops, "ge", 56.0)
 
@@ -273,7 +323,9 @@ def test_closed_stepper_matches_slice_exponentials(default_ops, calibrations):
         ref = expm(-1j * TWO_PI * dt * h) @ ref
     assert np.max(np.abs(psi - ref)) < 1e-12
 
-    us, dt_u = _slice_unitaries(ops, rep.carrier_ghz, env, span, GATE_STEP_NS)
+    distinct, idx, dt_u = _slice_unitaries(ops, rep.carrier_ghz, env, span, GATE_STEP_NS)
+    assert len(distinct) == len(np.unique(amps))
+    us = distinct[idx]
     assert dt_u == dt and us.shape == (n, ops.dim, ops.dim)
     stacked = psi0
     for u in us:
@@ -409,3 +461,18 @@ def test_prefix_walk_matches_independent_sequences(gates_50mk, monkeypatch):
         assert np.array_equal(rho, want_rho)
         assert elapsed_ns == want_elapsed
         assert frame_ghz == want_frame
+
+
+def test_prepare_sequences_diagonalizes_each_pulse_once(gates_50mk, monkeypatch):
+    # the five gates play two pulses, so two eigh batches serve all of them
+    liou, rho_ss, pulses, gap = gates_50mk
+    calls = []
+
+    def counted(ops, frame_ghz, envelope_fn, span_ns, dt_ns, _inner=pulses_mod._slice_eigenbases):
+        calls.append((frame_ghz, span_ns, dt_ns))
+        return _inner(ops, frame_ghz, envelope_fn, span_ns, dt_ns)
+
+    monkeypatch.setattr(pulses_mod, "_slice_eigenbases", counted)
+    prepare_sequences(rho_ss, all_sequences(), liou, pulses, gap_ns=gap)
+    assert sorted(calls) == sorted((p.carrier_ghz, p.duration_ns + gap, GATE_STEP_NS)
+                                   for p in pulses.values())

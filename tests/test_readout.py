@@ -24,6 +24,7 @@ from tritherm.readout import (
     synthesize_traces,
     window,
     write_trace_csv,
+    write_trace_files,
 )
 
 seed = 20260312
@@ -285,6 +286,26 @@ def test_trace_csv_matches_row_by_row_writer(tmp_path_factory, traces):
     write_trace_csv(tmp_path / "fast.csv", traces)
     _write_rows_one_by_one(tmp_path / "ref.csv", traces)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_trace_files_format_a_shared_grid_once(tmp_path, monkeypatch):
+    # simulate's seven files share one time grid: it is formatted once for
+    # all of them, and each file has the bytes write_trace_csv gives it
+    traces = _example_traces()
+    files = {tmp_path / f"{k}.csv": traces[k:k + 2] for k in range(3)}
+    for path, group in files.items():
+        write_trace_csv(path.with_suffix(".ref"), group)
+    calls = []
+
+    def counted(*args, _inner=np.format_float_positional, **kwargs):
+        calls.append(args[0])
+        return _inner(*args, **kwargs)
+
+    monkeypatch.setattr(np, "format_float_positional", counted)
+    write_trace_files(files)
+    assert len(calls) == 300 + 50
+    for path in files:
+        assert path.read_bytes() == path.with_suffix(".ref").read_bytes()
 
 
 def test_trace_csv_rejects_foreign_header(tmp_path):

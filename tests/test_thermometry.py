@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -312,6 +313,26 @@ def test_negative_bootstrap_count_raises():
     responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=60)
     with pytest.raises(ValueError, match="^n_bootstrap must be non-negative, got -5$"):
         estimate_temperature(responses, levels, n_bootstrap=-5)
+
+
+@pytest.mark.parametrize("count", [2.5, True, False, "5", None, np.float64(3.0)])
+def test_non_integer_bootstrap_count_raises(count):
+    # 2.5 and True once reached the resample loop as a bare TypeError
+    x = np.linspace(0.0, 1.0, 20)
+    message = f"^n_bootstrap must be a non-negative integer, got {re.escape(repr(count))}$"
+    with pytest.raises(ValueError, match=message):
+        deming_fit(x, 0.5 * x + 0.01 * np.sin(7 * x), n_bootstrap=count)
+    responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=60)
+    with pytest.raises(ValueError, match=message):
+        estimate_temperature(responses, levels, n_bootstrap=count)
+
+
+def test_numpy_integer_bootstrap_count_is_accepted():
+    x = np.linspace(0.0, 1.0, 20)
+    y = 0.5 * x + 0.01 * np.sin(7 * x)
+    want = deming_fit(x, y, n_bootstrap=50, rng=3)
+    got = deming_fit(x, y, n_bootstrap=np.int64(50), rng=3)
+    assert np.array_equal(got.ci95, want.ci95)
 
 
 def test_deming_rejects_single_valued_series():
