@@ -68,6 +68,8 @@ def _load_run_config(args, required: bool = True) -> Optional[RunConfig]:
     if not args.config:
         if required:
             raise ConfigError("this command needs --config pointing at a run config")
+        if (args.seed or 0) < 0:  # RunConfig's rule, for a seed given without a config
+            raise ConfigError(f"seed must be non-negative, got {args.seed}")
         return None
     changes = {"protocol": _flags(args, PROTOCOL_FLAGS)}
     if args.seed is not None:

@@ -70,7 +70,6 @@ class ProtocolConfig:
     gap_ns: float = 4.0
     delta: float = 1.0
     quadratures: str = "IQ"
-    aggregation: str = "inverse_variance"
     n_bootstrap: int = 0
     clamp_out_of_range: bool = False
 
@@ -83,8 +82,6 @@ class ProtocolConfig:
             raise ValueError("delta must be positive")
         if self.quadratures not in ("I", "IQ"):
             raise ValueError("quadratures must be 'I' or 'IQ'")
-        if self.aggregation not in ("inverse_variance", "mean"):
-            raise ValueError("aggregation must be 'inverse_variance' or 'mean'")
         if self.n_bootstrap < 0:
             raise ValueError("n_bootstrap must be non-negative")
 
@@ -99,6 +96,8 @@ class RunConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self):
+        if self.seed < 0:  # numpy's SeedSequence takes none
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ValueError("output_dir must be a string path")
 
@@ -117,9 +116,9 @@ _KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number
 
 
 def _check_kind(name: str, kind, value) -> None:
-    """Raise unless ``value`` suits a field annotated int, float or bool: a
-    number with a fraction is no integer, true/false is no number, and a
-    number is finite (JSON reads NaN and Infinity)."""
+    """Raise unless ``value`` suits a field or argument annotated int, float
+    or bool: a number with a fraction is no integer, true/false is no
+    number, and a number is finite (JSON reads NaN and Infinity)."""
     if kind in _KINDS:
         base, what = _KINDS[kind]
         if not isinstance(value, base) or isinstance(value, bool) != (kind is bool):

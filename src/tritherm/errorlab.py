@@ -33,6 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .config import _check_kind
 from .constants import TWO_PI
 from .thermometry import (
     COEFFICIENTS,
@@ -77,6 +78,8 @@ class MonteCarloSpec:
         for name in ("true_slope", "n_experiments", "x_span", "noise_sigma", "n_points"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        for name in ("n_experiments", "n_points"):
+            _check_kind(name, int, getattr(self, name))
         if self.n_experiments < 100:
             raise ValueError("n_experiments must be at least 100")
         if self.x_span <= 0:
@@ -299,12 +302,13 @@ def repeated_measurement_stats(
     analysis window (the estimator never sees samples outside it).  A draw's
     pair moments are those of the six traces' fit points' scatter, sampled
     from its exact law (``_sample_scatter``), through ``_pair_moments``; its
-    slopes take the estimator's Deming rule, ``_aggregate`` (plain mean)
-    and ``_checked_inverse``, so a draw gets the temperatures, or the error,
-    that estimate_temperature gives with n_bootstrap 0 to traces with its
-    scatter.  With ``noise_sigma`` 0 every draw is the clean fit.
-    Deterministic under a fixed seed.
+    slopes take the estimator's Deming rule, ``_aggregate`` (zero widths, so
+    a plain mean) and ``_checked_inverse``, so a draw gets the temperatures,
+    or the error, that estimate_temperature gives with n_bootstrap 0 to
+    traces with its scatter.  With ``noise_sigma`` 0 every draw is the
+    clean fit.  Deterministic under a fixed seed.
     """
+    _check_kind("n_runs", int, n_runs)
     if n_runs < 2:
         raise ValueError(f"n_runs must be at least 2 for a spread, got {n_runs}")
     if not np.isfinite(noise_sigma) or noise_sigma < 0:
@@ -322,7 +326,7 @@ def repeated_measurement_stats(
             raise DegenerateDataError(f"{pair}: a sampled scatter or covariance is exactly "
                                       f"zero; slope undefined")
     slopes = np.broadcast_to(slopes, (n_runs, 9)).reshape(n_runs, 3, 3)
-    lam, _ = _aggregate(slopes, np.zeros_like(slopes), aggregation="mean")
+    lam, _ = _aggregate(slopes, np.zeros_like(slopes))
     t = np.stack([_checked_inverse(levels, c, lam[:, k], clamp)
                   for k, c in enumerate(COEFFICIENTS)], axis=-1)
     return RepeatedStats(t, noise_sigma, seed)

@@ -175,6 +175,5 @@ def estimate(responses: SequenceResponses, levels, protocol: ProtocolConfig,
         quadratures=protocol.quadratures,
         n_bootstrap=protocol.n_bootstrap,
         seed=stream_seed(seed, "bootstrap"),
-        aggregation=protocol.aggregation,
         clamp=protocol.clamp_out_of_range,
     )

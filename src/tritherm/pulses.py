@@ -207,10 +207,9 @@ def strang_step(v: np.ndarray, us, half, full) -> np.ndarray:
     return dissipate(unitary_chain(dissipate(v, half), us, full), half)
 
 
-def _propagate_open(liou: Liouvillian, frame_ghz: float, envelope_fn, span_ns: float,
-                    rho0: np.ndarray, dt_ns: float, slices=None) -> np.ndarray:
-    """Master-equation propagation over a span by ``strang_step``.  ``slices``
-    is the span's ``_slice_unitaries`` when the caller already holds them.
+def _propagate_open(liou: Liouvillian, rho0: np.ndarray, slices) -> np.ndarray:
+    """Master-equation propagation by ``strang_step`` over the span of
+    ``slices``, its ``_slice_unitaries``.
 
     Every factor is completely positive and trace preserving, so the end state
     must be a density matrix (trace 1e-8, hermiticity 1e-10, eigenvalues
@@ -219,13 +218,14 @@ def _propagate_open(liou: Liouvillian, frame_ghz: float, envelope_fn, span_ns: f
     dim = liou.ops.dim
     if rho0.shape != (dim, dim):
         raise ValueError(f"rho0 must be {dim}x{dim}")
-    us, idx, dt = slices or _slice_unitaries(liou.ops, frame_ghz, envelope_fn, span_ns, dt_ns)
+    us, idx, dt = slices
     rho = strang_step(rho0.reshape(-1), [us[j] for j in idx],
                       *liou.dissipator_step(dt)).reshape(dim, dim)
     try:
         validate_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-8, eig_tol=-1e-8)
     except ValueError as exc:
-        raise IntegrationError(f"state invariant violated after {span_ns} ns: {exc}") from exc
+        raise IntegrationError(f"state invariant violated after {len(idx) * dt:g} ns: "
+                               f"{exc}") from exc
     return rho
 
 
@@ -422,19 +422,15 @@ def _gate_slices(pulse: CalibrationReport, liou: Liouvillian, gap_ns: float):
 
 
 def _apply_gate(state: Tuple[np.ndarray, float, float], pulse: CalibrationReport,
-                liou: Liouvillian, gap_ns: float, slices=None) -> Tuple[np.ndarray, float, float]:
+                liou: Liouvillian, gap_ns: float, slices) -> Tuple[np.ndarray, float, float]:
     """One gate on ``(rho, elapsed_ns, frame_ghz)``: change to the pulse's
     carrier frame at the elapsed time, then propagate over the pulse plus
-    ``gap_ns`` of free evolution.  ``slices`` are the gate's
-    ``_gate_slices``, built here when not given."""
+    ``gap_ns`` of free evolution by the gate's ``_gate_slices``."""
     rho, t_abs, frame = state
     ops = liou.ops
     v = change_frame(rho.reshape(-1), ops, frame, pulse.carrier_ghz, t_abs)
-    span = pulse.duration_ns + gap_ns
-    rho = _propagate_open(liou, pulse.carrier_ghz, pulse.envelope(), span,
-                          v.reshape(ops.dim, ops.dim), GATE_STEP_NS,
-                          slices or _gate_slices(pulse, liou, gap_ns))
-    return rho, t_abs + span, pulse.carrier_ghz
+    rho = _propagate_open(liou, v.reshape(ops.dim, ops.dim), slices)
+    return rho, t_abs + (pulse.duration_ns + gap_ns), pulse.carrier_ghz
 
 
 def prepare_sequences(
@@ -442,7 +438,7 @@ def prepare_sequences(
     seqs: Iterable[GateSequence],
     liou: Liouvillian,
     calibrations: Dict[str, CalibrationReport],
-    gap_ns: float = 4.0,
+    gap_ns: float,
 ) -> Dict[str, Tuple[np.ndarray, float, float]]:
     """Evolve the steady state through each sequence's calibrated gates with
     dissipation on.

@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .config import _check_kind
 from .constants import GHZ_TO_MK, boltzmann_exponent
 from .hilbert import LevelEnergies
 from .readout import IQTrace
@@ -310,8 +311,7 @@ def deming_fit(xs, ys, variance_ratio_delta: float = 1.0,
     row keeping none, or fewer than ``n_bootstrap // 2``, raises
     DegenerateDataError naming the first such row in a stack.
     """
-    if isinstance(n_bootstrap, bool) or not isinstance(n_bootstrap, (int, np.integer)):
-        raise ValueError(f"n_bootstrap must be a non-negative integer, got {n_bootstrap!r}")
+    _check_kind("n_bootstrap", int, n_bootstrap)  # the config loader's rule
     if n_bootstrap < 0:
         raise ValueError(f"n_bootstrap must be non-negative, got {n_bootstrap}")
     xs = np.asarray(xs, dtype=float)
@@ -506,15 +506,13 @@ class EstimateReport:
         return out
 
 
-def _aggregate(slopes, halfwidths, aggregation: str) -> Tuple[np.ndarray, np.ndarray]:
+def _aggregate(slopes, halfwidths) -> Tuple[np.ndarray, np.ndarray]:
     """Coefficient slopes and CI half-widths (..., 3) from the pair slopes
     and CI half-widths (..., 3, 3), as one weighted mean: inverse squared
-    half-widths for "inverse_variance" (half-width 1 / sqrt(sum of weights)),
-    unit weights for "mean" and for a coefficient with a zero-width pair CI
+    half-widths for a coefficient whose three pair CIs all have a width
+    (half-width 1 / sqrt(sum of weights)), unit weights otherwise
     (half-width the standard error of its three slopes)."""
-    if aggregation not in ("inverse_variance", "mean"):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
-    weighted = (aggregation == "inverse_variance") & np.all(halfwidths > 0, axis=-1)
+    weighted = np.all(halfwidths > 0, axis=-1)
     w = np.divide(1.0, halfwidths ** 2, out=np.ones_like(halfwidths), where=weighted[..., None])
     total = np.sum(w, axis=-1)
     half = np.where(weighted, 1.0 / np.sqrt(total), slopes.std(axis=-1, ddof=1) / np.sqrt(3))
@@ -528,7 +526,6 @@ def estimate_temperature(
     quadratures: str = "IQ",
     n_bootstrap: int = 0,
     seed: Optional[int] = None,
-    aggregation: str = "inverse_variance",
     clamp: bool = False,
 ) -> EstimateReport:
     """Run the estimator on windowed sequence responses.
@@ -543,7 +540,7 @@ def estimate_temperature(
     """
     fit = _fit_pairs(deming_fit, responses.iq(), quadratures, delta, n_bootstrap, seed)
     value, half = _aggregate(fit.slope.reshape(3, 3),
-                             0.5 * (fit.ci95[:, 1] - fit.ci95[:, 0]).reshape(3, 3), aggregation)
+                             0.5 * (fit.ci95[:, 1] - fit.ci95[:, 0]).reshape(3, 3))
     lo, hi = np.minimum(value - 1.96 * half, value), np.maximum(value + 1.96 * half, value)
     consistency = float(abs(value[2] - value[0] * value[1]) / abs(value[2]))
     estimates = tuple(invert_temperature(c, v, ci, levels, clamp) for c, v, ci in zip(

@@ -32,6 +32,11 @@ CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 ACCEPTANCE_LINES = []
 
 
+def pytest_addoption(parser):
+    parser.addoption("--update-golden", action="store_true",
+                     help="rewrite tests/golden/outputs.json from this run (test_golden.py)")
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

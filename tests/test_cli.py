@@ -129,13 +129,13 @@ def test_estimate_error_paths(tmp_path, capsys):
 
 
 def test_estimate_config_honours_protocol_options(tmp_path):
-    # noisy traces, so the mean and the inverse-variance aggregate differ
+    # noisy traces, so the Deming slopes depend on the variance ratio
     responses, _ = make_synthetic_responses(n_samples=600)
     for i, (lab, tr) in enumerate(responses.as_dict().items()):
         write_trace_csv(tmp_path / f"{lab}.csv", [add_noise(tr, 0.002, 1, i)])
     cfg = json.loads(json.dumps(MINI_CONFIG))
-    cfg["protocol"].update(aggregation="mean", n_bootstrap=200)
-    cfg_path = tmp_path / "mean.json"
+    cfg["protocol"].update(delta=0.5, n_bootstrap=200)
+    cfg_path = tmp_path / "delta.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main(["estimate", "--traces", str(tmp_path), "--config", str(cfg_path),
@@ -153,9 +153,9 @@ def test_estimate_config_honours_protocol_options(tmp_path):
                                           config.seed).as_dict()))
     for key in want:
         assert got[key] == want[key], key
-    weighted = estimate(windowed, levels, dataclasses.replace(
-        config.protocol, aggregation="inverse_variance"), config.seed)
-    assert weighted.temperature("B").t_mk != got["T_B_mK"]
+    unit_delta = estimate(windowed, levels, dataclasses.replace(config.protocol, delta=1.0),
+                          config.seed)
+    assert unit_delta.temperature("B").t_mk != got["T_B_mK"]
 
 
 def test_estimate_window_flags_override_config(simulate_dir, mini_config_path,
@@ -494,6 +494,43 @@ def test_config_value_of_the_wrong_type_is_a_config_error(simulate_dir, tmp_path
     extra = ["--traces", str(simulate_dir)] if command == "estimate" else []
     assert main([command, "--config", str(path), "--out", str(out)] + extra) == 2
     assert f"config error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_with_the_retired_aggregation_key_is_rejected(simulate_dir, tmp_path, capsys):
+    # the config.json that simulate wrote while protocol.aggregation existed
+    data = json.loads((simulate_dir / "config.json").read_text())
+    data["protocol"]["aggregation"] = "inverse_variance"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    for command in ("simulate", "estimate"):
+        out = tmp_path / command
+        extra = ["--traces", str(simulate_dir)] if command == "estimate" else []
+        assert main([command, "--config", str(path), "--out", str(out)] + extra) == 2
+        assert "config error: unknown key(s) protocol.aggregation\n" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["simulate", "--config", "{config}", "--seed", "-1"], -1),
+    (["simulate", "--config", "{negative}"], -1),
+    (["calibrate", "--config", "{config}", "--seed", "-1"], -1),
+    (["sweep", "--config", "{config}", "--bath-mk", "100", "--seed", "-1"], -1),
+    (["estimate", "--config", "{negative}", "--traces", "{traces}"], -1),
+    (["estimate", "--traces", "{traces}", "--f-ge", "4.98", "--f-gf", "9.51", "--seed", "-1"],
+     -1),
+    (["montecarlo", "--seed", "-3"], -3),
+])
+def test_negative_seed_exits_2_before_any_output(simulate_dir, mini_config_path, tmp_path,
+                                                 capsys, argv, seed):
+    # numpy's SeedSequence once stopped these mid-run with exit 1, after the
+    # output directory was made; sweep marked every point FAILED and exited 0
+    negative = tmp_path / "negative.json"
+    negative.write_text(json.dumps({**MINI_CONFIG, "seed": -1}))
+    paths = {"config": mini_config_path, "negative": negative, "traces": simulate_dir}
+    out = tmp_path / "out"
+    assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
+    assert f"config error: seed must be non-negative, got {seed}\n" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,31 @@ def test_spec_validation():
                         ("n_experiments", np.inf), ("n_points", np.nan)):
         with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {value}"):
             MonteCarloSpec(**{name: value})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_experiments", 150.0), ("n_experiments", True), ("n_points", 700.5),
+    ("n_points", np.float64(700.0)), ("n_runs", 5.0), ("n_runs", False)])
+def test_error_studies_reject_counts_that_are_not_integers(name, value):
+    # 150.0 and 700.5 once passed the spec checks and ended in a bare
+    # TypeError from range() or a slice
+    message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+    if name == "n_runs":
+        responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=60)
+        with pytest.raises(ValueError, match=message):
+            repeated_measurement_stats(responses, levels, n_runs=value, seed=1)
+    else:
+        with pytest.raises(ValueError, match=message):
+            MonteCarloSpec(**{name: value, "seed": 1})
+
+
+def test_error_studies_take_numpy_integer_counts():
+    spec = MonteCarloSpec(n_experiments=np.int64(100), n_points=np.int32(60), seed=1)
+    assert len(spec.design_points()) == 60
+    assert slope_bias_study(spec, [0.5, 0.6]).mean_fit.shape == (2,)
+    responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=60)
+    stats = repeated_measurement_stats(responses, levels, n_runs=np.int64(3), seed=1)
+    assert stats.t_mk.shape == (3, 3)
 
 
 def test_least_squares_fit_rejects_single_valued_x():

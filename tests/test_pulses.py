@@ -24,6 +24,7 @@ from tritherm.pulses import (
     CalibrationError,
     SEQUENCE_LABELS,
     _apply_gate,
+    _gate_slices,
     _lifted_gauss_area,
     _propagate_closed,
     _propagate_open,
@@ -358,8 +359,9 @@ def test_split_step_free_decay(small_liou):
     rho0 = np.zeros((ops.dim, ops.dim), dtype=complex)
     rho0[ops.rspec.n_states, ops.rspec.n_states] = 1.0  # |e, 0>
     traj = [rho0]
+    free = _slice_unitaries(ops, 0.0, lambda t: 0.0, 50.0, GATE_STEP_NS)
     for _ in range(8):  # 0 .. 400 ns in 50 ns spans
-        traj.append(_propagate_open(small_liou, 0.0, lambda t: 0.0, 50.0, traj[-1], GATE_STEP_NS))
+        traj.append(_propagate_open(small_liou, traj[-1], free))
     for rho in traj:
         assert abs(np.trace(rho).real - 1.0) < 1e-8
     # population flows out of e
@@ -373,29 +375,30 @@ def test_split_step_step_insensitive(small_liou):
     rho0 = np.zeros((ops.dim, ops.dim), dtype=complex)
     rho0[0, 0] = 1.0
     drive = lifted_gaussian(0.005, 56.0)
-    a = _propagate_open(small_liou, 4.98, drive, 56.0, rho0, GATE_STEP_NS / 4)
-    b = _propagate_open(small_liou, 4.98, drive, 56.0, rho0, GATE_STEP_NS / 8)
+    a, b = (_propagate_open(small_liou, rho0, _slice_unitaries(ops, 4.98, drive, 56.0, dt))
+            for dt in (GATE_STEP_NS / 4, GATE_STEP_NS / 8))
     assert np.max(np.abs(a - b)) < 1e-6
 
 
 def test_split_step_input_validation(small_liou):
-    dim = small_liou.ops.dim
-    rho0 = np.eye(dim, dtype=complex) / dim
+    ops = small_liou.ops
     off = lambda t: 0.0
-    with pytest.raises(ValueError):
-        _propagate_open(small_liou, 0.0, off, -0.5, rho0, GATE_STEP_NS)
-    with pytest.raises(ValueError):
-        _propagate_open(small_liou, 0.0, off, 1.0, np.eye(3, dtype=complex) / 3, GATE_STEP_NS)
-    with pytest.raises(ValueError):
-        _propagate_open(small_liou, 0.0, off, 1.0, rho0, 0.0)
+    with pytest.raises(ValueError, match="^span_ns and dt_ns must be positive$"):
+        _slice_unitaries(ops, 0.0, off, -0.5, GATE_STEP_NS)
+    with pytest.raises(ValueError, match=f"^rho0 must be {ops.dim}x{ops.dim}$"):
+        _propagate_open(small_liou, np.eye(3, dtype=complex) / 3,
+                        _slice_unitaries(ops, 0.0, off, 1.0, GATE_STEP_NS))
+    with pytest.raises(ValueError, match="^span_ns and dt_ns must be positive$"):
+        _slice_unitaries(ops, 0.0, off, 1.0, 0.0)
 
 
 def test_split_step_rejects_invalid_end_state(small_liou):
     dim = small_liou.ops.dim
     rho0 = np.zeros((dim, dim), dtype=complex)
     rho0[0, 0], rho0[1, 1] = 1.1, -0.1
-    with pytest.raises(IntegrationError, match="eigenvalue"):
-        _propagate_open(small_liou, 0.0, lambda t: 0.0, 1.0, rho0, GATE_STEP_NS)
+    with pytest.raises(IntegrationError, match="^state invariant violated after 1 ns: .*eigen"):
+        _propagate_open(small_liou, rho0,
+                        _slice_unitaries(small_liou.ops, 0.0, lambda t: 0.0, 1.0, GATE_STEP_NS))
 
 
 def test_split_step_matches_reference_integration(small_ops, small_liou):
@@ -411,15 +414,16 @@ def test_split_step_matches_reference_integration(small_ops, small_liou):
                     (0.0, span), rho0.reshape(-1), rtol=1e-10, atol=1e-12)
     assert sol.success
     ref = sol.y[:, -1].reshape(rho0.shape)
-    rho = _propagate_open(small_liou, pulse.carrier_ghz, env, span, rho0, GATE_STEP_NS)
+    rho = _propagate_open(small_liou, rho0,
+                          _slice_unitaries(small_ops, pulse.carrier_ghz, env, span, GATE_STEP_NS))
     dev = np.max(np.abs(small_ops.protocol_populations(rho).as_array()
                         - small_ops.protocol_populations(ref).as_array()))
     assert dev < 1e-8
     err = np.max(np.abs(rho - ref))
     assert err < 2e-5
     # second-order splitting: halving the slice cuts the error about 4x
-    half = _propagate_open(small_liou, pulse.carrier_ghz, env, span, rho0,
-                           GATE_STEP_NS / 2)
+    half = _propagate_open(small_liou, rho0, _slice_unitaries(small_ops, pulse.carrier_ghz, env,
+                                                             span, GATE_STEP_NS / 2))
     assert np.max(np.abs(half - ref)) < err / 3
 
 
@@ -446,7 +450,8 @@ def test_prefix_walk_matches_independent_sequences(gates_50mk, monkeypatch):
     for seq in all_sequences():
         state = (rho_ss.astype(complex), 0.0, 0.0)
         for gate in seq.gates:
-            state = _apply_gate(state, pulses[gate], liou, gap)
+            state = _apply_gate(state, pulses[gate], liou, gap,
+                                _gate_slices(pulses[gate], liou, gap))
         independent[seq.label] = state
 
     calls = []
