@@ -662,14 +662,18 @@ def test_estimate_recovers_synthetic_temperature():
     assert report.as_dict()["quadratures"] == "IQ"
 
 
-def test_aggregate_stack_equals_single_rows():
+@pytest.mark.parametrize("weights", ["inverse_variance", "mean"])
+def test_aggregate_stack_equals_single_rows(weights):
     # a (k, 3, 3) stack aggregates bit for bit as its k rows and 3k
-    # coefficients do one at a time; a zero half-width falls back to the mean
+    # coefficients do one at a time; a zero half-width falls back to the
+    # mean, which is every coefficient's rule when no pair CI has a width
     rng = np.random.default_rng(seed)
     slopes = rng.uniform(0.05, 0.95, size=(5, 3, 3))
     half = rng.uniform(1e-4, 1e-2, size=(5, 3, 3))
     half[1, 0, 2] = 0.0
     half[3] = 0.0
+    if weights == "mean":
+        half[:] = 0.0
     value, width = _aggregate(slopes, half)
     assert value.shape == width.shape == (5, 3)
     for k in range(5):
