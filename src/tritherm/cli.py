@@ -50,8 +50,8 @@ def _resolve_output_dir(args, config: Optional[RunConfig]) -> Path:
 # command-line flag -> field of the block it changes; a flag left unset
 # (None) keeps the block's value, so a report from reloaded traces matches
 # the in-process one
-PROTOCOL_FLAGS = {"quadratures": "quadratures", "delta": "delta", "bootstrap": "n_bootstrap",
-                  "clamp": "clamp_out_of_range", "duration": "pulse_duration_ns"}
+PROTOCOL_FLAGS = {"bootstrap": "n_bootstrap", "clamp": "clamp_out_of_range",
+                  "duration": "pulse_duration_ns"}
 MONTECARLO_FLAGS = {"true_slope": "true_slope", "experiments": "n_experiments",
                     "sigma": "noise_sigma", "span": "x_span", "points": "n_points",
                     "abscissa": "abscissa", "fit_method": "fit_method"}
@@ -269,8 +269,6 @@ def cmd_montecarlo(args) -> int:
             n_runs=args.repeats,
             noise_sigma=config.readout.noise_sigma,
             seed=stream_seed(seed, "montecarlo", 1),
-            quadratures=config.protocol.quadratures,
-            delta=config.protocol.delta,
             clamp=config.protocol.clamp_out_of_range,
         )
         stats["repeated"] = rep.as_dict()
@@ -371,13 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_quadratures=True):
+    def common(p):
         p.add_argument("--config", help="path to a JSON run config")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", help="output directory (overrides env and config)")
-        if needs_quadratures:
-            p.add_argument("--quadratures", choices=["I", "IQ"], default=None,
-                           help="fit I only or both quadratures")
 
     p_sim = sub.add_parser("simulate", help="run the full protocol and estimate T")
     common(p_sim)
@@ -395,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="analysis window start in ns (default: config, else 100)")
     p_est.add_argument("--window-end", type=float, default=None,
                        help="analysis window end in ns (default: config, else 450)")
-    p_est.add_argument("--delta", type=float, default=None,
-                       help="Deming noise variance ratio (default: config or 1.0)")
     p_est.add_argument("--bootstrap", type=int, default=None,
                        help="bootstrap resamples for slope CIs (default: config or 0)")
     p_est.add_argument("--clamp", action="store_true", default=None,
@@ -404,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(func=cmd_estimate)
 
     p_mc = sub.add_parser("montecarlo", help="slope-bias study and repeated-run stats")
-    common(p_mc, needs_quadratures=False)
+    common(p_mc)
     # the spec flags default to MonteCarloSpec's fields
     p_mc.add_argument("--true-slope", type=float)
     p_mc.add_argument("--experiments", type=int)
@@ -430,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cal = sub.add_parser("calibrate", help="calibrate pi_ge and pi_ef only")
-    common(p_cal, needs_quadratures=False)
+    common(p_cal)
     p_cal.add_argument("--duration", type=float, default=None,
                        help="pulse duration override in ns")
     p_cal.set_defaults(func=cmd_calibrate)

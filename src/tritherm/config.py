@@ -68,21 +68,15 @@ class ProtocolConfig:
 
     pulse_duration_ns: float = 56.0
     gap_ns: float = 4.0
-    delta: float = 1.0
-    quadratures: str = "IQ"
     n_bootstrap: int = 0
     clamp_out_of_range: bool = False
 
     def __post_init__(self):
         if not 40.0 <= self.pulse_duration_ns <= 200.0:
             raise ValueError("pulse_duration_ns must lie in [40, 200]")
-        if self.gap_ns < 0:
+        if not self.gap_ns >= 0:  # also rejects NaN
             raise ValueError("gap_ns must be non-negative")
-        if not self.delta > 0:  # also rejects NaN
-            raise ValueError("delta must be positive")
-        if self.quadratures not in ("I", "IQ"):
-            raise ValueError("quadratures must be 'I' or 'IQ'")
-        if self.n_bootstrap < 0:
+        if not self.n_bootstrap >= 0:
             raise ValueError("n_bootstrap must be non-negative")
 
 
@@ -118,13 +112,14 @@ _KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number
 def _check_kind(name: str, kind, value) -> None:
     """Raise unless ``value`` suits a field or argument annotated int, float
     or bool: a number with a fraction is no integer, true/false is no
-    number, and a number is finite (JSON reads NaN and Infinity)."""
+    number, and a number is finite (JSON reads NaN and Infinity), which is
+    checked first, so an infinite count is named as such."""
     if kind in _KINDS:
         base, what = _KINDS[kind]
+        if isinstance(value, numbers.Real) and not -np.inf < value < np.inf:
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not isinstance(value, base) or isinstance(value, bool) != (kind is bool):
             raise ValueError(f"{name} must be {what}, got {value!r}")
-        if not -np.inf < value < np.inf:
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _build_block(cls, data: dict, path: str):

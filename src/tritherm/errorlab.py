@@ -28,12 +28,13 @@ Both study records hold one column per coefficient, in COEFFICIENTS order:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .config import _check_kind
+from .config import _check_kind, _field_types
 from .constants import TWO_PI
 from .thermometry import (
     COEFFICIENTS,
@@ -46,7 +47,6 @@ from .thermometry import (
     _deming_rule,
     _fit_pairs,
     _pair_moments,
-    _quadrature_points,
     attainable_range,
     coefficient_vs_temperature,
     deming_slope,
@@ -59,8 +59,8 @@ class MonteCarloSpec:
     """Synthetic slope-fit experiment: collinear points on a +-x_span cloud,
     Gaussian noise on both axes.
 
-    ``n_points`` counts fit points per experiment (window samples times
-    quadratures).  The abscissa is sinusoidal by default, mirroring the IF
+    ``n_points`` counts fit points per experiment (window samples, I then
+    Q).  The abscissa is sinusoidal by default, mirroring the IF
     structure of real windowed difference traces; "uniform" switches to an
     even grid for sensitivity checks.
     """
@@ -76,10 +76,7 @@ class MonteCarloSpec:
 
     def __post_init__(self):
         for name in ("true_slope", "n_experiments", "x_span", "noise_sigma", "n_points"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        for name in ("n_experiments", "n_points"):
-            _check_kind(name, int, getattr(self, name))
+            _check_kind(name, _field_types(MonteCarloSpec)[name], getattr(self, name))
         if self.n_experiments < 100:
             raise ValueError("n_experiments must be at least 100")
         if self.x_span <= 0:
@@ -127,18 +124,18 @@ class MonteCarloReport:
         return float(np.interp(true_slope, lg, self.mean_fit))
 
 
-def _fit_slope(sxx, syy, sxy, method: str, delta: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
+def _fit_slope(sxx, syy, sxy, method: str) -> Tuple[np.ndarray, np.ndarray]:
     """Slopes from arrays of second central moments and a mask of the
     degenerate experiments, whose slopes are meaningless.
 
     A least-squares fit is degenerate when sxx is exactly zero; a Deming fit
     where ``_deming_rule`` flags it, with an exactly-zero sxx or syy standing
     for a single-valued axis.  Sampled moments come from no row of values,
-    so a single-valued axis shows only as an exactly-zero moment.  ``delta``
-    is the Deming fit's y-to-x noise variance ratio.
+    so a single-valued axis shows only as an exactly-zero moment.  The
+    Deming fit is the symmetric one, noise variance ratio 1.
     """
     if method == "deming":
-        return _deming_rule(sxx, syy, sxy, (sxx == 0.0) | (syy == 0.0), delta)
+        return _deming_rule(sxx, syy, sxy, (sxx == 0.0) | (syy == 0.0), 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return sxy / sxx, sxx == 0.0
 
@@ -291,8 +288,6 @@ def repeated_measurement_stats(
     n_runs: int = 100,
     noise_sigma: float = 0.002,
     seed: Optional[int] = None,
-    quadratures: str = "IQ",
-    delta: float = 1.0,
     clamp: bool = False,
 ) -> RepeatedStats:
     """Re-estimate temperature ``n_runs`` (at least 2) times with fresh noise
@@ -311,16 +306,17 @@ def repeated_measurement_stats(
     _check_kind("n_runs", int, n_runs)
     if n_runs < 2:
         raise ValueError(f"n_runs must be at least 2 for a spread, got {n_runs}")
-    if not np.isfinite(noise_sigma) or noise_sigma < 0:
+    if isinstance(noise_sigma, numbers.Real) and not 0 <= noise_sigma < np.inf:  # NaN too
         raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
+    _check_kind("noise_sigma", float, noise_sigma)
     clean = responses.iq()
     if noise_sigma == 0:
-        slopes = _fit_pairs(deming_slope, clean, quadratures, delta)[0]
+        slopes = _fit_pairs(deming_slope, clean)[0]
     else:
-        points = _quadrature_points(clean, quadratures)
-        _check_fit_inputs(delta, points.shape[-1])
+        points = clean.reshape(6, -1)
+        _check_fit_inputs(points.shape[-1])
         scatter = _sample_scatter(np.random.default_rng(seed), points, noise_sigma, n_runs)
-        slopes, degenerate = _fit_slope(*_pair_moments(scatter), "deming", delta)
+        slopes, degenerate = _fit_slope(*_pair_moments(scatter), "deming")
         if np.any(degenerate):
             pair = _PAIR_NAMES[np.argwhere(degenerate)[0][1]]
             raise DegenerateDataError(f"{pair}: a sampled scatter or covariance is exactly "

@@ -48,11 +48,11 @@ class TransmonSpec:
     n_charge_states: int = 30
 
     def __post_init__(self):
-        if self.ec_ghz <= 0 or self.ej_max_ghz <= 0:
+        if not (self.ec_ghz > 0 and self.ej_max_ghz > 0):  # also rejects NaN, as below
             raise ValueError("ec_ghz and ej_max_ghz must be positive")
-        if self.n_transmon_levels < 3:
+        if not self.n_transmon_levels >= 3:
             raise ValueError("need at least the three protocol levels")
-        if self.n_charge_states < 2 * self.n_transmon_levels:
+        if not self.n_charge_states >= 2 * self.n_transmon_levels:
             raise ValueError("n_charge_states must be >= 2*n_transmon_levels")
 
     @property
@@ -76,11 +76,11 @@ class ResonatorSpec:
     q_loaded: float = 3100.0
 
     def __post_init__(self):
-        if self.fr_ghz <= 0 or self.q_loaded <= 0:
+        if not (self.fr_ghz > 0 and self.q_loaded > 0):  # also rejects NaN, as below
             raise ValueError("fr_ghz and q_loaded must be positive")
-        if self.n_fock < 2:
+        if not self.n_fock >= 2:
             raise ValueError("need at least photon states 0..2")
-        if self.coupling_ghz < 0:
+        if not self.coupling_ghz >= 0:
             raise ValueError("coupling_ghz must be non-negative")
 
     @property

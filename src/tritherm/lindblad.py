@@ -69,9 +69,9 @@ class DissipationSpec:
 
     def __post_init__(self):
         for g in (self.gamma_eg_mhz, self.gamma_fe_mhz, self.gamma_phi_mhz):
-            if g < 0:
+            if not g >= 0:  # also rejects NaN, as every range check here
                 raise ValueError("rates must be non-negative")
-        if self.bath_t_mk <= 0:
+        if not self.bath_t_mk > 0:
             raise ValueError("bath_t_mk must be positive")
 
 

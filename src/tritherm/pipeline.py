@@ -171,8 +171,6 @@ def estimate(responses: SequenceResponses, levels, protocol: ProtocolConfig,
     return estimate_temperature(
         responses,
         levels,
-        delta=protocol.delta,
-        quadratures=protocol.quadratures,
         n_bootstrap=protocol.n_bootstrap,
         seed=stream_seed(seed, "bootstrap"),
         clamp=protocol.clamp_out_of_range,

@@ -55,15 +55,15 @@ class ReadoutConfig:
     def __post_init__(self):
         if not 0.0 <= self.window_start_ns < self.window_end_ns <= self.probe_duration_ns:
             raise ValueError("need 0 <= window_start < window_end <= probe_duration")
-        if self.if_mhz <= 0:
+        if not self.if_mhz > 0:  # also rejects NaN, as every range check here
             raise ValueError("if_mhz must be positive")
-        if self.sample_dt_ns <= 0:
+        if not self.sample_dt_ns > 0:
             raise ValueError("sample_dt_ns must be positive")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be non-negative")
-        if self.n_averages < 1:
+        if not self.n_averages >= 1:
             raise ValueError("n_averages must be at least 1")
-        if self.probe_amplitude_ghz < 0:
+        if not self.probe_amplitude_ghz >= 0:
             raise ValueError("probe_amplitude_ghz must be non-negative")
 
     @property
@@ -90,7 +90,7 @@ def ring_up_ns(rspec: ResonatorSpec) -> float:
 
 @dataclass(frozen=True)
 class IQTrace:
-    """One averaged heterodyne record: sample times and both quadratures."""
+    """One averaged heterodyne record: sample times, I and Q samples."""
 
     t_ns: np.ndarray
     i_vals: np.ndarray

@@ -43,6 +43,7 @@ import numpy as np
 from .config import _check_kind
 from .constants import GHZ_TO_MK, boltzmann_exponent
 from .hilbert import LevelEnergies
+from .pulses import SEQUENCE_LABELS
 from .readout import IQTrace
 
 T_BRACKET_MK = (1.0, 2000.0)
@@ -63,10 +64,6 @@ class DegenerateDataError(RuntimeError):
 
 class SlopeOutOfRangeError(RuntimeError):
     """Fitted slope falls outside the coefficient's attainable range."""
-
-
-# the six sequence slots, in the order SequenceResponses.as_dict lists them
-_SLOTS = ("x0", "x1", "x2", "y0", "y1", "y2")
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,7 @@ class SequenceResponses:
                 raise ValueError(f"trace {name} has a non-finite sample")
 
     def as_dict(self) -> Dict[str, IQTrace]:
-        return {name: getattr(self, name) for name in _SLOTS}
+        return {name: getattr(self, name) for name in SEQUENCE_LABELS}
 
     def iq(self) -> np.ndarray:
         """The six traces stacked as (6, 2, m): slots in as_dict order, I over Q."""
@@ -100,7 +97,7 @@ class SequenceResponses:
     @classmethod
     def from_dict(cls, traces: Dict[str, IQTrace]) -> "SequenceResponses":
         try:
-            return cls(**{k: traces[k] for k in _SLOTS})
+            return cls(**{k: traces[k] for k in SEQUENCE_LABELS})
         except KeyError as exc:
             raise ValueError(f"missing sequence trace {exc}") from exc
 
@@ -155,28 +152,19 @@ DIFFERENCE_PAIRS = {
 # the nine pairs in DIFFERENCE_PAIRS order: U and D (9, 6), +1 and -1 at the slots of
 # each pair's numerator and denominator, tags, and the names error messages give them
 _PAIR_U, _PAIR_D = (
-    np.array([[(s == a) - (s == b) for s in _SLOTS] for a, b in diffs], dtype=float)
+    np.array([[(s == a) - (s == b) for s in SEQUENCE_LABELS] for a, b in diffs], dtype=float)
     for diffs in zip(*(pair[:2] for c in COEFFICIENTS for pair in DIFFERENCE_PAIRS[c])))
 _PAIR_TAGS = tuple((c, direction) for c in COEFFICIENTS for _, _, direction in DIFFERENCE_PAIRS[c])
 _PAIR_NAMES = tuple(f"{c}/{d} pair ({na} - {nb} against {da} - {db})" for c in COEFFICIENTS
                     for (na, nb), (da, db), d in DIFFERENCE_PAIRS[c])
 
 
-def _quadrature_points(iq: np.ndarray, quadratures: str) -> np.ndarray:
-    """Fit points from samples stacked as (..., 2, m), I over Q: I then Q
-    for "IQ", I alone for "I"."""
-    if quadratures == "IQ":
-        return iq.reshape(iq.shape[:-2] + (-1,))
-    if quadratures == "I":
-        return iq[..., 0, :]
-    raise ValueError(f"quadratures must be 'I' or 'IQ', got {quadratures!r}")
-
-
-def _pair_rows(iq: np.ndarray, quadratures: str) -> Tuple[np.ndarray, np.ndarray]:
-    """x and y rows, each (..., 9, n), of the nine difference pairs of six
-    traces stacked as (..., 6, 2, m) (SequenceResponses.iq order); the y row
-    against the x row has the pair's coefficient as its slope."""
-    points = _quadrature_points(iq, quadratures)
+def _pair_rows(iq: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """x and y rows, each (..., 9, 2m), of the nine difference pairs of six
+    traces stacked as (..., 6, 2, m) (SequenceResponses.iq order), each
+    trace's m I samples then its m Q samples; the y row against the x row
+    has the pair's coefficient as its slope."""
+    points = iq.reshape(iq.shape[:-2] + (-1,))
     return _PAIR_D @ points, _PAIR_U @ points
 
 
@@ -187,7 +175,7 @@ def _pair_moments(scatter: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarr
                  for x, y in ((_PAIR_D, _PAIR_D), (_PAIR_U, _PAIR_U), (_PAIR_D, _PAIR_U)))
 
 
-def _check_fit_inputs(delta: float, n_points: int) -> None:
+def _check_fit_inputs(n_points: int, delta: float = 1.0) -> None:
     """Raise ValueError unless 0 < delta < inf and a fit has 3 points or more."""
     if not 0.0 < delta < np.inf:
         raise ValueError(f"variance ratio delta must be finite and positive, got {delta}")
@@ -245,7 +233,7 @@ def deming_slope(xs: np.ndarray, ys: np.ndarray, delta: float = 1.0) -> Tuple[fl
     if xs.shape != ys.shape:
         sizes = " and ".join("x".join(map(str, v.shape)) for v in (xs, ys))
         raise ValueError(f"x and y differ in length: {sizes} points")
-    _check_fit_inputs(delta, xs.shape[-1] if xs.ndim else 0)
+    _check_fit_inputs(xs.shape[-1] if xs.ndim else 0, delta)
     single_x, single_y = _single_valued(xs), _single_valued(ys)
     xb, yb, sxx, syy, sxy = _row_moments(xs, ys)
     slope, degenerate = _deming_rule(sxx, syy, sxy, single_x | single_y, delta)
@@ -335,12 +323,12 @@ def deming_fit(xs, ys, variance_ratio_delta: float = 1.0,
     return DemingFit(slope, intercept, ci, rms)
 
 
-def _fit_pairs(fit, iq: np.ndarray, quadratures: str, *args):
-    """``fit(xs, ys, *args)``, ``deming_fit`` or ``deming_slope``, of the nine
+def _fit_pairs(fit, iq: np.ndarray, **kwargs):
+    """``fit(xs, ys, **kwargs)``, ``deming_fit`` or ``deming_slope``, of the nine
     pair rows of traces stacked as (..., 6, 2, m); a degenerate row raises
     naming its pair, whatever the leading axes."""
     try:
-        return fit(*_pair_rows(iq, quadratures), *args)
+        return fit(*_pair_rows(iq), **kwargs)
     except DegenerateDataError as exc:
         if not exc.row:
             raise
@@ -475,7 +463,6 @@ class EstimateReport:
     estimates: Tuple[TemperatureEstimate, TemperatureEstimate, TemperatureEstimate]
     pairs: DemingFit
     consistency: float
-    quadratures: str
     window_ns: Tuple[float, float]
     seed: Optional[int] = None
 
@@ -500,7 +487,6 @@ class EstimateReport:
                                              p.residual_rms.tolist(), p.intercept.tolist())
         ]
         out["consistency_C_vs_AB"] = self.consistency
-        out["quadratures"] = self.quadratures
         out["window_ns"] = list(self.window_ns)
         out["seed"] = self.seed
         return out
@@ -522,8 +508,6 @@ def _aggregate(slopes, halfwidths) -> Tuple[np.ndarray, np.ndarray]:
 def estimate_temperature(
     responses: SequenceResponses,
     levels,
-    delta: float = 1.0,
-    quadratures: str = "IQ",
     n_bootstrap: int = 0,
     seed: Optional[int] = None,
     clamp: bool = False,
@@ -531,14 +515,16 @@ def estimate_temperature(
     """Run the estimator on windowed sequence responses.
 
     Fits all nine difference pairs (three redundant directions per
-    coefficient) in one ``deming_fit`` call, aggregates each
-    coefficient's slopes (inverse-variance weights when bootstrap CIs are
-    available, plain mean otherwise), and inverts A, B, C to temperatures.
+    coefficient) in one ``deming_fit`` call, each pair's I and Q samples as
+    one cloud with variance ratio 1 (both axes are differences of traces
+    taken with the same averaging, so they carry the same noise), aggregates
+    each coefficient's slopes (inverse-variance weights when bootstrap CIs
+    are available, plain mean otherwise), and inverts A, B, C to temperatures.
     The nine pairs share their sample instants, so with ``n_bootstrap`` > 0
     each resample of those instants, drawn from
     ``np.random.default_rng(seed)``, serves all nine pair CIs.
     """
-    fit = _fit_pairs(deming_fit, responses.iq(), quadratures, delta, n_bootstrap, seed)
+    fit = _fit_pairs(deming_fit, responses.iq(), n_bootstrap=n_bootstrap, rng=seed)
     value, half = _aggregate(fit.slope.reshape(3, 3),
                              0.5 * (fit.ci95[:, 1] - fit.ci95[:, 0]).reshape(3, 3))
     lo, hi = np.minimum(value - 1.96 * half, value), np.maximum(value + 1.96 * half, value)
@@ -547,5 +533,4 @@ def estimate_temperature(
         COEFFICIENTS, value.tolist(), zip(lo.tolist(), hi.tolist())))
     t = responses.x0.t_ns
     dt = t[1] - t[0] if len(t) > 1 else 0.0
-    return EstimateReport(estimates, fit, consistency,
-                          quadratures, (float(t[0]), float(t[-1] + dt)), seed)
+    return EstimateReport(estimates, fit, consistency, (float(t[0]), float(t[-1] + dt)), seed)

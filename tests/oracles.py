@@ -66,7 +66,7 @@ def difference_pairs(responses: SequenceResponses):
     return out
 
 
-def bootstrap_pair_slopes_loop(xs, ys, n_bootstrap, seed, delta=1.0):
+def bootstrap_pair_slopes_loop(xs, ys, n_bootstrap, seed):
     """The shared pair bootstrap one resample at a time: per resample one
     integers(0, n, size=n) draw of the sample instants, then deming_slope on
     each pair row (xs, ys are (k, n)) at those instants, skipping degenerate
@@ -78,7 +78,7 @@ def bootstrap_pair_slopes_loop(xs, ys, n_bootstrap, seed, delta=1.0):
         idx = gen.integers(0, n, size=n)
         for row, (x, y) in enumerate(zip(xs, ys)):
             try:
-                kept[row].append(deming_slope(x[idx], y[idx], delta)[0])
+                kept[row].append(deming_slope(x[idx], y[idx])[0])
             except DegenerateDataError:
                 pass
     return [np.array(slopes) for slopes in kept]
@@ -171,8 +171,7 @@ def slope_bias_study_replayed(spec, lambda_grid):
     return _bias_study_of_clouds(spec, lambda_grid, clouds)
 
 
-def repeated_temperatures_loop(responses, levels, n_runs, noise_sigma, seed,
-                               quadratures="IQ", delta=1.0, clamp=False):
+def repeated_temperatures_loop(responses, levels, n_runs, noise_sigma, seed, clamp=False):
     """The repeated study one draw at a time: fresh noise on each trace
     through readout.add_noise, then estimate_temperature with n_bootstrap 0.
     Returns the (n_runs, 3) array of T_A, T_B, T_C."""
@@ -181,32 +180,26 @@ def repeated_temperatures_loop(responses, levels, n_runs, noise_sigma, seed,
     for _ in range(n_runs):
         noisy = SequenceResponses.from_dict({name: add_noise(tr, noise_sigma, 1, rng)
                                              for name, tr in responses.as_dict().items()})
-        report = estimate_temperature(noisy, levels, delta=delta, quadratures=quadratures,
-                                      n_bootstrap=0, clamp=clamp)
+        report = estimate_temperature(noisy, levels, n_bootstrap=0, clamp=clamp)
         temps.append([est.t_mk for est in report.estimates])
     return np.array(temps)
 
 
-def repeated_temperatures_replayed(responses, levels, n_runs, noise_sigma, seed,
-                                   quadratures="IQ", delta=1.0, clamp=False):
+def repeated_temperatures_replayed(responses, levels, n_runs, noise_sigma, seed, clamp=False):
     """The sampled repeated study with every draw's traces built: each draw
     runs estimate_temperature with n_bootstrap 0 on traces carrying the
-    noisy fit points that noisy_rows_replayed rebuilds from the study's
-    draws (Q untouched for quadratures "I").  Returns the (n_runs, 3) array
-    of T_A, T_B, T_C."""
+    noisy fit points (I then Q) that noisy_rows_replayed rebuilds from the
+    study's draws.  Returns the (n_runs, 3) array of T_A, T_B, T_C."""
     traces = responses.as_dict()
-    clean = responses.iq()
-    points = clean.reshape(6, -1) if quadratures == "IQ" else clean[:, 0]
+    points = responses.iq().reshape(6, -1)
     copies = noisy_rows_replayed(np.random.default_rng(seed), points, noise_sigma, n_runs)
     temps = []
     for noisy in copies:
-        iq = noisy.reshape(6, 2, -1) if quadratures == "IQ" else np.stack(
-            [noisy, clean[:, 1]], axis=1)
+        iq = noisy.reshape(6, 2, -1)
         drawn = SequenceResponses.from_dict({
             name: IQTrace(tr.t_ns, iq[slot, 0], iq[slot, 1], name)
             for slot, (name, tr) in enumerate(traces.items())})
-        report = estimate_temperature(drawn, levels, delta=delta, quadratures=quadratures,
-                                      n_bootstrap=0, clamp=clamp)
+        report = estimate_temperature(drawn, levels, n_bootstrap=0, clamp=clamp)
         temps.append([est.t_mk for est in report.estimates])
     return np.array(temps)
 

@@ -129,13 +129,13 @@ def test_estimate_error_paths(tmp_path, capsys):
 
 
 def test_estimate_config_honours_protocol_options(tmp_path):
-    # noisy traces, so the Deming slopes depend on the variance ratio
+    # noisy traces, so bootstrap CIs have widths that weight the pair slopes
     responses, _ = make_synthetic_responses(n_samples=600)
     for i, (lab, tr) in enumerate(responses.as_dict().items()):
         write_trace_csv(tmp_path / f"{lab}.csv", [add_noise(tr, 0.002, 1, i)])
     cfg = json.loads(json.dumps(MINI_CONFIG))
-    cfg["protocol"].update(delta=0.5, n_bootstrap=200)
-    cfg_path = tmp_path / "delta.json"
+    cfg["protocol"].update(n_bootstrap=200)
+    cfg_path = tmp_path / "bootstrap.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main(["estimate", "--traces", str(tmp_path), "--config", str(cfg_path),
@@ -153,9 +153,9 @@ def test_estimate_config_honours_protocol_options(tmp_path):
                                           config.seed).as_dict()))
     for key in want:
         assert got[key] == want[key], key
-    unit_delta = estimate(windowed, levels, dataclasses.replace(config.protocol, delta=1.0),
+    unweighted = estimate(windowed, levels, dataclasses.replace(config.protocol, n_bootstrap=0),
                           config.seed)
-    assert unit_delta.temperature("B").t_mk != got["T_B_mK"]
+    assert unweighted.temperature("B").t_mk != got["T_B_mK"]
 
 
 def test_estimate_window_flags_override_config(simulate_dir, mini_config_path,
@@ -174,8 +174,8 @@ def test_estimate_window_flags_override_config(simulate_dir, mini_config_path,
         assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [["--bootstrap", "-3"], ["--delta", "0"],
-                                   ["--delta", "nan"]])
+@pytest.mark.parametrize("flags", [["--bootstrap", "-3"], ["--window-start", "nan"],
+                                   ["--window-end", "inf"]])
 def test_estimate_rejects_invalid_estimator_flags(tmp_path, capsys, flags):
     levels = _write_synthetic(tmp_path)
     rc = main(["estimate", "--traces", str(tmp_path),
@@ -188,7 +188,7 @@ def test_estimate_rejects_invalid_estimator_flags(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize("with_config", [True, False], ids=["config", "no-config"])
 @pytest.mark.parametrize("flags, message", [
-    (["--delta", "0"], "protocol: delta must be positive"),
+    (["--bootstrap", "-1"], "protocol: n_bootstrap must be non-negative"),
     (["--window-start", "500", "--window-end", "400"],
      "readout: need 0 <= window_start < window_end <= probe_duration")])
 def test_estimate_flag_errors_name_their_block(tmp_path, capsys, mini_config_path,
@@ -497,18 +497,37 @@ def test_config_value_of_the_wrong_type_is_a_config_error(simulate_dir, tmp_path
     assert not out.exists()
 
 
-def test_config_with_the_retired_aggregation_key_is_rejected(simulate_dir, tmp_path, capsys):
-    # the config.json that simulate wrote while protocol.aggregation existed
+def _assert_retired_keys_rejected(simulate_dir, tmp_path, capsys, retired):
+    # the config.json that simulate wrote while the ``retired`` protocol keys existed
     data = json.loads((simulate_dir / "config.json").read_text())
-    data["protocol"]["aggregation"] = "inverse_variance"
+    data["protocol"].update(retired)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
+    keys = ", ".join(f"protocol.{k}" for k in sorted(retired))
     for command in ("simulate", "estimate"):
         out = tmp_path / command
         extra = ["--traces", str(simulate_dir)] if command == "estimate" else []
         assert main([command, "--config", str(path), "--out", str(out)] + extra) == 2
-        assert "config error: unknown key(s) protocol.aggregation\n" in capsys.readouterr().err
+        assert f"config error: unknown key(s) {keys}\n" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_config_with_the_retired_aggregation_key_is_rejected(simulate_dir, tmp_path, capsys):
+    _assert_retired_keys_rejected(simulate_dir, tmp_path, capsys,
+                                  {"aggregation": "inverse_variance"})
+
+
+def test_config_with_the_retired_estimator_keys_is_rejected(simulate_dir, tmp_path, capsys):
+    _assert_retired_keys_rejected(simulate_dir, tmp_path, capsys,
+                                  {"delta": 1.0, "quadratures": "IQ"})
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "sweep"])
+def test_retired_estimator_flags_are_unrecognized(command, capsys):
+    required = ["--traces", "runs"] if command == "estimate" else []
+    for flag in ("--delta", "--quadratures"):
+        assert main([command, flag, "1"] + required) == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, seed", [

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from tritherm.config import (
     stream_seed,
     with_changes,
 )
+from tritherm.hilbert import ResonatorSpec, TransmonSpec
+from tritherm.lindblad import DissipationSpec
 from tritherm.readout import ReadoutConfig
 
 seed = 20260312
@@ -98,9 +101,51 @@ def test_protocol_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(pulse_duration_ns=30.0)
     with pytest.raises(ValueError):
-        ProtocolConfig(quadratures="Q")
+        ProtocolConfig(gap_ns=-1.0)
     with pytest.raises(ValueError):
-        ProtocolConfig(delta=0.0)
+        ProtocolConfig(n_bootstrap=-1)
+
+
+VALID_BLOCKS = {DissipationSpec: DissipationSpec(0.03, 0.06, 150.0),
+                ReadoutConfig: ReadoutConfig(), ProtocolConfig: ProtocolConfig(),
+                TransmonSpec: TransmonSpec(0.36, 10.013), ResonatorSpec: ResonatorSpec(7.75, 0.018)}
+WINDOW = "need 0 <= window_start < window_end <= probe_duration"
+
+
+NAN_CASES = [
+    (DissipationSpec, "gamma_eg_mhz", "rates must be non-negative"),
+    (DissipationSpec, "gamma_fe_mhz", "rates must be non-negative"),
+    (DissipationSpec, "gamma_phi_mhz", "rates must be non-negative"),
+    (DissipationSpec, "bath_t_mk", "bath_t_mk must be positive"),
+    (ReadoutConfig, "probe_duration_ns", WINDOW),
+    (ReadoutConfig, "window_start_ns", WINDOW),
+    (ReadoutConfig, "window_end_ns", WINDOW),
+    (ReadoutConfig, "if_mhz", "if_mhz must be positive"),
+    (ReadoutConfig, "sample_dt_ns", "sample_dt_ns must be positive"),
+    (ReadoutConfig, "noise_sigma", "noise_sigma must be non-negative"),
+    (ReadoutConfig, "n_averages", "n_averages must be at least 1"),
+    (ReadoutConfig, "probe_amplitude_ghz", "probe_amplitude_ghz must be non-negative"),
+    (ProtocolConfig, "pulse_duration_ns", "pulse_duration_ns must lie in [40, 200]"),
+    (ProtocolConfig, "gap_ns", "gap_ns must be non-negative"),
+    (ProtocolConfig, "n_bootstrap", "n_bootstrap must be non-negative"),
+    (TransmonSpec, "ec_ghz", "ec_ghz and ej_max_ghz must be positive"),
+    (TransmonSpec, "ej_max_ghz", "ec_ghz and ej_max_ghz must be positive"),
+    (TransmonSpec, "n_transmon_levels", "need at least the three protocol levels"),
+    (TransmonSpec, "n_charge_states", "n_charge_states must be >= 2*n_transmon_levels"),
+    (ResonatorSpec, "fr_ghz", "fr_ghz and q_loaded must be positive"),
+    (ResonatorSpec, "q_loaded", "fr_ghz and q_loaded must be positive"),
+    (ResonatorSpec, "n_fock", "need at least photon states 0..2"),
+    (ResonatorSpec, "coupling_ghz", "coupling_ghz must be non-negative"),
+]
+
+
+@pytest.mark.parametrize("block, field, message", NAN_CASES,
+                         ids=[f"{block.__name__}.{field}" for block, field, _ in NAN_CASES])
+def test_a_nan_field_fails_its_range_check_at_construction(block, field, message):
+    # a NaN built from Python once passed every "x < 0" check and failed
+    # later under another name (a NaN rate as a steady-state error)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(VALID_BLOCKS[block], **{field: float("nan")})
 
 
 def test_rng_streams_are_independent():
@@ -233,20 +278,21 @@ def test_with_no_changes_returns_an_equal_config(name):
 
 def test_with_changes_merges_nested_fields(default_config):
     cfg = with_changes(default_config, {"system": {"transmon": {"flux_quantum_fraction": 0.05}},
-                                        "protocol": {"delta": 2.0}, "seed": 9})
+                                        "protocol": {"gap_ns": 2.0}, "seed": 9})
     assert cfg.system.transmon == dataclasses.replace(default_config.system.transmon,
                                                       flux_quantum_fraction=0.05)
     assert cfg.system.resonator == default_config.system.resonator
-    assert cfg.protocol == dataclasses.replace(default_config.protocol, delta=2.0)
+    assert cfg.protocol == dataclasses.replace(default_config.protocol, gap_ns=2.0)
     assert (cfg.dissipation, cfg.readout, cfg.seed) == (
         default_config.dissipation, default_config.readout, 9)
 
 
 def test_with_changes_errors_name_the_block(default_config):
     for block, changes, path, message in (
-            (default_config, {"protocol": {"delta": 0.0}}, "", "protocol: delta must be positive"),
-            (default_config.protocol, {"delta": 0.0}, "protocol",
-             "protocol: delta must be positive"),
+            (default_config, {"protocol": {"gap_ns": -1.0}}, "",
+             "protocol: gap_ns must be non-negative"),
+            (default_config.protocol, {"gap_ns": -1.0}, "protocol",
+             "protocol: gap_ns must be non-negative"),
             (default_config, {"dissipation": {"bath_t_mk": -5.0}}, "",
              "dissipation: bath_t_mk must be positive"),
             (default_config, {"protocol": {"step_ns": 1.0}}, "",

@@ -76,6 +76,20 @@ def test_error_studies_reject_counts_that_are_not_integers(name, value):
             MonteCarloSpec(**{name: value, "seed": 1})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n_points", "5"), ("n_experiments", None), ("noise_sigma", None), ("noise_sigma", "0.1"),
+    ("noise_sigma", True), ("x_span", "0.04"), ("true_slope", "0.5")])
+def test_error_studies_reject_values_that_are_not_numbers(name, value):
+    # these once ended in numpy's bare TypeError from np.isfinite
+    message = f"^{name} must be (a number|an integer), got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        MonteCarloSpec(**{name: value})
+    if name == "noise_sigma":
+        responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=60)
+        with pytest.raises(ValueError, match=message):
+            repeated_measurement_stats(responses, levels, n_runs=4, noise_sigma=value)
+
+
 def test_error_studies_take_numpy_integer_counts():
     spec = MonteCarloSpec(n_experiments=np.int64(100), n_points=np.int32(60), seed=1)
     assert len(spec.design_points()) == 60
@@ -316,21 +330,25 @@ def test_repeated_stats_noise_scaling(wp_run):
 
 
 REPEATED_CASES = [
-    dict(quadratures="IQ"),
-    dict(quadratures="I"),
-    dict(quadratures="IQ", delta=0.5, clamp=True),
-    dict(quadratures="I", noise_sigma=0.0),
+    dict(),
+    dict(clamp=True),
+    dict(noise_sigma=0.0),
     # fewer than 6 noise directions outside Q: Z Z^T in place of the Bartlett factor
-    dict(quadratures="IQ", n_samples=6, clamp=True),
-    dict(quadratures="I", n_samples=5, clamp=True),
+    dict(n_samples=6, clamp=True),
+    # 6 fit points: Q spans 5 directions, fewer than the 6 traces, and Z none
+    dict(n_samples=3, clamp=True),
 ]
 
 
-@pytest.mark.parametrize("case", REPEATED_CASES, ids=lambda c: "-".join(map(str, c.values())))
+def _case_id(case):
+    return "-".join(f"{k}={v}" for k, v in case.items()) or "default"
+
+
+@pytest.mark.parametrize("case", REPEATED_CASES, ids=_case_id)
 def test_repeated_draws_match_estimate_temperature(case):
     # each draw equals estimate_temperature on traces with its sampled
     # scatter, rebuilt from its draws; noiseless draws on the clean traces
-    kw = dict(quadratures="IQ", delta=1.0, clamp=False, noise_sigma=0.002, n_samples=60) | case
+    kw = dict(clamp=False, noise_sigma=0.002, n_samples=60) | case
     sigma = kw.pop("noise_sigma")
     responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=kw.pop("n_samples"))
     stats = repeated_measurement_stats(responses, levels, n_runs=21, noise_sigma=sigma,
@@ -344,19 +362,16 @@ def test_repeated_draws_match_estimate_temperature(case):
         rtol=1e-9, atol=0.0)
 
 
-@pytest.mark.parametrize("case", [dict(quadratures="IQ", n_samples=60),
-                                  dict(quadratures="I", n_samples=60),
-                                  dict(quadratures="I", n_samples=5)],
-                         ids=lambda c: "-".join(map(str, c.values())))
-def test_repeated_draws_follow_the_law_of_explicit_noise(case):
+@pytest.mark.parametrize("n_samples", [60, 3])
+def test_repeated_draws_follow_the_law_of_explicit_noise(n_samples):
     # against draws that add noise to every sample: means within 3 combined
     # SEMs, standard deviations within 15% of each other
-    responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=case["n_samples"])
-    n_runs, q = 1000, case["quadratures"]
+    responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=n_samples)
+    n_runs = 1000
     sampled = repeated_measurement_stats(responses, levels, n_runs=n_runs, noise_sigma=0.002,
-                                         seed=seed, quadratures=q, clamp=True).t_mk
+                                         seed=seed, clamp=True).t_mk
     explicit = repeated_temperatures_loop(responses, levels, n_runs, 0.002, seed + 1,
-                                          quadratures=q, clamp=True)
+                                          clamp=True)
     sd, sd_ref = sampled.std(axis=0, ddof=1), explicit.std(axis=0, ddof=1)
     assert np.all(np.abs(sampled.mean(axis=0) - explicit.mean(axis=0))
                   <= 3.0 * np.hypot(sd, sd_ref) / np.sqrt(n_runs))
@@ -405,13 +420,10 @@ def test_repeated_draws_keep_the_estimator_guards(monkeypatch):
     responses, levels = make_synthetic_responses(t_mk=120.0, n_samples=60)
     with pytest.raises(ValueError, match="at least 2"):
         repeated_measurement_stats(responses, levels, n_runs=1)
-    with pytest.raises(ValueError, match="quadratures"):
-        repeated_measurement_stats(responses, levels, n_runs=4, quadratures="Q")
-    with pytest.raises(ValueError, match="delta"):
-        repeated_measurement_stats(responses, levels, n_runs=4, delta=0.0)
-    short, _ = make_synthetic_responses(t_mk=120.0, n_samples=2)
+    # one sample per trace: two fit points, I and Q
+    short, _ = make_synthetic_responses(t_mk=120.0, n_samples=1)
     with pytest.raises(ValueError, match="^need at least 3 paired points"):
-        repeated_measurement_stats(short, levels, n_runs=4, quadratures="I")
+        repeated_measurement_stats(short, levels, n_runs=4)
     # identical x0 and x1 make the A pair along ge single-valued in y
     x0 = responses.x0
     same = SequenceResponses.from_dict(

@@ -14,7 +14,7 @@ import pathlib
 
 import pytest
 
-from tritherm.errorlab import repeated_measurement_stats
+from tritherm.errorlab import repeated_measurement_stats, temperature_discrepancy
 from tritherm.pipeline import estimate
 from tritherm.thermometry import COEFFICIENTS, estimate_temperature
 
@@ -51,7 +51,11 @@ def current(request, temperature_runs, wp_run, calibrations, bias_report, run_15
     noiseless["default_calibration"] = {
         t: {"amplitude": r.amplitude, "carrier_ghz": r.carrier_ghz}
         for t, r in sorted(calibrations.items())}
+    noiseless["wp_calibration"] = {
+        t: {"amplitude": r.amplitude, "carrier_ghz": r.carrier_ghz}
+        for t, r in sorted(wp_run.calibrations.items())}
     noisy["bias_fitted_slope_at_0.8834"] = bias_report.fitted_slope_at(0.8834)
+    noisy["bias_dT_A_at_165mK"] = temperature_discrepancy(bias_report, (6.74, 13.14)).at("A", 165.0)
     noisy["run_150_bootstrap_200"] = _report_values(estimate_temperature(
         run_150.responses, run_150.levels, n_bootstrap=200, seed=SEED))
     stats = repeated_measurement_stats(wp_run.noiseless_responses, wp_run.levels, n_runs=300,

@@ -34,7 +34,6 @@ from tritherm.thermometry import (
     _invert_coefficient,
     _pair_moments,
     _pair_rows,
-    _quadrature_points,
     _row_moments,
     _single_valued,
     estimate_temperature,
@@ -412,18 +411,24 @@ def test_mostly_degenerate_bootstrap_names_its_row():
 
 
 def test_mostly_degenerate_bootstrap_names_its_pair():
-    # three I samples per slot: only B/ge (x2 - y2 against x0 - x1), the fifth
-    # pair, keeps fewer than half of its 1000 resamples
-    i_vals = [[2, 0, 2], [1, 1, 1], [2, 0, 1], [2, 1, 1], [0, 2, 0], [0, 0, 1]]
+    # three samples per slot, six fit points per pair (I then Q): x2 - y2 and
+    # x0 - x1 are each zero but at one point, so B/ge (x2 - y2 against
+    # x0 - x1), the fifth pair, is single-valued in the ~58% of resamples
+    # that miss either point; every other pair keeps more than half of 1000
+    i_vals = [[1, 1, 0], [1, 1, 0], [0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0]]
+    q_vals = [[1, 0, 0], [0, 0, 0], [1, 1, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]]
     t = np.arange(3.0)
     responses = SequenceResponses.from_dict(
-        {lab: IQTrace(t, np.array(v, dtype=float), np.zeros(3), lab)
-         for lab, v in zip(("x0", "x1", "x2", "y0", "y1", "y2"), i_vals)})
-    estimate_temperature(responses, ANCHOR, quadratures="I", clamp=True)  # point fits hold
+        {lab: IQTrace(t, np.array(i, dtype=float), np.array(q, dtype=float), lab)
+         for lab, i, q in zip(("x0", "x1", "x2", "y0", "y1", "y2"), i_vals, q_vals)})
+    estimate_temperature(responses, ANCHOR, clamp=True)  # point fits hold
+    kept = thermometry._bootstrap_slopes(*_pair_rows(responses.iq()), 1.0, 1000,
+                                         np.random.default_rng(0))
+    assert [k for k, slopes in enumerate(kept) if len(slopes) < 500] == [4]
     with pytest.raises(DegenerateDataError,
                        match=r"^B/ge pair \(x2 - y2 against x0 - x1\): bootstrap resamples "
                              r"mostly degenerate$"):
-        estimate_temperature(responses, ANCHOR, quadratures="I", n_bootstrap=1000, seed=0)
+        estimate_temperature(responses, ANCHOR, n_bootstrap=1000, seed=0)
 
 
 def test_bootstrap_memory_is_flat_in_resamples():
@@ -469,29 +474,27 @@ def _assert_pair_cis_match_reference(report, xs, ys, n_bootstrap, seed):
     return kept
 
 
-@pytest.mark.parametrize("quadratures", ["I", "IQ"])
-def test_shared_bootstrap_matches_per_resample_reference(quadratures):
+def test_shared_bootstrap_matches_per_resample_reference():
     responses, levels = _noisy_responses(350, seed + 6)
-    xs, ys = _pair_rows(responses.iq(), quadratures)
+    xs, ys = _pair_rows(responses.iq())
     for n_bootstrap in (1, 63, 64, 65, 1000):
-        report = estimate_temperature(responses, levels, quadratures=quadratures,
-                                      n_bootstrap=n_bootstrap, seed=7)
+        report = estimate_temperature(responses, levels, n_bootstrap=n_bootstrap, seed=7)
         _assert_pair_cis_match_reference(report, xs, ys, n_bootstrap, 7)
 
 
 def test_shared_bootstrap_masks_each_pair_row_on_its_own():
     # every difference serves two pairs: x0 - x1 is the y row of A ge and the
-    # x row of B ge.  Zero but for its last sample, it leaves those two rows
-    # single-valued in the ~35% of resamples that miss that sample, and no other
+    # x row of B ge.  Zero but for its last I sample, it leaves those two rows
+    # single-valued in the ~36% of resamples that miss that point, and no other
     responses, levels = _noisy_responses(12, seed + 7)
     traces = responses.as_dict()
-    i_vals = traces["x0"].i_vals.copy()
+    x0 = traces["x0"]
+    i_vals = x0.i_vals.copy()
     i_vals[-1] += 0.3
-    traces["x1"] = IQTrace(traces["x1"].t_ns, i_vals, traces["x1"].q_vals, "x1")
+    traces["x1"] = IQTrace(x0.t_ns, i_vals, x0.q_vals, "x1")
     responses = SequenceResponses.from_dict(traces)
-    xs, ys = _pair_rows(responses.iq(), "I")
-    report = estimate_temperature(responses, levels, quadratures="I", n_bootstrap=1000,
-                                  seed=3, clamp=True)
+    xs, ys = _pair_rows(responses.iq())
+    report = estimate_temperature(responses, levels, n_bootstrap=1000, seed=3, clamp=True)
     kept = _assert_pair_cis_match_reference(report, xs, ys, 1000, 3)
     short = [tag for tag, slopes in zip(thermometry._PAIR_TAGS, kept) if len(slopes) < 1000]
     assert short == [("A", "ge"), ("B", "ge")]
@@ -522,7 +525,7 @@ def _fit_fields(fit):
 def test_stacked_fit_equals_one_row_at_a_time():
     draws = [_noisy_responses(60, seed + 8 + k)[0].iq() for k in range(3)]
     for iq in (draws[0], np.stack(draws)):
-        xs, ys = _pair_rows(iq, "IQ")
+        xs, ys = _pair_rows(iq)
         stacked = _fit_fields(deming_fit(xs, ys, n_bootstrap=0))
         n = xs.shape[-1]
         rows = [deming_fit(x, y, n_bootstrap=0) for x, y in zip(xs.reshape(-1, n),
@@ -533,7 +536,7 @@ def test_stacked_fit_equals_one_row_at_a_time():
 
 
 def test_stacked_fit_bootstrap_matches_per_resample_loop():
-    xs, ys = _pair_rows(_noisy_responses(40, seed + 11)[0].iq(), "I")
+    xs, ys = _pair_rows(_noisy_responses(40, seed + 11)[0].iq())
     fit = deming_fit(xs, ys, n_bootstrap=300, rng=5)
     assert fit.ci95.shape == (9, 2)
     for samples, slope, ci in zip(bootstrap_pair_slopes_loop(xs, ys, 300, 5), fit.slope,
@@ -544,7 +547,7 @@ def test_stacked_fit_bootstrap_matches_per_resample_loop():
 
 def test_stacked_slope_names_the_degenerate_row():
     xs, ys = _pair_rows(np.stack([_noisy_responses(30, seed + 12 + k)[0].iq()
-                                  for k in range(2)]), "IQ")
+                                  for k in range(2)]))
     xs[1, 4] = 0.25
     with pytest.raises(DegenerateDataError, match=r"^row 1, 4: x series takes a single"):
         deming_slope(xs, ys)
@@ -561,15 +564,12 @@ def test_nine_difference_pairs_structure():
         assert sorted(d for *_, c, d in pairs if c == coef) == ["ef", "ge", "gf"]
     draws = [make_synthetic_responses(t_mk=t, seed=s)[0] for t, s in ((120.0, 7), (60.0, 8))]
     stack = np.stack([r.iq() for r in draws])
-    for quadratures in ("I", "IQ"):
-        def points(z):
-            return np.concatenate([z.real, z.imag]) if quadratures == "IQ" else z.real
-        for got, ref in ((_pair_rows(responses.iq(), quadratures), [responses]),
-                         (_pair_rows(stack, quadratures), draws)):
-            want = [np.array([[points(pair[k]) for pair in difference_pairs(r)] for r in ref])
-                    for k in (0, 1)]
-            for rows, expected in zip(got, want):
-                np.testing.assert_array_equal(rows, expected.reshape(rows.shape))
+    for got, ref in ((_pair_rows(responses.iq()), [responses]), (_pair_rows(stack), draws)):
+        # a pair's fit points: I samples, then Q samples
+        want = [np.array([[np.concatenate([pair[k].real, pair[k].imag])
+                           for pair in difference_pairs(r)] for r in ref]) for k in (0, 1)]
+        for rows, expected in zip(got, want):
+            np.testing.assert_array_equal(rows, expected.reshape(rows.shape))
 
 
 def test_pair_matrices_hold_the_slots_of_the_difference_pairs():
@@ -584,14 +584,13 @@ def test_pair_matrices_hold_the_slots_of_the_difference_pairs():
         np.testing.assert_array_equal(matrix, want)
 
 
-@pytest.mark.parametrize("quadratures", ["IQ", "I"])
-def test_pair_moments_of_a_scatter_are_the_pair_rows_moments(quadratures):
+def test_pair_moments_of_a_scatter_are_the_pair_rows_moments():
     # the repeated draws read the pairs' moments off the six traces' scatter
     iq = _noisy_responses(40, seed + 13)[0].iq()
-    points = _quadrature_points(iq, quadratures)
+    points = iq.reshape(6, -1)
     xc = points - points.mean(axis=-1, keepdims=True)
     scatter = (xc @ xc.T / points.shape[-1])[None]
-    _, _, *want = _row_moments(*_pair_rows(iq, quadratures))
+    _, _, *want = _row_moments(*_pair_rows(iq))
     for got, ref in zip(_pair_moments(scatter), want):
         assert got.shape == (1, 9)
         np.testing.assert_allclose(got[0], ref, rtol=1e-12, atol=0.0)
@@ -655,11 +654,6 @@ def test_estimate_recovers_synthetic_temperature():
     report = estimate_temperature(responses, levels)
     for coef in COEFFICIENTS:
         assert abs(report.temperature(coef).t_mk - 120.0) < 0.01
-    # single-quadrature fit sees the same collinear geometry
-    report_i = estimate_temperature(responses, levels, quadratures="I")
-    for coef in COEFFICIENTS:
-        assert abs(report_i.temperature(coef).t_mk - 120.0) < 0.01
-    assert report.as_dict()["quadratures"] == "IQ"
 
 
 @pytest.mark.parametrize("weights", ["inverse_variance", "mean"])
