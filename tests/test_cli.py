@@ -188,7 +188,8 @@ def test_estimate_rejects_invalid_estimator_flags(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize("with_config", [True, False], ids=["config", "no-config"])
 @pytest.mark.parametrize("flags, message", [
-    (["--bootstrap", "-1"], "protocol: n_bootstrap must be non-negative"),
+    pytest.param(["--bootstrap", "-1"], "protocol: n_bootstrap must be non-negative",
+                 id="bootstrap"),
     (["--window-start", "500", "--window-end", "400"],
      "readout: need 0 <= window_start < window_end <= probe_duration")])
 def test_estimate_flag_errors_name_their_block(tmp_path, capsys, mini_config_path,
