@@ -54,7 +54,7 @@ PROTOCOL_FLAGS = {"bootstrap": "n_bootstrap", "clamp": "clamp_out_of_range",
                   "duration": "pulse_duration_ns"}
 MONTECARLO_FLAGS = {"true_slope": "true_slope", "experiments": "n_experiments",
                     "sigma": "noise_sigma", "span": "x_span", "points": "n_points",
-                    "abscissa": "abscissa", "fit_method": "fit_method"}
+                    "fit_method": "fit_method"}
 
 
 def _flags(args, table: dict) -> dict:
@@ -404,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--sigma", type=float)
     p_mc.add_argument("--span", type=float)
     p_mc.add_argument("--points", type=int)
-    p_mc.add_argument("--abscissa", choices=["sinusoid", "uniform"])
     p_mc.add_argument("--fit-method", choices=["least_squares", "deming"])
     p_mc.add_argument("--lambda-min", type=float, default=0.01)
     p_mc.add_argument("--lambda-max", type=float, default=1.0)

@@ -18,13 +18,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, get_type_hints
 
 import numpy as np
 
+from .constants import _check_finite_fields, _check_kind
 from .hilbert import CompositeOperators, ResonatorSpec, TransmonSpec, build_composite_operators
 from .lindblad import DissipationSpec
 from .readout import ReadoutConfig
@@ -78,6 +78,7 @@ class ProtocolConfig:
             raise ValueError("gap_ns must be non-negative")
         if not self.n_bootstrap >= 0:
             raise ValueError("n_bootstrap must be non-negative")
+        _check_finite_fields(self)
 
 
 @dataclass(frozen=True)
@@ -103,23 +104,6 @@ class RunConfig:
 def _field_types(cls) -> dict:
     # get_type_hints evaluates the string annotations anew on every call
     return get_type_hints(cls)
-
-
-_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
-          bool: (bool, "true or false")}
-
-
-def _check_kind(name: str, kind, value) -> None:
-    """Raise unless ``value`` suits a field or argument annotated int, float
-    or bool: a number with a fraction is no integer, true/false is no
-    number, and a number is finite (JSON reads NaN and Infinity), which is
-    checked first, so an infinite count is named as such."""
-    if kind in _KINDS:
-        base, what = _KINDS[kind]
-        if isinstance(value, numbers.Real) and not -np.inf < value < np.inf:
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if not isinstance(value, base) or isinstance(value, bool) != (kind is bool):
-            raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def _build_block(cls, data: dict, path: str):

@@ -2,8 +2,13 @@
 
 All frequencies and energies are quoted as f = E/h in GHz, times in ns,
 temperatures in mK.  Every h/k_B conversion in the package goes through
-this module so the convention lives in exactly one place.
+this module so the convention lives in exactly one place.  So do the
+number checks of fields and arguments (``_check_kind``), since this module
+imports no other of the package and every one can import it.
 """
+
+import dataclasses
+import numbers
 
 import numpy as np
 
@@ -14,6 +19,35 @@ K_BOLTZMANN = 1.380649e-23  # J/K (CODATA exact)
 GHZ_TO_MK = H_PLANCK * 1e9 / K_BOLTZMANN * 1e3
 
 TWO_PI = 2.0 * np.pi
+
+
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+          bool: (bool, "true or false")}
+
+
+def _check_finite(name: str, value) -> None:
+    if isinstance(value, numbers.Real) and not -np.inf < value < np.inf:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _check_kind(name: str, kind, value) -> None:
+    """Raise unless ``value`` suits a field or argument annotated int, float
+    or bool: a number with a fraction is no integer, true/false is no
+    number, and a number is finite (JSON reads NaN and Infinity), which is
+    checked first, so an infinite count is named as such."""
+    if kind in _KINDS:
+        base, what = _KINDS[kind]
+        _check_finite(name, value)
+        if not isinstance(value, base) or isinstance(value, bool) != (kind is bool):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def _check_finite_fields(block) -> None:
+    """Raise, in ``_check_kind``'s words, if a number field of the dataclass
+    ``block`` is infinite or NaN.  Each config block calls it after its
+    range checks, so a NaN those reject keeps their message."""
+    for f in dataclasses.fields(block):
+        _check_finite(f.name, getattr(block, f.name))
 
 
 def boltzmann_exponent(f_ghz: float, t_mk: float) -> float:

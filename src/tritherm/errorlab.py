@@ -10,8 +10,8 @@ underestimate).
 
 Fits here default to ordinary least squares, which reproduces the documented
 attenuation exactly (factor S_xx/(S_xx + sigma^2)); a symmetric Deming fit
-with delta = 1 is available for comparison and is mean-unbiased on this
-geometry.
+(noise variance ratio 1) is available for comparison and is mean-unbiased on
+this geometry.
 
 Neither study builds its noisy data.  A fit reads only second central
 moments, and for Gaussian noise the scatter of m noisy rows has an exact
@@ -34,8 +34,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .config import _check_kind, _field_types
-from .constants import TWO_PI
+from .config import _field_types
+from .constants import TWO_PI, _check_kind
 from .thermometry import (
     COEFFICIENTS,
     DegenerateDataError,
@@ -60,9 +60,7 @@ class MonteCarloSpec:
     Gaussian noise on both axes.
 
     ``n_points`` counts fit points per experiment (window samples, I then
-    Q).  The abscissa is sinusoidal by default, mirroring the IF
-    structure of real windowed difference traces; "uniform" switches to an
-    even grid for sensitivity checks.
+    Q), x on an IF sinusoid as in real windowed difference traces.
     """
 
     true_slope: float = 0.8834
@@ -71,7 +69,6 @@ class MonteCarloSpec:
     noise_sigma: float = 0.002
     n_points: int = 700
     seed: Optional[int] = None
-    abscissa: str = "sinusoid"
     fit_method: str = "least_squares"
 
     def __post_init__(self):
@@ -85,14 +82,10 @@ class MonteCarloSpec:
             raise ValueError("noise_sigma must be non-negative")
         if self.n_points < 3:
             raise ValueError("n_points must be at least 3")
-        if self.abscissa not in ("sinusoid", "uniform"):
-            raise ValueError("abscissa must be 'sinusoid' or 'uniform'")
         if self.fit_method not in ("least_squares", "deming"):
             raise ValueError("fit_method must be 'least_squares' or 'deming'")
 
     def design_points(self) -> np.ndarray:
-        if self.abscissa == "uniform":
-            return np.linspace(-self.x_span, self.x_span, self.n_points)
         half = (self.n_points + 1) // 2
         t = np.arange(half, dtype=float)
         phase = TWO_PI * DEFAULT_IF_CYCLES_PER_SAMPLE * t
@@ -135,7 +128,7 @@ def _fit_slope(sxx, syy, sxy, method: str) -> Tuple[np.ndarray, np.ndarray]:
     Deming fit is the symmetric one, noise variance ratio 1.
     """
     if method == "deming":
-        return _deming_rule(sxx, syy, sxy, (sxx == 0.0) | (syy == 0.0), 1.0)
+        return _deming_rule(sxx, syy, sxy, (sxx == 0.0) | (syy == 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         return sxy / sxx, sxx == 0.0
 
@@ -230,16 +223,13 @@ class DiscrepancyCurves:
         return float(np.interp(t_mk, self.t_mk, self.dt_mk[:, COEFFICIENTS.index(coefficient)]))
 
 
-def temperature_discrepancy(report: MonteCarloReport, levels,
-                            t_grid=None) -> DiscrepancyCurves:
+def temperature_discrepancy(report: MonteCarloReport, levels) -> DiscrepancyCurves:
     """Map the slope bias through the inversion: at each bath temperature,
-    evaluate the coefficient, look up its mean fitted value, invert, and
-    record the offset.  Coefficients outside the study grid and fitted
-    slopes outside the attainable range are skipped and counted.
+    50 to 250 mK in 5 mK steps, evaluate the coefficient, look up its mean
+    fitted value, invert, and record the offset.  Coefficients outside the
+    study grid and slopes outside the attainable range are skipped and counted.
     """
-    if t_grid is None:
-        t_grid = np.arange(50.0, 250.1, 5.0)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.arange(50.0, 250.1, 5.0)
     lg = report.lambda_grid
     dt = np.full((len(t_grid), 3), np.nan)
     for k, c in enumerate(COEFFICIENTS):

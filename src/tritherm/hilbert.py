@@ -14,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .constants import GHZ_TO_MK
+from .constants import GHZ_TO_MK, _check_finite_fields
 
 MAX_COMPOSITE_DIM = 256  # guard against accidentally huge product spaces
 # rounding allowed on a probability (population, trace, eigenvalue): the
@@ -54,6 +54,7 @@ class TransmonSpec:
             raise ValueError("need at least the three protocol levels")
         if not self.n_charge_states >= 2 * self.n_transmon_levels:
             raise ValueError("n_charge_states must be >= 2*n_transmon_levels")
+        _check_finite_fields(self)
 
     @property
     def ej_ghz(self) -> float:
@@ -82,6 +83,7 @@ class ResonatorSpec:
             raise ValueError("need at least photon states 0..2")
         if not self.coupling_ghz >= 0:
             raise ValueError("coupling_ghz must be non-negative")
+        _check_finite_fields(self)
 
     @property
     def n_states(self) -> int:

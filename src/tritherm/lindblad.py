@@ -40,7 +40,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .constants import bose_occupation, boltzmann_exponent, rate_from_mhz, kappa_rate_from_mhz
+from .constants import (_check_finite_fields, bose_occupation, boltzmann_exponent,
+                        kappa_rate_from_mhz, rate_from_mhz)
 from .hilbert import CompositeOperators, LevelEnergies, validate_density_matrix
 
 
@@ -73,6 +74,7 @@ class DissipationSpec:
                 raise ValueError("rates must be non-negative")
         if not self.bath_t_mk > 0:
             raise ValueError("bath_t_mk must be positive")
+        _check_finite_fields(self)
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,13 @@ import contextlib
 import csv
 import io
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .constants import TWO_PI
+from .constants import TWO_PI, _check_finite_fields, _check_kind
 from .hilbert import ResonatorSpec
 from .lindblad import Liouvillian
 from .pulses import READOUT_STEP_NS, dissipate, unitary_chain
@@ -65,6 +66,7 @@ class ReadoutConfig:
             raise ValueError("n_averages must be at least 1")
         if not self.probe_amplitude_ghz >= 0:
             raise ValueError("probe_amplitude_ghz must be non-negative")
+        _check_finite_fields(self)
 
     @property
     def n_samples(self) -> int:
@@ -194,8 +196,9 @@ def add_noise(trace: IQTrace, noise_sigma: float, n_averages: int, seed) -> IQTr
     count; ``n_averages`` is accepted to document that interpretation.
     Deterministic for a fixed seed.
     """
-    if not np.isfinite(noise_sigma) or noise_sigma < 0:
+    if isinstance(noise_sigma, numbers.Real) and not 0 <= noise_sigma < np.inf:  # NaN too
         raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
+    _check_kind("noise_sigma", float, noise_sigma)
     if noise_sigma == 0.0:
         return trace
     rng = np.random.default_rng(seed)

@@ -40,8 +40,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .config import _check_kind
-from .constants import GHZ_TO_MK, boltzmann_exponent
+from .constants import GHZ_TO_MK, _check_kind, boltzmann_exponent
 from .hilbert import LevelEnergies
 from .pulses import SEQUENCE_LABELS
 from .readout import IQTrace
@@ -175,10 +174,8 @@ def _pair_moments(scatter: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarr
                  for x, y in ((_PAIR_D, _PAIR_D), (_PAIR_U, _PAIR_U), (_PAIR_D, _PAIR_U)))
 
 
-def _check_fit_inputs(n_points: int, delta: float = 1.0) -> None:
-    """Raise ValueError unless 0 < delta < inf and a fit has 3 points or more."""
-    if not 0.0 < delta < np.inf:
-        raise ValueError(f"variance ratio delta must be finite and positive, got {delta}")
+def _check_fit_inputs(n_points: int) -> None:
+    """Raise ValueError unless a fit has 3 points or more."""
     if n_points < 3:
         raise ValueError("need at least 3 paired points")
 
@@ -188,18 +185,19 @@ def _check_fit_inputs(n_points: int, delta: float = 1.0) -> None:
 _BOOTSTRAP_BLOCK = 64
 
 
-def _deming_rule(sxx, syy, sxy, single, delta):
-    """Closed-form Deming slopes from the second central moments (scalars or
-    arrays) and the mask of degenerate rows, whose slopes are meaningless.
+def _deming_rule(sxx, syy, sxy, single):
+    """Closed-form Deming slopes, equal noise on both axes, from the second
+    central moments (scalars or arrays), and the mask of degenerate rows,
+    whose slopes are meaningless.
 
     A row is degenerate when ``single`` flags it (its x or y takes a single
     value, tested exactly rather than through a variance that rounding
     leaves near zero) or when its covariance is exactly zero.  Every Deming
     fit in the package decides degeneracy here.
     """
-    term = syy - delta * sxx
+    term = syy - sxx
     with np.errstate(divide="ignore", invalid="ignore"):
-        slope = (term + np.sqrt(term * term + 4.0 * delta * sxy * sxy)) / (2.0 * sxy)
+        slope = (term + np.sqrt(term * term + 4.0 * sxy * sxy)) / (2.0 * sxy)
     return slope, single | (sxy == 0.0)
 
 
@@ -219,10 +217,10 @@ def _single_valued(v: np.ndarray) -> np.ndarray:
     return v.min(axis=-1) == v.max(axis=-1)
 
 
-def deming_slope(xs: np.ndarray, ys: np.ndarray, delta: float = 1.0) -> Tuple[float, float]:
-    """Closed-form Deming slope and intercept for y-to-x noise variance ratio
-    ``delta``, of one row or of a stack of rows (..., n) on a shared sample
-    axis; each result has the rows' leading shape, scalars for one row.
+def deming_slope(xs: np.ndarray, ys: np.ndarray) -> Tuple[float, float]:
+    """Closed-form Deming slope and intercept, equal noise on both axes, of
+    one row or of a stack of rows (..., n) on a shared sample axis; each
+    result has the rows' leading shape, scalars for one row.
 
     Raises DegenerateDataError, naming the cause and, in a stack, the index
     of the first row that ``_deming_rule`` flags: x or y takes a single
@@ -233,10 +231,10 @@ def deming_slope(xs: np.ndarray, ys: np.ndarray, delta: float = 1.0) -> Tuple[fl
     if xs.shape != ys.shape:
         sizes = " and ".join("x".join(map(str, v.shape)) for v in (xs, ys))
         raise ValueError(f"x and y differ in length: {sizes} points")
-    _check_fit_inputs(xs.shape[-1] if xs.ndim else 0, delta)
+    _check_fit_inputs(xs.shape[-1] if xs.ndim else 0)
     single_x, single_y = _single_valued(xs), _single_valued(ys)
     xb, yb, sxx, syy, sxy = _row_moments(xs, ys)
-    slope, degenerate = _deming_rule(sxx, syy, sxy, single_x | single_y, delta)
+    slope, degenerate = _deming_rule(sxx, syy, sxy, single_x | single_y)
     if np.any(degenerate):
         row = tuple(np.argwhere(degenerate)[0].tolist())
         cause = ("x series takes a single value" if single_x[row] else
@@ -246,8 +244,8 @@ def deming_slope(xs: np.ndarray, ys: np.ndarray, delta: float = 1.0) -> Tuple[fl
     return slope, yb - slope * xb
 
 
-def _bootstrap_slopes(xs: np.ndarray, ys: np.ndarray, delta: float,
-                      n_bootstrap: int, gen: np.random.Generator) -> List[np.ndarray]:
+def _bootstrap_slopes(xs: np.ndarray, ys: np.ndarray, n_bootstrap: int,
+                      gen: np.random.Generator) -> List[np.ndarray]:
     """Deming slopes of the non-degenerate resamples of each of the k rows
     of ``xs`` and ``ys`` (each (k, n), on a shared sample axis), in draw
     order: one array per row.
@@ -283,12 +281,11 @@ def _bootstrap_slopes(xs: np.ndarray, ys: np.ndarray, delta: float,
             single[:, row] |= _single_valued(v[idx])
         block = slice(start, start + b)
         slopes[block], degenerate[block] = _deming_rule(
-            mxx - mx ** 2, myy - my ** 2, mxy - mx * my, single, delta)
+            mxx - mx ** 2, myy - my ** 2, mxy - mx * my, single)
     return [s[~d] for s, d in zip(slopes.T, degenerate.T)]
 
 
-def deming_fit(xs, ys, variance_ratio_delta: float = 1.0,
-               n_bootstrap: int = 1000, rng=None) -> DemingFit:
+def deming_fit(xs, ys, *, n_bootstrap: int = 1000, rng=None) -> DemingFit:
     """Deming fits of one row or a stack of rows (..., n), in one
     ``deming_slope`` call, with percentile bootstrap 95% CIs on the slopes.
 
@@ -304,15 +301,15 @@ def deming_fit(xs, ys, variance_ratio_delta: float = 1.0,
         raise ValueError(f"n_bootstrap must be non-negative, got {n_bootstrap}")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    slope, intercept = deming_slope(xs, ys, variance_ratio_delta)
+    slope, intercept = deming_slope(xs, ys)
     b, a = slope[..., None], intercept[..., None]
-    resid = (ys - a - b * xs) / np.sqrt(1.0 + b * b / variance_ratio_delta)
+    resid = (ys - a - b * xs) / np.sqrt(1.0 + b * b)
     rms = np.sqrt(np.mean(resid ** 2, axis=-1))
     bounds = np.stack([slope, slope], axis=-1)
     if n_bootstrap > 0:
         n = xs.shape[-1]
-        kept = _bootstrap_slopes(xs.reshape(-1, n), ys.reshape(-1, n), variance_ratio_delta,
-                                 n_bootstrap, np.random.default_rng(rng))
+        kept = _bootstrap_slopes(xs.reshape(-1, n), ys.reshape(-1, n), n_bootstrap,
+                                 np.random.default_rng(rng))
         short = [len(k) < max(1, n_bootstrap // 2) for k in kept]
         if any(short):
             row = np.unravel_index(short.index(True), slope.shape)

@@ -96,7 +96,7 @@ def _bias_study_of_clouds(spec, lambda_grid, clouds):
         for xs, ys in clouds(rng, x0, lam):
             if spec.fit_method == "deming":
                 try:
-                    fits.append(deming_slope(xs, ys, delta=1.0)[0])
+                    fits.append(deming_slope(xs, ys)[0])
                 except DegenerateDataError:
                     failures += 1
                 continue

@@ -523,10 +523,10 @@ def test_config_with_the_retired_estimator_keys_is_rejected(simulate_dir, tmp_pa
                                   {"delta": 1.0, "quadratures": "IQ"})
 
 
-@pytest.mark.parametrize("command", ["simulate", "estimate", "sweep"])
+@pytest.mark.parametrize("command", ["simulate", "estimate", "sweep", "montecarlo"])
 def test_retired_estimator_flags_are_unrecognized(command, capsys):
     required = ["--traces", "runs"] if command == "estimate" else []
-    for flag in ("--delta", "--quadratures"):
+    for flag in ("--delta", "--quadratures", "--abscissa"):
         assert main([command, flag, "1"] + required) == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 

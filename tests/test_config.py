@@ -136,16 +136,32 @@ NAN_CASES = [
     (ResonatorSpec, "q_loaded", "fr_ghz and q_loaded must be positive"),
     (ResonatorSpec, "n_fock", "need at least photon states 0..2"),
     (ResonatorSpec, "coupling_ghz", "coupling_ghz must be non-negative"),
+    # no range to check: the loader's finite-number rule names them
+    (TransmonSpec, "flux_quantum_fraction",
+     "flux_quantum_fraction must be a finite number, got nan"),
+    (TransmonSpec, "gate_charge", "gate_charge must be a finite number, got nan"),
 ]
+# inf passes every range check but these, and fails the finite-number rule
+INF_RANGE_MESSAGES = {
+    "pulse_duration_ns": "pulse_duration_ns must lie in [40, 200]",
+    "window_start_ns": WINDOW, "window_end_ns": WINDOW,
+    "n_transmon_levels": "n_charge_states must be >= 2*n_transmon_levels",
+}
+FIELD_CASES = [(block, field, float("nan"), message) for block, field, message in NAN_CASES] + [
+    (block, field, float("inf"),
+     INF_RANGE_MESSAGES.get(field, f"{field} must be a finite number, got inf"))
+    for block, field, _ in NAN_CASES]
 
 
-@pytest.mark.parametrize("block, field, message", NAN_CASES,
-                         ids=[f"{block.__name__}.{field}" for block, field, _ in NAN_CASES])
-def test_a_nan_field_fails_its_range_check_at_construction(block, field, message):
-    # a NaN built from Python once passed every "x < 0" check and failed
-    # later under another name (a NaN rate as a steady-state error)
+@pytest.mark.parametrize("block, field, value, message", FIELD_CASES, ids=[
+    f"{block.__name__}.{field}" + ("-inf" if value > 0 else "")
+    for block, field, value, _ in FIELD_CASES])
+def test_a_nan_field_fails_its_range_check_at_construction(block, field, value, message):
+    # a NaN or inf built from Python was once accepted and failed later
+    # under another name (a NaN rate as a steady-state error, a NaN flux as
+    # levels that are not ascending)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        dataclasses.replace(VALID_BLOCKS[block], **{field: float("nan")})
+        dataclasses.replace(VALID_BLOCKS[block], **{field: value})
 
 
 def test_rng_streams_are_independent():

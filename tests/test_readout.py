@@ -190,6 +190,14 @@ def test_add_noise_rejects_noise_that_is_not_a_finite_std(sigma):
         add_noise(clean, sigma, 1, seed)
 
 
+@pytest.mark.parametrize("sigma", ["0.1", None, True])
+def test_add_noise_rejects_noise_that_is_not_a_number(sigma):
+    # strings and None once ended in numpy's bare TypeError, True ran as 1
+    clean = IQTrace(np.arange(10.0), np.zeros(10), np.zeros(10))
+    with pytest.raises(ValueError, match=f"^noise_sigma must be a number, got {sigma!r}$"):
+        add_noise(clean, sigma, 1, seed)
+
+
 def test_noise_determinism_and_scale():
     t = np.arange(2000.0)
     clean = IQTrace(t, np.zeros(2000), np.zeros(2000))

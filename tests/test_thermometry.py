@@ -258,7 +258,7 @@ def test_deming_exact_collinear():
 
 
 def test_deming_axis_swap_reciprocal():
-    # delta = 1 treats both axes symmetrically: swapping x and y inverts
+    # equal noise on both axes treats them symmetrically: swapping x and y inverts
     # the slope exactly
     rng = np.random.default_rng(seed)
     x = rng.normal(size=200)
@@ -298,10 +298,16 @@ def test_deming_rejects_degenerate_data():
         deming_fit(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="differ in length: 5 and 4"):
         deming_slope(np.arange(5.0), np.arange(4.0))
-    # an infinite or NaN delta once gave a NaN slope without a word
-    for delta in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="^variance ratio delta must be finite and positive"):
-            deming_fit(np.arange(5.0), np.arange(5.0), variance_ratio_delta=delta)
+
+
+def test_deming_fits_take_no_variance_ratio():
+    # both axes carry the same noise, so the ratio is 1; a positional third
+    # argument fails rather than becoming the resample count
+    x = np.arange(5.0)
+    for call in (lambda: deming_fit(x, x ** 2, 1.0), lambda: deming_slope(x, x ** 2, delta=1.0),
+                 lambda: deming_fit(x, x ** 2, variance_ratio_delta=1.0)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_negative_bootstrap_count_raises():
@@ -422,7 +428,7 @@ def test_mostly_degenerate_bootstrap_names_its_pair():
         {lab: IQTrace(t, np.array(i, dtype=float), np.array(q, dtype=float), lab)
          for lab, i, q in zip(("x0", "x1", "x2", "y0", "y1", "y2"), i_vals, q_vals)})
     estimate_temperature(responses, ANCHOR, clamp=True)  # point fits hold
-    kept = thermometry._bootstrap_slopes(*_pair_rows(responses.iq()), 1.0, 1000,
+    kept = thermometry._bootstrap_slopes(*_pair_rows(responses.iq()), 1000,
                                          np.random.default_rng(0))
     assert [k for k, slopes in enumerate(kept) if len(slopes) < 500] == [4]
     with pytest.raises(DegenerateDataError,
@@ -450,7 +456,7 @@ def test_nine_row_bootstrap_memory_is_flat_in_resamples():
     y = 0.5 * x + rng.normal(scale=0.1, size=(9, 700))
     tracemalloc.start()
     try:
-        thermometry._bootstrap_slopes(x, y, 1.0, 1000, np.random.default_rng(1))
+        thermometry._bootstrap_slopes(x, y, 1000, np.random.default_rng(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -498,7 +504,7 @@ def test_shared_bootstrap_masks_each_pair_row_on_its_own():
     kept = _assert_pair_cis_match_reference(report, xs, ys, 1000, 3)
     short = [tag for tag, slopes in zip(thermometry._PAIR_TAGS, kept) if len(slopes) < 1000]
     assert short == [("A", "ge"), ("B", "ge")]
-    got = thermometry._bootstrap_slopes(xs, ys, 1.0, 1000, np.random.default_rng(3))
+    got = thermometry._bootstrap_slopes(xs, ys, 1000, np.random.default_rng(3))
     assert [len(g) for g in got] == [len(k) for k in kept]
 
 
@@ -624,7 +630,7 @@ def test_every_deming_fit_flags_the_same_rows(name):
             deming_slope(x, y)
     def row_rule(xs, ys):
         _, _, sxx, syy, sxy = _row_moments(xs, ys)
-        return _deming_rule(sxx, syy, sxy, _single_valued(xs) | _single_valued(ys), 1.0)
+        return _deming_rule(sxx, syy, sxy, _single_valued(xs) | _single_valued(ys))
 
     assert row_rule(x[None], y[None])[1].tolist() == [raises(x, y)] == [bool(cause)]
     # the bootstrap's resamples: the same indices as 300 size-n draws
@@ -633,7 +639,7 @@ def test_every_deming_fit_flags_the_same_rows(name):
     assert flagged.tolist() == [raises(x[i], y[i]) for i in idx]
     # every resample of a single-valued series is flagged; of the others, some
     assert flagged.any() and flagged.all() == (cause in ("x series", "y series"))
-    kept = thermometry._bootstrap_slopes(x[None], y[None], 1.0, 300, np.random.default_rng(7))[0]
+    kept = thermometry._bootstrap_slopes(x[None], y[None], 300, np.random.default_rng(7))[0]
     np.testing.assert_allclose(kept, slopes[~flagged], rtol=1e-12, atol=0.0)
 
 
