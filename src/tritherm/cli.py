@@ -307,8 +307,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep list is empty")
     out = _resolve_output_dir(args, config)
 
-    # calibrations depend on the device only, so bath points share one and
-    # each flux point gets its own
+    # calibrations, with their pulses' slice unitaries, depend on the device
+    # only, so bath points share one and each flux point gets its own
     calibrations: Dict = {}
     rows = []
     for i, value in enumerate(points):

@@ -91,6 +91,7 @@ class RunConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self):
+        _check_kind("seed", int, self.seed)
         if self.seed < 0:  # numpy's SeedSequence takes none
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.output_dir is not None and not isinstance(self.output_dir, str):

@@ -74,6 +74,10 @@ class MonteCarloSpec:
     def __post_init__(self):
         for name in ("true_slope", "n_experiments", "x_span", "noise_sigma", "n_points"):
             _check_kind(name, _field_types(MonteCarloSpec)[name], getattr(self, name))
+        if self.seed is not None:  # numpy's SeedSequence takes no other
+            _check_kind("seed", int, self.seed)
+            if self.seed < 0:
+                raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n_experiments < 100:
             raise ValueError("n_experiments must be at least 100")
         if self.x_span <= 0:

@@ -26,11 +26,17 @@ Calibration, gates and readout share one stepper.  A span is cut into
 slices of about the stage's step (below); each slice's unitary
 exp(-i 2 pi H_k dt) is exact for the Hamiltonian at the slice midpoint and
 comes from one batched ``eigh`` over the distinct slice amplitudes.  The
-closed calibration applies each slice to a statevector in its eigenbasis;
-the dissipative gates form the distinct unitaries once per pulse and
-interleave them with the dissipator's exponential in a Strang splitting
-(Strang, SIAM J. Numer. Anal. 5, 1968), second order in the slice length,
-and ``readout`` runs the transpose of the same slices on its adjoint row.  The dissipator's
+closed calibration applies each slice to a statevector in its eigenbasis.
+Its last batch cuts the calibrated pulse at the gate step: that batch gives
+the reported transfer, and its distinct unitaries travel with the
+``CalibrationReport`` to every gate that plays the pulse, so a pulse is
+diagonalized at the gate step once per calibration, however many gates and
+bath points share it.  The dissipative gates interleave those unitaries,
+and the free evolution of the guard after the pulse, with the dissipator's
+exponential in a Strang splitting (Strang, SIAM J. Numer. Anal. 5, 1968),
+second order in the slice length, and ``readout`` runs the transpose of the
+same slices on its adjoint row.  Each distinct unitary's right factor U+ is
+formed once per propagation, not once per slice.  The dissipator's
 exponential is applied as its transmon and resonator factors
 (``dissipate``): two small real matmuls on reshaped views of rho instead of
 one product with a dim^2 x dim^2 matrix.
@@ -44,15 +50,17 @@ at 50 and 150 mK:
 - ``GATE_STEP_NS`` = 0.25: the gates set the temperature error.  Against a
   reference with every stage at 0.0625 ns, T_A, T_B, T_C are off by at most
   4.8e-3 mK; with the gates at 1.0 ns it would be 2.0e-2 mK.
-- ``READOUT_STEP_NS`` = 0.5: relative to the trace peak, the readout is
-  7.8e-7 off the exact one-sample propagator (2.3e-7 at 0.25 ns, 3.0e-6 at
-  1.0 ns), inside the 1e-6 its test allows.
+- ``READOUT_STEP_NS`` = 0.5: relative to the trace peak and against the
+  exact one-sample propagator exp(L 1 ns), the readout is at most 1.2e-7 off
+  on the default config over 50-200 mK; on the working point it is 6.6e-7
+  off at 50 mK, 7.5e-7 at 163 mK and 1.09e-6 at 200 mK.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import groupby
 from math import erf, isqrt
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -151,19 +159,24 @@ def _slice_eigenbases(ops: CompositeOperators, frame_ghz: float, envelope_fn,
     return np.exp(-1j * TWO_PI * dt * w), w, v, idx, dt
 
 
-def _slice_unitaries(ops: CompositeOperators, frame_ghz: float, envelope_fn,
-                     span_ns: float, dt_ns: float) -> Tuple[np.ndarray, np.ndarray, float]:
-    """The distinct slice unitaries exp(-i 2 pi H dt), (m, dim, dim), each
-    slice's index into them, and dt."""
-    ph, _, v, idx, dt = _slice_eigenbases(ops, frame_ghz, envelope_fn, span_ns, dt_ns)
+def _unitaries(basis) -> Tuple[np.ndarray, np.ndarray, float]:
+    """The distinct slice unitaries exp(-i 2 pi H dt), (m, dim, dim), of a
+    ``_slice_eigenbases`` batch, each slice's index into them, and dt."""
+    ph, _, v, idx, dt = basis
     return (v * ph[:, None, :]) @ np.swapaxes(v.conj(), 1, 2), idx, dt
 
 
-def _propagate_closed(ops: CompositeOperators, frame_ghz: float, envelope_fn,
-                      duration_ns: float, psi0: np.ndarray, dt_ns: float) -> np.ndarray:
-    """Statevector propagation, each slice applied in its eigenbasis as
-    V_k (exp(-i 2 pi w_k dt) * V_k+ psi), with no dense unitary formed."""
-    ph, _, v, idx, _ = _slice_eigenbases(ops, frame_ghz, envelope_fn, duration_ns, dt_ns)
+def _slice_unitaries(ops: CompositeOperators, frame_ghz: float, envelope_fn,
+                     span_ns: float, dt_ns: float) -> Tuple[np.ndarray, np.ndarray, float]:
+    """``_unitaries`` of the slices of ``_slice_eigenbases``."""
+    return _unitaries(_slice_eigenbases(ops, frame_ghz, envelope_fn, span_ns, dt_ns))
+
+
+def _propagate_closed(psi0: np.ndarray, basis) -> np.ndarray:
+    """Statevector propagation through a ``_slice_eigenbases`` batch, each
+    slice applied in its eigenbasis as V_k (exp(-i 2 pi w_k dt) * V_k+ psi),
+    with no dense unitary formed."""
+    ph, _, v, idx, _ = basis
     vc = v.conj()
     psi = psi0
     for j in idx:
@@ -185,31 +198,39 @@ def dissipate(v: np.ndarray, factors) -> np.ndarray:
     return x.reshape(nlev, nlev, nres, nres).transpose(0, 2, 1, 3).reshape(-1)
 
 
-def unitary_chain(v: np.ndarray, us, full) -> np.ndarray:
+def sandwich_pair(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The factors (U, U+) of the sandwich U rho U+; callers form it once
+    per distinct U and hand it to every slice that plays U."""
+    return u, u.conj().T
+
+
+def unitary_chain(v: np.ndarray, pairs, full) -> np.ndarray:
     """U_n exp(D dt) ... exp(D dt) U_1 on a row-major vectorized state: the
-    slices of a Strang split-step between its opening and closing halves."""
-    dim = us[0].shape[0]
-    for k, u in enumerate(us):
+    slices of a Strang split-step between its opening and closing halves,
+    each given by its ``sandwich_pair``."""
+    dim = pairs[0][0].shape[0]
+    for k, (u, uh) in enumerate(pairs):
         if k:
             v = dissipate(v, full)
-        v = (u @ v.reshape(dim, dim) @ u.conj().T).reshape(-1)
+        v = (u @ v.reshape(dim, dim) @ uh).reshape(-1)
     return v
 
 
-def strang_step(v: np.ndarray, us, half, full) -> np.ndarray:
+def strang_step(v: np.ndarray, pairs, half, full) -> np.ndarray:
     """Strang split-step of a row-major vectorized state: each slice applies
     exp(D dt/2) U_k . U_k+ exp(D dt/2), and the dissipative halves of
     adjacent slices merge into one exp(D dt) (``half`` and ``full``, factor
-    pairs for ``dissipate``).
+    pairs for ``dissipate``; ``pairs``, the slices' ``sandwich_pair``).
 
     The transpose of such a step is again one, made of U_k^T and the
     transposed factors, so the same loop propagates adjoint rows."""
-    return dissipate(unitary_chain(dissipate(v, half), us, full), half)
+    return dissipate(unitary_chain(dissipate(v, half), pairs, full), half)
 
 
-def _propagate_open(liou: Liouvillian, rho0: np.ndarray, slices) -> np.ndarray:
-    """Master-equation propagation by ``strang_step`` over the span of
-    ``slices``, its ``_slice_unitaries``.
+def _propagate_open(liou: Liouvillian, rho0: np.ndarray, *segments) -> np.ndarray:
+    """Master-equation propagation over ``segments``, each a ``_unitaries``
+    triple (distinct unitaries, slice indices, dt): one ``strang_step`` over
+    the slices of each run of segments that share a slice length.
 
     Every factor is completely positive and trace preserving, so the end state
     must be a density matrix (trace 1e-8, hermiticity 1e-10, eigenvalues
@@ -218,14 +239,19 @@ def _propagate_open(liou: Liouvillian, rho0: np.ndarray, slices) -> np.ndarray:
     dim = liou.ops.dim
     if rho0.shape != (dim, dim):
         raise ValueError(f"rho0 must be {dim}x{dim}")
-    us, idx, dt = slices
-    rho = strang_step(rho0.reshape(-1), [us[j] for j in idx],
-                      *liou.dissipator_step(dt)).reshape(dim, dim)
+    v = rho0.reshape(-1)
+    for dt, run in groupby(segments, key=lambda seg: seg[2]):
+        chain = []
+        for us, idx, _ in run:
+            pairs = [sandwich_pair(u) for u in us]
+            chain += [pairs[j] for j in idx]
+        v = strang_step(v, chain, *liou.dissipator_step(dt))
+    rho = v.reshape(dim, dim)
     try:
         validate_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-8, eig_tol=-1e-8)
     except ValueError as exc:
-        raise IntegrationError(f"state invariant violated after {len(idx) * dt:g} ns: "
-                               f"{exc}") from exc
+        span = sum(len(idx) * dt for _, idx, dt in segments)
+        raise IntegrationError(f"state invariant violated after {span:g} ns: {exc}") from exc
     return rho
 
 
@@ -234,13 +260,17 @@ def transfer_probability(ops: CompositeOperators, transition: str, carrier_ghz: 
                          dt_ns: float = CALIBRATION_STEP_NS) -> float:
     """Closed-system population transfer k0 -> k1 for a lifted-Gaussian pulse,
     measured between zero-photon dressed states."""
+    return _dressed_transfer(ops, transition, _slice_eigenbases(
+        ops, carrier_ghz, lifted_gaussian(amplitude, duration_ns), duration_ns, dt_ns))
+
+
+def _dressed_transfer(ops: CompositeOperators, transition: str, basis) -> float:
+    """The transfer of ``transfer_probability`` through the pulse slices of
+    a ``_slice_eigenbases`` batch."""
     k0, k1 = _TRANSITIONS[transition]
     _, v = ops.dressed
-    psi0 = v[:, ops.dressed_index(k0)].astype(complex)
-    target = v[:, ops.dressed_index(k1)]
-    psi = _propagate_closed(ops, carrier_ghz, lifted_gaussian(amplitude, duration_ns),
-                            duration_ns, psi0, dt_ns)
-    return float(np.abs(target.conj() @ psi) ** 2)
+    psi = _propagate_closed(v[:, ops.dressed_index(k0)].astype(complex), basis)
+    return float(np.abs(v[:, ops.dressed_index(k1)].conj() @ psi) ** 2)
 
 
 def transfer_gradient(ops: CompositeOperators, transition: str, carrier_ghz: float,
@@ -300,14 +330,18 @@ def transfer_gradient(ops: CompositeOperators, transition: str, carrier_ghz: flo
 @dataclass(frozen=True)
 class CalibrationReport:
     """Result of one simulated Rabi calibration.  ``transfer_probability``
-    is the closed-system transfer at ``GATE_STEP_NS``, the step the gates
-    run the pulse at."""
+    is the closed-system transfer through ``slices``: the ``_unitaries`` of
+    the pulse on [0, duration] at the ``GATE_STEP_NS`` in effect when it was
+    calibrated, which every gate that plays the pulse reuses.  ``slices`` is
+    kept out of ``as_dict``, comparison, hashing and repr, so a report is
+    still its five numbers."""
 
     transition: str
     amplitude: float
     duration_ns: float
     transfer_probability: float
     carrier_ghz: float
+    slices: Tuple[np.ndarray, np.ndarray, float] = field(compare=False, repr=False)
 
     def envelope(self):
         return lifted_gaussian(self.amplitude, self.duration_ns)
@@ -343,9 +377,10 @@ def run_rabi_calibration(ops: CompositeOperators, transition: str, duration_ns: 
     (the difference step adds ~1e-4).  On the shipped configs at 40-200 ns
     a fourth step would move x by at most 3e-9 in amplitude and 6e-8 MHz
     in carrier, near the ~sqrt(eps) to which double precision resolves the
-    argument of a quadratic maximum.  The reported transfer is
-    ``transfer_probability`` at ``GATE_STEP_NS``, because the gates run the
-    pulse at that step.
+    argument of a quadratic maximum.  The calibrated pulse is then cut at
+    ``GATE_STEP_NS`` and diagonalized in one batch: its closed-system
+    transfer is the reported one, and its slice unitaries go with the report
+    to the gates, which play exactly these slices.
 
     Raises ``CalibrationError`` when the Hessian at the seed is not negative
     definite (the seed is not in the basin of a maximum), when the end point
@@ -393,15 +428,17 @@ def run_rabi_calibration(ops: CompositeOperators, transition: str, duration_ns: 
             f"offset {x[1]:+.6f} MHz, outside 0.3-2.0 amp0 and +-2 MHz "
             f"(duration {duration_ns} ns)"
         )
-    best = transfer_probability(ops, transition, carrier0 + 1e-3 * x[1], x[0] * amp0,
-                                duration_ns, GATE_STEP_NS)
+    amplitude, carrier = x[0] * amp0, carrier0 + 1e-3 * x[1]
+    basis = _slice_eigenbases(ops, carrier, lifted_gaussian(amplitude, duration_ns),
+                              duration_ns, GATE_STEP_NS)
+    best = _dressed_transfer(ops, transition, basis)
     if best < 0.999:
         raise CalibrationError(
             f"pi_{transition} transfer {best:.6f} < 0.999 at duration {duration_ns} ns, "
             f"amplitude {x[0]:.6f} amp0, carrier offset {x[1]:+.6f} MHz"
         )
-    return CalibrationReport(transition, float(x[0] * amp0), float(duration_ns), best,
-                             float(carrier0 + 1e-3 * x[1]))
+    return CalibrationReport(transition, float(amplitude), float(duration_ns), best,
+                             float(carrier), _unitaries(basis))
 
 
 def change_frame(vec_rho: np.ndarray, ops: CompositeOperators, from_ghz: float,
@@ -415,10 +452,26 @@ def change_frame(vec_rho: np.ndarray, ops: CompositeOperators, from_ghz: float,
 
 
 def _gate_slices(pulse: CalibrationReport, liou: Liouvillian, gap_ns: float):
-    """The ``_slice_unitaries`` of one gate: ``pulse`` plus ``gap_ns`` of free
-    evolution at ``GATE_STEP_NS`` in the pulse's carrier frame."""
-    return _slice_unitaries(liou.ops, pulse.carrier_ghz, pulse.envelope(),
-                            pulse.duration_ns + gap_ns, GATE_STEP_NS)
+    """The ``_propagate_open`` segments of one gate: the pulse's slices,
+    carried from its calibration, then ``gap_ns`` of free evolution on its
+    own grid of ceil(gap / ``GATE_STEP_NS``) slices, from one ``eigh`` of
+    H_static in the pulse's carrier frame.  When both grids have the same
+    slice length (duration and gap both multiples of the step) they are one
+    split-step, the slices of the whole span cut at once.
+
+    Raises ``ValueError`` when the carried slices are not the pulse cut at
+    the ``GATE_STEP_NS`` in effect."""
+    _, idx, dt = pulse.slices
+    n = int(np.ceil(pulse.duration_ns / GATE_STEP_NS))
+    if len(idx) != n:
+        raise ValueError(
+            f"pi_{pulse.transition} carries {len(idx)} slices of {dt:g} ns, but the gate "
+            f"step {GATE_STEP_NS:g} ns cuts its {pulse.duration_ns:g} ns into {n}; "
+            f"calibrate it at the gate step in effect")
+    if gap_ns == 0.0:
+        return (pulse.slices,)
+    return pulse.slices, _slice_unitaries(liou.ops, pulse.carrier_ghz, lambda t: 0.0, gap_ns,
+                                          GATE_STEP_NS)
 
 
 def _apply_gate(state: Tuple[np.ndarray, float, float], pulse: CalibrationReport,
@@ -429,7 +482,7 @@ def _apply_gate(state: Tuple[np.ndarray, float, float], pulse: CalibrationReport
     rho, t_abs, frame = state
     ops = liou.ops
     v = change_frame(rho.reshape(-1), ops, frame, pulse.carrier_ghz, t_abs)
-    rho = _propagate_open(liou, v.reshape(ops.dim, ops.dim), slices)
+    rho = _propagate_open(liou, v.reshape(ops.dim, ops.dim), *slices)
     return rho, t_abs + (pulse.duration_ns + gap_ns), pulse.carrier_ghz
 
 
@@ -450,10 +503,11 @@ def prepare_sequences(
     each sequence on its own.  Each gate is one ``_propagate_open`` call over
     its pulse plus a ``gap_ns`` guard, in the gate's own carrier frame; frame
     changes are the diagonal phases of ``change_frame`` evaluated at the
-    elapsed time.  A pulse's slice unitaries are built once per call and
-    serve every gate that plays it, so the five gates diagonalize two
-    pulses.  Returns ``{label: (rho, elapsed_ns, frame_ghz)}`` with each
-    state still expressed in its last gate's frame (bare frame for x0).
+    elapsed time.  The pulses' slice unitaries come with their calibrations,
+    so no pulse is diagonalized here; each pulse's ``_gate_slices`` are put
+    together once per call and serve every gate that plays it.  Returns
+    ``{label: (rho, elapsed_ns, frame_ghz)}`` with each state still
+    expressed in its last gate's frame (bare frame for x0).
     """
     done = {(): (rho_ss.astype(complex), 0.0, 0.0)}
     slices = {}

@@ -32,7 +32,7 @@ import numpy as np
 from .constants import TWO_PI, _check_finite_fields, _check_kind
 from .hilbert import ResonatorSpec
 from .lindblad import Liouvillian
-from .pulses import READOUT_STEP_NS, dissipate, unitary_chain
+from .pulses import READOUT_STEP_NS, dissipate, sandwich_pair, unitary_chain
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,8 @@ def synthesize_traces(states: Dict[str, np.ndarray], liou: Liouvillian,
     one-sample propagator, so one row is propagated and dotted with every
     state: the cost does not grow with the number of states.  P is the
     gates' Strang split-step over ceil(sample_dt_ns / READOUT_STEP_NS)
-    substeps (two of 0.5 ns at the default 1-ns sampling; 7.8e-7 of the
-    trace peak off the exact propagator) of the constant probe Hamiltonian
+    substeps (two of 0.5 ns at the default 1-ns sampling; the error budget
+    is in ``pulses``) of the constant probe Hamiltonian
     H_static(f_r) + eps (a + a+), whose unitary U comes from one ``eigh``.
     The row takes the transposed step, built from U^T and the transposed
     dissipator factors; a sample's closing half-step and the next sample's
@@ -160,7 +160,8 @@ def synthesize_traces(states: Dict[str, np.ndarray], liou: Liouvillian,
                           + config.probe_amplitude_ghz * (ops.a + ops.adag))
     u = (v * np.exp(-1j * TWO_PI * dt * w)) @ v.conj().T
     half, full = liou.dissipator_step(dt)
-    us, half_t, full_t = (u.T,) * m, tuple(e.T for e in half), tuple(e.T for e in full)
+    pairs = (sandwich_pair(u.T),) * m
+    half_t, full_t = tuple(e.T for e in half), tuple(e.T for e in full)
     row = ops.a.T.reshape(-1).astype(complex)
     raw = np.empty((config.n_samples, len(labels)), dtype=complex)
     raw[0] = row @ cols
@@ -168,10 +169,10 @@ def synthesize_traces(states: Dict[str, np.ndarray], liou: Liouvillian,
     # half-step merges with the next one's opening half into one full step,
     # and the last closing half moves onto the states
     cols = np.stack([dissipate(c, half) for c in cols.T], axis=1)
-    z = unitary_chain(dissipate(row, half_t), us, full_t)
+    z = unitary_chain(dissipate(row, half_t), pairs, full_t)
     for k in range(1, config.n_samples):
         raw[k] = z @ cols
-        z = unitary_chain(dissipate(z, full_t), us, full_t)
+        z = unitary_chain(dissipate(z, full_t), pairs, full_t)
     t = config.time_grid()
     phase = np.exp(1j * TWO_PI * (config.if_mhz * 1e-3) * t)
     iq = raw * phase[:, None]

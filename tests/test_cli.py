@@ -14,7 +14,7 @@ from tritherm.cli import main
 from tritherm.config import load_config, stream_seed
 from tritherm.errorlab import MonteCarloSpec
 from tritherm.hilbert import diagonalize_transmon
-from tritherm.pipeline import calibrate_transitions, estimate
+from tritherm.pipeline import calibrate_transitions, estimate, run_protocol
 from tritherm.pulses import SEQUENCE_LABELS
 from tritherm.readout import add_noise, read_trace_csv, window, write_trace_csv
 from tritherm.thermometry import SequenceResponses
@@ -406,6 +406,26 @@ def test_sweep_calibrates_once_per_device(mini_config_path, tmp_path, monkeypatc
     assert len(calls) == n_calibrations
     rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
     assert len(rows) == 2 and all(row.rstrip("\r").endswith(",") for row in rows)
+
+
+def test_sweep_point_matches_a_fresh_run(mini_config_path, tmp_path):
+    # the 150 mK point plays the pulse slices calibrated for the 120 mK one,
+    # and writes what a run that calibrates afresh gives
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(mini_config_path), "--bath-mk", "120,150",
+                 "--noiseless", "--out", str(out)]) == 0
+    header, _, row = (line.rstrip("\r").split(",")
+                      for line in (out / "sweep.csv").read_text().splitlines())
+    cfg = cli._point_config(load_config(mini_config_path), True, 150.0, 1)
+    result = run_protocol(cfg, noiseless=True)
+    report = estimate(result.responses, result.levels, cfg.protocol, cfg.seed)
+    want = {"control": 150.0, "consistency": report.consistency}
+    for est in report.estimates:
+        want[f"T_{est.coefficient}_mK"] = est.t_mk
+        want[f"T_{est.coefficient}_ci_low_mK"], want[f"T_{est.coefficient}_ci_high_mK"] = \
+            est.t_ci95_mk
+    assert row[header.index("error")] == ""
+    assert {k: row[header.index(k)] for k in want} == {k: f"{v:.12g}" for k, v in want.items()}
 
 
 def test_cli_exposes_benchmarked_names():

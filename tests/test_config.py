@@ -246,6 +246,16 @@ def test_negative_seed_is_a_config_error(default_config):
     assert config_from_dict(_edited(default_config.as_dict(), "seed", 0)).seed == 0
 
 
+@pytest.mark.parametrize("value, message", [
+    (float("inf"), "seed must be a finite number, got inf"),
+    (float("nan"), "seed must be a finite number, got nan"),
+    (1.5, "seed must be an integer, got 1.5"), ("7", "seed must be an integer, got '7'")])
+def test_run_config_checks_the_seed_kind(default_config, value, message):
+    # from Python these once passed and failed later in numpy's SeedSequence
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RunConfig(default_config.system, default_config.dissipation, seed=value)
+
+
 @pytest.mark.parametrize("path, value, message", [
     ("protocol.n_bootstrap", 2.5, "protocol: n_bootstrap must be an integer, got 2.5"),
     ("protocol.n_bootstrap", True, "protocol: n_bootstrap must be an integer, got True"),

@@ -76,6 +76,17 @@ def test_error_studies_reject_counts_that_are_not_integers(name, value):
             MonteCarloSpec(**{name: value, "seed": 1})
 
 
+@pytest.mark.parametrize("value, message", [
+    (-1, "seed must be non-negative, got -1"), (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"), (float("inf"), "seed must be a finite number, got inf")])
+def test_spec_rejects_a_seed_numpy_cannot_take(value, message):
+    # -1 and 1.5 once passed the spec and failed later in default_rng
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MonteCarloSpec(seed=value)
+    assert MonteCarloSpec(seed=None).seed is None
+    assert MonteCarloSpec(seed=np.int64(0)).seed == 0
+
+
 @pytest.mark.parametrize("name, value", [
     ("n_points", "5"), ("n_experiments", None), ("noise_sigma", None), ("noise_sigma", "0.1"),
     ("noise_sigma", True), ("x_span", "0.04"), ("true_slope", "0.5")])

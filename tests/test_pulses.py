@@ -28,6 +28,7 @@ from tritherm.pulses import (
     _lifted_gauss_area,
     _propagate_closed,
     _propagate_open,
+    _slice_eigenbases,
     _slice_unitaries,
     all_sequences,
     compile_sequence,
@@ -143,16 +144,15 @@ def test_calibrated_pi_transfers(calibrations):
 
 
 def test_double_pi_returns_ground(default_ops, calibrations):
-    # pi_ge applied twice on |g> must come back with p_g >= 0.998 closed-system
+    # pi_ge applied twice on |g> must come back with p_g >= 0.998
+    # closed-system, through the slices the calibration hands to the gates
     rep = calibrations["ge"]
     _, v = default_ops.dressed
     psi = v[:, default_ops.dressed_index(0)].astype(complex)
-    from tritherm.pulses import _propagate_closed
-
-    env = rep.envelope()
+    us, idx, _ = rep.slices
     for _ in range(2):
-        psi = _propagate_closed(default_ops, rep.carrier_ghz, env,
-                                rep.duration_ns, psi, 0.25)
+        for j in idx:
+            psi = us[j] @ psi
     p_g = float(np.abs(v[:, default_ops.dressed_index(0)].conj() @ psi) ** 2)
     assert p_g >= 0.998
 
@@ -169,8 +169,8 @@ def test_transfer_probability_off_resonance(default_ops, calibrations):
 
 def test_calibration_evaluation_budget(default_config, default_ops, monkeypatch):
     # five exact gradients at the calibration step (the seed, two for the
-    # Hessian, two more Newton steps) plus the reported transfer at the gate
-    # step per transition
+    # Hessian, two more Newton steps) per transition; the reported transfer
+    # comes from the gate-step batch the gates play, not another evaluation
     calls = []
 
     def counted_gradient(ops, transition, carrier, amp, duration_ns, dt_ns):
@@ -187,8 +187,7 @@ def test_calibration_evaluation_budget(default_config, default_ops, monkeypatch)
         run_rabi_calibration(default_ops, transition,
                              default_config.protocol.pulse_duration_ns)
         assert calls.count(("gradient", transition, CALIBRATION_STEP_NS)) == 5
-        assert calls.count(("transfer", transition, GATE_STEP_NS)) == 1
-    assert len(calls) == 12
+    assert len(calls) == 10
 
 
 @pytest.mark.parametrize("transition", ["ge", "ef"])
@@ -318,7 +317,7 @@ def test_closed_stepper_matches_slice_exponentials(default_ops, calibrations):
     _, v = ops.dressed
     psi0 = v[:, ops.dressed_index(0)].astype(complex)
 
-    psi = _propagate_closed(ops, rep.carrier_ghz, env, span, psi0, GATE_STEP_NS)
+    psi = _propagate_closed(psi0, _slice_eigenbases(ops, rep.carrier_ghz, env, span, GATE_STEP_NS))
     ref = psi0
     for h in hs:
         ref = expm(-1j * TWO_PI * dt * h) @ ref
@@ -468,16 +467,79 @@ def test_prefix_walk_matches_independent_sequences(gates_50mk, monkeypatch):
         assert frame_ghz == want_frame
 
 
-def test_prepare_sequences_diagonalizes_each_pulse_once(gates_50mk, monkeypatch):
-    # the five gates play two pulses, so two eigh batches serve all of them
-    liou, rho_ss, pulses, gap = gates_50mk
+def test_each_pulse_is_diagonalized_once_per_calibration(default_config, default_ops,
+                                                       monkeypatch):
+    # one gate-step batch per pulse, in its calibration; the gates of two
+    # bath points that share the calibrations only diagonalize the free
+    # evolution of their guards, one H_static per pulse and point
     calls = []
 
     def counted(ops, frame_ghz, envelope_fn, span_ns, dt_ns, _inner=pulses_mod._slice_eigenbases):
-        calls.append((frame_ghz, span_ns, dt_ns))
+        calls.append((envelope_fn(0.5 * span_ns) != 0.0, span_ns, dt_ns))
         return _inner(ops, frame_ghz, envelope_fn, span_ns, dt_ns)
 
     monkeypatch.setattr(pulses_mod, "_slice_eigenbases", counted)
-    prepare_sequences(rho_ss, all_sequences(), liou, pulses, gap_ns=gap)
-    assert sorted(calls) == sorted((p.carrier_ghz, p.duration_ns + gap, GATE_STEP_NS)
-                                   for p in pulses.values())
+    duration, gap = default_config.protocol.pulse_duration_ns, default_config.protocol.gap_ns
+    pulses = {t: run_rabi_calibration(default_ops, t, duration) for t in ("ge", "ef")}
+    assert sorted(calls) == sorted([(True, duration, CALIBRATION_STEP_NS)] * 10
+                                   + [(True, duration, GATE_STEP_NS)] * 2)
+    calls.clear()
+    for t_mk in (50.0, 200.0):
+        liou = build_liouvillian(default_ops, dataclasses.replace(default_config.dissipation,
+                                                                  bath_t_mk=t_mk))
+        prepare_sequences(steady_state(liou), all_sequences(), liou, pulses, gap_ns=gap)
+    assert calls == [(False, gap, GATE_STEP_NS)] * 4
+
+
+@pytest.mark.parametrize("config_name", ["default_config", "wp_config"])
+def test_carried_gate_slices_are_the_whole_span_cut_at_once(request, config_name):
+    # the shipped pulse and guard are multiples of the gate step, so the
+    # pulse's carried slices followed by the guard's are, to the bit, the
+    # slices of the whole gate span cut in one batch
+    cfg = request.getfixturevalue(config_name)
+    ops = cfg.system.build_operators()
+    liou = build_liouvillian(ops, cfg.dissipation)
+    gap = cfg.protocol.gap_ns
+    for transition in ("ge", "ef"):
+        pulse = run_rabi_calibration(ops, transition, cfg.protocol.pulse_duration_ns)
+        segments = _gate_slices(pulse, liou, gap)
+        ref_us, ref_idx, ref_dt = _slice_unitaries(ops, pulse.carrier_ghz, pulse.envelope(),
+                                                   pulse.duration_ns + gap, GATE_STEP_NS)
+        assert [dt for _, _, dt in segments] == [ref_dt, ref_dt]
+        assert np.array_equal(np.concatenate([us[idx] for us, idx, _ in segments]),
+                              ref_us[ref_idx])
+
+
+def test_gates_split_a_span_off_the_step_grid(small_ops, small_liou):
+    # 50.1 ns is no multiple of the step: the pulse keeps its own grid and
+    # the guard gets ceil(gap / step) slices of its own
+    pulse = run_rabi_calibration(small_ops, "ge", 50.1)
+    segments = _gate_slices(pulse, small_liou, 4.0)
+    assert [len(idx) for _, idx, _ in segments] == [201, 16]
+    assert [dt for _, _, dt in segments] == [50.1 / 201, 0.25]
+    assert _gate_slices(pulse, small_liou, 0.0) == (pulse.slices,)
+
+
+def test_gates_reject_slices_cut_at_another_step(gates_50mk, monkeypatch):
+    liou, rho_ss, pulses, gap = gates_50mk
+    monkeypatch.setattr(pulses_mod, "GATE_STEP_NS", GATE_STEP_NS / 2)
+    with pytest.raises(ValueError, match="^pi_ge carries 224 slices of 0.25 ns, but the gate "
+                                         "step 0.125 ns cuts its 56 ns into 448; "):
+        prepare_sequences(rho_ss, all_sequences(), liou, pulses, gap_ns=gap)
+
+
+def test_calibration_report_is_its_five_numbers(calibrations):
+    # the carried slices take no part in equality, hashing, repr or as_dict
+    rep = calibrations["ge"]
+    us, idx, dt = rep.slices
+    other = dataclasses.replace(rep, slices=(us[:1], idx[:1], 2.0 * dt))
+    assert other == rep and hash(other) == hash(rep)
+    assert dataclasses.replace(rep, amplitude=2.0 * rep.amplitude) != rep
+    assert repr(other) == repr(rep) == (
+        f"CalibrationReport(transition='ge', amplitude={rep.amplitude!r}, "
+        f"duration_ns={rep.duration_ns!r}, transfer_probability={rep.transfer_probability!r}, "
+        f"carrier_ghz={rep.carrier_ghz!r})")
+    assert rep.as_dict() == {"transition": "ge", "amplitude": rep.amplitude,
+                             "duration_ns": rep.duration_ns,
+                             "transfer_probability": rep.transfer_probability,
+                             "carrier_ghz": rep.carrier_ghz}
