@@ -35,11 +35,10 @@ bath points share it.  The dissipative gates interleave those unitaries,
 and the free evolution of the guard after the pulse, with the dissipator's
 exponential in a Strang splitting (Strang, SIAM J. Numer. Anal. 5, 1968),
 second order in the slice length, and ``readout`` runs the transpose of the
-same slices on its adjoint row.  Each distinct unitary's right factor U+ is
-formed once per propagation, not once per slice.  The dissipator's
-exponential is applied as its transmon and resonator factors
-(``dissipate``): two small real matmuls on reshaped views of rho instead of
-one product with a dim^2 x dim^2 matrix.
+same slices on its adjoint row.  The dissipator's exponential is applied
+as its transmon and resonator factors (``dissipate``): two small real
+matmuls on reshaped views of rho instead of one product with a
+dim^2 x dim^2 matrix.
 
 Each stage has its own step, set by its error budget on the shipped configs
 at 50 and 150 mK:
@@ -62,7 +61,7 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import groupby
 from math import erf, isqrt
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -198,33 +197,26 @@ def dissipate(v: np.ndarray, factors) -> np.ndarray:
     return x.reshape(nlev, nlev, nres, nres).transpose(0, 2, 1, 3).reshape(-1)
 
 
-def sandwich_pair(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The factors (U, U+) of the sandwich U rho U+; callers form it once
-    per distinct U and hand it to every slice that plays U."""
-    return u, u.conj().T
-
-
-def unitary_chain(v: np.ndarray, pairs, full) -> np.ndarray:
+def unitary_chain(v: np.ndarray, us, full) -> np.ndarray:
     """U_n exp(D dt) ... exp(D dt) U_1 on a row-major vectorized state: the
-    slices of a Strang split-step between its opening and closing halves,
-    each given by its ``sandwich_pair``."""
-    dim = pairs[0][0].shape[0]
-    for k, (u, uh) in enumerate(pairs):
+    slices of a Strang split-step between its opening and closing halves."""
+    dim = us[0].shape[0]
+    for k, u in enumerate(us):
         if k:
             v = dissipate(v, full)
-        v = (u @ v.reshape(dim, dim) @ uh).reshape(-1)
+        v = (u @ v.reshape(dim, dim) @ u.conj().T).reshape(-1)
     return v
 
 
-def strang_step(v: np.ndarray, pairs, half, full) -> np.ndarray:
+def strang_step(v: np.ndarray, us, half, full) -> np.ndarray:
     """Strang split-step of a row-major vectorized state: each slice applies
     exp(D dt/2) U_k . U_k+ exp(D dt/2), and the dissipative halves of
     adjacent slices merge into one exp(D dt) (``half`` and ``full``, factor
-    pairs for ``dissipate``; ``pairs``, the slices' ``sandwich_pair``).
+    pairs for ``dissipate``).
 
     The transpose of such a step is again one, made of U_k^T and the
     transposed factors, so the same loop propagates adjoint rows."""
-    return dissipate(unitary_chain(dissipate(v, half), pairs, full), half)
+    return dissipate(unitary_chain(dissipate(v, half), us, full), half)
 
 
 def _propagate_open(liou: Liouvillian, rho0: np.ndarray, *segments) -> np.ndarray:
@@ -243,8 +235,7 @@ def _propagate_open(liou: Liouvillian, rho0: np.ndarray, *segments) -> np.ndarra
     for dt, run in groupby(segments, key=lambda seg: seg[2]):
         chain = []
         for us, idx, _ in run:
-            pairs = [sandwich_pair(u) for u in us]
-            chain += [pairs[j] for j in idx]
+            chain += [us[j] for j in idx]
         v = strang_step(v, chain, *liou.dissipator_step(dt))
     rho = v.reshape(dim, dim)
     try:
@@ -257,20 +248,21 @@ def _propagate_open(liou: Liouvillian, rho0: np.ndarray, *segments) -> np.ndarra
 
 def transfer_probability(ops: CompositeOperators, transition: str, carrier_ghz: float,
                          amplitude: float, duration_ns: float,
-                         dt_ns: float = CALIBRATION_STEP_NS) -> float:
+                         dt_ns: float = CALIBRATION_STEP_NS, *, basis=None) -> float:
     """Closed-system population transfer k0 -> k1 for a lifted-Gaussian pulse,
-    measured between zero-photon dressed states."""
-    return _dressed_transfer(ops, transition, _slice_eigenbases(
-        ops, carrier_ghz, lifted_gaussian(amplitude, duration_ns), duration_ns, dt_ns))
-
-
-def _dressed_transfer(ops: CompositeOperators, transition: str, basis) -> float:
-    """The transfer of ``transfer_probability`` through the pulse slices of
-    a ``_slice_eigenbases`` batch."""
+    measured between zero-photon dressed states.  ``basis`` is the pulse's
+    ``_slice_eigenbases`` batch at ``dt_ns`` when the caller already holds
+    it (the calibration, which hands that batch's unitaries to the gates);
+    without it the pulse is diagonalized here."""
+    if basis is None:
+        basis = _slice_eigenbases(ops, carrier_ghz, lifted_gaussian(amplitude, duration_ns),
+                                  duration_ns, dt_ns)
     k0, k1 = _TRANSITIONS[transition]
     _, v = ops.dressed
-    psi = _propagate_closed(v[:, ops.dressed_index(k0)].astype(complex), basis)
-    return float(np.abs(v[:, ops.dressed_index(k1)].conj() @ psi) ** 2)
+    psi0 = v[:, ops.dressed_index(k0)].astype(complex)
+    target = v[:, ops.dressed_index(k1)]
+    psi = _propagate_closed(psi0, basis)
+    return float(np.abs(target.conj() @ psi) ** 2)
 
 
 def transfer_gradient(ops: CompositeOperators, transition: str, carrier_ghz: float,
@@ -327,21 +319,31 @@ def transfer_gradient(ops: CompositeOperators, transition: str, carrier_ghz: flo
     return float(np.abs(c) ** 2), 2.0 * (c.conj() * dc).real
 
 
+class PulseSlices(NamedTuple):
+    """A calibrated pulse cut at the gate step: the ``_unitaries`` of its
+    slices on [0, duration], and the (amplitude, carrier_ghz, duration_ns,
+    step_ns) they were cut from."""
+
+    unitaries: Tuple[np.ndarray, np.ndarray, float]
+    cut_from: Tuple[float, float, float, float]
+
+
 @dataclass(frozen=True)
 class CalibrationReport:
     """Result of one simulated Rabi calibration.  ``transfer_probability``
-    is the closed-system transfer through ``slices``: the ``_unitaries`` of
-    the pulse on [0, duration] at the ``GATE_STEP_NS`` in effect when it was
-    calibrated, which every gate that plays the pulse reuses.  ``slices`` is
-    kept out of ``as_dict``, comparison, hashing and repr, so a report is
-    still its five numbers."""
+    is the closed-system transfer through ``slices``, the pulse cut at the
+    ``GATE_STEP_NS`` in effect when it was calibrated, which every gate that
+    plays the pulse reuses.  ``slices`` is kept out of ``as_dict``,
+    comparison, hashing and repr, so a report is still its five numbers; a
+    report built without them, or whose pulse no longer matches them (say,
+    by ``dataclasses.replace``), plays no gate."""
 
     transition: str
     amplitude: float
     duration_ns: float
     transfer_probability: float
     carrier_ghz: float
-    slices: Tuple[np.ndarray, np.ndarray, float] = field(compare=False, repr=False)
+    slices: Optional[PulseSlices] = field(default=None, compare=False, repr=False)
 
     def envelope(self):
         return lifted_gaussian(self.amplitude, self.duration_ns)
@@ -431,14 +433,16 @@ def run_rabi_calibration(ops: CompositeOperators, transition: str, duration_ns: 
     amplitude, carrier = x[0] * amp0, carrier0 + 1e-3 * x[1]
     basis = _slice_eigenbases(ops, carrier, lifted_gaussian(amplitude, duration_ns),
                               duration_ns, GATE_STEP_NS)
-    best = _dressed_transfer(ops, transition, basis)
+    best = transfer_probability(ops, transition, carrier, amplitude, duration_ns,
+                                GATE_STEP_NS, basis=basis)
     if best < 0.999:
         raise CalibrationError(
             f"pi_{transition} transfer {best:.6f} < 0.999 at duration {duration_ns} ns, "
             f"amplitude {x[0]:.6f} amp0, carrier offset {x[1]:+.6f} MHz"
         )
-    return CalibrationReport(transition, float(amplitude), float(duration_ns), best,
-                             float(carrier), _unitaries(basis))
+    amplitude, duration_ns, carrier = float(amplitude), float(duration_ns), float(carrier)
+    return CalibrationReport(transition, amplitude, duration_ns, best, carrier, PulseSlices(
+        _unitaries(basis), (amplitude, carrier, duration_ns, GATE_STEP_NS)))
 
 
 def change_frame(vec_rho: np.ndarray, ops: CompositeOperators, from_ghz: float,
@@ -459,18 +463,19 @@ def _gate_slices(pulse: CalibrationReport, liou: Liouvillian, gap_ns: float):
     slice length (duration and gap both multiples of the step) they are one
     split-step, the slices of the whole span cut at once.
 
-    Raises ``ValueError`` when the carried slices are not the pulse cut at
-    the ``GATE_STEP_NS`` in effect."""
-    _, idx, dt = pulse.slices
-    n = int(np.ceil(pulse.duration_ns / GATE_STEP_NS))
-    if len(idx) != n:
+    Raises ``ValueError`` when the pulse carries no slices, or slices cut
+    from another amplitude, carrier, duration or step than its own at the
+    ``GATE_STEP_NS`` in effect."""
+    cut = (pulse.amplitude, pulse.carrier_ghz, pulse.duration_ns, GATE_STEP_NS)
+    if pulse.slices is None or pulse.slices.cut_from != cut:
         raise ValueError(
-            f"pi_{pulse.transition} carries {len(idx)} slices of {dt:g} ns, but the gate "
-            f"step {GATE_STEP_NS:g} ns cuts its {pulse.duration_ns:g} ns into {n}; "
-            f"calibrate it at the gate step in effect")
+            f"pi_{pulse.transition} carries no slices of its pulse (amplitude "
+            f"{pulse.amplitude!r}, carrier {pulse.carrier_ghz!r} GHz, {pulse.duration_ns:g} ns) "
+            f"at the gate step {GATE_STEP_NS:g} ns; run_rabi_calibration cuts them")
+    pulse_slices = pulse.slices.unitaries
     if gap_ns == 0.0:
-        return (pulse.slices,)
-    return pulse.slices, _slice_unitaries(liou.ops, pulse.carrier_ghz, lambda t: 0.0, gap_ns,
+        return (pulse_slices,)
+    return pulse_slices, _slice_unitaries(liou.ops, pulse.carrier_ghz, lambda t: 0.0, gap_ns,
                                           GATE_STEP_NS)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .constants import TWO_PI, _check_finite_fields, _check_kind
 from .hilbert import ResonatorSpec
 from .lindblad import Liouvillian
-from .pulses import READOUT_STEP_NS, dissipate, sandwich_pair, unitary_chain
+from .pulses import READOUT_STEP_NS, dissipate, unitary_chain
 
 
 @dataclass(frozen=True)
@@ -160,8 +160,7 @@ def synthesize_traces(states: Dict[str, np.ndarray], liou: Liouvillian,
                           + config.probe_amplitude_ghz * (ops.a + ops.adag))
     u = (v * np.exp(-1j * TWO_PI * dt * w)) @ v.conj().T
     half, full = liou.dissipator_step(dt)
-    pairs = (sandwich_pair(u.T),) * m
-    half_t, full_t = tuple(e.T for e in half), tuple(e.T for e in full)
+    us, half_t, full_t = (u.T,) * m, tuple(e.T for e in half), tuple(e.T for e in full)
     row = ops.a.T.reshape(-1).astype(complex)
     raw = np.empty((config.n_samples, len(labels)), dtype=complex)
     raw[0] = row @ cols
@@ -169,10 +168,10 @@ def synthesize_traces(states: Dict[str, np.ndarray], liou: Liouvillian,
     # half-step merges with the next one's opening half into one full step,
     # and the last closing half moves onto the states
     cols = np.stack([dissipate(c, half) for c in cols.T], axis=1)
-    z = unitary_chain(dissipate(row, half_t), pairs, full_t)
+    z = unitary_chain(dissipate(row, half_t), us, full_t)
     for k in range(1, config.n_samples):
         raw[k] = z @ cols
-        z = unitary_chain(dissipate(z, full_t), pairs, full_t)
+        z = unitary_chain(dissipate(z, full_t), us, full_t)
     t = config.time_grid()
     phase = np.exp(1j * TWO_PI * (config.if_mhz * 1e-3) * t)
     iq = raw * phase[:, None]

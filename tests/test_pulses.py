@@ -149,7 +149,7 @@ def test_double_pi_returns_ground(default_ops, calibrations):
     rep = calibrations["ge"]
     _, v = default_ops.dressed
     psi = v[:, default_ops.dressed_index(0)].astype(complex)
-    us, idx, _ = rep.slices
+    us, idx, _ = rep.slices.unitaries
     for _ in range(2):
         for j in idx:
             psi = us[j] @ psi
@@ -169,17 +169,18 @@ def test_transfer_probability_off_resonance(default_ops, calibrations):
 
 def test_calibration_evaluation_budget(default_config, default_ops, monkeypatch):
     # five exact gradients at the calibration step (the seed, two for the
-    # Hessian, two more Newton steps) per transition; the reported transfer
-    # comes from the gate-step batch the gates play, not another evaluation
+    # Hessian, two more Newton steps) plus the reported transfer at the gate
+    # step per transition, through the batch the gates play
     calls = []
 
     def counted_gradient(ops, transition, carrier, amp, duration_ns, dt_ns):
         calls.append(("gradient", transition, dt_ns))
         return transfer_gradient(ops, transition, carrier, amp, duration_ns, dt_ns)
 
-    def counted_transfer(ops, transition, carrier, amp, duration_ns, dt_ns):
+    def counted_transfer(ops, transition, carrier, amp, duration_ns, dt_ns, *, basis):
         calls.append(("transfer", transition, dt_ns))
-        return transfer_probability(ops, transition, carrier, amp, duration_ns, dt_ns)
+        return transfer_probability(ops, transition, carrier, amp, duration_ns, dt_ns,
+                                    basis=basis)
 
     monkeypatch.setattr(pulses_mod, "transfer_gradient", counted_gradient)
     monkeypatch.setattr(pulses_mod, "transfer_probability", counted_transfer)
@@ -187,7 +188,8 @@ def test_calibration_evaluation_budget(default_config, default_ops, monkeypatch)
         run_rabi_calibration(default_ops, transition,
                              default_config.protocol.pulse_duration_ns)
         assert calls.count(("gradient", transition, CALIBRATION_STEP_NS)) == 5
-    assert len(calls) == 10
+        assert calls.count(("transfer", transition, GATE_STEP_NS)) == 1
+    assert len(calls) == 12
 
 
 @pytest.mark.parametrize("transition", ["ge", "ef"])
@@ -517,23 +519,36 @@ def test_gates_split_a_span_off_the_step_grid(small_ops, small_liou):
     segments = _gate_slices(pulse, small_liou, 4.0)
     assert [len(idx) for _, idx, _ in segments] == [201, 16]
     assert [dt for _, _, dt in segments] == [50.1 / 201, 0.25]
-    assert _gate_slices(pulse, small_liou, 0.0) == (pulse.slices,)
+    assert _gate_slices(pulse, small_liou, 0.0) == (pulse.slices.unitaries,)
 
 
 def test_gates_reject_slices_cut_at_another_step(gates_50mk, monkeypatch):
     liou, rho_ss, pulses, gap = gates_50mk
     monkeypatch.setattr(pulses_mod, "GATE_STEP_NS", GATE_STEP_NS / 2)
-    with pytest.raises(ValueError, match="^pi_ge carries 224 slices of 0.25 ns, but the gate "
-                                         "step 0.125 ns cuts its 56 ns into 448; "):
+    with pytest.raises(ValueError, match=r"^pi_ge carries no slices of its pulse \(.*, 56 ns\) "
+                                         r"at the gate step 0.125 ns; "):
         prepare_sequences(rho_ss, all_sequences(), liou, pulses, gap_ns=gap)
+
+
+@pytest.mark.parametrize("change", ["amplitude", "carrier_ghz", "duration_ns", "slices"])
+def test_gates_reject_slices_of_another_pulse(gates_50mk, change):
+    # a report whose pulse no longer matches its carried slices, or that
+    # was built from its five numbers alone, plays no gate: it would
+    # otherwise play the old pulse under the new numbers
+    liou, rho_ss, pulses, gap = gates_50mk
+    rep = pulses["ef"]
+    other = dataclasses.replace(
+        rep, **{change: None if change == "slices" else 1.01 * getattr(rep, change)})
+    with pytest.raises(ValueError, match="^pi_ef carries no slices of its pulse "):
+        prepare_sequences(rho_ss, all_sequences(), liou, {**pulses, "ef": other}, gap_ns=gap)
 
 
 def test_calibration_report_is_its_five_numbers(calibrations):
     # the carried slices take no part in equality, hashing, repr or as_dict
     rep = calibrations["ge"]
-    us, idx, dt = rep.slices
-    other = dataclasses.replace(rep, slices=(us[:1], idx[:1], 2.0 * dt))
+    other = dataclasses.replace(rep, slices=None)
     assert other == rep and hash(other) == hash(rep)
+    assert pulses_mod.CalibrationReport(*rep.as_dict().values()) == rep
     assert dataclasses.replace(rep, amplitude=2.0 * rep.amplitude) != rep
     assert repr(other) == repr(rep) == (
         f"CalibrationReport(transition='ge', amplitude={rep.amplitude!r}, "

@@ -12,7 +12,7 @@ from oracles import read_trace_csv_csv_module
 from superops import static_super, unit_superoperator
 from tritherm import readout
 from tritherm.constants import TWO_PI
-from tritherm.pulses import READOUT_STEP_NS, sandwich_pair, strang_step
+from tritherm.pulses import READOUT_STEP_NS, strang_step
 from tritherm.readout import (
     IQTrace,
     ReadoutConfig,
@@ -123,7 +123,7 @@ def test_row_propagation_matches_forward_states(small_liou):
     for j, col in enumerate(states.values()):
         for k in range(cfg.n_samples):
             ref[k, j] = a_row @ col
-            col = strang_step(col, (sandwich_pair(u),) * m, half, full)
+            col = strang_step(col, (u,) * m, half, full)
     ref *= _if_phase(cfg)
 
     got = _stacked(synthesize_traces(states, small_liou, cfg), states)
