@@ -307,7 +307,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep list is empty")
     out = _resolve_output_dir(args, config)
 
-    # calibrations, with their pulses' slice unitaries, depend on the device
+    # calibrations, with their pulses' slice eigenbases, depend on the device
     # only, so bath points share one and each flux point gets its own
     calibrations: Dict = {}
     rows = []

@@ -36,7 +36,7 @@ about kappa (g/Delta)^2) sits near 1e-13 of its norm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -139,6 +139,26 @@ def _local_dissipator(lops, m: int) -> np.ndarray:
     return out
 
 
+class DissipatorStep(NamedTuple):
+    """exp(D t) in the form ``pulses.dissipate`` applies it: the transmon
+    and resonator factors E_T = exp(D_T t) and E_R = exp(D_R t); E_T as a
+    right product on complex data viewed as interleaved float pairs,
+    kron(E_T^T, 1_2); and the flat indices that gather a row-major
+    rho[k n, k' n'] into its (n n', k k') view and scatter that view back."""
+
+    e_t: np.ndarray
+    e_r: np.ndarray
+    e_t_pairs: np.ndarray
+    gather: np.ndarray
+    scatter: np.ndarray
+
+    def transpose(self) -> "DissipatorStep":
+        """exp(D t)^T, the step of adjoint rows: every factor transposed
+        (and made contiguous), the layout unchanged."""
+        return self._replace(e_t=self.e_t.T.copy(), e_r=self.e_r.T.copy(),
+                             e_t_pairs=self.e_t_pairs.T.copy())
+
+
 @dataclass
 class Liouvillian:
     """Static generator plus jump operators for one system configuration.
@@ -166,22 +186,25 @@ class Liouvillian:
             lops["phi"] = lops.pop("phi")
         return lops
 
-    def dissipator_step(self, dt_ns: float) -> Tuple[Tuple[np.ndarray, np.ndarray],
-                                                     Tuple[np.ndarray, np.ndarray]]:
+    def dissipator_step(self, dt_ns: float) -> Tuple[DissipatorStep, DissipatorStep]:
         """exp(D dt/2) and exp(D dt), the dissipative half and full slices of
-        the split-step, each as its (transmon, resonator) factor pair, with
-        D = D_T (x) 1 + 1 (x) D_R on the (k k', n n') view
-        X[k k', n n'] = rho[k n, k' n'], where D acts as D_T X + X D_R^T.
+        the split-step, with D = D_T (x) 1 + 1 (x) D_R on the (k k', n n')
+        view X[k k', n n'] = rho[k n, k' n'], where D acts as D_T X + X D_R^T.
         The two parts of D commute, so exp(D t) = exp(D_T t) (x) exp(D_R t)
         exactly.  Like D, they do not depend on the rotating frame: every
         jump operator changes the excitation number by a fixed amount, so
-        the frame phases cancel in each term of D[L]."""
+        the frame phases cancel in each term of D[L].  Both are formed once
+        per slice length."""
         key = ("diss_step", dt_ns)
         if key not in self._cache:
+            nlev, nres = self.ops.tspec.n_transmon_levels, self.ops.rspec.n_states
             half = tuple(_expm(0.5 * dt_ns * _local_dissipator(jumps.values(), m)) for jumps, m in
-                         ((self.transmon_jumps, self.ops.tspec.n_transmon_levels),
-                          (self.resonator_jumps, self.ops.rspec.n_states)))
-            self._cache[key] = (half, tuple(e @ e for e in half))
+                         ((self.transmon_jumps, nlev), (self.resonator_jumps, nres)))
+            gather = np.arange(self.ops.dim ** 2).reshape(nlev, nres, nlev, nres)
+            gather = gather.transpose(1, 3, 0, 2).reshape(-1)
+            self._cache[key] = tuple(
+                DissipatorStep(e_t, e_r, np.kron(e_t.T, np.eye(2)), gather, np.argsort(gather))
+                for e_t, e_r in (half, tuple(e @ e for e in half)))
         return self._cache[key]
 
 

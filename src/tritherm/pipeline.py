@@ -92,7 +92,7 @@ def run_protocol(
     ``calibrations`` short-circuits the Rabi calibrations (they depend only on the
     device and pulse duration, not on bath temperature or seed), which makes
     bath sweeps and repeated runs much cheaper; the reports carry their
-    pulses' slice unitaries, so the gates diagonalize no pulse.
+    pulses' slice eigenbases, so the gates diagonalize no pulse.
     """
     timings: Dict[str, float] = {}
     t0 = time.perf_counter()

@@ -22,23 +22,27 @@ GRAPE: de Fouquieres, Schirmer, Glaser & Kuprov, J. Magn. Reson. 212, 412
 (2011)), one forward and one adjoint pass apply it, and the Hessian is a
 difference of two exact gradients.
 
-Calibration, gates and readout share one stepper.  A span is cut into
+Calibration, gates and readout share one splitting.  A span is cut into
 slices of about the stage's step (below); each slice's unitary
-exp(-i 2 pi H_k dt) is exact for the Hamiltonian at the slice midpoint and
-comes from one batched ``eigh`` over the distinct slice amplitudes.  The
-closed calibration applies each slice to a statevector in its eigenbasis.
-Its last batch cuts the calibrated pulse at the gate step: that batch gives
-the reported transfer, and its distinct unitaries travel with the
+exp(-i 2 pi H_k dt) is exact for the Hamiltonian at the slice midpoint,
+whose eigenbasis comes from one batched ``eigh`` over the distinct slice
+amplitudes.  The closed calibration applies each slice to a statevector in
+its eigenbasis.  Its last batch cuts the calibrated pulse at the gate step:
+that batch gives the reported transfer, and its eigenbases travel with the
 ``CalibrationReport`` to every gate that plays the pulse, so a pulse is
 diagonalized at the gate step once per calibration, however many gates and
-bath points share it.  The dissipative gates interleave those unitaries,
-and the free evolution of the guard after the pulse, with the dissipator's
+bath points share it.  The dissipative gates interleave those slices, and
+the free evolution of the guard after the pulse, with the dissipator's
 exponential in a Strang splitting (Strang, SIAM J. Numer. Anal. 5, 1968),
-second order in the slice length, and ``readout`` runs the transpose of the
-same slices on its adjoint row.  The dissipator's exponential is applied
-as its transmon and resonator factors (``dissipate``): two small real
-matmuls on reshaped views of rho instead of one product with a
-dim^2 x dim^2 matrix.
+second order in the slice length.  A gate steps the Hermitian rho packed
+as the real matrix Re rho + Im rho: the slice eigenvectors are real, so a
+slice is four real dim x dim products in its eigenbasis and an elementwise
+rotation by the eigenvalue phases (``_propagate_open``), with no complex
+unitary formed.  ``readout`` runs the transpose of the same splitting on
+its complex adjoint row.  The dissipator's exponential is applied as its
+transmon and resonator factors (``dissipate``): a real left and a real
+right matmul on one permuted copy of the state, real or complex, instead
+of one product with a dim^2 x dim^2 matrix.
 
 Each stage has its own step, set by its error budget on the shipped configs
 at 50 and 150 mK:
@@ -60,14 +64,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from itertools import groupby
-from math import erf, isqrt
+from math import erf
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .constants import TWO_PI
 from .hilbert import CompositeOperators, validate_density_matrix
-from .lindblad import DissipationSpec, IntegrationError, Liouvillian
+from .lindblad import DissipationSpec, DissipatorStep, IntegrationError, Liouvillian
 
 EDGE = np.exp(-2.0)  # envelope value of the bare Gaussian at +-2 sigma
 CALIBRATION_STEP_NS = 1.0  # slice length of the closed Rabi calibration
@@ -158,19 +162,6 @@ def _slice_eigenbases(ops: CompositeOperators, frame_ghz: float, envelope_fn,
     return np.exp(-1j * TWO_PI * dt * w), w, v, idx, dt
 
 
-def _unitaries(basis) -> Tuple[np.ndarray, np.ndarray, float]:
-    """The distinct slice unitaries exp(-i 2 pi H dt), (m, dim, dim), of a
-    ``_slice_eigenbases`` batch, each slice's index into them, and dt."""
-    ph, _, v, idx, dt = basis
-    return (v * ph[:, None, :]) @ np.swapaxes(v.conj(), 1, 2), idx, dt
-
-
-def _slice_unitaries(ops: CompositeOperators, frame_ghz: float, envelope_fn,
-                     span_ns: float, dt_ns: float) -> Tuple[np.ndarray, np.ndarray, float]:
-    """``_unitaries`` of the slices of ``_slice_eigenbases``."""
-    return _unitaries(_slice_eigenbases(ops, frame_ghz, envelope_fn, span_ns, dt_ns))
-
-
 def _propagate_closed(psi0: np.ndarray, basis) -> np.ndarray:
     """Statevector propagation through a ``_slice_eigenbases`` batch, each
     slice applied in its eigenbasis as V_k (exp(-i 2 pi w_k dt) * V_k+ psi),
@@ -183,65 +174,85 @@ def _propagate_closed(psi0: np.ndarray, basis) -> np.ndarray:
     return psi
 
 
-def dissipate(v: np.ndarray, factors) -> np.ndarray:
-    """exp(D t) applied to a complex row-major vectorized state, from the
-    real factor pair (exp(D_T t), exp(D_R t)) of
-    ``Liouvillian.dissipator_step``: E_R and then E_T multiply the
-    (n n', k k') and (k k', n n') views of rho[k n, k' n'] from the left,
-    each as one real matmul on the complex data viewed as float pairs."""
-    e_t, e_r = factors
-    nlev, nres = isqrt(len(e_t)), isqrt(len(e_r))
-    x = v.reshape(nlev, nres, nlev, nres).transpose(1, 3, 0, 2).reshape(nres * nres, -1)
-    x = (e_r @ x.view(float)).view(complex).T.copy()
-    x = (e_t @ x.view(float)).view(complex)
-    return x.reshape(nlev, nlev, nres, nres).transpose(0, 2, 1, 3).reshape(-1)
+class GateSegment(NamedTuple):
+    """The slices of a ``_slice_eigenbases`` batch as ``_propagate_open``
+    plays them: the real eigenvectors V of each distinct slice, the cos and
+    sin of its phase differences 2 pi dt (w_i - w_j), each slice's index
+    into them, and the slice length."""
+
+    v: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    idx: np.ndarray
+    dt: float
 
 
-def unitary_chain(v: np.ndarray, us, full) -> np.ndarray:
-    """U_n exp(D dt) ... exp(D dt) U_1 on a row-major vectorized state: the
-    slices of a Strang split-step between its opening and closing halves."""
-    dim = us[0].shape[0]
-    for k, u in enumerate(us):
-        if k:
-            v = dissipate(v, full)
-        v = (u @ v.reshape(dim, dim) @ u.conj().T).reshape(-1)
-    return v
+def _gate_segment(basis) -> GateSegment:
+    """The ``GateSegment`` of a ``_slice_eigenbases`` batch, its phase
+    factors exp(i theta_ij) = conj(ph_i) ph_j from the batch's phases
+    ph = exp(-i 2 pi w dt)."""
+    ph, _, v, idx, dt = basis
+    rot = ph.conj()[:, :, None] * ph[:, None, :]
+    return GateSegment(v, rot.real.copy(), rot.imag.copy(), idx, dt)
 
 
-def strang_step(v: np.ndarray, us, half, full) -> np.ndarray:
-    """Strang split-step of a row-major vectorized state: each slice applies
+def dissipate(x: np.ndarray, step: DissipatorStep) -> np.ndarray:
+    """exp(D t) applied to a row-major state x[k n, k' n'], real or complex,
+    flat or square, by a ``DissipatorStep``: one gather into the (n n', k k')
+    view, E_R from the left and E_T from the right, each one real matmul on
+    the data viewed as floats (E_T as kron(E_T^T, 1_2) on complex data), and
+    one scatter back."""
+    y = x.reshape(-1)[step.gather].reshape(len(step.e_r), -1)
+    y = step.e_r @ y.view(float) @ (step.e_t_pairs if x.dtype.kind == "c" else step.e_t.T)
+    return y.view(x.dtype).reshape(-1)[step.scatter].reshape(x.shape)
+
+
+def _propagate_open(liou: Liouvillian, rho0: np.ndarray, *segments: GateSegment) -> np.ndarray:
+    """Master-equation propagation over ``segments``: one Strang split-step
+    (Strang, SIAM J. Numer. Anal. 5, 1968) over the slices of each run of
+    segments that share a slice length.  Each slice applies
     exp(D dt/2) U_k . U_k+ exp(D dt/2), and the dissipative halves of
-    adjacent slices merge into one exp(D dt) (``half`` and ``full``, factor
-    pairs for ``dissipate``).
+    adjacent slices merge into one exp(D dt).
 
-    The transpose of such a step is again one, made of U_k^T and the
-    transposed factors, so the same loop propagates adjoint rows."""
-    return dissipate(unitary_chain(dissipate(v, half), us, full), half)
+    The state is stepped as the real matrix R = Re rho + Im rho, which holds
+    a Hermitian rho whole: its symmetric part is Re rho, its antisymmetric
+    part Im rho.  In slice k's real eigenbasis V the unitary multiplies
+    entry (i, j) by exp(-i theta_ij), theta_ij = 2 pi dt (w_i - w_j), which
+    on R reads R~ = V^T R V, R~ <- cos(theta) o R~ - sin(theta) o R~^T,
+    R = V R~ V^T (o elementwise).  The dissipator is real and commutes with
+    transposition, so it acts on R as it acts on rho.  The end state is
+    unpacked as rho = (R + R^T)/2 + i (R - R^T)/2.
 
-
-def _propagate_open(liou: Liouvillian, rho0: np.ndarray, *segments) -> np.ndarray:
-    """Master-equation propagation over ``segments``, each a ``_unitaries``
-    triple (distinct unitaries, slice indices, dt): one ``strang_step`` over
-    the slices of each run of segments that share a slice length.
-
-    Every factor is completely positive and trace preserving, so the end state
-    must be a density matrix (trace 1e-8, hermiticity 1e-10, eigenvalues
-    >= -1e-8); a violation raises ``IntegrationError``.
+    Raises ``ValueError`` when rho0 is not Hermitian within 1e-12: R would
+    silently drop its anti-Hermitian part.  Every factor is completely
+    positive and trace preserving, so the end state must be a density
+    matrix (trace 1e-8, eigenvalues >= -1e-8); a violation raises
+    ``IntegrationError``.
     """
     dim = liou.ops.dim
     if rho0.shape != (dim, dim):
         raise ValueError(f"rho0 must be {dim}x{dim}")
-    v = rho0.reshape(-1)
-    for dt, run in groupby(segments, key=lambda seg: seg[2]):
+    resid = float(np.max(np.abs(rho0 - rho0.conj().T)))
+    if not resid <= 1e-12:
+        raise ValueError(f"rho0 is not Hermitian: max |rho0 - rho0+| = {resid:.3e} > 1e-12")
+    r = rho0.real + rho0.imag
+    for dt, run in groupby(segments, key=lambda seg: seg.dt):
+        half, full = liou.dissipator_step(dt)
         chain = []
-        for us, idx, _ in run:
-            chain += [us[j] for j in idx]
-        v = strang_step(v, chain, *liou.dissipator_step(dt))
-    rho = v.reshape(dim, dim)
+        for seg in run:
+            chain += [(seg.v[j], seg.cos[j], seg.sin[j]) for j in seg.idx]
+        r = dissipate(r, half)
+        for k, (v, c, s) in enumerate(chain):
+            if k:
+                r = dissipate(r, full)
+            x = v.T @ r @ v
+            r = v @ (c * x - s * x.T) @ v.T
+        r = dissipate(r, half)
+    rho = 0.5 * (r + r.T) + 0.5j * (r - r.T)
     try:
         validate_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-8, eig_tol=-1e-8)
     except ValueError as exc:
-        span = sum(len(idx) * dt for _, idx, dt in segments)
+        span = sum(len(seg.idx) * seg.dt for seg in segments)
         raise IntegrationError(f"state invariant violated after {span:g} ns: {exc}") from exc
     return rho
 
@@ -252,7 +263,7 @@ def transfer_probability(ops: CompositeOperators, transition: str, carrier_ghz: 
     """Closed-system population transfer k0 -> k1 for a lifted-Gaussian pulse,
     measured between zero-photon dressed states.  ``basis`` is the pulse's
     ``_slice_eigenbases`` batch at ``dt_ns`` when the caller already holds
-    it (the calibration, which hands that batch's unitaries to the gates);
+    it (the calibration, which hands that batch on to the gates);
     without it the pulse is diagonalized here."""
     if basis is None:
         basis = _slice_eigenbases(ops, carrier_ghz, lifted_gaussian(amplitude, duration_ns),
@@ -320,23 +331,24 @@ def transfer_gradient(ops: CompositeOperators, transition: str, carrier_ghz: flo
 
 
 class PulseSlices(NamedTuple):
-    """A calibrated pulse cut at the gate step: the ``_unitaries`` of its
-    slices on [0, duration], and the (amplitude, carrier_ghz, duration_ns,
-    step_ns) they were cut from."""
+    """A calibrated pulse cut at the gate step: the ``_slice_eigenbases``
+    batch of its slices on [0, duration] (phases, eigenvalues, real
+    eigenvectors, slice indices, dt), and the (amplitude, carrier_ghz,
+    duration_ns, step_ns) they were cut from."""
 
-    unitaries: Tuple[np.ndarray, np.ndarray, float]
+    basis: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]
     cut_from: Tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
 class CalibrationReport:
     """Result of one simulated Rabi calibration.  ``transfer_probability``
-    is the closed-system transfer through ``slices``, the pulse cut at the
-    ``GATE_STEP_NS`` in effect when it was calibrated, which every gate that
-    plays the pulse reuses.  ``slices`` is kept out of ``as_dict``,
-    comparison, hashing and repr, so a report is still its five numbers; a
-    report built without them, or whose pulse no longer matches them (say,
-    by ``dataclasses.replace``), plays no gate."""
+    is the closed-system transfer through ``slices``, the eigenbases of the
+    pulse cut at the ``GATE_STEP_NS`` in effect when it was calibrated,
+    which every gate that plays the pulse reuses.  ``slices`` is kept out
+    of ``as_dict``, comparison, hashing and repr, so a report is still its
+    five numbers; a report built without them, or whose pulse no longer
+    matches them (say, by ``dataclasses.replace``), plays no gate."""
 
     transition: str
     amplitude: float
@@ -381,7 +393,7 @@ def run_rabi_calibration(ops: CompositeOperators, transition: str, duration_ns: 
     in carrier, near the ~sqrt(eps) to which double precision resolves the
     argument of a quadratic maximum.  The calibrated pulse is then cut at
     ``GATE_STEP_NS`` and diagonalized in one batch: its closed-system
-    transfer is the reported one, and its slice unitaries go with the report
+    transfer is the reported one, and its slice eigenbases go with the report
     to the gates, which play exactly these slices.
 
     Raises ``CalibrationError`` when the Hessian at the seed is not negative
@@ -442,7 +454,7 @@ def run_rabi_calibration(ops: CompositeOperators, transition: str, duration_ns: 
         )
     amplitude, duration_ns, carrier = float(amplitude), float(duration_ns), float(carrier)
     return CalibrationReport(transition, amplitude, duration_ns, best, carrier, PulseSlices(
-        _unitaries(basis), (amplitude, carrier, duration_ns, GATE_STEP_NS)))
+        basis, (amplitude, carrier, duration_ns, GATE_STEP_NS)))
 
 
 def change_frame(vec_rho: np.ndarray, ops: CompositeOperators, from_ghz: float,
@@ -457,11 +469,12 @@ def change_frame(vec_rho: np.ndarray, ops: CompositeOperators, from_ghz: float,
 
 def _gate_slices(pulse: CalibrationReport, liou: Liouvillian, gap_ns: float):
     """The ``_propagate_open`` segments of one gate: the pulse's slices,
-    carried from its calibration, then ``gap_ns`` of free evolution on its
-    own grid of ceil(gap / ``GATE_STEP_NS``) slices, from one ``eigh`` of
-    H_static in the pulse's carrier frame.  When both grids have the same
-    slice length (duration and gap both multiples of the step) they are one
-    split-step, the slices of the whole span cut at once.
+    whose eigenbases it carries from its calibration, then ``gap_ns`` of
+    free evolution on its own grid of ceil(gap / ``GATE_STEP_NS``) slices,
+    from one ``eigh`` of H_static in the pulse's carrier frame.  When both
+    grids have the same slice length (duration and gap both multiples of
+    the step) they are one split-step, the slices of the whole span cut at
+    once.
 
     Raises ``ValueError`` when the pulse carries no slices, or slices cut
     from another amplitude, carrier, duration or step than its own at the
@@ -472,11 +485,11 @@ def _gate_slices(pulse: CalibrationReport, liou: Liouvillian, gap_ns: float):
             f"pi_{pulse.transition} carries no slices of its pulse (amplitude "
             f"{pulse.amplitude!r}, carrier {pulse.carrier_ghz!r} GHz, {pulse.duration_ns:g} ns) "
             f"at the gate step {GATE_STEP_NS:g} ns; run_rabi_calibration cuts them")
-    pulse_slices = pulse.slices.unitaries
+    pulse_slices = _gate_segment(pulse.slices.basis)
     if gap_ns == 0.0:
         return (pulse_slices,)
-    return pulse_slices, _slice_unitaries(liou.ops, pulse.carrier_ghz, lambda t: 0.0, gap_ns,
-                                          GATE_STEP_NS)
+    return pulse_slices, _gate_segment(_slice_eigenbases(liou.ops, pulse.carrier_ghz,
+                                                         lambda t: 0.0, gap_ns, GATE_STEP_NS))
 
 
 def _apply_gate(state: Tuple[np.ndarray, float, float], pulse: CalibrationReport,
@@ -508,9 +521,10 @@ def prepare_sequences(
     each sequence on its own.  Each gate is one ``_propagate_open`` call over
     its pulse plus a ``gap_ns`` guard, in the gate's own carrier frame; frame
     changes are the diagonal phases of ``change_frame`` evaluated at the
-    elapsed time.  The pulses' slice unitaries come with their calibrations,
-    so no pulse is diagonalized here; each pulse's ``_gate_slices`` are put
-    together once per call and serve every gate that plays it.  Returns
+    elapsed time.  The pulses' slice eigenbases come with their calibrations,
+    so no pulse is diagonalized here; each pulse's ``_gate_slices``, with
+    their phase factors, are put together once per call and serve every
+    gate that plays it.  Returns
     ``{label: (rho, elapsed_ns, frame_ghz)}`` with each state still
     expressed in its last gate's frame (bare frame for x0).
     """

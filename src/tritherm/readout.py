@@ -32,7 +32,9 @@ import numpy as np
 from .constants import TWO_PI, _check_finite_fields, _check_kind
 from .hilbert import ResonatorSpec
 from .lindblad import Liouvillian
-from .pulses import READOUT_STEP_NS, dissipate, unitary_chain
+from .pulses import READOUT_STEP_NS, dissipate
+
+_ROWS_PER_PRODUCT = 64  # adjoint rows dotted with the states in one product
 
 
 @dataclass(frozen=True)
@@ -145,11 +147,14 @@ def synthesize_traces(states: Dict[str, np.ndarray], liou: Liouvillian,
     substeps (two of 0.5 ns at the default 1-ns sampling; the error budget
     is in ``pulses``) of the constant probe Hamiltonian
     H_static(f_r) + eps (a + a+), whose unitary U comes from one ``eigh``.
-    The row takes the transposed step, built from U^T and the transposed
-    dissipator factors; a sample's closing half-step and the next sample's
-    opening one merge into one full step, so a sample costs as many
-    dissipator applications as substeps.  The IF oscillation is reattached;
-    traces are in raw (unnormalized) units.
+    The row, held as a dim x dim matrix Z, takes the transposed step:
+    Z <- U^T Z conj(U) with both factors formed once, between the
+    transposed dissipator factors.  A sample's closing half-step and the
+    next sample's opening one merge into one full step, so a sample costs
+    as many dissipator applications as substeps.  The rows of
+    ``_ROWS_PER_PRODUCT`` samples are buffered and dotted with every state
+    in one matrix product.  The IF oscillation is reattached; traces are in
+    raw (unnormalized) units.
     """
     ops = liou.ops
     labels = list(states)
@@ -159,19 +164,26 @@ def synthesize_traces(states: Dict[str, np.ndarray], liou: Liouvillian,
     w, v = np.linalg.eigh(ops.h_static(ops.rspec.fr_ghz)
                           + config.probe_amplitude_ghz * (ops.a + ops.adag))
     u = (v * np.exp(-1j * TWO_PI * dt * w)) @ v.conj().T
+    u_t, u_conj = u.T.copy(), u.conj()
     half, full = liou.dissipator_step(dt)
-    us, half_t, full_t = (u.T,) * m, tuple(e.T for e in half), tuple(e.T for e in full)
-    row = ops.a.T.reshape(-1).astype(complex)
-    raw = np.empty((config.n_samples, len(labels)), dtype=complex)
-    raw[0] = row @ cols
+    half_t, full_t = half.transpose(), full.transpose()
+    n = config.n_samples
+    row = ops.a.T.astype(complex)
+    raw = np.empty((n, len(labels)), dtype=complex)
+    raw[0] = row.reshape(-1) @ cols
     # the row after k >= 1 samples is exp(D dt/2)^T z_k: each sample's closing
     # half-step merges with the next one's opening half into one full step,
     # and the last closing half moves onto the states
     cols = np.stack([dissipate(c, half) for c in cols.T], axis=1)
-    z = unitary_chain(dissipate(row, half_t), us, full_t)
-    for k in range(1, config.n_samples):
-        raw[k] = z @ cols
-        z = unitary_chain(dissipate(z, full_t), us, full_t)
+    rows = np.empty((min(_ROWS_PER_PRODUCT, n), ops.dim, ops.dim), dtype=complex)
+    z = row
+    for start in range(1, n, len(rows)):
+        stop = min(start + len(rows), n)
+        for k in range(start, stop):
+            for j in range(m):
+                z = u_t @ dissipate(z, half_t if k == 1 and j == 0 else full_t) @ u_conj
+            rows[k - start] = z
+        raw[start:stop] = rows[:stop - start].reshape(stop - start, -1) @ cols
     t = config.time_grid()
     phase = np.exp(1j * TWO_PI * (config.if_mhz * 1e-3) * t)
     iq = raw * phase[:, None]

@@ -1,13 +1,15 @@
 """Oracles the tests hold the simulator and the estimator against: the
-exact population permutation a gate sequence should perform, the
-coefficients A, B, C as population ratios, the nine difference pairs as
-complex series, the pair bootstrap one resample at a time, the temperature
-inversion one value at a time, and the Monte-Carlo studies written one
-experiment or draw at a time (both studies as their law and as the explicit
-noisy data of their sampled moments), and the trace CSV reader built on the
-csv module."""
+exact population permutation a gate sequence should perform, the complex
+Strang split-step over dense slice unitaries, the coefficients A, B, C as
+population ratios, the nine difference pairs as complex series, the pair
+bootstrap one resample at a time, the temperature inversion one value at a
+time, and the Monte-Carlo studies written one experiment or draw at a time
+(both studies as their law and as the explicit noisy data of their sampled
+moments), and the trace CSV reader built on the csv module."""
 
 import csv
+from itertools import groupby
+from math import isqrt
 
 import numpy as np
 
@@ -31,6 +33,56 @@ def apply_sequence_ideal(populations: Populations, seq: GateSequence) -> Populat
     """Exact population permutation of the sequence."""
     p = populations.as_array()
     return Populations(*(p[list(seq.expected_permutation)]))
+
+
+def slice_unitaries(basis):
+    """The distinct slice unitaries exp(-i 2 pi H dt), (m, dim, dim), of a
+    ``_slice_eigenbases`` batch, each slice's index into them, and dt."""
+    ph, _, v, idx, dt = basis
+    return (v * ph[:, None, :]) @ np.swapaxes(v.conj(), 1, 2), idx, dt
+
+
+def dissipate_complex(v, factors):
+    """exp(D t) on a complex row-major vectorized state from the (E_T, E_R)
+    factors of ``Liouvillian.dissipator_step``: E_R and then E_T multiply the
+    (n n', k k') and (k k', n n') views of rho[k n, k' n'] from the left."""
+    e_t, e_r = factors[:2]
+    nlev, nres = isqrt(len(e_t)), isqrt(len(e_r))
+    x = v.reshape(nlev, nres, nlev, nres).transpose(1, 3, 0, 2).reshape(nres * nres, -1)
+    x = (e_r @ x.view(float)).view(complex).T.copy()
+    x = (e_t @ x.view(float)).view(complex)
+    return x.reshape(nlev, nlev, nres, nres).transpose(0, 2, 1, 3).reshape(-1)
+
+
+def unitary_chain(v, us, full):
+    """U_n exp(D dt) ... exp(D dt) U_1 on a row-major vectorized state."""
+    dim = us[0].shape[0]
+    for k, u in enumerate(us):
+        if k:
+            v = dissipate_complex(v, full)
+        v = (u @ v.reshape(dim, dim) @ u.conj().T).reshape(-1)
+    return v
+
+
+def strang_step(v, us, half, full):
+    """Strang split-step of a row-major vectorized state: each slice applies
+    exp(D dt/2) U_k . U_k+ exp(D dt/2), the halves of adjacent slices merged
+    into one exp(D dt).  Built from U_k^T and the transposed factors, the
+    same loop propagates adjoint rows."""
+    return dissipate_complex(unitary_chain(dissipate_complex(v, half), us, full), half)
+
+
+def propagate_open_complex(liou, rho0, *bases):
+    """rho0 through the slices of ``_slice_eigenbases`` batches as dense
+    complex unitaries: one ``strang_step`` per run of batches that share a
+    slice length."""
+    v = rho0.reshape(-1)
+    for dt, run in groupby(map(slice_unitaries, bases), key=lambda seg: seg[2]):
+        chain = []
+        for us, idx, _ in run:
+            chain += [us[j] for j in idx]
+        v = strang_step(v, chain, *liou.dissipator_step(dt))
+    return v.reshape(rho0.shape)
 
 
 def coefficient_from_populations(p: Populations, which: str) -> float:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, expm_frechet
 
-from oracles import apply_sequence_ideal
+from oracles import apply_sequence_ideal, propagate_open_complex, slice_unitaries
 from superops import static_super, unit_superoperator
 from tritherm import pulses as pulses_mod
 from tritherm.constants import TWO_PI
@@ -24,12 +24,12 @@ from tritherm.pulses import (
     CalibrationError,
     SEQUENCE_LABELS,
     _apply_gate,
+    _gate_segment,
     _gate_slices,
     _lifted_gauss_area,
     _propagate_closed,
     _propagate_open,
     _slice_eigenbases,
-    _slice_unitaries,
     all_sequences,
     compile_sequence,
     lifted_gaussian,
@@ -149,10 +149,8 @@ def test_double_pi_returns_ground(default_ops, calibrations):
     rep = calibrations["ge"]
     _, v = default_ops.dressed
     psi = v[:, default_ops.dressed_index(0)].astype(complex)
-    us, idx, _ = rep.slices.unitaries
     for _ in range(2):
-        for j in idx:
-            psi = us[j] @ psi
+        psi = _propagate_closed(psi, rep.slices.basis)
     p_g = float(np.abs(v[:, default_ops.dressed_index(0)].conj() @ psi) ** 2)
     assert p_g >= 0.998
 
@@ -325,7 +323,8 @@ def test_closed_stepper_matches_slice_exponentials(default_ops, calibrations):
         ref = expm(-1j * TWO_PI * dt * h) @ ref
     assert np.max(np.abs(psi - ref)) < 1e-12
 
-    distinct, idx, dt_u = _slice_unitaries(ops, rep.carrier_ghz, env, span, GATE_STEP_NS)
+    distinct, idx, dt_u = slice_unitaries(_slice_eigenbases(ops, rep.carrier_ghz, env, span,
+                                                            GATE_STEP_NS))
     assert len(distinct) == len(np.unique(amps))
     us = distinct[idx]
     assert dt_u == dt and us.shape == (n, ops.dim, ops.dim)
@@ -360,7 +359,7 @@ def test_split_step_free_decay(small_liou):
     rho0 = np.zeros((ops.dim, ops.dim), dtype=complex)
     rho0[ops.rspec.n_states, ops.rspec.n_states] = 1.0  # |e, 0>
     traj = [rho0]
-    free = _slice_unitaries(ops, 0.0, lambda t: 0.0, 50.0, GATE_STEP_NS)
+    free = _gate_segment(_slice_eigenbases(ops, 0.0, lambda t: 0.0, 50.0, GATE_STEP_NS))
     for _ in range(8):  # 0 .. 400 ns in 50 ns spans
         traj.append(_propagate_open(small_liou, traj[-1], free))
     for rho in traj:
@@ -376,7 +375,8 @@ def test_split_step_step_insensitive(small_liou):
     rho0 = np.zeros((ops.dim, ops.dim), dtype=complex)
     rho0[0, 0] = 1.0
     drive = lifted_gaussian(0.005, 56.0)
-    a, b = (_propagate_open(small_liou, rho0, _slice_unitaries(ops, 4.98, drive, 56.0, dt))
+    a, b = (_propagate_open(small_liou, rho0,
+                            _gate_segment(_slice_eigenbases(ops, 4.98, drive, 56.0, dt)))
             for dt in (GATE_STEP_NS / 4, GATE_STEP_NS / 8))
     assert np.max(np.abs(a - b)) < 1e-6
 
@@ -385,12 +385,12 @@ def test_split_step_input_validation(small_liou):
     ops = small_liou.ops
     off = lambda t: 0.0
     with pytest.raises(ValueError, match="^span_ns and dt_ns must be positive$"):
-        _slice_unitaries(ops, 0.0, off, -0.5, GATE_STEP_NS)
+        _slice_eigenbases(ops, 0.0, off, -0.5, GATE_STEP_NS)
     with pytest.raises(ValueError, match=f"^rho0 must be {ops.dim}x{ops.dim}$"):
         _propagate_open(small_liou, np.eye(3, dtype=complex) / 3,
-                        _slice_unitaries(ops, 0.0, off, 1.0, GATE_STEP_NS))
+                        _gate_segment(_slice_eigenbases(ops, 0.0, off, 1.0, GATE_STEP_NS)))
     with pytest.raises(ValueError, match="^span_ns and dt_ns must be positive$"):
-        _slice_unitaries(ops, 0.0, off, 1.0, 0.0)
+        _slice_eigenbases(ops, 0.0, off, 1.0, 0.0)
 
 
 def test_split_step_rejects_invalid_end_state(small_liou):
@@ -398,8 +398,49 @@ def test_split_step_rejects_invalid_end_state(small_liou):
     rho0 = np.zeros((dim, dim), dtype=complex)
     rho0[0, 0], rho0[1, 1] = 1.1, -0.1
     with pytest.raises(IntegrationError, match="^state invariant violated after 1 ns: .*eigen"):
-        _propagate_open(small_liou, rho0,
-                        _slice_unitaries(small_liou.ops, 0.0, lambda t: 0.0, 1.0, GATE_STEP_NS))
+        _propagate_open(small_liou, rho0, _gate_segment(
+            _slice_eigenbases(small_liou.ops, 0.0, lambda t: 0.0, 1.0, GATE_STEP_NS)))
+
+
+def test_split_step_rejects_non_hermitian_input(small_liou):
+    # the real packing Re rho + Im rho holds only a Hermitian rho: an
+    # anti-Hermitian part would be dropped without a word
+    dim = small_liou.ops.dim
+    free = _gate_segment(_slice_eigenbases(small_liou.ops, 0.0, lambda t: 0.0, 1.0,
+                                           GATE_STEP_NS))
+    rho0 = np.eye(dim, dtype=complex) / dim
+    rho0[0, 1] = 2e-12j
+    with pytest.raises(ValueError, match=r"^rho0 is not Hermitian: "
+                                         r"max \|rho0 - rho0\+\| = 2\.000e-12 > 1e-12$"):
+        _propagate_open(small_liou, rho0, free)
+    rho0[0, 1] = 0.5e-12j
+    _propagate_open(small_liou, rho0, free)
+
+
+def _random_density_matrix(dim, rng):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("config_name", ["default_config", "wp_config"])
+@pytest.mark.parametrize("duration", ["shipped", 50.1])
+def test_real_eigenbasis_gates_match_complex_strang_chain(request, config_name, duration):
+    # each gate against the complex Strang chain over dense slice unitaries,
+    # from a full-rank state with complex coherences everywhere; the 50.1-ns
+    # pulse puts its guard off the step grid, so the gate takes two runs
+    cfg = request.getfixturevalue(config_name)
+    ops = cfg.system.build_operators()
+    liou = build_liouvillian(ops, cfg.dissipation)
+    gap = cfg.protocol.gap_ns
+    duration = cfg.protocol.pulse_duration_ns if duration == "shipped" else duration
+    rho0 = _random_density_matrix(ops.dim, np.random.default_rng(seed))
+    for transition in ("ge", "ef"):
+        pulse = run_rabi_calibration(ops, transition, duration)
+        guard = _slice_eigenbases(ops, pulse.carrier_ghz, lambda t: 0.0, gap, GATE_STEP_NS)
+        ref = propagate_open_complex(liou, rho0, pulse.slices.basis, guard)
+        rho = _propagate_open(liou, rho0, *_gate_slices(pulse, liou, gap))
+        assert np.max(np.abs(rho - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_split_step_matches_reference_integration(small_ops, small_liou):
@@ -415,16 +456,16 @@ def test_split_step_matches_reference_integration(small_ops, small_liou):
                     (0.0, span), rho0.reshape(-1), rtol=1e-10, atol=1e-12)
     assert sol.success
     ref = sol.y[:, -1].reshape(rho0.shape)
-    rho = _propagate_open(small_liou, rho0,
-                          _slice_unitaries(small_ops, pulse.carrier_ghz, env, span, GATE_STEP_NS))
+    rho = _propagate_open(small_liou, rho0, _gate_segment(
+        _slice_eigenbases(small_ops, pulse.carrier_ghz, env, span, GATE_STEP_NS)))
     dev = np.max(np.abs(small_ops.protocol_populations(rho).as_array()
                         - small_ops.protocol_populations(ref).as_array()))
     assert dev < 1e-8
     err = np.max(np.abs(rho - ref))
     assert err < 2e-5
     # second-order splitting: halving the slice cuts the error about 4x
-    half = _propagate_open(small_liou, rho0, _slice_unitaries(small_ops, pulse.carrier_ghz, env,
-                                                             span, GATE_STEP_NS / 2))
+    half = _propagate_open(small_liou, rho0, _gate_segment(
+        _slice_eigenbases(small_ops, pulse.carrier_ghz, env, span, GATE_STEP_NS / 2)))
     assert np.max(np.abs(half - ref)) < err / 3
 
 
@@ -505,11 +546,12 @@ def test_carried_gate_slices_are_the_whole_span_cut_at_once(request, config_name
     for transition in ("ge", "ef"):
         pulse = run_rabi_calibration(ops, transition, cfg.protocol.pulse_duration_ns)
         segments = _gate_slices(pulse, liou, gap)
-        ref_us, ref_idx, ref_dt = _slice_unitaries(ops, pulse.carrier_ghz, pulse.envelope(),
-                                                   pulse.duration_ns + gap, GATE_STEP_NS)
-        assert [dt for _, _, dt in segments] == [ref_dt, ref_dt]
-        assert np.array_equal(np.concatenate([us[idx] for us, idx, _ in segments]),
-                              ref_us[ref_idx])
+        ref = _gate_segment(_slice_eigenbases(ops, pulse.carrier_ghz, pulse.envelope(),
+                                              pulse.duration_ns + gap, GATE_STEP_NS))
+        assert [seg.dt for seg in segments] == [ref.dt, ref.dt]
+        for part in ("v", "cos", "sin"):
+            split = np.concatenate([getattr(seg, part)[seg.idx] for seg in segments])
+            assert np.array_equal(split, getattr(ref, part)[ref.idx])
 
 
 def test_gates_split_a_span_off_the_step_grid(small_ops, small_liou):
@@ -517,9 +559,11 @@ def test_gates_split_a_span_off_the_step_grid(small_ops, small_liou):
     # the guard gets ceil(gap / step) slices of its own
     pulse = run_rabi_calibration(small_ops, "ge", 50.1)
     segments = _gate_slices(pulse, small_liou, 4.0)
-    assert [len(idx) for _, idx, _ in segments] == [201, 16]
-    assert [dt for _, _, dt in segments] == [50.1 / 201, 0.25]
-    assert _gate_slices(pulse, small_liou, 0.0) == (pulse.slices.unitaries,)
+    assert [len(seg.idx) for seg in segments] == [201, 16]
+    assert [seg.dt for seg in segments] == [50.1 / 201, 0.25]
+    (alone,) = _gate_slices(pulse, small_liou, 0.0)
+    assert alone.v is pulse.slices.basis[2] and alone.idx is pulse.slices.basis[3]
+    assert all(np.array_equal(a, b) for a, b in zip(alone, segments[0]))
 
 
 def test_gates_reject_slices_cut_at_another_step(gates_50mk, monkeypatch):

@@ -8,11 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from oracles import read_trace_csv_csv_module
+from oracles import read_trace_csv_csv_module, strang_step
 from superops import static_super, unit_superoperator
 from tritherm import readout
 from tritherm.constants import TWO_PI
-from tritherm.pulses import READOUT_STEP_NS, strang_step
+from tritherm.pulses import READOUT_STEP_NS
 from tritherm.readout import (
     IQTrace,
     ReadoutConfig,
