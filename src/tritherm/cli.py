@@ -15,6 +15,7 @@ import dataclasses
 import json
 import os
 import sys
+from itertools import groupby
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -29,7 +30,8 @@ from .errorlab import (
     temperature_discrepancy,
 )
 from .hilbert import LevelEnergies, diagonalize_transmon
-from .pipeline import calibrate_transitions, estimate, run_protocol, windowed_sequences
+from .pipeline import (calibrate_transitions, estimate, run_batch, run_protocol, steady_point,
+                       windowed_sequences)
 from .pulses import SEQUENCE_LABELS
 # simulate writes through write_trace_files; perfbench hooks write_trace_csv here
 from .readout import ReadoutConfig, read_trace_csv, write_trace_csv, write_trace_files
@@ -38,6 +40,10 @@ from .thermometry import EstimateReport
 OUTPUT_ENV_VAR = "TRITHERM_OUTPUT_DIR"
 CONSISTENCY_ALARM = 0.05
 TEMPERATURE_SPREAD_ALARM = 0.25
+# bath points of one device simulated as one batch; at 8 a batch was still
+# faster per point than at 4, and the cap bounds the readout's 64-row buffer
+# at 0.8 MB per point on the shipped composite
+SWEEP_BATCH = 8
 
 
 def _resolve_output_dir(args, config: Optional[RunConfig]) -> Path:
@@ -297,6 +303,42 @@ def _point_config(config: RunConfig, sweep_bath: bool, value: float, index: int)
     return with_changes(config, {**point, "seed": stream_seed(config.seed, "noise", 100 + index)})
 
 
+def _run_sweep_batch(batch, ops, calibrations, noiseless: bool) -> list:
+    """The ``run_batch`` results of one batch of sweep points; a batch that
+    raises is rerun point by point, so that each point gets its own result
+    or its own exception."""
+    try:
+        return run_batch(batch, ops, calibrations, noiseless)
+    except Exception as exc:
+        if len(batch) == 1:
+            return [exc]
+    return [r for point in batch for r in _run_sweep_batch([point], ops, calibrations, noiseless)]
+
+
+def _fill_row(row: dict, outcome) -> None:
+    """Fill a sweep row from its point's estimate, or from the exception
+    that stopped the point (``outcome`` itself, or one raised by the
+    estimator on the ``SimulationResult`` it is), and print its line."""
+    if not isinstance(outcome, Exception):
+        try:
+            report = estimate(outcome.responses, outcome.levels, outcome.config.protocol,
+                              outcome.config.seed)
+        except Exception as exc:
+            outcome = exc
+    if isinstance(outcome, Exception):
+        row["error"] = f"{type(outcome).__name__}: {outcome}"
+        print(f"  point {row['control']}: FAILED ({row['error']})", file=sys.stderr)
+        return
+    for est in report.estimates:
+        c = est.coefficient
+        row[f"T_{c}_mK"] = est.t_mk
+        row[f"T_{c}_ci_low_mK"] = est.t_ci95_mk[0]
+        row[f"T_{c}_ci_high_mK"] = est.t_ci95_mk[1]
+    row["consistency"] = report.consistency
+    print(f"  point {row['control']}: T_A={row['T_A_mK']:.2f} "
+          f"T_B={row['T_B_mK']:.2f} T_C={row['T_C_mK']:.2f} mK")
+
+
 def cmd_sweep(args) -> int:
     config = _load_run_config(args)
     if bool(args.bath_mk) == bool(args.flux):
@@ -307,36 +349,32 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep list is empty")
     out = _resolve_output_dir(args, config)
 
-    # calibrations, with their pulses' slice eigenbases, depend on the device
-    # only, so bath points share one and each flux point gets its own
-    calibrations: Dict = {}
-    rows = []
+    # operators and calibrations, with their pulses' slice eigenbases, depend
+    # on the device only: bath points share them and run in batches of up to
+    # SWEEP_BATCH, and each flux point is its own device and its own batch.
+    # Bad points (negative bath, flux past the sweet spot) are recorded and
+    # skipped, never fatal for the rest of the sweep.
+    devices: Dict = {}
+    rows, ready = [], []
     for i, value in enumerate(points):
-        row = {"control": value}
-        # bad points (negative bath, flux past the sweet spot) are recorded
-        # and skipped, never fatal for the rest of the sweep
+        row = {"control": value, "error": ""}
+        rows.append(row)
         try:
             cfg = _point_config(config, sweep_bath, value, i)
-            if cfg.system not in calibrations:
-                calibrations[cfg.system] = calibrate_transitions(
-                    cfg.system.build_operators(), cfg.protocol, cfg.dissipation
-                )
-            result = run_protocol(cfg, noiseless=args.noiseless,
-                                  calibrations=calibrations[cfg.system])
-            report = estimate(result.responses, result.levels, cfg.protocol, cfg.seed)
-            for est in report.estimates:
-                c = est.coefficient
-                row[f"T_{c}_mK"] = est.t_mk
-                row[f"T_{c}_ci_low_mK"] = est.t_ci95_mk[0]
-                row[f"T_{c}_ci_high_mK"] = est.t_ci95_mk[1]
-            row["consistency"] = report.consistency
-            row["error"] = ""
-            print(f"  point {value}: T_A={row['T_A_mK']:.2f} "
-                  f"T_B={row['T_B_mK']:.2f} T_C={row['T_C_mK']:.2f} mK")
+            if cfg.system not in devices:
+                ops = cfg.system.build_operators()
+                devices[cfg.system] = ops, calibrate_transitions(ops, cfg.protocol,
+                                                                 cfg.dissipation)
+            ready.append((row, steady_point(cfg, devices[cfg.system][0])))
         except Exception as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-            print(f"  point {value}: FAILED ({row['error']})", file=sys.stderr)
-        rows.append(row)
+            _fill_row(row, exc)
+    for system, group in groupby(ready, key=lambda item: item[1].config.system):
+        group = list(group)
+        for at in range(0, len(group), SWEEP_BATCH):
+            batch_rows, batch = zip(*group[at:at + SWEEP_BATCH])
+            for row, outcome in zip(batch_rows, _run_sweep_batch(list(batch), *devices[system],
+                                                                 args.noiseless)):
+                _fill_row(row, outcome)
 
     columns = ["control"]
     for c in ("A", "B", "C"):

@@ -36,7 +36,7 @@ about kappa (g/Delta)^2) sits near 1e-13 of its norm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -143,20 +143,38 @@ class DissipatorStep(NamedTuple):
     """exp(D t) in the form ``pulses.dissipate`` applies it: the transmon
     and resonator factors E_T = exp(D_T t) and E_R = exp(D_R t); E_T as a
     right product on complex data viewed as interleaved float pairs,
-    kron(E_T^T, 1_2); and the flat indices that gather a row-major
-    rho[k n, k' n'] into its (n n', k k') view and scatter that view back."""
+    kron(E_T^T, 1_2); the flat indices that gather a row-major
+    rho[k n, k' n'] into its (n n', k k') view and scatter that view back;
+    and the view's shape, its last axis -1 (nlev^2 numbers, real or complex).
+    A ``stack`` of the steps of p points holds each factor as a (p, m, m)
+    stack, the indices of the p states laid end to end, and a (p, ...) view."""
 
     e_t: np.ndarray
     e_r: np.ndarray
     e_t_pairs: np.ndarray
     gather: np.ndarray
     scatter: np.ndarray
+    view: Tuple[int, ...]
 
     def transpose(self) -> "DissipatorStep":
         """exp(D t)^T, the step of adjoint rows: every factor transposed
         (and made contiguous), the layout unchanged."""
-        return self._replace(e_t=self.e_t.T.copy(), e_r=self.e_r.T.copy(),
-                             e_t_pairs=self.e_t_pairs.T.copy())
+        return self._replace(**{f: getattr(self, f).swapaxes(-1, -2).copy()
+                                for f in ("e_t", "e_r", "e_t_pairs")})
+
+    @staticmethod
+    def stack(steps: Sequence["DissipatorStep"]) -> "DissipatorStep":
+        """The steps of p points of one device as one step on their p states
+        stacked along a leading axis: each factor stacked, and the gather and
+        scatter indices repeated per state at its offset in the stack.  One
+        step is returned as it is."""
+        if len(steps) == 1:
+            return steps[0]
+        size = len(steps[0].gather)
+        at = size * np.arange(len(steps))[:, None]
+        return DissipatorStep(*(np.stack(f) for f in zip(*(s[:3] for s in steps))),
+                              (at + steps[0].gather).reshape(-1),
+                              (at + steps[0].scatter).reshape(-1), (len(steps), *steps[0].view))
 
 
 @dataclass
@@ -203,7 +221,8 @@ class Liouvillian:
             gather = np.arange(self.ops.dim ** 2).reshape(nlev, nres, nlev, nres)
             gather = gather.transpose(1, 3, 0, 2).reshape(-1)
             self._cache[key] = tuple(
-                DissipatorStep(e_t, e_r, np.kron(e_t.T, np.eye(2)), gather, np.argsort(gather))
+                DissipatorStep(e_t, e_r, np.kron(e_t.T, np.eye(2)), gather, np.argsort(gather),
+                               (nres ** 2, -1))
                 for e_t, e_r in (half, tuple(e @ e for e in half)))
         return self._cache[key]
 

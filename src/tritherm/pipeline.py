@@ -9,6 +9,14 @@ normalized full-length traces (optionally noisy), windowed sequence
 responses, the pure-state basis, calibration reports, and the
 prepared-state populations right before readout.
 
+``run_batch`` runs that chain for several points of one device at once
+from their ``steady_point``s, sharing the calibration, the gates' slice
+chains and the probe unitary; ``run_protocol`` is a batch of one.  Each
+point's ``SimulationResult.timings_s`` holds its own ``steady_state``
+seconds (the Liouvillian and the steady state) and the batch's
+``calibration``, ``sequences`` and ``readout`` seconds, the same on every
+point of the batch.
+
 ``estimate`` is the only place where a ``ProtocolConfig`` and a master seed
 become an ``estimate_temperature`` call; every CLI command goes through it,
 so the same options always give the same report.
@@ -19,13 +27,13 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .config import ProtocolConfig, RunConfig, rng_stream, stream_seed
 from .hilbert import CompositeOperators, LevelEnergies, Populations
-from .lindblad import build_liouvillian, steady_state
+from .lindblad import Liouvillian, build_liouvillian, steady_state
 from .pulses import (
     SEQUENCE_LABELS,
     CalibrationReport,
@@ -63,7 +71,7 @@ class SimulationResult:
     noiseless_responses: SequenceResponses
     noisy: bool
     norm_factor: float
-    timings_s: Dict[str, float]
+    timings_s: Dict[str, float]  # seconds per stage; a batch's shared stages on each point
 
 
 def calibrate_transitions(ops: CompositeOperators, protocol: ProtocolConfig,
@@ -82,52 +90,83 @@ def windowed_sequences(traces: Dict[str, IQTrace], readout: ReadoutConfig) -> Se
     )
 
 
-def run_protocol(
-    config: RunConfig,
-    noiseless: bool = False,
-    calibrations: Optional[Dict[str, CalibrationReport]] = None,
-) -> SimulationResult:
-    """Simulate the full temperature-measurement protocol once.
+class SteadyPoint(NamedTuple):
+    """One point of a run up to its steady state, the one stage each point
+    of a batch runs alone, with the seconds it took."""
 
-    ``calibrations`` short-circuits the Rabi calibrations (they depend only on the
-    device and pulse duration, not on bath temperature or seed), which makes
-    bath sweeps and repeated runs much cheaper; the reports carry their
-    pulses' slice eigenbases, so the gates diagonalize no pulse.
-    """
-    timings: Dict[str, float] = {}
+    config: RunConfig
+    liou: Liouvillian
+    rho_ss: np.ndarray
+    seconds: float
+
+
+def steady_point(config: RunConfig, ops: CompositeOperators) -> SteadyPoint:
+    """The Liouvillian and steady state of ``config`` on its device's ``ops``."""
     t0 = time.perf_counter()
-
-    ops = config.system.build_operators()
     liou = build_liouvillian(ops, config.dissipation)
-    levels = ops.levels()
     rho_ss = steady_state(liou)
-    steady_pops = ops.protocol_populations(rho_ss)
-    timings["steady_state"] = time.perf_counter() - t0
+    return SteadyPoint(config, liou, rho_ss, time.perf_counter() - t0)
 
+
+def run_batch(points: Sequence[SteadyPoint], ops: CompositeOperators,
+              calibrations: Optional[Dict[str, CalibrationReport]] = None,
+              noiseless: bool = False) -> List[SimulationResult]:
+    """Simulate the protocol from the steady states of points of one device
+    at once, each point's result the one it gets alone.
+
+    The points must share their system, protocol and readout blocks.  The
+    calibration (unless ``calibrations`` is given), each gate's slice chain
+    (``prepare_sequences``) and the probe unitary (``synthesize_traces``)
+    serve them all; each point keeps its own dissipator, basis states,
+    normalization and noise draw.
+    """
+    if not points:
+        raise ValueError("run_batch needs at least one point")
+    first = points[0].config
+    if any((pt.config.system, pt.config.protocol, pt.config.readout)
+           != (first.system, first.protocol, first.readout) for pt in points):
+        raise ValueError("the points of a batch must share their system, protocol "
+                         "and readout blocks")
+    timings: Dict[str, float] = {}
     t1 = time.perf_counter()
     if calibrations is None:
-        calibrations = calibrate_transitions(ops, config.protocol, config.dissipation)
+        calibrations = calibrate_transitions(ops, first.protocol, first.dissipation)
     timings["calibration"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    fr = ops.rspec.fr_ghz
-    sequences = prepare_sequences(rho_ss, all_sequences(), liou, calibrations,
-                                  gap_ns=config.protocol.gap_ns)
-    prepared: Dict[str, np.ndarray] = {}
-    prepared_pops: Dict[str, Populations] = {}
+    lious = [pt.liou for pt in points]
+    sequences = prepare_sequences(np.stack([pt.rho_ss for pt in points]), all_sequences(),
+                                  lious, calibrations, gap_ns=first.protocol.gap_ns)
+    prepared = [{} for _ in points]
+    prepared_pops = [{} for _ in points]
     for label, (rho, elapsed_ns, frame) in sequences.items():
-        prepared_pops[label] = ops.protocol_populations(rho)
-        prepared[label] = change_frame(rho.reshape(-1), ops, frame, fr, elapsed_ns)
+        moved = change_frame(rho.reshape(len(points), -1), ops, frame, ops.rspec.fr_ghz,
+                             elapsed_ns)
+        for q in range(len(points)):
+            prepared_pops[q][label] = ops.protocol_populations(rho[q])
+            prepared[q][label] = moved[q]
     timings["sequences"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()
-    states = dict(prepared)
-    states.update(pure_basis_states(liou))
-    raw = synthesize_traces(states, liou, config.readout)
+    states = [{**prep, **pure_basis_states(liou)} for prep, liou in zip(prepared, lious)]
+    raws = synthesize_traces(states, lious, first.readout)
+    timings["readout"] = time.perf_counter() - t3
+
+    return [_point_result(pt, ops, calibrations, pops, raw, noiseless,
+                          {"steady_state": pt.seconds, **timings})
+            for pt, pops, raw in zip(points, prepared_pops, raws)]
+
+
+def _point_result(point: SteadyPoint, ops: CompositeOperators,
+                  calibrations: Dict[str, CalibrationReport],
+                  prepared_pops: Dict[str, Populations], raw: Dict[str, IQTrace],
+                  noiseless: bool, timings: Dict[str, float]) -> SimulationResult:
+    """One point's result from its raw traces: normalized, noisy unless
+    ``noiseless`` (or at zero noise), and cut to the analysis window."""
+    config = point.config
     factor = normalization_factor([raw[lab] for lab in BASIS_LABELS])
     basis_traces = {lab: raw[lab].scaled(factor) for lab in BASIS_LABELS}
     clean_traces = {lab: raw[lab].scaled(factor) for lab in SEQUENCE_LABELS}
-    timings["readout"] = time.perf_counter() - t3
 
     if noiseless or config.readout.noise_sigma == 0.0:
         noisy_traces = clean_traces
@@ -151,8 +190,8 @@ def run_protocol(
 
     return SimulationResult(
         config=config,
-        levels=levels,
-        steady_populations=steady_pops,
+        levels=ops.levels(),
+        steady_populations=ops.protocol_populations(point.rho_ss),
         calibrations=calibrations,
         prepared_populations=prepared_pops,
         traces=noisy_traces,
@@ -163,6 +202,24 @@ def run_protocol(
         norm_factor=factor,
         timings_s=timings,
     )
+
+
+def run_protocol(
+    config: RunConfig,
+    noiseless: bool = False,
+    calibrations: Optional[Dict[str, CalibrationReport]] = None,
+) -> SimulationResult:
+    """Simulate the full temperature-measurement protocol once: a
+    ``run_batch`` of one point.
+
+    ``calibrations`` short-circuits the Rabi calibrations (they depend only on the
+    device and pulse duration, not on bath temperature or seed), which makes
+    bath sweeps and repeated runs much cheaper; the reports carry their
+    pulses' slice eigenbases, so the gates diagonalize no pulse.
+    """
+    ops = config.system.build_operators()
+    (result,) = run_batch([steady_point(config, ops)], ops, calibrations, noiseless)
+    return result
 
 
 def estimate(responses: SequenceResponses, levels, protocol: ProtocolConfig,

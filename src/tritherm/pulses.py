@@ -42,7 +42,11 @@ unitary formed.  ``readout`` runs the transpose of the same splitting on
 its complex adjoint row.  The dissipator's exponential is applied as its
 transmon and resonator factors (``dissipate``): a real left and a real
 right matmul on one permuted copy of the state, real or complex, instead
-of one product with a dim^2 x dim^2 matrix.
+of one product with a dim^2 x dim^2 matrix.  The bath points of one device
+share the pulses and their slices, so a batch of them steps through each
+gate as one stack of states (``prepare_sequences``), each state under its
+own point's dissipator; the batch's gates are timed as one, and every point
+of it reports that time as its ``SimulationResult.timings_s["sequences"]``.
 
 Each stage has its own step, set by its error budget on the shipped configs
 at 50 and 150 mK:
@@ -201,18 +205,29 @@ def dissipate(x: np.ndarray, step: DissipatorStep) -> np.ndarray:
     flat or square, by a ``DissipatorStep``: one gather into the (n n', k k')
     view, E_R from the left and E_T from the right, each one real matmul on
     the data viewed as floats (E_T as kron(E_T^T, 1_2) on complex data), and
-    one scatter back."""
-    y = x.reshape(-1)[step.gather].reshape(len(step.e_r), -1)
-    y = step.e_r @ y.view(float) @ (step.e_t_pairs if x.dtype.kind == "c" else step.e_t.T)
+    one scatter back.  With a ``DissipatorStep.stack`` of p points' steps, x
+    is a stack of p states along its leading axis, each taking its own
+    point's factors in the same gather, stacked products and scatter."""
+    y = x.reshape(-1)[step.gather].reshape(step.view)
+    right = step.e_t_pairs if x.dtype.kind == "c" else step.e_t.swapaxes(-1, -2)
+    y = step.e_r @ y.view(float) @ right
     return y.view(x.dtype).reshape(-1)[step.scatter].reshape(x.shape)
 
 
-def _propagate_open(liou: Liouvillian, rho0: np.ndarray, *segments: GateSegment) -> np.ndarray:
+def _propagate_open(liou, rho0: np.ndarray, *segments: GateSegment) -> np.ndarray:
     """Master-equation propagation over ``segments``: one Strang split-step
     (Strang, SIAM J. Numer. Anal. 5, 1968) over the slices of each run of
     segments that share a slice length.  Each slice applies
     exp(D dt/2) U_k . U_k+ exp(D dt/2), and the dissipative halves of
     adjacent slices merge into one exp(D dt).
+
+    ``rho0`` is one dim x dim state and ``liou`` its ``Liouvillian``, or
+    ``rho0`` is a (p, dim, dim) stack of the states of p points of one
+    device and ``liou`` a sequence of their p Liouvillians.  A stack steps
+    through the one slice chain at once: each unitary's products are
+    broadcast matmuls over the stack, and each state takes its own point's
+    dissipator (``DissipatorStep.stack``).  Each point's end state is the
+    one it gets alone, to the bit on the machines measured.
 
     The state is stepped as the real matrix R = Re rho + Im rho, which holds
     a Hermitian rho whole: its symmetric part is Re rho, its antisymmetric
@@ -223,21 +238,30 @@ def _propagate_open(liou: Liouvillian, rho0: np.ndarray, *segments: GateSegment)
     transposition, so it acts on R as it acts on rho.  The end state is
     unpacked as rho = (R + R^T)/2 + i (R - R^T)/2.
 
-    Raises ``ValueError`` when rho0 is not Hermitian within 1e-12: R would
-    silently drop its anti-Hermitian part.  Every factor is completely
-    positive and trace preserving, so the end state must be a density
-    matrix (trace 1e-8, eigenvalues >= -1e-8); a violation raises
-    ``IntegrationError``.
+    Raises ``ValueError`` when rho0, or a member of the stack (named by its
+    index), is not Hermitian within 1e-12: R would silently drop its
+    anti-Hermitian part.  Every factor is completely positive and trace
+    preserving, so each end state must be a density matrix (trace 1e-8,
+    eigenvalues >= -1e-8); a violation raises ``IntegrationError``.
     """
-    dim = liou.ops.dim
-    if rho0.shape != (dim, dim):
-        raise ValueError(f"rho0 must be {dim}x{dim}")
-    resid = float(np.max(np.abs(rho0 - rho0.conj().T)))
-    if not resid <= 1e-12:
-        raise ValueError(f"rho0 is not Hermitian: max |rho0 - rho0+| = {resid:.3e} > 1e-12")
+    stacked = rho0.ndim == 3
+    lious = list(liou) if stacked else [liou]
+    dim = lious[0].ops.dim
+    if rho0.shape != ((len(lious), dim, dim) if stacked else (dim, dim)):
+        raise ValueError(f"rho0 must be a stack of {len(lious)} {dim}x{dim} states"
+                         if stacked else f"rho0 must be {dim}x{dim}")
+    rho0 = rho0.reshape(-1, dim, dim)
+    resid = np.max(np.abs(rho0 - rho0.conj().swapaxes(-1, -2)), axis=(1, 2))
+    for i, res in enumerate(resid):
+        if not res <= 1e-12:
+            name = f"rho0[{i}]" if stacked else "rho0"
+            raise ValueError(f"{name} is not Hermitian: max |{name} - {name}+| = "
+                             f"{res:.3e} > 1e-12")
     r = rho0.real + rho0.imag
+    if len(r) == 1:  # a lone state steps as a matrix: 2-D products cost less than a stack
+        r = r[0]
     for dt, run in groupby(segments, key=lambda seg: seg.dt):
-        half, full = liou.dissipator_step(dt)
+        half, full = map(DissipatorStep.stack, zip(*(l.dissipator_step(dt) for l in lious)))
         chain = []
         for seg in run:
             chain += [(seg.v[j], seg.cos[j], seg.sin[j]) for j in seg.idx]
@@ -246,15 +270,18 @@ def _propagate_open(liou: Liouvillian, rho0: np.ndarray, *segments: GateSegment)
             if k:
                 r = dissipate(r, full)
             x = v.T @ r @ v
-            r = v @ (c * x - s * x.T) @ v.T
+            r = v @ (c * x - s * x.swapaxes(-1, -2)) @ v.T
         r = dissipate(r, half)
-    rho = 0.5 * (r + r.T) + 0.5j * (r - r.T)
-    try:
-        validate_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-8, eig_tol=-1e-8)
-    except ValueError as exc:
-        span = sum(len(seg.idx) * seg.dt for seg in segments)
-        raise IntegrationError(f"state invariant violated after {span:g} ns: {exc}") from exc
-    return rho
+    r_t = r.swapaxes(-1, -2)
+    rho = (0.5 * (r + r_t) + 0.5j * (r - r_t)).reshape(-1, dim, dim)
+    for i, state in enumerate(rho):
+        try:
+            validate_density_matrix(state, herm_tol=1e-10, trace_tol=1e-8, eig_tol=-1e-8)
+        except ValueError as exc:
+            span = sum(len(seg.idx) * seg.dt for seg in segments)
+            name = f"state {i} invariant" if stacked else "state invariant"
+            raise IntegrationError(f"{name} violated after {span:g} ns: {exc}") from exc
+    return rho if stacked else rho[0]
 
 
 def transfer_probability(ops: CompositeOperators, transition: str, carrier_ghz: float,
@@ -493,26 +520,34 @@ def _gate_slices(pulse: CalibrationReport, liou: Liouvillian, gap_ns: float):
 
 
 def _apply_gate(state: Tuple[np.ndarray, float, float], pulse: CalibrationReport,
-                liou: Liouvillian, gap_ns: float, slices) -> Tuple[np.ndarray, float, float]:
+                liou, gap_ns: float, slices) -> Tuple[np.ndarray, float, float]:
     """One gate on ``(rho, elapsed_ns, frame_ghz)``: change to the pulse's
     carrier frame at the elapsed time, then propagate over the pulse plus
-    ``gap_ns`` of free evolution by the gate's ``_gate_slices``."""
+    ``gap_ns`` of free evolution by the gate's ``_gate_slices``.  rho and
+    ``liou`` are one state and its Liouvillian or, as in
+    ``_propagate_open``, a stack of states and their Liouvillians."""
     rho, t_abs, frame = state
-    ops = liou.ops
-    v = change_frame(rho.reshape(-1), ops, frame, pulse.carrier_ghz, t_abs)
-    rho = _propagate_open(liou, v.reshape(ops.dim, ops.dim), *slices)
+    ops = (liou[0] if rho.ndim == 3 else liou).ops
+    v = change_frame(rho.reshape(*rho.shape[:-2], -1), ops, frame, pulse.carrier_ghz, t_abs)
+    rho = _propagate_open(liou, v.reshape(rho.shape), *slices)
     return rho, t_abs + (pulse.duration_ns + gap_ns), pulse.carrier_ghz
 
 
 def prepare_sequences(
     rho_ss: np.ndarray,
     seqs: Iterable[GateSequence],
-    liou: Liouvillian,
+    liou,
     calibrations: Dict[str, CalibrationReport],
     gap_ns: float,
 ) -> Dict[str, Tuple[np.ndarray, float, float]]:
     """Evolve the steady state through each sequence's calibrated gates with
     dissipation on.
+
+    ``rho_ss`` and ``liou`` are one point's steady state and Liouvillian,
+    or a (p, dim, dim) stack of the steady states of p points of one device
+    and a sequence of their p Liouvillians: the points then share every
+    gate's slice chain (``_propagate_open``), and each sequence's state is
+    the stack of the points' states, each the one its point gets alone.
 
     The sequences are walked as a tree of gate prefixes: a chain already
     propagated for one sequence is extended, not repeated (x2 extends x1, y1
@@ -528,6 +563,7 @@ def prepare_sequences(
     ``{label: (rho, elapsed_ns, frame_ghz)}`` with each state still
     expressed in its last gate's frame (bare frame for x0).
     """
+    first = liou[0] if rho_ss.ndim == 3 else liou
     done = {(): (rho_ss.astype(complex), 0.0, 0.0)}
     slices = {}
     out = {}
@@ -535,7 +571,7 @@ def prepare_sequences(
         for n, gate in enumerate(seq.gates, start=1):
             if seq.gates[:n] not in done:
                 if gate not in slices:
-                    slices[gate] = _gate_slices(calibrations[gate], liou, gap_ns)
+                    slices[gate] = _gate_slices(calibrations[gate], first, gap_ns)
                 done[seq.gates[:n]] = _apply_gate(done[seq.gates[:n - 1]], calibrations[gate],
                                                   liou, gap_ns, slices[gate])
         out[seq.label] = done[seq.gates]

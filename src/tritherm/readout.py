@@ -7,7 +7,10 @@ I(t) + iQ(t) = <a>(t) exp(i 2 pi f_IF t).  The probe evolution is the
 Heisenberg-picture (adjoint) form of the gates' split-step: one row
 vec(a^T) is stepped through the transposed Strang slices and dotted with
 every prepared state (adjoint master equation: Breuer & Petruccione, The
-Theory of Open Quantum Systems, 2002, sec. 3.2).  Noise is modeled
+Theory of Open Quantum Systems, 2002, sec. 3.2).  A batch of bath points
+of one device steps its points' rows together through the one probe
+unitary, and every point of the batch reports the batch's readout time as
+its ``SimulationResult.timings_s["readout"]``.  Noise is modeled
 post-averaging as one effective Gaussian per sample and quadrature,
 matching how the estimator consumes the data; the shot count is recorded
 but individual shots are never drawn.
@@ -31,7 +34,7 @@ import numpy as np
 
 from .constants import TWO_PI, _check_finite_fields, _check_kind
 from .hilbert import ResonatorSpec
-from .lindblad import Liouvillian
+from .lindblad import DissipatorStep, Liouvillian
 from .pulses import READOUT_STEP_NS, dissipate
 
 _ROWS_PER_PRODUCT = 64  # adjoint rows dotted with the states in one product
@@ -136,8 +139,7 @@ def pure_basis_states(liou: Liouvillian) -> Dict[str, np.ndarray]:
     return out
 
 
-def synthesize_traces(states: Dict[str, np.ndarray], liou: Liouvillian,
-                      config: ReadoutConfig) -> Dict[str, IQTrace]:
+def synthesize_traces(states, liou, config: ReadoutConfig):
     """Probe all ``states`` (vectorized, already in the probe frame) at once.
 
     <a> at sample k is tr(a P^k rho) = (vec(a^T) P^k) . vec(rho), P being the
@@ -155,42 +157,59 @@ def synthesize_traces(states: Dict[str, np.ndarray], liou: Liouvillian,
     ``_ROWS_PER_PRODUCT`` samples are buffered and dotted with every state
     in one matrix product.  The IF oscillation is reattached; traces are in
     raw (unnormalized) units.
+
+    ``states`` is one point's ``{label: state}`` with ``liou`` its
+    Liouvillian, or a sequence of the mappings of p points of one device
+    with their p Liouvillians, which returns p trace mappings.  The p rows
+    then step together under the one U and each point's own transposed
+    dissipator (``DissipatorStep.stack``), and each point's rows meet only
+    its own states: its traces are the ones it gets alone, to the bit on
+    the machines measured.
     """
-    ops = liou.ops
-    labels = list(states)
-    cols = np.stack([states[lab] for lab in labels], axis=1).astype(complex)
+    single = isinstance(states, Mapping)
+    points = [states] if single else list(states)
+    lious = [liou] if single else list(liou)
+    if len(points) != len(lious):
+        raise ValueError(f"{len(points)} state mappings for {len(lious)} Liouvillians")
+    ops = lious[0].ops
+    dim, p = ops.dim, len(points)
+    cols = [np.stack(list(pt.values()), axis=1).astype(complex) for pt in points]
     m = int(np.ceil(config.sample_dt_ns / READOUT_STEP_NS))
     dt = config.sample_dt_ns / m
     w, v = np.linalg.eigh(ops.h_static(ops.rspec.fr_ghz)
                           + config.probe_amplitude_ghz * (ops.a + ops.adag))
     u = (v * np.exp(-1j * TWO_PI * dt * w)) @ v.conj().T
     u_t, u_conj = u.T.copy(), u.conj()
-    half, full = liou.dissipator_step(dt)
-    half_t, full_t = half.transpose(), full.transpose()
+    steps = [l.dissipator_step(dt) for l in lious]
+    half_t, full_t = (DissipatorStep.stack([s[i] for s in steps]).transpose() for i in (0, 1))
     n = config.n_samples
     row = ops.a.T.astype(complex)
-    raw = np.empty((n, len(labels)), dtype=complex)
-    raw[0] = row.reshape(-1) @ cols
+    raw = [np.empty((n, c.shape[1]), dtype=complex) for c in cols]
+    for q in range(p):
+        raw[q][0] = row.reshape(-1) @ cols[q]
     # the row after k >= 1 samples is exp(D dt/2)^T z_k: each sample's closing
     # half-step merges with the next one's opening half into one full step,
     # and the last closing half moves onto the states
-    cols = np.stack([dissipate(c, half) for c in cols.T], axis=1)
-    rows = np.empty((min(_ROWS_PER_PRODUCT, n), ops.dim, ops.dim), dtype=complex)
-    z = row
-    for start in range(1, n, len(rows)):
-        stop = min(start + len(rows), n)
+    cols = [np.stack([dissipate(c, s[0]) for c in col.T], axis=1)
+            for col, s in zip(cols, steps)]
+    rows = np.empty((p, min(_ROWS_PER_PRODUCT, n), dim, dim), dtype=complex)
+    z = row if p == 1 else np.repeat(row[None], p, axis=0)  # 2-D products cost less
+    for start in range(1, n, rows.shape[1]):
+        stop = min(start + rows.shape[1], n)
         for k in range(start, stop):
             for j in range(m):
                 z = u_t @ dissipate(z, half_t if k == 1 and j == 0 else full_t) @ u_conj
-            rows[k - start] = z
-        raw[start:stop] = rows[:stop - start].reshape(stop - start, -1) @ cols
+            rows[:, k - start] = z
+        for q in range(p):
+            raw[q][start:stop] = rows[q, :stop - start].reshape(stop - start, -1) @ cols[q]
     t = config.time_grid()
     phase = np.exp(1j * TWO_PI * (config.if_mhz * 1e-3) * t)
-    iq = raw * phase[:, None]
-    return {
-        lab: IQTrace(t, iq[:, j].real.copy(), iq[:, j].imag.copy(), label=lab)
-        for j, lab in enumerate(labels)
-    }
+    out = []
+    for pt, r in zip(points, raw):
+        iq = r * phase[:, None]
+        out.append({lab: IQTrace(t, iq[:, j].real.copy(), iq[:, j].imag.copy(), label=lab)
+                    for j, lab in enumerate(pt)})
+    return out[0] if single else out
 
 
 def normalization_factor(basis: Sequence[IQTrace]) -> float:

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from conftest import make_synthetic_responses
-from tritherm import cli
+from tritherm import cli, pipeline
 from tritherm.cli import main
 from tritherm.config import load_config, stream_seed
 from tritherm.errorlab import MonteCarloSpec
 from tritherm.hilbert import diagonalize_transmon
+from tritherm.lindblad import (DissipationSpec, IntegrationError, SteadyStateError,
+                               build_liouvillian)
 from tritherm.pipeline import calibrate_transitions, estimate, run_protocol
 from tritherm.pulses import SEQUENCE_LABELS
 from tritherm.readout import add_noise, read_trace_csv, window, write_trace_csv
@@ -426,6 +428,92 @@ def test_sweep_point_matches_a_fresh_run(mini_config_path, tmp_path):
             est.t_ci95_mk
     assert row[header.index("error")] == ""
     assert {k: row[header.index(k)] for k in want} == {k: f"{v:.12g}" for k, v in want.items()}
+
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+
+def test_noiseless_working_point_sweep_matches_its_golden_csv(tmp_path):
+    # sweep_working_point_50_200mK.csv holds the sweep as written when each
+    # bath point was simulated on its own; the batched sweep must write the
+    # same numbers, within the golden file's noiseless tolerance
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(repo / "configs" / "working_point.json"),
+                 "--bath-mk", "50,200", "--noiseless", "--out", str(out)]) == 0
+    rtol = json.loads((GOLDEN_DIR / "outputs.json").read_text())["relative_tolerance"]["noiseless"]
+    got, want = ([line.split(",") for line in path.read_text().splitlines()]
+                 for path in (out / "sweep.csv", GOLDEN_DIR / "sweep_working_point_50_200mK.csv"))
+    assert got[0] == want[0] and len(got) == len(want) == 3
+    for row, ref in zip(got[1:], want[1:]):
+        assert row[0] == ref[0] and row[-1] == ref[-1] == ""
+        np.testing.assert_allclose([float(v) for v in row[1:-1]],
+                                   [float(v) for v in ref[1:-1]], rtol=rtol, atol=0.0)
+
+
+def _sweep_rows(out):
+    header, *rows = [line.rstrip("\r").split(",") for line in
+                     (out / "sweep.csv").read_text().splitlines()]
+    return [dict(zip(header, row)) for row in rows]
+
+
+@pytest.mark.parametrize("case", ["config", "steady_state", "inside_batch"])
+def test_sweep_keeps_the_other_points_when_one_fails(mini_config_path, tmp_path, monkeypatch,
+                                                     capsys, case):
+    # the clean sweep's rows are what the failing sweeps must keep for the
+    # good points; a point that fails before its batch (its config, its
+    # steady state) leaves the batch to the others, and a failure inside a
+    # batch reruns it point by point
+    clean = tmp_path / "clean"
+    assert main(["sweep", "--config", str(mini_config_path), "--bath-mk", "50,150,200",
+                 "--noiseless", "--out", str(clean)]) == 0
+    want = _sweep_rows(clean)
+    capsys.readouterr()
+
+    batches = []
+
+    def counted(points, *args, _inner=cli.run_batch):
+        batches.append([pt.config.dissipation.bath_t_mk for pt in points])
+        return _inner(points, *args)
+
+    monkeypatch.setattr(cli, "run_batch", counted)
+    points = "50,-5,200" if case == "config" else "50,150,200"
+    if case == "steady_state":
+        calls = []
+
+        def failing(liou, _inner=pipeline.steady_state):
+            calls.append(liou)
+            if len(calls) == 2:
+                raise SteadyStateError("forced steady-state failure")
+            return _inner(liou)
+
+        monkeypatch.setattr(pipeline, "steady_state", failing)
+        error, ran = "SteadyStateError: forced steady-state failure", [[50.0, 200.0]]
+    elif case == "inside_batch":
+        def failing(rho_ss, seqs, lious, *args, _inner=pipeline.prepare_sequences, **kwargs):
+            if any(liou.occupations == bad.occupations for liou in lious):
+                raise IntegrationError("forced failure inside the batch")
+            return _inner(rho_ss, seqs, lious, *args, **kwargs)
+
+        bad = build_liouvillian(load_config(mini_config_path).system.build_operators(),
+                                DissipationSpec(gamma_eg_mhz=0.03, gamma_fe_mhz=0.06,
+                                                bath_t_mk=150.0))
+        monkeypatch.setattr(pipeline, "prepare_sequences", failing)
+        error = "IntegrationError: forced failure inside the batch"
+        ran = [[50.0, 150.0, 200.0], [50.0], [150.0], [200.0]]
+    else:
+        error, ran = "ConfigError: dissipation: bath_t_mk must be positive", [[50.0, 200.0]]
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(mini_config_path), "--bath-mk", points,
+                 "--noiseless", "--out", str(out)]) == 0
+    assert batches == ran
+    got = _sweep_rows(out)
+    assert [row["control"] for row in got] == points.split(",")
+    assert got[1]["error"] == error and got[1]["T_A_mK"] == ""
+    assert got[0] == want[0] and got[2] == want[2]
+    captured = capsys.readouterr()
+    assert f"  point {float(points.split(',')[1])}: FAILED ({error})" in captured.err
+    assert "sweep: 3 points (1 failed)" in captured.out
 
 
 def test_cli_exposes_benchmarked_names():

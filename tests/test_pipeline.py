@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
+import pytest
 
 from tritherm import pipeline
 
 from oracles import apply_sequence_ideal
 from tritherm.hilbert import thermal_populations
-from tritherm.pipeline import estimate
+from tritherm.pipeline import estimate, run_batch, run_protocol, steady_point
 from tritherm.pulses import compile_sequence
 from tritherm.thermometry import COEFFICIENTS, estimate_temperature
 
@@ -123,3 +126,85 @@ def test_repeated_runs_do_the_same_eigendecompositions(default_config, monkeypat
         pipeline.run_protocol(default_config, noiseless=True)
         work.append(list(shapes))
     assert work[0] == work[1] and len(work[0]) > 0
+
+
+def _numbers(tree, path=""):
+    """(path, value) for every leaf of a tree of dicts and lists."""
+    if isinstance(tree, dict):
+        for key, sub in tree.items():
+            yield from _numbers(sub, f"{path}.{key}")
+    elif isinstance(tree, list):
+        for i, sub in enumerate(tree):
+            yield from _numbers(sub, f"{path}[{i}]")
+    else:
+        yield path, tree
+
+
+def _assert_same_run(got, want):
+    """A batched point against its run alone, within 1e-12 relative: traces,
+    steady and prepared populations, norm factor and every field of the
+    estimate report.  Values near zero (intercepts, trace samples) are held
+    to 1e-12 of the unit trace peak."""
+    def close(a, b, what):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12, err_msg=what)
+
+    for kind in ("traces", "basis_traces"):
+        for lab, tr in getattr(want, kind).items():
+            other = getattr(got, kind)[lab]
+            close(other.i_vals, tr.i_vals, f"{kind}[{lab}].I")
+            close(other.q_vals, tr.q_vals, f"{kind}[{lab}].Q")
+    assert list(got.prepared_populations) == list(want.prepared_populations)
+    for lab, pops in want.prepared_populations.items():
+        close(got.prepared_populations[lab].as_array(), pops.as_array(), f"prepared {lab}")
+    close(got.steady_populations.as_array(), want.steady_populations.as_array(), "steady")
+    close(got.norm_factor, want.norm_factor, "norm_factor")
+    assert got.noisy == want.noisy and got.config == want.config
+    reports = [dict(_numbers(estimate(r.responses, r.levels, r.config.protocol,
+                                      r.config.seed).as_dict())) for r in (got, want)]
+    assert reports[0].keys() == reports[1].keys()
+    for key, value in reports[1].items():
+        if isinstance(value, (str, bool)):
+            assert reports[0][key] == value, key
+        else:
+            close(reports[0][key], value, key)
+
+
+@pytest.fixture(scope="module")
+def runs_alone(request, temperature_runs, calibrations, default_ops, wp_run):
+    """Per shipped config: its operators, calibrations and four single-point
+    runs, noisy on the default device (the session's temperature runs) and
+    noiseless on the working point."""
+    wp_cfg = wp_run.config
+    wp_more = [run_protocol(dataclasses.replace(
+        wp_cfg, dissipation=dataclasses.replace(wp_cfg.dissipation, bath_t_mk=t_mk)),
+        noiseless=True, calibrations=wp_run.calibrations) for t_mk in (50.0, 100.0, 200.0)]
+    return {
+        "default": (default_ops, calibrations, list(temperature_runs.values()), False),
+        "working_point": (wp_cfg.system.build_operators(), wp_run.calibrations,
+                          [wp_run] + wp_more, True),
+    }
+
+
+@pytest.mark.parametrize("config_name", ["default", "working_point"])
+@pytest.mark.parametrize("p", [2, 4])
+def test_batch_matches_its_points_run_alone(runs_alone, config_name, p):
+    ops, calibrations, alone, noiseless = runs_alone[config_name]
+    points = [steady_point(r.config, ops) for r in alone[:p]]
+    batch = run_batch(points, ops, calibrations, noiseless)
+    assert len(batch) == p
+    for got, want in zip(batch, alone):
+        _assert_same_run(got, want)
+    # each point times its own steady state, and every point the batch's stages
+    assert [r.timings_s["steady_state"] for r in batch] == [pt.seconds for pt in points]
+    for stage in ("calibration", "sequences", "readout"):
+        assert len({r.timings_s[stage] for r in batch}) == 1
+
+
+def test_batch_rejects_points_of_another_device(runs_alone, wp_run):
+    ops, calibrations, alone, _ = runs_alone["default"]
+    with pytest.raises(ValueError, match="^the points of a batch must share their system, "
+                                         "protocol and readout blocks$"):
+        run_batch([steady_point(alone[0].config, ops), steady_point(wp_run.config, ops)],
+                  ops, calibrations)
+    with pytest.raises(ValueError, match="^run_batch needs at least one point$"):
+        run_batch([], ops, calibrations)

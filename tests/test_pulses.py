@@ -423,6 +423,50 @@ def _random_density_matrix(dim, rng):
     return rho / np.trace(rho).real
 
 
+def _bath_lious(ops, baths=(50.0, 100.0, 200.0)):
+    return [build_liouvillian(ops, DissipationSpec(gamma_eg_mhz=0.03, gamma_fe_mhz=0.06,
+                                                   bath_t_mk=t_mk)) for t_mk in baths]
+
+
+def test_stacked_propagation_matches_each_state_alone(small_ops):
+    # three baths, so three different dissipators, through a driven run and
+    # a free run of another slice length (two split-steps)
+    lious = _bath_lious(small_ops)
+    rng = np.random.default_rng(seed)
+    rho0 = np.stack([_random_density_matrix(small_ops.dim, rng) for _ in lious])
+    segments = (_gate_segment(_slice_eigenbases(small_ops, 4.98, lifted_gaussian(0.005, 50.1),
+                                                50.1, GATE_STEP_NS)),
+                _gate_segment(_slice_eigenbases(small_ops, 4.98, lambda t: 0.0, 4.0,
+                                                GATE_STEP_NS)))
+    assert segments[0].dt != segments[1].dt
+    stacked = _propagate_open(lious, rho0, *segments)
+    assert stacked.shape == rho0.shape
+    for liou, start, got in zip(lious, rho0, stacked):
+        want = _propagate_open(liou, start, *segments)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    (one,) = _propagate_open(lious[:1], rho0[:1], *segments)
+    assert np.max(np.abs(one - _propagate_open(lious[0], rho0[0], *segments))) <= 1e-12
+
+
+def test_stacked_propagation_names_its_bad_member(small_ops):
+    lious = _bath_lious(small_ops)
+    dim = small_ops.dim
+    free = _gate_segment(_slice_eigenbases(small_ops, 0.0, lambda t: 0.0, 1.0, GATE_STEP_NS))
+    rho0 = np.stack([np.eye(dim, dtype=complex) / dim] * 3)
+    with pytest.raises(ValueError, match=f"^rho0 must be a stack of 3 {dim}x{dim} states$"):
+        _propagate_open(lious, rho0[:2], free)
+    rho0[1, 0, 1] = 2e-12j
+    with pytest.raises(ValueError, match=r"^rho0\[1\] is not Hermitian: "
+                                         r"max \|rho0\[1\] - rho0\[1\]\+\| = 2\.000e-12 > 1e-12$"):
+        _propagate_open(lious, rho0, free)
+    rho0[1, 0, 1] = 0.0
+    rho0[2] = 0.0
+    rho0[2, 0, 0], rho0[2, 1, 1] = 1.1, -0.1
+    with pytest.raises(IntegrationError,
+                       match="^state 2 invariant violated after 1 ns: .*eigen"):
+        _propagate_open(lious, rho0, free)
+
+
 @pytest.mark.parametrize("config_name", ["default_config", "wp_config"])
 @pytest.mark.parametrize("duration", ["shipped", 50.1])
 def test_real_eigenbasis_gates_match_complex_strang_chain(request, config_name, duration):

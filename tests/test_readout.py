@@ -12,6 +12,7 @@ from oracles import read_trace_csv_csv_module, strang_step
 from superops import static_super, unit_superoperator
 from tritherm import readout
 from tritherm.constants import TWO_PI
+from tritherm.lindblad import DissipationSpec, build_liouvillian
 from tritherm.pulses import READOUT_STEP_NS
 from tritherm.readout import (
     IQTrace,
@@ -128,6 +129,23 @@ def test_row_propagation_matches_forward_states(small_liou):
 
     got = _stacked(synthesize_traces(states, small_liou, cfg), states)
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_batched_readout_matches_each_point_alone(small_ops):
+    # two baths: two dissipators and two sets of basis states, one probe
+    cfg = ReadoutConfig(probe_duration_ns=300.0, window_start_ns=50.0, window_end_ns=250.0)
+    lious = [build_liouvillian(small_ops, DissipationSpec(gamma_eg_mhz=0.03, gamma_fe_mhz=0.06,
+                                                          bath_t_mk=t_mk))
+             for t_mk in (50.0, 200.0)]
+    states = [pure_basis_states(liou) for liou in lious]
+    states[1]["mix"] = 0.5 * states[1]["g"] + 0.5 * states[1]["f"]
+    batch = synthesize_traces(states, lious, cfg)
+    assert [list(b) for b in batch] == [list(s) for s in states]
+    for got, point, liou in zip(batch, states, lious):
+        ref = _stacked(synthesize_traces(point, liou, cfg), point)
+        assert np.max(np.abs(_stacked(got, point) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    with pytest.raises(ValueError, match="^2 state mappings for 1 Liouvillians$"):
+        synthesize_traces(states, lious[:1], cfg)
 
 
 def test_readout_converges_to_exact_propagator(small_liou, monkeypatch):
