@@ -19,8 +19,8 @@ one-axis-at-a-time line searches stop short of.  The gradient is exact
 propagation needs anyway, gives the derivative of its exponential through
 first divided differences of the eigenvalue phases (Daleckii-Krein, as in
 GRAPE: de Fouquieres, Schirmer, Glaser & Kuprov, J. Magn. Reson. 212, 412
-(2011)), one forward and one adjoint pass apply it, and the Hessian is a
-difference of two exact gradients.
+(2011)), a forward pass (``_propagate_closed``) and an adjoint pass apply
+it, and the Hessian is a difference of two exact gradients.
 
 Calibration, gates and readout share one splitting.  A span is cut into
 slices of about the stage's step (below); each slice's unitary
@@ -43,9 +43,10 @@ its complex adjoint row.  The dissipator's exponential is applied as its
 transmon and resonator factors (``dissipate``): a real left and a real
 right matmul on one permuted copy of the state, real or complex, instead
 of one product with a dim^2 x dim^2 matrix.  The bath points of one device
-share the pulses and their slices, so a batch of them steps through each
-gate as one stack of states (``prepare_sequences``), each state under its
-own point's dissipator; the batch's gates are timed as one, and every point
+share the pulses and their slices, so the gate kernels (``prepare_sequences``,
+``_apply_gate``, ``_propagate_open``) take one shape: a (p, dim, dim) stack of
+the states of p points, one point being a stack of one, each state under its
+own point's dissipator.  The batch's gates are timed as one, and every point
 of it reports that time as its ``SimulationResult.timings_s["sequences"]``.
 
 Each stage has its own step, set by its error budget on the shipped configs
@@ -69,7 +70,7 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import groupby
 from math import erf
-from typing import Dict, Iterable, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -166,16 +167,19 @@ def _slice_eigenbases(ops: CompositeOperators, frame_ghz: float, envelope_fn,
     return np.exp(-1j * TWO_PI * dt * w), w, v, idx, dt
 
 
-def _propagate_closed(psi0: np.ndarray, basis) -> np.ndarray:
+def _propagate_closed(psi0: np.ndarray, basis) -> Tuple[np.ndarray, np.ndarray]:
     """Statevector propagation through a ``_slice_eigenbases`` batch, each
-    slice applied in its eigenbasis as V_k (exp(-i 2 pi w_k dt) * V_k+ psi),
-    with no dense unitary formed."""
+    slice applied in its real eigenbasis as V_k (exp(-i 2 pi w_k dt) * V_k+ psi),
+    with no dense unitary formed.  Returns the end state and the (n, dim)
+    rows V_k+ psi_k-1 the slices form, ``transfer_gradient``'s forward pass."""
     ph, _, v, idx, _ = basis
-    vc = v.conj()
+    v = v.astype(complex)  # each product with a state would cast it again
     psi = psi0
-    for j in idx:
-        psi = v[j] @ (ph[j] * (psi @ vc[j]))
-    return psi
+    fwd = np.empty((len(idx), len(psi0)), dtype=complex)
+    for k, j in enumerate(idx):
+        fwd[k] = psi @ v[j]
+        psi = v[j] @ (ph[j] * fwd[k])
+    return psi, fwd
 
 
 class GateSegment(NamedTuple):
@@ -214,16 +218,16 @@ def dissipate(x: np.ndarray, step: DissipatorStep) -> np.ndarray:
     return y.view(x.dtype).reshape(-1)[step.scatter].reshape(x.shape)
 
 
-def _propagate_open(liou, rho0: np.ndarray, *segments: GateSegment) -> np.ndarray:
+def _propagate_open(lious, rho0: np.ndarray, *segments: GateSegment) -> np.ndarray:
     """Master-equation propagation over ``segments``: one Strang split-step
     (Strang, SIAM J. Numer. Anal. 5, 1968) over the slices of each run of
     segments that share a slice length.  Each slice applies
     exp(D dt/2) U_k . U_k+ exp(D dt/2), and the dissipative halves of
     adjacent slices merge into one exp(D dt).
 
-    ``rho0`` is one dim x dim state and ``liou`` its ``Liouvillian``, or
     ``rho0`` is a (p, dim, dim) stack of the states of p points of one
-    device and ``liou`` a sequence of their p Liouvillians.  A stack steps
+    device, p >= 1, and ``lious`` the sequence of their p Liouvillians; the
+    end states come back as a stack of the same shape.  The stack steps
     through the one slice chain at once: each unitary's products are
     broadcast matmuls over the stack, and each state takes its own point's
     dissipator (``DissipatorStep.stack``).  Each point's end state is the
@@ -238,24 +242,19 @@ def _propagate_open(liou, rho0: np.ndarray, *segments: GateSegment) -> np.ndarra
     transposition, so it acts on R as it acts on rho.  The end state is
     unpacked as rho = (R + R^T)/2 + i (R - R^T)/2.
 
-    Raises ``ValueError`` when rho0, or a member of the stack (named by its
-    index), is not Hermitian within 1e-12: R would silently drop its
-    anti-Hermitian part.  Every factor is completely positive and trace
-    preserving, so each end state must be a density matrix (trace 1e-8,
-    eigenvalues >= -1e-8); a violation raises ``IntegrationError``.
+    Raises ``ValueError`` when a member of the stack (named by its index)
+    is not Hermitian within 1e-12: R would silently drop its anti-Hermitian
+    part.  Every factor is completely positive and trace preserving, so each
+    end state must be a density matrix (trace 1e-8, eigenvalues >= -1e-8); a
+    violation raises ``IntegrationError``.
     """
-    stacked = rho0.ndim == 3
-    lious = list(liou) if stacked else [liou]
     dim = lious[0].ops.dim
-    if rho0.shape != ((len(lious), dim, dim) if stacked else (dim, dim)):
-        raise ValueError(f"rho0 must be a stack of {len(lious)} {dim}x{dim} states"
-                         if stacked else f"rho0 must be {dim}x{dim}")
-    rho0 = rho0.reshape(-1, dim, dim)
+    if rho0.shape != (len(lious), dim, dim):
+        raise ValueError(f"rho0 must be a stack of {len(lious)} {dim}x{dim} states")
     resid = np.max(np.abs(rho0 - rho0.conj().swapaxes(-1, -2)), axis=(1, 2))
     for i, res in enumerate(resid):
         if not res <= 1e-12:
-            name = f"rho0[{i}]" if stacked else "rho0"
-            raise ValueError(f"{name} is not Hermitian: max |{name} - {name}+| = "
+            raise ValueError(f"rho0[{i}] is not Hermitian: max |rho0[{i}] - rho0[{i}]+| = "
                              f"{res:.3e} > 1e-12")
     r = rho0.real + rho0.imag
     if len(r) == 1:  # a lone state steps as a matrix: 2-D products cost less than a stack
@@ -279,9 +278,20 @@ def _propagate_open(liou, rho0: np.ndarray, *segments: GateSegment) -> np.ndarra
             validate_density_matrix(state, herm_tol=1e-10, trace_tol=1e-8, eig_tol=-1e-8)
         except ValueError as exc:
             span = sum(len(seg.idx) * seg.dt for seg in segments)
-            name = f"state {i} invariant" if stacked else "state invariant"
-            raise IntegrationError(f"{name} violated after {span:g} ns: {exc}") from exc
-    return rho if stacked else rho[0]
+            raise IntegrationError(
+                f"state {i} invariant violated after {span:g} ns: {exc}") from exc
+    return rho
+
+
+def _transfer_amplitude(ops: CompositeOperators, transition: str, basis):
+    """c = <k1| U |k0> between the zero-photon dressed states of
+    ``transition`` through a ``_slice_eigenbases`` batch, with the batch's
+    forward rows (``_propagate_closed``) and the target <k1|."""
+    k0, k1 = _TRANSITIONS[transition]
+    _, v = ops.dressed
+    psi, fwd = _propagate_closed(v[:, ops.dressed_index(k0)].astype(complex), basis)
+    target = v[:, ops.dressed_index(k1)]
+    return target.conj() @ psi, fwd, target
 
 
 def transfer_probability(ops: CompositeOperators, transition: str, carrier_ghz: float,
@@ -295,12 +305,7 @@ def transfer_probability(ops: CompositeOperators, transition: str, carrier_ghz: 
     if basis is None:
         basis = _slice_eigenbases(ops, carrier_ghz, lifted_gaussian(amplitude, duration_ns),
                                   duration_ns, dt_ns)
-    k0, k1 = _TRANSITIONS[transition]
-    _, v = ops.dressed
-    psi0 = v[:, ops.dressed_index(k0)].astype(complex)
-    target = v[:, ops.dressed_index(k1)]
-    psi = _propagate_closed(psi0, basis)
-    return float(np.abs(target.conj() @ psi) ** 2)
+    return float(np.abs(_transfer_amplitude(ops, transition, basis)[0]) ** 2)
 
 
 def transfer_gradient(ops: CompositeOperators, transition: str, carrier_ghz: float,
@@ -322,13 +327,9 @@ def transfer_gradient(ops: CompositeOperators, transition: str, carrier_ghz: flo
     as the eigenvectors are, so sinc o V+ dH V is a real product per
     distinct slice.
     """
-    k0, k1 = _TRANSITIONS[transition]
-    _, vd = ops.dressed
-    psi = vd[:, ops.dressed_index(k0)].astype(complex)
-    target = vd[:, ops.dressed_index(k1)]
-    ph, w, v, idx, dt = _slice_eigenbases(ops, carrier_ghz,
-                                          lifted_gaussian(amplitude, duration_ns),
-                                          duration_ns, dt_ns)
+    basis = _slice_eigenbases(ops, carrier_ghz, lifted_gaussian(amplitude, duration_ns),
+                              duration_ns, dt_ns)
+    ph, w, v, idx, dt = basis
     unit = lifted_gaussian(1.0, duration_ns)
     env = np.empty(len(w))
     env[idx] = [unit((k + 0.5) * dt) for k in range(len(idx))]
@@ -338,12 +339,8 @@ def transfer_gradient(ops: CompositeOperators, transition: str, carrier_ghz: flo
     # sinc o V+ dH V per distinct slice for both parameters, (m, 2, dim, dim)
     dh = sinc[:, None] * np.stack([env[:, None, None] * (vt @ ops.drive_op @ v),
                                    -(vt * ops.frame_gen_vec) @ v], axis=1)
+    c, fwd, target = _transfer_amplitude(ops, transition, basis)  # fwd[k] = V_k+ psi_k-1
     v = v.astype(complex)  # each product with a state would cast it again
-    fwd = np.empty((len(idx), ops.dim), dtype=complex)  # V_k+ psi_k-1
-    for k, j in enumerate(idx):
-        fwd[k] = psi @ v[j]
-        psi = v[j] @ (ph[j] * fwd[k])
-    c = target.conj() @ psi
     bwd = np.empty_like(fwd)  # V_k+ lam_k
     lam = target.astype(complex)
     for k in range(len(idx) - 1, -1, -1):
@@ -520,34 +517,33 @@ def _gate_slices(pulse: CalibrationReport, liou: Liouvillian, gap_ns: float):
 
 
 def _apply_gate(state: Tuple[np.ndarray, float, float], pulse: CalibrationReport,
-                liou, gap_ns: float, slices) -> Tuple[np.ndarray, float, float]:
+                lious, gap_ns: float, slices) -> Tuple[np.ndarray, float, float]:
     """One gate on ``(rho, elapsed_ns, frame_ghz)``: change to the pulse's
     carrier frame at the elapsed time, then propagate over the pulse plus
-    ``gap_ns`` of free evolution by the gate's ``_gate_slices``.  rho and
-    ``liou`` are one state and its Liouvillian or, as in
-    ``_propagate_open``, a stack of states and their Liouvillians."""
+    ``gap_ns`` of free evolution by the gate's ``_gate_slices``.  As in
+    ``_propagate_open``, rho is a (p, dim, dim) stack of states and
+    ``lious`` their p Liouvillians."""
     rho, t_abs, frame = state
-    ops = (liou[0] if rho.ndim == 3 else liou).ops
-    v = change_frame(rho.reshape(*rho.shape[:-2], -1), ops, frame, pulse.carrier_ghz, t_abs)
-    rho = _propagate_open(liou, v.reshape(rho.shape), *slices)
+    v = change_frame(rho.reshape(len(rho), -1), lious[0].ops, frame, pulse.carrier_ghz, t_abs)
+    rho = _propagate_open(lious, v.reshape(rho.shape), *slices)
     return rho, t_abs + (pulse.duration_ns + gap_ns), pulse.carrier_ghz
 
 
 def prepare_sequences(
     rho_ss: np.ndarray,
     seqs: Iterable[GateSequence],
-    liou,
+    lious: Sequence[Liouvillian],
     calibrations: Dict[str, CalibrationReport],
     gap_ns: float,
 ) -> Dict[str, Tuple[np.ndarray, float, float]]:
     """Evolve the steady state through each sequence's calibrated gates with
     dissipation on.
 
-    ``rho_ss`` and ``liou`` are one point's steady state and Liouvillian,
-    or a (p, dim, dim) stack of the steady states of p points of one device
-    and a sequence of their p Liouvillians: the points then share every
-    gate's slice chain (``_propagate_open``), and each sequence's state is
-    the stack of the points' states, each the one its point gets alone.
+    ``rho_ss`` is a (p, dim, dim) stack of the steady states of p points
+    of one device, p >= 1, and ``lious`` the sequence of their p
+    Liouvillians: the points share every gate's slice chain
+    (``_propagate_open``), and each sequence's state is the (p, dim, dim)
+    stack of the points' states, each the one its point gets alone.
 
     The sequences are walked as a tree of gate prefixes: a chain already
     propagated for one sequence is extended, not repeated (x2 extends x1, y1
@@ -563,7 +559,6 @@ def prepare_sequences(
     ``{label: (rho, elapsed_ns, frame_ghz)}`` with each state still
     expressed in its last gate's frame (bare frame for x0).
     """
-    first = liou[0] if rho_ss.ndim == 3 else liou
     done = {(): (rho_ss.astype(complex), 0.0, 0.0)}
     slices = {}
     out = {}
@@ -571,8 +566,8 @@ def prepare_sequences(
         for n, gate in enumerate(seq.gates, start=1):
             if seq.gates[:n] not in done:
                 if gate not in slices:
-                    slices[gate] = _gate_slices(calibrations[gate], first, gap_ns)
+                    slices[gate] = _gate_slices(calibrations[gate], lious[0], gap_ns)
                 done[seq.gates[:n]] = _apply_gate(done[seq.gates[:n - 1]], calibrations[gate],
-                                                  liou, gap_ns, slices[gate])
+                                                  lious, gap_ns, slices[gate])
         out[seq.label] = done[seq.gates]
     return out

@@ -7,13 +7,14 @@ I(t) + iQ(t) = <a>(t) exp(i 2 pi f_IF t).  The probe evolution is the
 Heisenberg-picture (adjoint) form of the gates' split-step: one row
 vec(a^T) is stepped through the transposed Strang slices and dotted with
 every prepared state (adjoint master equation: Breuer & Petruccione, The
-Theory of Open Quantum Systems, 2002, sec. 3.2).  A batch of bath points
-of one device steps its points' rows together through the one probe
-unitary, and every point of the batch reports the batch's readout time as
-its ``SimulationResult.timings_s["readout"]``.  Noise is modeled
-post-averaging as one effective Gaussian per sample and quadrature,
-matching how the estimator consumes the data; the shot count is recorded
-but individual shots are never drawn.
+Theory of Open Quantum Systems, 2002, sec. 3.2).  ``synthesize_traces``
+takes a batch of bath points of one device, p state mappings and their p
+Liouvillians, one point being a batch of one, and steps the points' rows
+together through the one probe unitary; every point of the batch reports
+the batch's readout time as its ``SimulationResult.timings_s["readout"]``.
+Noise is modeled post-averaging as one effective Gaussian per sample and
+quadrature, matching how the estimator consumes the data; the shot count
+is recorded but individual shots are never drawn.
 
 Trace units are arbitrary but fixed per run by normalizing the pure-state
 responses to unit peak magnitude, which puts the default noise level directly
@@ -28,7 +29,7 @@ import io
 import itertools
 import numbers
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -139,7 +140,8 @@ def pure_basis_states(liou: Liouvillian) -> Dict[str, np.ndarray]:
     return out
 
 
-def synthesize_traces(states, liou, config: ReadoutConfig):
+def synthesize_traces(states: Sequence[Mapping[str, np.ndarray]], lious: Sequence[Liouvillian],
+                      config: ReadoutConfig) -> List[Dict[str, IQTrace]]:
     """Probe all ``states`` (vectorized, already in the probe frame) at once.
 
     <a> at sample k is tr(a P^k rho) = (vec(a^T) P^k) . vec(rho), P being the
@@ -158,22 +160,19 @@ def synthesize_traces(states, liou, config: ReadoutConfig):
     in one matrix product.  The IF oscillation is reattached; traces are in
     raw (unnormalized) units.
 
-    ``states`` is one point's ``{label: state}`` with ``liou`` its
-    Liouvillian, or a sequence of the mappings of p points of one device
-    with their p Liouvillians, which returns p trace mappings.  The p rows
-    then step together under the one U and each point's own transposed
+    ``states`` is a sequence of the ``{label: state}`` mappings of p points
+    of one device, p >= 1, and ``lious`` the sequence of their p
+    Liouvillians; the p trace mappings come back in the same order.  The p
+    rows step together under the one U and each point's own transposed
     dissipator (``DissipatorStep.stack``), and each point's rows meet only
     its own states: its traces are the ones it gets alone, to the bit on
     the machines measured.
     """
-    single = isinstance(states, Mapping)
-    points = [states] if single else list(states)
-    lious = [liou] if single else list(liou)
-    if len(points) != len(lious):
-        raise ValueError(f"{len(points)} state mappings for {len(lious)} Liouvillians")
+    if len(states) != len(lious):
+        raise ValueError(f"{len(states)} state mappings for {len(lious)} Liouvillians")
     ops = lious[0].ops
-    dim, p = ops.dim, len(points)
-    cols = [np.stack(list(pt.values()), axis=1).astype(complex) for pt in points]
+    dim, p = ops.dim, len(states)
+    cols = [np.stack(list(pt.values()), axis=1).astype(complex) for pt in states]
     m = int(np.ceil(config.sample_dt_ns / READOUT_STEP_NS))
     dt = config.sample_dt_ns / m
     w, v = np.linalg.eigh(ops.h_static(ops.rspec.fr_ghz)
@@ -205,11 +204,11 @@ def synthesize_traces(states, liou, config: ReadoutConfig):
     t = config.time_grid()
     phase = np.exp(1j * TWO_PI * (config.if_mhz * 1e-3) * t)
     out = []
-    for pt, r in zip(points, raw):
+    for pt, r in zip(states, raw):
         iq = r * phase[:, None]
         out.append({lab: IQTrace(t, iq[:, j].real.copy(), iq[:, j].imag.copy(), label=lab)
                     for j, lab in enumerate(pt)})
-    return out[0] if single else out
+    return out
 
 
 def normalization_factor(basis: Sequence[IQTrace]) -> float:

@@ -490,16 +490,17 @@ class EstimateReport:
 
 
 def _aggregate(slopes, halfwidths) -> Tuple[np.ndarray, np.ndarray]:
-    """Coefficient slopes and CI half-widths (..., 3) from the pair slopes
-    and CI half-widths (..., 3, 3), as one weighted mean: inverse squared
+    """Coefficient slopes and standard errors (..., 3) from the pair slopes
+    and 95% CI half-widths (..., 3, 3), as one weighted mean: inverse squared
     half-widths for a coefficient whose three pair CIs all have a width
-    (half-width 1 / sqrt(sum of weights)), unit weights otherwise
-    (half-width the standard error of its three slopes)."""
+    (standard error 1 / (1.96 sqrt(sum of weights)), pairs as independent),
+    unit weights otherwise (the standard error of its three slopes)."""
     weighted = np.all(halfwidths > 0, axis=-1)
     w = np.divide(1.0, halfwidths ** 2, out=np.ones_like(halfwidths), where=weighted[..., None])
     total = np.sum(w, axis=-1)
-    half = np.where(weighted, 1.0 / np.sqrt(total), slopes.std(axis=-1, ddof=1) / np.sqrt(3))
-    return np.sum(w * slopes, axis=-1) / total, half
+    se = np.where(weighted, 1.0 / (1.96 * np.sqrt(total)),
+                  slopes.std(axis=-1, ddof=1) / np.sqrt(3))
+    return np.sum(w * slopes, axis=-1) / total, se
 
 
 def estimate_temperature(
@@ -522,9 +523,9 @@ def estimate_temperature(
     ``np.random.default_rng(seed)``, serves all nine pair CIs.
     """
     fit = _fit_pairs(deming_fit, responses.iq(), n_bootstrap=n_bootstrap, rng=seed)
-    value, half = _aggregate(fit.slope.reshape(3, 3),
-                             0.5 * (fit.ci95[:, 1] - fit.ci95[:, 0]).reshape(3, 3))
-    lo, hi = np.minimum(value - 1.96 * half, value), np.maximum(value + 1.96 * half, value)
+    value, se = _aggregate(fit.slope.reshape(3, 3),
+                           0.5 * (fit.ci95[:, 1] - fit.ci95[:, 0]).reshape(3, 3))
+    lo, hi = np.minimum(value - 1.96 * se, value), np.maximum(value + 1.96 * se, value)
     consistency = float(abs(value[2] - value[0] * value[1]) / abs(value[2]))
     estimates = tuple(invert_temperature(c, v, ci, levels, clamp) for c, v, ci in zip(
         COEFFICIENTS, value.tolist(), zip(lo.tolist(), hi.tolist())))

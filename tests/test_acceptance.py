@@ -162,10 +162,10 @@ def test_criterion_5_sequence_permutations(criterion, run_150, default_config,
         for k, w in enumerate(p0):
             vec = v[:, ops.dressed_index(k)]
             rho0 += w * np.outer(vec, vec.conj())
-        prepared = prepare_sequences(rho0, all_sequences(), liou, calibrations,
+        prepared = prepare_sequences(rho0[None], all_sequences(), [liou], calibrations,
                                      gap_ns=default_config.protocol.gap_ns)
         for seq in all_sequences():
-            rho, _, _ = prepared[seq.label]
+            (rho,), _, _ = prepared[seq.label]
             got = dressed_populations(ops, rho).as_array()
             want = p0[list(seq.expected_permutation)]
             dev = np.max(np.abs(got - want))

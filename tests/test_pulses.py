@@ -150,7 +150,7 @@ def test_double_pi_returns_ground(default_ops, calibrations):
     _, v = default_ops.dressed
     psi = v[:, default_ops.dressed_index(0)].astype(complex)
     for _ in range(2):
-        psi = _propagate_closed(psi, rep.slices.basis)
+        psi, _ = _propagate_closed(psi, rep.slices.basis)
     p_g = float(np.abs(v[:, default_ops.dressed_index(0)].conj() @ psi) ** 2)
     assert p_g >= 0.998
 
@@ -213,6 +213,20 @@ def test_transfer_gradient_matches_central_differences(default_config, default_o
         assert value == transfer(x)
         central = [(transfer(x + h * e) - transfer(x - h * e)) / (2 * h) for e in np.eye(2)]
         np.testing.assert_allclose(grad * (amp0, 1e-3), central, rtol=1e-6, atol=1e-10)
+
+
+@pytest.mark.parametrize("config_name", ["default_config", "wp_config"])
+def test_gradient_forward_pass_is_the_closed_propagation(request, config_name):
+    # transfer_gradient takes its forward pass from _propagate_closed, so
+    # its transfer is transfer_probability's to the bit at each shipped
+    # calibrated pulse
+    cfg = request.getfixturevalue(config_name)
+    ops = cfg.system.build_operators()
+    for transition in ("ge", "ef"):
+        rep = run_rabi_calibration(ops, transition, cfg.protocol.pulse_duration_ns)
+        args = (ops, transition, rep.carrier_ghz, rep.amplitude, rep.duration_ns,
+                CALIBRATION_STEP_NS)
+        assert transfer_gradient(*args)[0] == transfer_probability(*args)
 
 
 def test_transfer_gradient_matches_the_frechet_derivative(small_ops):
@@ -317,7 +331,8 @@ def test_closed_stepper_matches_slice_exponentials(default_ops, calibrations):
     _, v = ops.dressed
     psi0 = v[:, ops.dressed_index(0)].astype(complex)
 
-    psi = _propagate_closed(psi0, _slice_eigenbases(ops, rep.carrier_ghz, env, span, GATE_STEP_NS))
+    psi, _ = _propagate_closed(psi0, _slice_eigenbases(ops, rep.carrier_ghz, env, span,
+                                                       GATE_STEP_NS))
     ref = psi0
     for h in hs:
         ref = expm(-1j * TWO_PI * dt * h) @ ref
@@ -358,14 +373,14 @@ def test_split_step_free_decay(small_liou):
     ops = small_liou.ops
     rho0 = np.zeros((ops.dim, ops.dim), dtype=complex)
     rho0[ops.rspec.n_states, ops.rspec.n_states] = 1.0  # |e, 0>
-    traj = [rho0]
+    traj = [rho0[None]]
     free = _gate_segment(_slice_eigenbases(ops, 0.0, lambda t: 0.0, 50.0, GATE_STEP_NS))
     for _ in range(8):  # 0 .. 400 ns in 50 ns spans
-        traj.append(_propagate_open(small_liou, traj[-1], free))
-    for rho in traj:
+        traj.append(_propagate_open([small_liou], traj[-1], free))
+    for (rho,) in traj:
         assert abs(np.trace(rho).real - 1.0) < 1e-8
     # population flows out of e
-    assert ops.subpopulations(traj[-1])[1] < 1.0
+    assert ops.subpopulations(traj[-1][0])[1] < 1.0
 
 
 def test_split_step_step_insensitive(small_liou):
@@ -375,7 +390,7 @@ def test_split_step_step_insensitive(small_liou):
     rho0 = np.zeros((ops.dim, ops.dim), dtype=complex)
     rho0[0, 0] = 1.0
     drive = lifted_gaussian(0.005, 56.0)
-    a, b = (_propagate_open(small_liou, rho0,
+    a, b = (_propagate_open([small_liou], rho0[None],
                             _gate_segment(_slice_eigenbases(ops, 4.98, drive, 56.0, dt)))
             for dt in (GATE_STEP_NS / 4, GATE_STEP_NS / 8))
     assert np.max(np.abs(a - b)) < 1e-6
@@ -386,8 +401,8 @@ def test_split_step_input_validation(small_liou):
     off = lambda t: 0.0
     with pytest.raises(ValueError, match="^span_ns and dt_ns must be positive$"):
         _slice_eigenbases(ops, 0.0, off, -0.5, GATE_STEP_NS)
-    with pytest.raises(ValueError, match=f"^rho0 must be {ops.dim}x{ops.dim}$"):
-        _propagate_open(small_liou, np.eye(3, dtype=complex) / 3,
+    with pytest.raises(ValueError, match=f"^rho0 must be a stack of 1 {ops.dim}x{ops.dim} states$"):
+        _propagate_open([small_liou], np.eye(3, dtype=complex)[None] / 3,
                         _gate_segment(_slice_eigenbases(ops, 0.0, off, 1.0, GATE_STEP_NS)))
     with pytest.raises(ValueError, match="^span_ns and dt_ns must be positive$"):
         _slice_eigenbases(ops, 0.0, off, 1.0, 0.0)
@@ -397,8 +412,8 @@ def test_split_step_rejects_invalid_end_state(small_liou):
     dim = small_liou.ops.dim
     rho0 = np.zeros((dim, dim), dtype=complex)
     rho0[0, 0], rho0[1, 1] = 1.1, -0.1
-    with pytest.raises(IntegrationError, match="^state invariant violated after 1 ns: .*eigen"):
-        _propagate_open(small_liou, rho0, _gate_segment(
+    with pytest.raises(IntegrationError, match="^state 0 invariant violated after 1 ns: .*eigen"):
+        _propagate_open([small_liou], rho0[None], _gate_segment(
             _slice_eigenbases(small_liou.ops, 0.0, lambda t: 0.0, 1.0, GATE_STEP_NS)))
 
 
@@ -410,11 +425,11 @@ def test_split_step_rejects_non_hermitian_input(small_liou):
                                            GATE_STEP_NS))
     rho0 = np.eye(dim, dtype=complex) / dim
     rho0[0, 1] = 2e-12j
-    with pytest.raises(ValueError, match=r"^rho0 is not Hermitian: "
-                                         r"max \|rho0 - rho0\+\| = 2\.000e-12 > 1e-12$"):
-        _propagate_open(small_liou, rho0, free)
+    with pytest.raises(ValueError, match=r"^rho0\[0\] is not Hermitian: "
+                                         r"max \|rho0\[0\] - rho0\[0\]\+\| = 2\.000e-12 > 1e-12$"):
+        _propagate_open([small_liou], rho0[None], free)
     rho0[0, 1] = 0.5e-12j
-    _propagate_open(small_liou, rho0, free)
+    _propagate_open([small_liou], rho0[None], free)
 
 
 def _random_density_matrix(dim, rng):
@@ -442,10 +457,8 @@ def test_stacked_propagation_matches_each_state_alone(small_ops):
     stacked = _propagate_open(lious, rho0, *segments)
     assert stacked.shape == rho0.shape
     for liou, start, got in zip(lious, rho0, stacked):
-        want = _propagate_open(liou, start, *segments)
+        (want,) = _propagate_open([liou], start[None], *segments)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    (one,) = _propagate_open(lious[:1], rho0[:1], *segments)
-    assert np.max(np.abs(one - _propagate_open(lious[0], rho0[0], *segments))) <= 1e-12
 
 
 def test_stacked_propagation_names_its_bad_member(small_ops):
@@ -483,7 +496,7 @@ def test_real_eigenbasis_gates_match_complex_strang_chain(request, config_name, 
         pulse = run_rabi_calibration(ops, transition, duration)
         guard = _slice_eigenbases(ops, pulse.carrier_ghz, lambda t: 0.0, gap, GATE_STEP_NS)
         ref = propagate_open_complex(liou, rho0, pulse.slices.basis, guard)
-        rho = _propagate_open(liou, rho0, *_gate_slices(pulse, liou, gap))
+        (rho,) = _propagate_open([liou], rho0[None], *_gate_slices(pulse, liou, gap))
         assert np.max(np.abs(rho - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -500,7 +513,7 @@ def test_split_step_matches_reference_integration(small_ops, small_liou):
                     (0.0, span), rho0.reshape(-1), rtol=1e-10, atol=1e-12)
     assert sol.success
     ref = sol.y[:, -1].reshape(rho0.shape)
-    rho = _propagate_open(small_liou, rho0, _gate_segment(
+    (rho,) = _propagate_open([small_liou], rho0[None], _gate_segment(
         _slice_eigenbases(small_ops, pulse.carrier_ghz, env, span, GATE_STEP_NS)))
     dev = np.max(np.abs(small_ops.protocol_populations(rho).as_array()
                         - small_ops.protocol_populations(ref).as_array()))
@@ -508,36 +521,37 @@ def test_split_step_matches_reference_integration(small_ops, small_liou):
     err = np.max(np.abs(rho - ref))
     assert err < 2e-5
     # second-order splitting: halving the slice cuts the error about 4x
-    half = _propagate_open(small_liou, rho0, _gate_segment(
+    (half,) = _propagate_open([small_liou], rho0[None], _gate_segment(
         _slice_eigenbases(small_ops, pulse.carrier_ghz, env, span, GATE_STEP_NS / 2)))
     assert np.max(np.abs(half - ref)) < err / 3
 
 
 @pytest.fixture(scope="module")
 def gates_50mk(default_config, default_ops, calibrations):
-    """Default device at 50 mK: Liouvillian, steady state, calibrated pulses."""
+    """Default device at 50 mK as a batch of one point: its Liouvillian in a
+    list, its steady state as a stack of one, and the calibrated pulses."""
     spec = dataclasses.replace(default_config.dissipation, bath_t_mk=50.0)
     liou = build_liouvillian(default_ops, spec)
-    return liou, steady_state(liou), calibrations, default_config.protocol.gap_ns
+    return [liou], steady_state(liou)[None], calibrations, default_config.protocol.gap_ns
 
 
 def test_gates_prepare_density_matrices_at_50mk(gates_50mk):
     # every split step is completely positive, so no state may dip below -1e-8
-    liou, rho_ss, pulses, gap = gates_50mk
-    prepared = prepare_sequences(rho_ss, all_sequences(), liou, pulses, gap_ns=gap)
+    lious, rho_ss, pulses, gap = gates_50mk
+    prepared = prepare_sequences(rho_ss, all_sequences(), lious, pulses, gap_ns=gap)
     assert tuple(prepared) == SEQUENCE_LABELS
-    for rho, _, _ in prepared.values():
+    for (rho,), _, _ in prepared.values():
         validate_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-8, eig_tol=-1e-8)
 
 
 def test_prefix_walk_matches_independent_sequences(gates_50mk, monkeypatch):
-    liou, rho_ss, pulses, gap = gates_50mk
+    lious, rho_ss, pulses, gap = gates_50mk
     independent = {}
     for seq in all_sequences():
         state = (rho_ss.astype(complex), 0.0, 0.0)
         for gate in seq.gates:
-            state = _apply_gate(state, pulses[gate], liou, gap,
-                                _gate_slices(pulses[gate], liou, gap))
+            state = _apply_gate(state, pulses[gate], lious, gap,
+                                _gate_slices(pulses[gate], lious[0], gap))
         independent[seq.label] = state
 
     calls = []
@@ -545,7 +559,7 @@ def test_prefix_walk_matches_independent_sequences(gates_50mk, monkeypatch):
         calls.append(args[1])
         return _apply_gate(*args)
     monkeypatch.setattr(pulses_mod, "_apply_gate", counted)
-    walked = prepare_sequences(rho_ss, all_sequences(), liou, pulses, gap_ns=gap)
+    walked = prepare_sequences(rho_ss, all_sequences(), lious, pulses, gap_ns=gap)
     assert len(calls) == 5  # x2 extends x1, y1 and y2 extend y0
     for label, (rho, elapsed_ns, frame_ghz) in walked.items():
         want_rho, want_elapsed, want_frame = independent[label]
@@ -574,7 +588,7 @@ def test_each_pulse_is_diagonalized_once_per_calibration(default_config, default
     for t_mk in (50.0, 200.0):
         liou = build_liouvillian(default_ops, dataclasses.replace(default_config.dissipation,
                                                                   bath_t_mk=t_mk))
-        prepare_sequences(steady_state(liou), all_sequences(), liou, pulses, gap_ns=gap)
+        prepare_sequences(steady_state(liou)[None], all_sequences(), [liou], pulses, gap_ns=gap)
     assert calls == [(False, gap, GATE_STEP_NS)] * 4
 
 
@@ -611,11 +625,11 @@ def test_gates_split_a_span_off_the_step_grid(small_ops, small_liou):
 
 
 def test_gates_reject_slices_cut_at_another_step(gates_50mk, monkeypatch):
-    liou, rho_ss, pulses, gap = gates_50mk
+    lious, rho_ss, pulses, gap = gates_50mk
     monkeypatch.setattr(pulses_mod, "GATE_STEP_NS", GATE_STEP_NS / 2)
     with pytest.raises(ValueError, match=r"^pi_ge carries no slices of its pulse \(.*, 56 ns\) "
                                          r"at the gate step 0.125 ns; "):
-        prepare_sequences(rho_ss, all_sequences(), liou, pulses, gap_ns=gap)
+        prepare_sequences(rho_ss, all_sequences(), lious, pulses, gap_ns=gap)
 
 
 @pytest.mark.parametrize("change", ["amplitude", "carrier_ghz", "duration_ns", "slices"])
@@ -623,12 +637,12 @@ def test_gates_reject_slices_of_another_pulse(gates_50mk, change):
     # a report whose pulse no longer matches its carried slices, or that
     # was built from its five numbers alone, plays no gate: it would
     # otherwise play the old pulse under the new numbers
-    liou, rho_ss, pulses, gap = gates_50mk
+    lious, rho_ss, pulses, gap = gates_50mk
     rep = pulses["ef"]
     other = dataclasses.replace(
         rep, **{change: None if change == "slices" else 1.01 * getattr(rep, change)})
     with pytest.raises(ValueError, match="^pi_ef carries no slices of its pulse "):
-        prepare_sequences(rho_ss, all_sequences(), liou, {**pulses, "ef": other}, gap_ns=gap)
+        prepare_sequences(rho_ss, all_sequences(), lious, {**pulses, "ef": other}, gap_ns=gap)
 
 
 def test_calibration_report_is_its_five_numbers(calibrations):

@@ -90,7 +90,7 @@ def test_synthesis_linearity(small_liou):
                         window_end_ns=250.0)
     states = pure_basis_states(small_liou)
     mix = 0.6 * states["g"] + 0.3 * states["e"] + 0.1 * states["f"]
-    traces = synthesize_traces({**states, "mix": mix}, small_liou, cfg)
+    (traces,) = synthesize_traces([{**states, "mix": mix}], [small_liou], cfg)
     expect = (0.6 * traces["g"].complex_vals() + 0.3 * traces["e"].complex_vals()
               + 0.1 * traces["f"].complex_vals())
     np.testing.assert_allclose(traces["mix"].complex_vals(), expect, atol=1e-12)
@@ -127,7 +127,7 @@ def test_row_propagation_matches_forward_states(small_liou):
             col = strang_step(col, (u,) * m, half, full)
     ref *= _if_phase(cfg)
 
-    got = _stacked(synthesize_traces(states, small_liou, cfg), states)
+    got = _stacked(synthesize_traces([states], [small_liou], cfg)[0], states)
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
@@ -142,7 +142,7 @@ def test_batched_readout_matches_each_point_alone(small_ops):
     batch = synthesize_traces(states, lious, cfg)
     assert [list(b) for b in batch] == [list(s) for s in states]
     for got, point, liou in zip(batch, states, lious):
-        ref = _stacked(synthesize_traces(point, liou, cfg), point)
+        ref = _stacked(synthesize_traces([point], [liou], cfg)[0], point)
         assert np.max(np.abs(_stacked(got, point) - ref)) <= 1e-12 * np.max(np.abs(ref))
     with pytest.raises(ValueError, match="^2 state mappings for 1 Liouvillians$"):
         synthesize_traces(states, lious[:1], cfg)
@@ -166,7 +166,7 @@ def test_readout_converges_to_exact_propagator(small_liou, monkeypatch):
     peak = np.max(np.abs(exact))
 
     def error():
-        got = _stacked(synthesize_traces(states, small_liou, cfg), states)
+        got = _stacked(synthesize_traces([states], [small_liou], cfg)[0], states)
         return np.max(np.abs(got - exact)) / peak
 
     err = error()
@@ -185,7 +185,7 @@ def test_first_sample_is_initial_expectation(small_liou):
     rho[0, 0] = 0.5
     rho[0, 1] = rho[1, 0] = 0.5  # coherence gives <a> != 0 at t = 0
     rho[1, 1] = 0.5
-    tr = synthesize_traces({"rho": rho.reshape(-1)}, small_liou, cfg)["rho"]
+    tr = synthesize_traces([{"rho": rho.reshape(-1)}], [small_liou], cfg)[0]["rho"]
     a0 = np.trace(ops.a @ rho)
     assert abs(tr.complex_vals()[0] - a0) < 1e-12
 
@@ -193,7 +193,7 @@ def test_first_sample_is_initial_expectation(small_liou):
 def test_normalization_factor(small_liou):
     cfg = ReadoutConfig(probe_duration_ns=400.0, window_start_ns=100.0,
                         window_end_ns=390.0)
-    traces = synthesize_traces(pure_basis_states(small_liou), small_liou, cfg)
+    (traces,) = synthesize_traces([pure_basis_states(small_liou)], [small_liou], cfg)
     basis = [traces[lab] for lab in ("g", "e", "f")]
     f = normalization_factor(basis)
     peak = max(np.max(np.abs(t.scaled(f).complex_vals())) for t in basis)

@@ -689,7 +689,18 @@ def test_aggregate_stack_equals_single_rows(weights):
             else:
                 weights = 1.0 / h ** 2
                 assert (v, w) == (np.sum(weights * s) / np.sum(weights),
-                                  1.0 / np.sqrt(np.sum(weights)))
+                                  1.0 / (1.96 * np.sqrt(np.sum(weights))))
+
+
+def test_aggregate_returns_a_standard_error_on_both_branches():
+    # three pair CIs of half-width h combine, as independent 95% intervals,
+    # to the half-width h / sqrt(3), a standard error of h / (1.96 sqrt(3)):
+    # the unit of the unweighted branch, to which the caller applies 1.96 once
+    h = 3e-3
+    slopes = np.array([0.40, 0.41, 0.43])
+    value, se = _aggregate(slopes, np.full(3, h))
+    assert value == pytest.approx(slopes.mean(), rel=1e-15)
+    assert se == pytest.approx(h / (1.96 * np.sqrt(3)), rel=1e-15)
 
 
 def test_estimate_report_dict_keys():
